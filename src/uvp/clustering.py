@@ -4,11 +4,22 @@ The plain selector spreads centers by Euclidean distance alone. The
 value-aware variant probes each center as it is selected and then shrinks
 the effective distance around weak centers, so later picks avoid regions a
 low-value center already rules out.
+
+Both run on one incremental engine, :class:`Cover`, built once per solve
+(Gonzalez's O(k*n) farthest-first traversal). A plain pick folds the new
+center's distance row into the nearest-center distances in O(n*d). A
+value-aware pick folds the row's enhanced distance into ``delta`` in O(n*d)
+as long as the best center value v_max stays put; only when v_max rises do
+the value ratios of all centers change, and ``delta`` is rebuilt from the
+coordinates in O(|centers|*n*d). Each :func:`e_k_center` call rebuilds it
+once on entry as well, because seed values change between calls. Selecting
+k centers therefore costs O(k*n*d) plus one rebuild per rise of v_max, and
+no k-by-n matrix of distance rows is ever kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,47 +58,6 @@ def _check_selection(k: int, seeds: Sequence[int], n: int) -> None:
         )
 
 
-def k_center(k: int, seeds: Sequence[int], X: Sequence[Configuration]) -> list[int]:
-    """Select ``k`` new centers by greedy farthest-first traversal.
-
-    Each pick maximises the minimum Euclidean distance to the centers chosen
-    so far (seeds included). With no centers at all every candidate is at
-    infinite distance and the tie-break picks the lowest id. Returns only the
-    new center ids, in selection order.
-    """
-    n = len(X)
-    _check_selection(k, seeds, n)
-    if k == 0:
-        return []
-    points = config_matrix(X)
-    nearest = np.full(n, np.inf)
-    chosen = np.zeros(n, dtype=bool)
-    for s in seeds:
-        chosen[s] = True
-        np.minimum(nearest, np.linalg.norm(points - points[s], axis=1), out=nearest)
-    new: list[int] = []
-    for _ in range(k):
-        open_ids = np.flatnonzero(~chosen)
-        pick = int(open_ids[np.argmax(nearest[open_ids])])  # first max = lowest id
-        new.append(pick)
-        chosen[pick] = True
-        np.minimum(nearest, np.linalg.norm(points - points[pick], axis=1), out=nearest)
-    return new
-
-
-def greedy_radius(centers: Sequence[int], X: Sequence[Configuration]) -> float:
-    """Covering radius of ``centers``: max over candidates of nearest-center distance."""
-    if len(centers) == 0:
-        raise EmptyCenters("covering radius needs at least one center")
-    points = config_matrix(X)
-    nearest = np.full(len(X), np.inf)
-    for c in centers:
-        if not 0 <= c < len(X):
-            raise InvalidParams(f"center id {c} outside candidate set")
-        np.minimum(nearest, np.linalg.norm(points - points[c], axis=1), out=nearest)
-    return float(nearest.max())
-
-
 def enhanced_distance(dist: float, eta: float, epsilon: float) -> float:
     """Value-aware distance min(dist, eta*dist - (eta - 1)/epsilon).
 
@@ -124,20 +94,139 @@ class EnhancedMetric:
             raise EmptyCenters("no center values recorded")
         return max(self.value_of.values())
 
-    def eta(self, center: int) -> float:
-        """Best-to-own value ratio for ``center``, clamped to the cap."""
+    def eta(self, center: int, v_max: float | None = None) -> float:
+        """Best-to-own value ratio for ``center``, clamped to the cap.
+
+        ``v_max`` defaults to the best recorded value; a caller that already
+        holds it passes it in to skip the scan over every center.
+        """
         v = self.value_of[center]
-        v_max = self.v_max
+        if v_max is None:
+            v_max = self.v_max
         if v_max <= 0.0:
             return 1.0
         if v <= 0.0:
             return self.eta_cap
         return min(v_max / v, self.eta_cap)
 
-    def distances(self, dist: np.ndarray, center: int) -> np.ndarray:
+    def distances(self, dist: np.ndarray, center: int, v_max: float | None = None) -> np.ndarray:
         """Vectorised enhanced distance from every point to ``center``."""
-        eta = self.eta(center)
+        eta = self.eta(center, v_max)
         return np.minimum(dist, eta * dist - (eta - 1.0) / self.epsilon)
+
+
+class Cover:
+    """Incremental farthest-first selection state over one candidate set.
+
+    Holds the (n, d) embedding matrix, the chosen mask, the centers in
+    selection order and every candidate's plain distance to its nearest
+    center. While a value-aware selection runs (from :meth:`revalue` on) it
+    also holds the center values and ``delta``, every candidate's minimum
+    enhanced distance to a center. Distance rows are recomputed when needed,
+    never stored. Build one per solve and pass it to every
+    :func:`k_center` / :func:`e_k_center` call of that solve.
+    """
+
+    def __init__(self, X: Sequence[Configuration]) -> None:
+        self.points = config_matrix(X)
+        n = len(self.points)
+        self.centers: list[int] = []
+        self.chosen = np.zeros(n, dtype=bool)
+        self.nearest = np.full(n, np.inf)
+        self.delta = np.full(n, np.inf)
+        self._metric: EnhancedMetric | None = None
+        self._v_max: float | None = None
+
+    def _row(self, center: int) -> np.ndarray:
+        return np.linalg.norm(self.points - self.points[center], axis=1)
+
+    def farthest(self, score: np.ndarray) -> int:
+        """Open candidate with the highest ``score``; ties go to the lowest id."""
+        return int(np.argmax(np.where(self.chosen, -np.inf, score)))
+
+    def add(self, center: int, value: float | None = None) -> None:
+        """Make ``center`` a center; ``value`` is its probed value, if any.
+
+        A value also folds the center into ``delta``, which needs an earlier
+        :meth:`revalue` call; a plain add leaves ``delta`` stale until the
+        next one.
+        """
+        self.centers.append(center)
+        self.chosen[center] = True
+        row = self._row(center)
+        np.minimum(self.nearest, row, out=self.nearest)
+        if value is None:
+            self._metric = None
+            return
+        if self._metric is None:
+            raise InvalidParams("a valued center needs revalue() first")
+        self._metric.value_of[center] = value
+        if self._v_max is not None and value <= self._v_max:
+            np.minimum(self.delta, self._metric.distances(row, center, self._v_max), out=self.delta)
+        else:
+            self.revalue(self._metric)  # first value, or v_max rose: every ratio changed
+
+    def revalue(self, metric: EnhancedMetric) -> None:
+        """Rebuild ``delta`` from coordinates under ``metric``'s center values.
+
+        ``metric.value_of`` must hold a value for every center; the cover
+        keeps it and records the values of later valued adds in it.
+        """
+        self._metric = metric
+        self._v_max = metric.v_max if metric.value_of else None
+        self.delta.fill(np.inf)
+        for c in self.centers:
+            np.minimum(self.delta, metric.distances(self._row(c), c, self._v_max), out=self.delta)
+
+
+def _cover_for(seeds: list[int], X: Sequence[Configuration], cover: Cover | None) -> Cover:
+    """``cover`` checked against the seeds, or a new one holding them."""
+    if cover is None:
+        cover = Cover(X)
+        for s in seeds:
+            cover.add(s)
+    elif len(cover.chosen) != len(X) or cover.centers != seeds:
+        raise InvalidParams("cover must be built on X and hold exactly the seeds, in order")
+    return cover
+
+
+def k_center(
+    k: int, seeds: Sequence[int], X: Sequence[Configuration], *, cover: Cover | None = None
+) -> list[int]:
+    """Select ``k`` new centers by greedy farthest-first traversal.
+
+    Each pick maximises the minimum Euclidean distance to the centers chosen
+    so far (seeds included). With no centers at all every candidate is at
+    infinite distance and the tie-break picks the lowest id. Returns only the
+    new center ids, in selection order.
+
+    A ``cover`` that already holds the seeds is reused and extended with the
+    picks, which spares re-deriving the seeds' distances.
+    """
+    seeds = list(seeds)
+    _check_selection(k, seeds, len(X))
+    if k == 0:
+        return []
+    cover = _cover_for(seeds, X, cover)
+    new: list[int] = []
+    for _ in range(k):
+        pick = cover.farthest(cover.nearest)
+        cover.add(pick)
+        new.append(pick)
+    return new
+
+
+def greedy_radius(centers: Sequence[int], X: Sequence[Configuration]) -> float:
+    """Covering radius of ``centers``: max over candidates of nearest-center distance."""
+    if len(centers) == 0:
+        raise EmptyCenters("covering radius needs at least one center")
+    for c in centers:
+        if not 0 <= c < len(X):
+            raise InvalidParams(f"center id {c} outside candidate set")
+    cover = Cover(X)
+    for c in centers:
+        cover.add(c)
+    return float(cover.nearest.max())
 
 
 def e_k_center(
@@ -152,20 +241,22 @@ def e_k_center(
     *,
     allow_partial: bool = False,
     eta_cap: float = DEFAULT_ETA_CAP,
+    cover: Cover | None = None,
 ) -> tuple[list[int], dict[int, History]]:
     """Select ``k`` centers farthest-first under the value-aware distance.
 
-    Every seed must come with a non-empty history. Each iteration recomputes
-    the value ratios from the current center values, picks the candidate
+    Every seed must come with a non-empty history. Each iteration uses the
+    value ratios of the current center values, picks the candidate
     maximising the minimum enhanced distance, and probes it for ``t`` units
     before the next pick. Returns the new center ids in selection order and
     the merged history map (seeds plus new centers).
 
     With ``allow_partial`` the selection stops quietly once the ledger cap
     intervenes, so a probe may be truncated and trailing picks skipped.
+    A ``cover`` is reused as in :func:`k_center`.
     """
-    n = len(X)
-    _check_selection(k, seeds, n)
+    seeds = list(seeds)
+    _check_selection(k, seeds, len(X))
     if epsilon <= 0:
         raise InvalidParams("epsilon must be positive")
     if t < 1 or t > oracle.horizon:
@@ -175,41 +266,14 @@ def e_k_center(
         if s not in merged or len(merged[s]) == 0:
             raise InvalidParams(f"seed center {s} has no observations")
 
-    points = config_matrix(X)
-    centers: list[int] = list(seeds)
-    chosen = np.zeros(n, dtype=bool)
-    for s in seeds:
-        chosen[s] = True
+    cover = _cover_for(seeds, X, cover)
+    cover.revalue(EnhancedMetric(epsilon, {s: merged[s].last for s in seeds}, eta_cap=eta_cap))
     new: list[int] = []
     for _ in range(k):
         if allow_partial and ledger.remaining == 0:
             break
-        open_ids = np.flatnonzero(~chosen)
-        if not centers:
-            pick = int(open_ids[0])  # no distances defined yet: lowest id
-        else:
-            metric = EnhancedMetric(
-                epsilon, {c: merged[c].last for c in centers}, eta_cap=eta_cap
-            )
-            delta = np.full(n, np.inf)
-            for c in centers:
-                dist = np.linalg.norm(points - points[c], axis=1)
-                np.minimum(delta, metric.distances(dist, c), out=delta)
-            pick = int(open_ids[np.argmax(delta[open_ids])])
+        pick = cover.farthest(cover.delta)
         merged[pick] = learn(oracle, ledger, X[pick], t, allow_partial=allow_partial)
-        centers.append(pick)
-        chosen[pick] = True
+        cover.add(pick, merged[pick].last)
         new.append(pick)
     return new, merged
-
-
-@dataclass
-class CenterState:
-    """Centers accumulated across solver rounds plus the still-active subset."""
-
-    centers: list[int] = field(default_factory=list)
-    active: list[int] = field(default_factory=list)
-
-    def add(self, new: Sequence[int]) -> None:
-        self.centers.extend(new)
-        self.active = sorted(set(self.active).union(new))

@@ -76,6 +76,10 @@ class DegenerateEmbedding(UvpError):
     """Two distinct configurations share an embedding (zero distance)."""
 
 
+class InvalidValue(UvpError, ValueError):
+    """An observed value is not finite or lies outside [0, 1]."""
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One candidate: an embedding vector plus its index in the candidate set."""
@@ -118,7 +122,7 @@ class History:
     def append(self, value: float) -> None:
         v = float(value)
         if not math.isfinite(v) or v < -VALUE_TOL or v > 1.0 + VALUE_TOL:
-            raise ValueError(f"observed value {value!r} outside [0, 1]")
+            raise InvalidValue(f"observed value {value!r} outside [0, 1]")
         self.values.append(min(max(v, 0.0), 1.0))
 
     @property

@@ -205,14 +205,15 @@ def _adaptive(
         t_start = 1
 
     run = Run(oracle, ledger)
-    state = clustering.CenterState()
+    cover = clustering.Cover(X)  # one selection engine for every round
+    active: list[int] = []
     while ledger.remaining > 0:
-        n_new = min(params.p, len(X) - len(state.centers))
+        n_new = min(params.p, len(X) - len(cover.centers))
         if n_new > 0 and enhanced:
             start = ledger.spent
             new, merged = clustering.e_k_center(
                 n_new,
-                state.centers,
+                cover.centers,
                 run.histories,
                 X,
                 t_explore,
@@ -220,17 +221,18 @@ def _adaptive(
                 oracle,
                 ledger,
                 allow_partial=True,
+                cover=cover,
             )
             run.absorb(new, merged, start)
         elif n_new > 0:
-            new = clustering.k_center(n_new, state.centers, X)
+            new = clustering.k_center(n_new, cover.centers, X, cover=cover)
         else:
             new = []
-        state.add(new)
+        active = sorted(set(active).union(new))
 
         stopped = False
         for t in range(t_start, horizon + 1):
-            for x in state.active:
+            for x in active:
                 if ledger.remaining == 0:
                     stopped = True
                     break
@@ -238,12 +240,10 @@ def _adaptive(
                 if h is not None and len(h) >= t:
                     continue  # already trained this far in an earlier round
                 run.step(X[x])
-            if stopped or not state.active:
+            if stopped or not active:
                 break
-            best_last = max(run.histories[x].last for x in state.active)
-            state.active = [
-                x for x in state.active if _forecast(run.histories[x], params) >= best_last
-            ]
+            best_last = max(run.histories[x].last for x in active)
+            active = [x for x in active if _forecast(run.histories[x], params) >= best_last]
         if stopped or not new:
             break  # budget gone, or candidate pool exhausted after a last extension
-    return run.outcome(state.centers)
+    return run.outcome(cover.centers)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from uvp import CallableOracle, Configuration, TabularOracle
+from uvp import CallableOracle, Configuration, EnhancedMetric, TabularOracle, config_matrix, learn
+from uvp.clustering import DEFAULT_ETA_CAP
 
 
 def line(xs):
@@ -53,3 +54,61 @@ def distinct_points(rng, n, d, low=0.0, high=1.0):
 
 def configs_from(points):
     return [Configuration(tuple(float(v) for v in p), i) for i, p in enumerate(points)]
+
+
+# ---------------------------------------------------------------------------
+# reference selectors: recompute every distance before every pick, O(k^2*n*d)
+
+
+def ref_k_center(k, seeds, X):
+    """Plain farthest-first selection from scratch; the engine must match it."""
+    points = config_matrix(X)
+    n = len(X)
+    nearest = np.full(n, np.inf)
+    chosen = np.zeros(n, dtype=bool)
+    for s in seeds:
+        chosen[s] = True
+        np.minimum(nearest, np.linalg.norm(points - points[s], axis=1), out=nearest)
+    new = []
+    for _ in range(k):
+        open_ids = np.flatnonzero(~chosen)
+        pick = int(open_ids[np.argmax(nearest[open_ids])])  # first max = lowest id
+        new.append(pick)
+        chosen[pick] = True
+        np.minimum(nearest, np.linalg.norm(points - points[pick], axis=1), out=nearest)
+    return new
+
+
+def ref_e_k_center(
+    k, seeds, histories, X, t, epsilon, oracle, ledger, *, allow_partial=False,
+    eta_cap=DEFAULT_ETA_CAP,
+):
+    """Value-aware selection rebuilding the enhanced distance before each pick."""
+    points = config_matrix(X)
+    n = len(X)
+    merged = dict(histories)
+    centers = list(seeds)
+    chosen = np.zeros(n, dtype=bool)
+    for s in seeds:
+        chosen[s] = True
+    new = []
+    for _ in range(k):
+        if allow_partial and ledger.remaining == 0:
+            break
+        open_ids = np.flatnonzero(~chosen)
+        if not centers:
+            pick = int(open_ids[0])  # no distances defined yet: lowest id
+        else:
+            metric = EnhancedMetric(
+                epsilon, {c: merged[c].last for c in centers}, eta_cap=eta_cap
+            )
+            delta = np.full(n, np.inf)
+            for c in centers:
+                dist = np.linalg.norm(points - points[c], axis=1)
+                np.minimum(delta, metric.distances(dist, c), out=delta)
+            pick = int(open_ids[np.argmax(delta[open_ids])])
+        merged[pick] = learn(oracle, ledger, X[pick], t, allow_partial=allow_partial)
+        centers.append(pick)
+        chosen[pick] = True
+        new.append(pick)
+    return new, merged

@@ -6,10 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from helpers import const_oracle, curve_oracle, line
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    configs_from,
+    const_oracle,
+    curve_oracle,
+    line,
+    ref_e_k_center,
+    ref_k_center,
+)
 from uvp import (
+    BudgetExhausted,
     BudgetLedger,
-    CenterState,
+    Cover,
     EmptyCenters,
     EnhancedMetric,
     History,
@@ -185,12 +195,154 @@ def test_e_k_center_downweights_weak_center():
     assert new == [0, 1, 3]
 
 
-def test_center_state_accumulates():
-    state = CenterState()
-    state.add([3, 1])
-    state.add([2])
-    assert state.centers == [3, 1, 2]
-    assert state.active == [1, 2, 3]
+def test_greedy_radius_validates_every_id_first():
+    with pytest.raises(InvalidParams):
+        greedy_radius([0, 7], line([0.0, 1.0]))
+    with pytest.raises(InvalidParams):
+        greedy_radius([-1], line([0.0, 1.0]))
+
+
+def test_cover_accumulates_centers():
+    X = line([0.0, 1.0, 2.0, 9.0])
+    cover = Cover(X)
+    cover.add(3)
+    cover.add(1)
+    assert cover.centers == [3, 1]
+    assert cover.chosen.tolist() == [False, True, False, True]
+    assert cover.nearest.tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert cover.farthest(cover.nearest) == 0  # ties between x=0 and x=2: lowest id
+
+
+def test_cover_valued_add_needs_revalue():
+    cover = Cover(line([0.0, 1.0]))
+    with pytest.raises(InvalidParams):
+        cover.add(0, 0.5)
+
+
+def test_k_center_extends_a_shared_cover():
+    X = line([0.0, 1.0, 2.0, 5.0, 9.0])
+    cover = Cover(X)
+    first = k_center(2, [], X, cover=cover)
+    second = k_center(2, first, X, cover=cover)
+    assert first + second == k_center(4, [], X)
+    assert cover.centers == first + second
+
+
+def test_shared_cover_must_hold_the_seeds():
+    X = line([0.0, 1.0, 2.0])
+    cover = Cover(X)
+    cover.add(1)
+    with pytest.raises(InvalidParams):
+        k_center(1, [], X, cover=cover)
+    with pytest.raises(InvalidParams):
+        k_center(1, [1], line([0.0, 1.0, 2.0, 3.0]), cover=cover)
+    histories = {0: History(0, [0.5])}
+    with pytest.raises(InvalidParams):
+        e_k_center(
+            1, [0], histories, X, 1, 0.5, const_oracle(0.5, horizon=1), BudgetLedger(5),
+            cover=cover,
+        )
+
+
+# ---------------------------------------------------------------------------
+# the incremental engine against the recompute-every-pick references
+
+# a few exact values so zero values, v_max = 0 and equal values come up often
+_VALUES = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def selection_cases(draw):
+    """Small instance with integer-grid coordinates (many tied distances)."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 3))
+    coords = draw(
+        st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d), min_size=n, max_size=n)
+    )
+    horizon = draw(st.integers(1, 3))
+    curves = draw(
+        st.lists(st.lists(_VALUES, min_size=horizon, max_size=horizon), min_size=n, max_size=n)
+    )
+    seeds = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 6)))
+    histories = {s: History(s, curves[s][: draw(st.integers(1, horizon))]) for s in seeds}
+    return {
+        "X": configs_from(coords),
+        "curves": np.asarray(curves, dtype=float),
+        "horizon": horizon,
+        "seeds": seeds,
+        "histories": histories,
+        "k": draw(st.integers(0, n - len(seeds))),
+        "t": draw(st.integers(1, horizon)),
+        "epsilon": draw(st.sampled_from([0.1, 0.5, 2.0])),
+        "eta_cap": draw(st.sampled_from([1.0, 3.0, DEFAULT_ETA_CAP])),
+        "allow_partial": draw(st.booleans()),
+    }
+
+
+def _copy(histories):
+    return {c: History(c, h.values) for c, h in histories.items()}
+
+
+def _value_aware(select, case, cap, seeds, histories, **kw):
+    """(ids, {id: values}, spent) of one selection, or the error it raised."""
+    ledger = BudgetLedger(cap)
+    try:
+        new, merged = select(
+            case["k"], seeds, _copy(histories), case["X"], case["t"], case["epsilon"],
+            curve_oracle(case["curves"], dimension=1), ledger,
+            allow_partial=case["allow_partial"], eta_cap=case["eta_cap"], **kw,
+        )
+    except BudgetExhausted:
+        return "exhausted", ledger.spent
+    return new, {c: h.values for c, h in merged.items()}, ledger.spent
+
+
+@given(selection_cases())
+@settings(deadline=None, max_examples=150)
+def test_k_center_matches_reference(case):
+    assert k_center(case["k"], case["seeds"], case["X"]) == ref_k_center(
+        case["k"], case["seeds"], case["X"]
+    )
+
+
+@given(selection_cases(), st.data())
+@settings(deadline=None, max_examples=150)
+def test_e_k_center_matches_reference(case, data):
+    # caps below k*t run the ledger dry mid-probe
+    cap = data.draw(st.integers(0, case["k"] * case["t"] + 1))
+    args = (case, cap, case["seeds"], case["histories"])
+    assert _value_aware(e_k_center, *args) == _value_aware(ref_e_k_center, *args)
+
+
+@given(selection_cases(), st.lists(st.integers(1, 5), min_size=1, max_size=4))
+@settings(deadline=None, max_examples=100)
+def test_shared_cover_rounds_match_reference(case, rounds):
+    """Rounds on one cover pick what from-scratch runs on all earlier centers pick.
+
+    Between rounds every center trains one unit further, so seed values (and
+    v_max) change from one call to the next, as in the adaptive solvers.
+    """
+    X, oracle = case["X"], curve_oracle(case["curves"], dimension=1)
+    plain, valued = Cover(X), Cover(X)
+    for s in case["seeds"]:
+        plain.add(s)
+        valued.add(s)
+    histories = _copy(case["histories"])
+    for k in rounds:
+        seeds = list(plain.centers)
+        k_plain = min(k, len(X) - len(seeds))
+        assert k_center(k_plain, seeds, X, cover=plain) == ref_k_center(k_plain, seeds, X)
+
+        seeds = list(valued.centers)
+        round_case = {**case, "k": min(k, len(X) - len(seeds)), "allow_partial": True}
+        got = _value_aware(e_k_center, round_case, 10, seeds, histories, cover=valued)
+        assert got == _value_aware(ref_e_k_center, round_case, 10, seeds, histories)
+        new, merged, _ = got
+        assert valued.centers == seeds + new
+        histories = {c: History(c, v) for c, v in merged.items()}
+        for c, h in histories.items():
+            if len(h) < case["horizon"]:
+                h.append(oracle.query(X[c], len(h) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from uvp import (
     InvalidBudget,
     InvalidParams,
     SolverParams,
+    TabularOracle,
+    UvpError,
     ada_cent,
     e_ada_cent,
     e_full_cent,
@@ -361,3 +363,11 @@ def test_ledger_equals_total_history_length(solver):
         out = solver(params, X, oracle, ledger)
         assert ledger.spent == sum(len(h) for h in out.histories.values())
         assert ledger.spent <= 9
+
+
+@pytest.mark.parametrize("solver", (full_cent, e_full_cent, ada_cent), ids=lambda s: s.__name__)
+def test_out_of_range_oracle_value_is_a_uvp_error(solver):
+    # the CLI maps UvpError to exit code 2 and bench catches it per cell
+    oracle = TabularOracle(np.array([[1.5]]), 1)
+    with pytest.raises(UvpError):
+        solver(SolverParams(budget=1, horizon=1), line([0.0]), oracle, BudgetLedger(1))
