@@ -94,24 +94,19 @@ class EnhancedMetric:
             raise EmptyCenters("no center values recorded")
         return max(self.value_of.values())
 
-    def eta(self, center: int, v_max: float | None = None) -> float:
-        """Best-to-own value ratio for ``center``, clamped to the cap.
-
-        ``v_max`` defaults to the best recorded value; a caller that already
-        holds it passes it in to skip the scan over every center.
-        """
+    def eta(self, center: int) -> float:
+        """Best-to-own value ratio for ``center``, clamped to the cap."""
         v = self.value_of[center]
-        if v_max is None:
-            v_max = self.v_max
+        v_max = self.v_max
         if v_max <= 0.0:
             return 1.0
         if v <= 0.0:
             return self.eta_cap
         return min(v_max / v, self.eta_cap)
 
-    def distances(self, dist: np.ndarray, center: int, v_max: float | None = None) -> np.ndarray:
+    def distances(self, dist: np.ndarray, center: int) -> np.ndarray:
         """Vectorised enhanced distance from every point to ``center``."""
-        eta = self.eta(center, v_max)
+        eta = self.eta(center)
         return np.minimum(dist, eta * dist - (eta - 1.0) / self.epsilon)
 
 
@@ -125,9 +120,18 @@ class Cover:
     enhanced distance to a center. Distance rows are recomputed when needed,
     never stored. Build one per solve and pass it to every
     :func:`k_center` / :func:`e_k_center` call of that solve.
+
+    ``centers`` are the initial centers. With a ``metric`` holding their
+    values, ``delta`` is built as well, each center's distance row being
+    computed once for both.
     """
 
-    def __init__(self, X: Sequence[Configuration]) -> None:
+    def __init__(
+        self,
+        X: Sequence[Configuration],
+        centers: Sequence[int] = (),
+        metric: EnhancedMetric | None = None,
+    ) -> None:
         self.points = config_matrix(X)
         n = len(self.points)
         self.centers: list[int] = []
@@ -136,9 +140,25 @@ class Cover:
         self.delta = np.full(n, np.inf)
         self._metric: EnhancedMetric | None = None
         self._v_max: float | None = None
+        for c in centers:  # every id is checked before any distance work
+            self._place(c)
+        if metric is not None:
+            self.revalue(metric)
+        else:
+            for c in self.centers:
+                np.minimum(self.nearest, self._row(c), out=self.nearest)
 
     def _row(self, center: int) -> np.ndarray:
         return np.linalg.norm(self.points - self.points[center], axis=1)
+
+    def _place(self, center: int) -> None:
+        n = len(self.chosen)
+        if not 0 <= center < n:
+            raise InvalidParams(f"center id {center} outside candidate set of size {n}")
+        if self.chosen[center]:
+            raise InvalidParams(f"center id {center} is already a center")
+        self.centers.append(center)
+        self.chosen[center] = True
 
     def farthest(self, score: np.ndarray) -> int:
         """Open candidate with the highest ``score``; ties go to the lowest id."""
@@ -151,18 +171,17 @@ class Cover:
         :meth:`revalue` call; a plain add leaves ``delta`` stale until the
         next one.
         """
-        self.centers.append(center)
-        self.chosen[center] = True
+        if value is not None and self._metric is None:
+            raise InvalidParams("a valued center needs revalue() first")
+        self._place(center)
         row = self._row(center)
         np.minimum(self.nearest, row, out=self.nearest)
         if value is None:
             self._metric = None
             return
-        if self._metric is None:
-            raise InvalidParams("a valued center needs revalue() first")
         self._metric.value_of[center] = value
         if self._v_max is not None and value <= self._v_max:
-            np.minimum(self.delta, self._metric.distances(row, center, self._v_max), out=self.delta)
+            np.minimum(self.delta, self._metric.distances(row, center), out=self.delta)
         else:
             self.revalue(self._metric)  # first value, or v_max rose: every ratio changed
 
@@ -170,24 +189,22 @@ class Cover:
         """Rebuild ``delta`` from coordinates under ``metric``'s center values.
 
         ``metric.value_of`` must hold a value for every center; the cover
-        keeps it and records the values of later valued adds in it.
+        keeps it and records the values of later valued adds in it. Each
+        row is folded into the plain nearest distances too, which leaves
+        them unchanged for centers already counted there.
         """
         self._metric = metric
         self._v_max = metric.v_max if metric.value_of else None
         self.delta.fill(np.inf)
         for c in self.centers:
-            np.minimum(self.delta, metric.distances(self._row(c), c, self._v_max), out=self.delta)
+            row = self._row(c)
+            np.minimum(self.nearest, row, out=self.nearest)
+            np.minimum(self.delta, metric.distances(row, c), out=self.delta)
 
 
-def _cover_for(seeds: list[int], X: Sequence[Configuration], cover: Cover | None) -> Cover:
-    """``cover`` checked against the seeds, or a new one holding them."""
-    if cover is None:
-        cover = Cover(X)
-        for s in seeds:
-            cover.add(s)
-    elif len(cover.chosen) != len(X) or cover.centers != seeds:
+def _check_cover(cover: Cover, seeds: list[int], X: Sequence[Configuration]) -> None:
+    if len(cover.chosen) != len(X) or cover.centers != seeds:
         raise InvalidParams("cover must be built on X and hold exactly the seeds, in order")
-    return cover
 
 
 def k_center(
@@ -200,14 +217,18 @@ def k_center(
     infinite distance and the tie-break picks the lowest id. Returns only the
     new center ids, in selection order.
 
-    A ``cover`` that already holds the seeds is reused and extended with the
-    picks, which spares re-deriving the seeds' distances.
+    A ``cover`` is reused and extended with the picks, which spares
+    re-deriving the seeds' distances. It must hold exactly ``seeds``, in
+    order; ``seeds`` then serves only for that check.
     """
     seeds = list(seeds)
     _check_selection(k, seeds, len(X))
     if k == 0:
         return []
-    cover = _cover_for(seeds, X, cover)
+    if cover is None:
+        cover = Cover(X, seeds)
+    else:
+        _check_cover(cover, seeds, X)
     new: list[int] = []
     for _ in range(k):
         pick = cover.farthest(cover.nearest)
@@ -220,13 +241,7 @@ def greedy_radius(centers: Sequence[int], X: Sequence[Configuration]) -> float:
     """Covering radius of ``centers``: max over candidates of nearest-center distance."""
     if len(centers) == 0:
         raise EmptyCenters("covering radius needs at least one center")
-    for c in centers:
-        if not 0 <= c < len(X):
-            raise InvalidParams(f"center id {c} outside candidate set")
-    cover = Cover(X)
-    for c in centers:
-        cover.add(c)
-    return float(cover.nearest.max())
+    return float(Cover(X, list(dict.fromkeys(centers))).nearest.max())
 
 
 def e_k_center(
@@ -266,8 +281,12 @@ def e_k_center(
         if s not in merged or len(merged[s]) == 0:
             raise InvalidParams(f"seed center {s} has no observations")
 
-    cover = _cover_for(seeds, X, cover)
-    cover.revalue(EnhancedMetric(epsilon, {s: merged[s].last for s in seeds}, eta_cap=eta_cap))
+    metric = EnhancedMetric(epsilon, {s: merged[s].last for s in seeds}, eta_cap=eta_cap)
+    if cover is None:
+        cover = Cover(X, seeds, metric)
+    else:
+        _check_cover(cover, seeds, X)
+        cover.revalue(metric)
     new: list[int] = []
     for _ in range(k):
         if allow_partial and ledger.remaining == 0:

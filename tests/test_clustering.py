@@ -213,6 +213,31 @@ def test_cover_accumulates_centers():
     assert cover.farthest(cover.nearest) == 0  # ties between x=0 and x=2: lowest id
 
 
+def test_greedy_radius_counts_a_repeated_center_once():
+    assert greedy_radius([1, 1], line([0.0, 1.0, 3.0])) == 2.0
+
+
+def test_cover_rejects_bad_center_ids():
+    cover = Cover(line([0.0, 1.0, 2.0]))
+    cover.add(1)
+    for bad in (-1, 3, 1):  # out of range on both sides, and already a center
+        with pytest.raises(InvalidParams):
+            cover.add(bad)
+    assert cover.centers == [1]
+    assert cover.nearest.tolist() == [1.0, 0.0, 1.0]
+    with pytest.raises(InvalidParams):
+        Cover(line([0.0, 1.0]), [0, 2])
+
+
+def test_cover_built_on_valued_centers():
+    X = line([0.0, 1.0, 2.0, 9.0])
+    metric = EnhancedMetric(0.5, {0: 0.25, 3: 1.0})
+    cover = Cover(X, [0, 3], metric)
+    assert cover.nearest.tolist() == Cover(X, [0, 3]).nearest.tolist() == [0.0, 1.0, 2.0, 0.0]
+    # center 0 has eta = 4: delta = min(d, 4d - 6) near it, plain d near center 3
+    assert cover.delta.tolist() == [-6.0, -2.0, 2.0, 0.0]
+
+
 def test_cover_valued_add_needs_revalue():
     cover = Cover(line([0.0, 1.0]))
     with pytest.raises(InvalidParams):
@@ -323,10 +348,7 @@ def test_shared_cover_rounds_match_reference(case, rounds):
     v_max) change from one call to the next, as in the adaptive solvers.
     """
     X, oracle = case["X"], curve_oracle(case["curves"], dimension=1)
-    plain, valued = Cover(X), Cover(X)
-    for s in case["seeds"]:
-        plain.add(s)
-        valued.add(s)
+    plain, valued = Cover(X, case["seeds"]), Cover(X, case["seeds"])
     histories = _copy(case["histories"])
     for k in rounds:
         seeds = list(plain.centers)
