@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .clustering import greedy_radius, k_center
 from .core import (
@@ -234,6 +233,14 @@ def incumbent_at(trace: Sequence[tuple[int, float]], spent_cap: float) -> float:
     return best
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """Rank 1 for the highest value; tied values share the mean of their ranks."""
+    v = np.asarray(values, dtype=float)
+    better = (v[None, :] > v[:, None]).sum(axis=1)
+    equal = (v[None, :] == v[:, None]).sum(axis=1)
+    return better + (equal + 1) / 2
+
+
 def mean_rank(
     results: Mapping[tuple[str, int, str], Sequence[tuple[int, float]]],
     caps: Mapping[str, int],
@@ -278,6 +285,6 @@ def mean_rank(
                     raise MissingTrace(
                         f"({ds}, seed {seed}, {alg}) has no spend at fraction {f}"
                     ) from None
-            acc += rankdata([-v for v in vals], method="average")
+            acc += _average_ranks(vals)
         means[fi] = acc / len(cells)
     return RankTable(fractions=tuple(float(f) for f in fractions), algorithms=algorithms, means=means)

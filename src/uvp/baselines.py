@@ -8,7 +8,6 @@ the new units), and never exceed the ledger cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,28 +21,16 @@ from .core import (
     Run,
     SearchOutcome,
     ValueOracle,
-    learn,
 )
 
 
-@dataclass
-class BaselineParams:
-    """Knobs for the baselines: halving factor, RNG seed, bracket count."""
-
-    eta: int = 3
-    seed: int = 0
-    iterations: int = 6
-
-    def __post_init__(self) -> None:
-        if self.eta < 2:
-            raise InvalidParams("eta must be >= 2")
-        if self.iterations < 1:
-            raise InvalidParams("iterations must be >= 1")
-
-
-def _check_inputs(budget: int, horizon: int, X: Sequence[Configuration]) -> None:
+def _check_inputs(
+    budget: int, horizon: int, X: Sequence[Configuration], oracle: ValueOracle
+) -> None:
     if horizon < 1:
         raise InvalidBudget("horizon must be >= 1")
+    if horizon > oracle.horizon:
+        raise InvalidBudget(f"horizon {horizon} exceeds the oracle's {oracle.horizon}")
     if budget < horizon:
         raise InvalidBudget(f"budget {budget} cannot cover one full evaluation of {horizon}")
     if len(X) == 0:
@@ -59,7 +46,7 @@ def random_search(
     ledger: BudgetLedger,
 ) -> SearchOutcome:
     """Draw floor(B/T) distinct configurations uniformly and train each fully."""
-    _check_inputs(budget, horizon, X)
+    _check_inputs(budget, horizon, X, oracle)
     k = budget // horizon
     if k > len(X):
         raise InsufficientCandidates(f"cannot draw {k} distinct arms from {len(X)}")
@@ -67,9 +54,7 @@ def random_search(
     arms = [int(a) for a in rng.choice(len(X), size=k, replace=False)]
     run = Run(oracle, ledger)
     for a in arms:
-        start = ledger.spent
-        h = learn(oracle, ledger, X[a], horizon)
-        run.absorb([a], {a: h}, start)
+        run.extend_to(X[a], horizon)
     return run.outcome(arms)
 
 
@@ -125,7 +110,7 @@ def successive_halving(
     per rung, and trains the final survivor to the horizon. Leftover budget
     is left unspent.
     """
-    _check_inputs(budget, horizon, X)
+    _check_inputs(budget, horizon, X, oracle)
     if eta < 2:
         raise InvalidParams("eta must be >= 2")
     s = 0
@@ -162,7 +147,7 @@ def hyperband(
     across brackets, so re-drawing an arm only pays for budget it has not
     reached yet.
     """
-    _check_inputs(budget, horizon, X)
+    _check_inputs(budget, horizon, X, oracle)
     if eta < 2:
         raise InvalidParams("eta must be >= 2")
     if iterations < 1:

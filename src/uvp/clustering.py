@@ -20,21 +20,17 @@ no k-by-n matrix of distance rows is ever kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    BudgetLedger,
     Configuration,
     EmptyCenters,
-    History,
     InsufficientCandidates,
-    InvalidBudget,
     InvalidParams,
-    ValueOracle,
+    Run,
     config_matrix,
-    learn,
 )
 
 # Centers whose observed value is zero rule out their whole 1/epsilon
@@ -56,22 +52,6 @@ def _check_selection(k: int, seeds: Sequence[int], n: int) -> None:
         raise InsufficientCandidates(
             f"need {k} new centers on top of {len(seeds)} seeds, only {n} candidates"
         )
-
-
-def enhanced_distance(dist: float, eta: float, epsilon: float) -> float:
-    """Value-aware distance min(dist, eta*dist - (eta - 1)/epsilon).
-
-    ``eta`` is the ratio of the best observed center value to this center's
-    value; a weak center (eta > 1) pulls nearby points toward it, possibly
-    below zero, which marks them as already ruled out.
-    """
-    if not np.all(np.asarray(dist) >= 0):
-        raise InvalidParams("distance must be non-negative")
-    if not np.all(np.asarray(eta) >= 1):
-        raise InvalidParams("value ratio eta must be >= 1")
-    if epsilon <= 0:
-        raise InvalidParams("epsilon must be positive")
-    return float(min(dist, eta * dist - (eta - 1.0) / epsilon))
 
 
 @dataclass
@@ -133,6 +113,7 @@ class Cover:
         metric: EnhancedMetric | None = None,
     ) -> None:
         self.points = config_matrix(X)
+        self._work = np.empty_like(self.points)
         n = len(self.points)
         self.centers: list[int] = []
         self.chosen = np.zeros(n, dtype=bool)
@@ -149,7 +130,13 @@ class Cover:
                 np.minimum(self.nearest, self._row(c), out=self.nearest)
 
     def _row(self, center: int) -> np.ndarray:
-        return np.linalg.norm(self.points - self.points[center], axis=1)
+        # np.linalg.norm(points - points[center], axis=1) with the same
+        # arithmetic, but in a buffer kept by the cover: a fresh (n, d)
+        # temporary on every pick is handed back to the OS by the allocator
+        # and page-faulted in again on the next pick
+        work = np.subtract(self.points, self.points[center], out=self._work)
+        np.multiply(work, work, out=work)
+        return np.sqrt(np.add.reduce(work, axis=1))
 
     def _place(self, center: int) -> None:
         n = len(self.chosen)
@@ -247,24 +234,22 @@ def greedy_radius(centers: Sequence[int], X: Sequence[Configuration]) -> float:
 def e_k_center(
     k: int,
     seeds: Sequence[int],
-    histories: Mapping[int, History],
     X: Sequence[Configuration],
     t: int,
     epsilon: float,
-    oracle: ValueOracle,
-    ledger: BudgetLedger,
+    run: Run,
     *,
     allow_partial: bool = False,
     eta_cap: float = DEFAULT_ETA_CAP,
     cover: Cover | None = None,
-) -> tuple[list[int], dict[int, History]]:
+) -> list[int]:
     """Select ``k`` centers farthest-first under the value-aware distance.
 
-    Every seed must come with a non-empty history. Each iteration uses the
-    value ratios of the current center values, picks the candidate
-    maximising the minimum enhanced distance, and probes it for ``t`` units
-    before the next pick. Returns the new center ids in selection order and
-    the merged history map (seeds plus new centers).
+    Every seed must have a non-empty history in ``run``. Each iteration uses
+    the value ratios of the current center values, picks the candidate
+    maximising the minimum enhanced distance, and probes it to budget ``t``
+    through ``run`` before the next pick. Returns the new center ids in
+    selection order; their histories are in ``run.histories``.
 
     With ``allow_partial`` the selection stops quietly once the ledger cap
     intervenes, so a probe may be truncated and trailing picks skipped.
@@ -274,14 +259,11 @@ def e_k_center(
     _check_selection(k, seeds, len(X))
     if epsilon <= 0:
         raise InvalidParams("epsilon must be positive")
-    if t < 1 or t > oracle.horizon:
-        raise InvalidBudget(f"probe budget {t} outside 1..{oracle.horizon}")
-    merged: dict[int, History] = dict(histories)
     for s in seeds:
-        if s not in merged or len(merged[s]) == 0:
+        if len(run.histories.get(s, ())) == 0:
             raise InvalidParams(f"seed center {s} has no observations")
 
-    metric = EnhancedMetric(epsilon, {s: merged[s].last for s in seeds}, eta_cap=eta_cap)
+    metric = EnhancedMetric(epsilon, {s: run.histories[s].last for s in seeds}, eta_cap=eta_cap)
     if cover is None:
         cover = Cover(X, seeds, metric)
     else:
@@ -289,10 +271,10 @@ def e_k_center(
         cover.revalue(metric)
     new: list[int] = []
     for _ in range(k):
-        if allow_partial and ledger.remaining == 0:
+        if allow_partial and run.ledger.remaining == 0:
             break
         pick = cover.farthest(cover.delta)
-        merged[pick] = learn(oracle, ledger, X[pick], t, allow_partial=allow_partial)
-        cover.add(pick, merged[pick].last)
+        run.extend_to(X[pick], t, allow_partial=allow_partial)
+        cover.add(pick, run.histories[pick].last)
         new.append(pick)
-    return new, merged
+    return new

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -170,25 +170,6 @@ class CallableOracle(ValueOracle):
         return float(self._fn(config, b))
 
 
-class MonotoneOracle(ValueOracle):
-    """Running-max view of a raw oracle: query(x, b) = max over t <= b of raw(x, t)."""
-
-    def __init__(self, raw: ValueOracle) -> None:
-        super().__init__(raw.dimension, raw.horizon)
-        self.raw = raw
-
-    def query(self, config: Configuration, b: int) -> float:
-        self._check_budget(b)
-        return max(self.raw.query(config, t) for t in range(1, b + 1))
-
-
-def enforce_monotone(raw: ValueOracle) -> ValueOracle:
-    """Wrap ``raw`` so curves never decrease in budget. Idempotent."""
-    if isinstance(raw, MonotoneOracle):
-        return raw
-    return MonotoneOracle(raw)
-
-
 @dataclass
 class BudgetLedger:
     """Meters evaluation spend against a hard cap. One unit = one budget step."""
@@ -214,47 +195,6 @@ class BudgetLedger:
         self.spent += units
 
 
-def extend(
-    oracle: ValueOracle,
-    ledger: BudgetLedger,
-    config: Configuration,
-    history: History,
-    t: int,
-    *,
-    allow_partial: bool = False,
-) -> History:
-    """Evaluate ``config`` at budgets len(history)+1 .. t, charging one unit each.
-
-    With ``allow_partial`` the loop stops quietly when the ledger cap
-    intervenes; otherwise feasibility is checked up front so the ledger is
-    never left mid-way through a requested fill.
-    """
-    if t < 1 or t > oracle.horizon:
-        raise InvalidBudget(f"target budget {t} outside 1..{oracle.horizon}")
-    needed = t - len(history)
-    if not allow_partial and needed > ledger.remaining:
-        raise BudgetExhausted(f"need {needed} units, only {ledger.remaining} remain")
-    for b in range(len(history) + 1, t + 1):
-        if ledger.remaining == 0:
-            break
-        ledger.charge(1)
-        history.append(oracle.query(config, b))
-    return history
-
-
-def learn(
-    oracle: ValueOracle,
-    ledger: BudgetLedger,
-    config: Configuration,
-    t: int,
-    *,
-    allow_partial: bool = False,
-) -> History:
-    """Evaluate ``config`` sequentially at budgets 1..t and return its history."""
-    history = History(config.id)
-    return extend(oracle, ledger, config, history, t, allow_partial=allow_partial)
-
-
 @dataclass
 class SearchOutcome:
     """Result of one solver run: the incumbent plus its anytime trace."""
@@ -268,8 +208,10 @@ class SearchOutcome:
 class Run:
     """Bookkeeping for one solver execution: histories, spend trace, incumbent.
 
-    The trace records one (units spent, incumbent value) point per charged
-    unit, in observation order, so it doubles as the anytime curve.
+    Every unit a solver or baseline spends goes through :meth:`step`, the
+    only caller of :meth:`BudgetLedger.charge`. The trace records one (units
+    spent, incumbent value) point per charged unit, as it is charged, so it
+    doubles as the anytime curve.
     """
 
     def __init__(self, oracle: ValueOracle, ledger: BudgetLedger) -> None:
@@ -285,10 +227,18 @@ class Run:
         b = len(h) + 1
         self.ledger.charge(1)
         h.append(self.oracle.query(config, b))
-        self._observe(h.last)
+        self._incumbent = max(self._incumbent, h.last)
+        self.trace.append((self.ledger.spent, self._incumbent))
 
     def extend_to(self, config: Configuration, t: int, *, allow_partial: bool = False) -> bool:
-        """Train ``config`` up to budget t; returns False on a partial fill."""
+        """Train ``config`` up to budget t, charging only the missing units.
+
+        Returns False on a partial fill. Without ``allow_partial`` a fill
+        that does not fit raises before any charge, as does a target outside
+        1..horizon.
+        """
+        if t < 1 or t > self.oracle.horizon:
+            raise InvalidBudget(f"target budget {t} outside 1..{self.oracle.horizon}")
         h = self.histories.setdefault(config.id, History(config.id))
         if not allow_partial and t - len(h) > self.ledger.remaining:
             raise BudgetExhausted(f"need {t - len(h)} units, only {self.ledger.remaining} remain")
@@ -297,25 +247,6 @@ class Run:
                 return False
             self.step(config)
         return True
-
-    def absorb(self, ids: Sequence[int], histories: Mapping[int, History], start_spent: int) -> None:
-        """Fold histories produced outside this run (e.g. by learn) into the trace.
-
-        ``ids`` must be in observation order and the entries must account for
-        exactly the units charged since ``start_spent``.
-        """
-        s = start_spent
-        for c in ids:
-            h = histories[c]
-            self.histories[c] = h
-            for v in h.values:
-                s += 1
-                self._observe(v, spent=s)
-
-    def _observe(self, value: float, spent: int | None = None) -> None:
-        if value > self._incumbent:
-            self._incumbent = value
-        self.trace.append((self.ledger.spent if spent is None else spent, self._incumbent))
 
     def outcome(self, candidates: Sequence[int]) -> SearchOutcome:
         """Best evaluated candidate (ties to the lowest id) plus the trace."""

@@ -33,7 +33,6 @@ from .core import (
     Run,
     SearchOutcome,
     ValueOracle,
-    learn,
 )
 
 PREDICTORS = ("two-point", "tail-fit")
@@ -114,9 +113,11 @@ def _forecast(history: History, params: SolverParams) -> float:
     return pred(history, params.horizon)
 
 
-def _check_pool(X: Sequence[Configuration]) -> None:
+def _check_pool(params: SolverParams, X: Sequence[Configuration], oracle: ValueOracle) -> None:
     if len(X) == 0:
         raise InsufficientCandidates("candidate set is empty")
+    if params.horizon > oracle.horizon:
+        raise InvalidBudget(f"horizon {params.horizon} exceeds the oracle's {oracle.horizon}")
 
 
 def _num_centers(params: SolverParams) -> int:
@@ -134,14 +135,12 @@ def full_cent(
     ledger: BudgetLedger,
 ) -> SearchOutcome:
     """Select floor(B/T) centers farthest-first, train each fully, keep the best."""
-    _check_pool(X)
+    _check_pool(params, X, oracle)
     k = _num_centers(params)
     run = Run(oracle, ledger)
     centers = clustering.k_center(k, [], X)
     for c in centers:
-        start = ledger.spent
-        h = learn(oracle, ledger, X[c], params.horizon)
-        run.absorb([c], {c: h}, start)
+        run.extend_to(X[c], params.horizon)
     return run.outcome(centers)
 
 
@@ -152,14 +151,10 @@ def e_full_cent(
     ledger: BudgetLedger,
 ) -> SearchOutcome:
     """Value-aware full training: selection and full evaluations interleave."""
-    _check_pool(X)
+    _check_pool(params, X, oracle)
     k = _num_centers(params)
     run = Run(oracle, ledger)
-    start = ledger.spent
-    centers, histories = clustering.e_k_center(
-        k, [], {}, X, params.horizon, params.epsilon, oracle, ledger
-    )
-    run.absorb(centers, histories, start)
+    centers = clustering.e_k_center(k, [], X, params.horizon, params.epsilon, run)
     return run.outcome(centers)
 
 
@@ -191,7 +186,7 @@ def _adaptive(
     *,
     enhanced: bool,
 ) -> SearchOutcome:
-    _check_pool(X)
+    _check_pool(params, X, oracle)
     horizon = params.horizon
     if enhanced:
         t_explore = int(params.delta * horizon)
@@ -210,20 +205,10 @@ def _adaptive(
     while ledger.remaining > 0:
         n_new = min(params.p, len(X) - len(cover.centers))
         if n_new > 0 and enhanced:
-            start = ledger.spent
-            new, merged = clustering.e_k_center(
-                n_new,
-                cover.centers,
-                run.histories,
-                X,
-                t_explore,
-                params.epsilon,
-                oracle,
-                ledger,
-                allow_partial=True,
-                cover=cover,
+            new = clustering.e_k_center(
+                n_new, cover.centers, X, t_explore, params.epsilon, run,
+                allow_partial=True, cover=cover,
             )
-            run.absorb(new, merged, start)
         elif n_new > 0:
             new = clustering.k_center(n_new, cover.centers, X, cover=cover)
         else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from uvp import CallableOracle, Configuration, EnhancedMetric, TabularOracle, config_matrix, learn
+from uvp import CallableOracle, Configuration, EnhancedMetric, TabularOracle, config_matrix
 from uvp.clustering import DEFAULT_ETA_CAP
 
 
@@ -80,35 +80,33 @@ def ref_k_center(k, seeds, X):
 
 
 def ref_e_k_center(
-    k, seeds, histories, X, t, epsilon, oracle, ledger, *, allow_partial=False,
-    eta_cap=DEFAULT_ETA_CAP,
+    k, seeds, X, t, epsilon, run, *, allow_partial=False, eta_cap=DEFAULT_ETA_CAP
 ):
     """Value-aware selection rebuilding the enhanced distance before each pick."""
     points = config_matrix(X)
     n = len(X)
-    merged = dict(histories)
     centers = list(seeds)
     chosen = np.zeros(n, dtype=bool)
     for s in seeds:
         chosen[s] = True
     new = []
     for _ in range(k):
-        if allow_partial and ledger.remaining == 0:
+        if allow_partial and run.ledger.remaining == 0:
             break
         open_ids = np.flatnonzero(~chosen)
         if not centers:
             pick = int(open_ids[0])  # no distances defined yet: lowest id
         else:
             metric = EnhancedMetric(
-                epsilon, {c: merged[c].last for c in centers}, eta_cap=eta_cap
+                epsilon, {c: run.histories[c].last for c in centers}, eta_cap=eta_cap
             )
             delta = np.full(n, np.inf)
             for c in centers:
                 dist = np.linalg.norm(points - points[c], axis=1)
                 np.minimum(delta, metric.distances(dist, c), out=delta)
             pick = int(open_ids[np.argmax(delta[open_ids])])
-        merged[pick] = learn(oracle, ledger, X[pick], t, allow_partial=allow_partial)
+        run.extend_to(X[pick], t, allow_partial=allow_partial)
         centers.append(pick)
         chosen[pick] = True
         new.append(pick)
-    return new, merged
+    return new

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import configs_from, random_concave_curve
-from uvp import BudgetLedger, learn
+from uvp import BudgetLedger, Run
 from uvp.analysis import (
     brute_force_k_center,
     brute_force_opt,
@@ -186,17 +186,19 @@ def test_criterion_07_isolated_optimum_selection():
     configs, oracle = gen_isolated_optimum(spacing=1.0, ring_radius=0.5, epsilon=0.5)
     assert math.sqrt(1.25) + 0.5 < 2.0  # the geometry premise for the pick
     seeds = [3, 7]
-    ledger = BudgetLedger(3)
-    histories = {s: learn(oracle, ledger, configs[s], 1) for s in seeds}
+    run = Run(oracle, BudgetLedger(3))
+    ledger = run.ledger
+    for s in seeds:
+        run.extend_to(configs[s], 1)
     # seed 7 is worth half the best probed value: eta = 2 rules out every point
     # within 1 of it, which leaves the origin (0.866 from id 3) farthest
-    metric = EnhancedMetric(0.5, {s: histories[s].last for s in seeds})
+    metric = EnhancedMetric(0.5, {s: run.histories[s].last for s in seeds})
     assert metric.eta(7) == 2.0
     # the plain pick is id 5 on the first ring, 0.966 from id 3
     [plain_pick] = k_center(1, seeds, configs)
-    [aware_pick], merged = e_k_center(1, seeds, histories, configs, 1, 0.5, oracle, ledger)
+    [aware_pick] = e_k_center(1, seeds, configs, 1, 0.5, run)
     plain = oracle.query(configs[plain_pick], 1)
-    aware = merged[aware_pick].last
+    aware = run.histories[aware_pick].last
     ok = plain == 0.5 and aware == 1.0 and ledger.spent == 3
     _report(7, "isolated optimum selection", ok,
             f"plain {plain}, value-aware {aware} (want 0.5 / 1.0) after probes {seeds}")

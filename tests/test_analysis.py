@@ -1,6 +1,10 @@
 """Diagnostics: smoothness estimation, brute-force references, rank summaries."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +314,30 @@ def test_mean_rank_tie_handling():
     table = mean_rank(results, caps={"d": 1}, fractions=(1.0,))
     ranks = dict(zip(table.algorithms, table.means[0]))
     assert ranks == {"a": 1.0, "b": 2.5, "c": 2.5}
+
+
+def test_mean_rank_averages_ties_across_cells():
+    # seed 0: a three-way tie for the top, a two-way tie, then two singles,
+    # ranks (2, 2, 2, 4.5, 4.5, 6, 7); seed 1: all seven tie at rank 4
+    top = {"a": 0.9, "b": 0.9, "c": 0.9, "d": 0.5, "e": 0.5, "f": 0.1, "g": 0.0}
+    results = {}
+    for alg, v in top.items():
+        results[("d", 0, alg)] = ((1, v),)
+        results[("d", 1, alg)] = ((1, 0.3),)
+    table = mean_rank(results, caps={"d": 1}, fractions=(1.0,))
+    ranks = dict(zip(table.algorithms, table.means[0].tolist()))
+    assert ranks == {"a": 3.0, "b": 3.0, "c": 3.0, "d": 4.25, "e": 4.25, "f": 5.0, "g": 5.5}
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, uvp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_mean_rank_dominant_algorithm():

@@ -25,8 +25,8 @@ from uvp import (
     History,
     InsufficientCandidates,
     InvalidParams,
+    Run,
     e_k_center,
-    enhanced_distance,
     greedy_radius,
     k_center,
 )
@@ -77,38 +77,45 @@ def test_greedy_radius_requires_centers():
 
 
 def test_enhanced_distance_eta_one_is_identity():
-    assert enhanced_distance(2.0, 1.0, 0.5) == 2.0
+    # the best center (and any center of equal value) keeps the plain distance
+    metric = EnhancedMetric(0.5, {0: 0.8, 1: 0.8})
+    dist = np.array([0.0, 2.0, 7.5])
+    assert metric.distances(dist, 0).tolist() == dist.tolist()
+    assert metric.distances(dist, 1).tolist() == dist.tolist()
 
 
 def test_enhanced_distance_formula():
-    assert enhanced_distance(2.0, 2.0, 0.25) == 0.0  # min(2, 4 - 4)
+    metric = EnhancedMetric(0.25, {0: 1.0, 1: 0.5})  # eta = 2 for center 1
+    assert metric.distances(np.array([2.0, 0.5]), 1).tolist() == [0.0, -3.0]  # min(d, 2d - 4)
 
 
 def test_enhanced_distance_ring_geometry():
     # center at distance d from a ring point, center value ratio 1/(1 - eps*d)
     d, r, eps = 1.0, 0.5, 0.5
     dist = math.hypot(d, r)
-    eta = 1.0 / (1.0 - eps * d)
+    metric = EnhancedMetric(eps, {0: 1.0, 1: 1.0 - eps * d})
+    assert metric.eta(1) == 1.0 / (1.0 - eps * d)
     expected = (dist - d) / (1.0 - eps * d)
-    assert enhanced_distance(dist, eta, eps) == pytest.approx(expected, abs=1e-15)
+    assert metric.distances(np.array([dist]), 1)[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_enhanced_distance_validation():
     with pytest.raises(InvalidParams):
-        enhanced_distance(-1.0, 1.0, 0.5)
+        EnhancedMetric(0.0, {0: 0.5})
     with pytest.raises(InvalidParams):
-        enhanced_distance(1.0, 0.5, 0.5)
+        EnhancedMetric(-0.5, {0: 0.5})
     with pytest.raises(InvalidParams):
-        enhanced_distance(1.0, 1.0, 0.0)
+        EnhancedMetric(0.5, {0: 0.5}, eta_cap=0.5)
+    with pytest.raises(EmptyCenters):
+        EnhancedMetric(0.5, {}).v_max
 
 
 def test_enhanced_distance_never_exceeds_plain():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        dist = rng.uniform(0.0, 10.0)
-        eta = rng.uniform(1.0, 5.0)
-        eps = rng.uniform(0.01, 2.0)
-        assert enhanced_distance(dist, eta, eps) <= dist
+        dist = rng.uniform(0.0, 10.0, size=5)
+        metric = EnhancedMetric(rng.uniform(0.01, 2.0), {0: 1.0, 1: rng.uniform(0.2, 1.0)})
+        assert np.all(metric.distances(dist, 1) <= dist)
 
 
 def test_enhanced_metric_eta_rules():
@@ -119,10 +126,6 @@ def test_enhanced_metric_eta_rules():
     assert metric.eta(2) == DEFAULT_ETA_CAP  # zero-valued center hits the cap
     all_zero = EnhancedMetric(0.5, {0: 0.0, 1: 0.0})
     assert all_zero.eta(0) == 1.0  # v_max 0 collapses to plain distance
-    with pytest.raises(InvalidParams):
-        EnhancedMetric(0.0, {0: 0.5})
-    with pytest.raises(InvalidParams):
-        EnhancedMetric(0.5, {0: 0.5}, eta_cap=0.5)
 
 
 def test_enhanced_metric_distance_non_increasing_in_v_max():
@@ -139,48 +142,44 @@ def test_enhanced_metric_distance_non_increasing_in_v_max():
 
 def test_e_k_center_collapses_on_equal_values():
     X = line([0.0, 1.0, 2.0, 9.0])
-    new, merged = e_k_center(
-        2, [], {}, X, 1, 0.5, const_oracle(0.6, horizon=1), BudgetLedger(10)
-    )
+    run = Run(const_oracle(0.6, horizon=1), BudgetLedger(10))
+    new = e_k_center(2, [], X, 1, 0.5, run)
     assert new == k_center(2, [], X)
-    assert sorted(merged) == sorted(new)
-    assert all(len(merged[c]) == 1 for c in new)
+    assert sorted(run.histories) == sorted(new)
+    assert all(len(run.histories[c]) == 1 for c in new)
 
 
 def test_e_k_center_single_seed_uses_plain_distance():
     # one seeded center: v_max is its own value, so eta = 1 and the pick is
     # the plain farthest point
     X = line([0.0, 1.0, 9.0])
-    histories = {0: History(0, [0.5])}
-    new, _ = e_k_center(
-        1, [0], histories, X, 1, 0.5, const_oracle(0.5, horizon=1), BudgetLedger(10)
-    )
-    assert new == [2]
+    run = Run(const_oracle(0.5, horizon=1), BudgetLedger(10))
+    run.extend_to(X[0], 1)
+    assert e_k_center(1, [0], X, 1, 0.5, run) == [2]
 
 
 def test_e_k_center_charges_k_times_t():
     X = line([0.0, 1.0, 2.0, 3.0, 4.0])
-    ledger = BudgetLedger(100)
-    new, merged = e_k_center(3, [], {}, X, 2, 0.5, const_oracle(0.4, horizon=2), ledger)
-    assert ledger.spent == 6
-    assert all(len(merged[c]) == 2 for c in new)
+    run = Run(const_oracle(0.4, horizon=2), BudgetLedger(100))
+    new = e_k_center(3, [], X, 2, 0.5, run)
+    assert run.ledger.spent == 6
+    assert all(len(run.histories[c]) == 2 for c in new)
+    assert [s for s, _ in run.trace] == [1, 2, 3, 4, 5, 6]  # a trace point per unit
 
 
 def test_e_k_center_requires_seed_histories():
     X = line([0.0, 1.0])
     with pytest.raises(InvalidParams):
-        e_k_center(1, [0], {}, X, 1, 0.5, const_oracle(0.5, horizon=1), BudgetLedger(5))
+        e_k_center(1, [0], X, 1, 0.5, Run(const_oracle(0.5, horizon=1), BudgetLedger(5)))
 
 
 def test_e_k_center_partial_fill_stops_quietly():
     X = line([0.0, 1.0, 2.0, 3.0])
-    ledger = BudgetLedger(3)
-    new, merged = e_k_center(
-        3, [], {}, X, 2, 0.5, const_oracle(0.4, horizon=2), ledger, allow_partial=True
-    )
-    assert ledger.spent == 3
+    run = Run(const_oracle(0.4, horizon=2), BudgetLedger(3))
+    new = e_k_center(3, [], X, 2, 0.5, run, allow_partial=True)
+    assert run.ledger.spent == 3
     assert len(new) == 2  # third pick never happened
-    assert [len(merged[c]) for c in new] == [2, 1]  # second probe truncated
+    assert [len(run.histories[c]) for c in new] == [2, 1]  # second probe truncated
 
 
 def test_e_k_center_downweights_weak_center():
@@ -191,8 +190,7 @@ def test_e_k_center_downweights_weak_center():
     X = line([0.0, 10.0, 8.1, 1.85])
     oracle = curve_oracle([[1.0], [0.5], [0.2], [0.2]])
     assert k_center(3, [], X) == [0, 1, 2]
-    new, _ = e_k_center(3, [], {}, X, 1, 0.5, oracle, BudgetLedger(10))
-    assert new == [0, 1, 3]
+    assert e_k_center(3, [], X, 1, 0.5, Run(oracle, BudgetLedger(10))) == [0, 1, 3]
 
 
 def test_greedy_radius_validates_every_id_first():
@@ -211,6 +209,16 @@ def test_cover_accumulates_centers():
     assert cover.chosen.tolist() == [False, True, False, True]
     assert cover.nearest.tolist() == [1.0, 0.0, 1.0, 0.0]
     assert cover.farthest(cover.nearest) == 0  # ties between x=0 and x=2: lowest id
+
+
+def test_cover_distances_match_numpy_norm():
+    # the engine computes distance rows in its own buffer; they must equal
+    # np.linalg.norm bit for bit, or ties and outcomes could shift
+    points = np.random.default_rng(3).uniform(-5.0, 5.0, size=(200, 3))
+    X = configs_from(points)
+    for center in (0, 57, 199):
+        expected = np.linalg.norm(points - points[center], axis=1)
+        assert Cover(X, [center]).nearest.tobytes() == expected.tobytes()
 
 
 def test_greedy_radius_counts_a_repeated_center_once():
@@ -261,12 +269,10 @@ def test_shared_cover_must_hold_the_seeds():
         k_center(1, [], X, cover=cover)
     with pytest.raises(InvalidParams):
         k_center(1, [1], line([0.0, 1.0, 2.0, 3.0]), cover=cover)
-    histories = {0: History(0, [0.5])}
+    run = Run(const_oracle(0.5, horizon=1), BudgetLedger(5))
+    run.extend_to(X[0], 1)
     with pytest.raises(InvalidParams):
-        e_k_center(
-            1, [0], histories, X, 1, 0.5, const_oracle(0.5, horizon=1), BudgetLedger(5),
-            cover=cover,
-        )
+        e_k_center(1, [0], X, 1, 0.5, run, cover=cover)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +315,21 @@ def _copy(histories):
 
 
 def _value_aware(select, case, cap, seeds, histories, **kw):
-    """(ids, {id: values}, spent) of one selection, or the error it raised."""
-    ledger = BudgetLedger(cap)
+    """(ids, {id: values}, spent, trace) of one selection, or the error it raised.
+
+    The run starts from copies of ``histories``, observed before its ledger
+    opened, so only the selection's own probes are charged.
+    """
+    run = Run(curve_oracle(case["curves"], dimension=1), BudgetLedger(cap))
+    run.histories.update(_copy(histories))
     try:
-        new, merged = select(
-            case["k"], seeds, _copy(histories), case["X"], case["t"], case["epsilon"],
-            curve_oracle(case["curves"], dimension=1), ledger,
+        new = select(
+            case["k"], seeds, case["X"], case["t"], case["epsilon"], run,
             allow_partial=case["allow_partial"], eta_cap=case["eta_cap"], **kw,
         )
     except BudgetExhausted:
-        return "exhausted", ledger.spent
-    return new, {c: h.values for c, h in merged.items()}, ledger.spent
+        return "exhausted", run.ledger.spent
+    return new, {c: h.values for c, h in run.histories.items()}, run.ledger.spent, run.trace
 
 
 @given(selection_cases())
@@ -359,7 +369,7 @@ def test_shared_cover_rounds_match_reference(case, rounds):
         round_case = {**case, "k": min(k, len(X) - len(seeds)), "allow_partial": True}
         got = _value_aware(e_k_center, round_case, 10, seeds, histories, cover=valued)
         assert got == _value_aware(ref_e_k_center, round_case, 10, seeds, histories)
-        new, merged, _ = got
+        new, merged, _, _ = got
         assert valued.centers == seeds + new
         histories = {c: History(c, v) for c, v in merged.items()}
         for c, h in histories.items():
@@ -427,5 +437,5 @@ def test_isolated_optimum_greedy_selection_from_empty_seeds():
     eps = 0.5
     configs, oracle = gen_isolated_optimum(spacing=1.0, ring_radius=0.5, epsilon=eps)
     plain = k_center(2, [], configs)
-    enhanced, _ = e_k_center(2, [], {}, configs, 1, eps, oracle, BudgetLedger(10))
+    enhanced = e_k_center(2, [], configs, 1, eps, Run(oracle, BudgetLedger(10)))
     assert enhanced == plain

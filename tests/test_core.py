@@ -1,4 +1,4 @@
-"""Core plumbing: learn, monotone wrapping, ledger accounting, run bookkeeping."""
+"""Core plumbing: histories, ledger accounting, run bookkeeping and spending."""
 
 import numpy as np
 import pytest
@@ -13,88 +13,74 @@ from uvp import (
     History,
     InvalidBudget,
     InvalidParams,
-    MonotoneOracle,
     Run,
     config_matrix,
-    enforce_monotone,
-    extend,
-    learn,
 )
 
 
+# learning a configuration's curve with Run.extend_to, one charged unit per budget step
+
+
+def _extend(oracle, cap, t):
+    """(run, history of config 0) after one extend_to call on a fresh run."""
+    run = Run(oracle, BudgetLedger(cap))
+    run.extend_to(Configuration((0.0,), 0), t)
+    return run, run.histories[0]
+
+
 def test_learn_constant_curve():
-    ledger = BudgetLedger(10)
-    h = learn(const_oracle(0.7), ledger, Configuration((0.0,), 0), 3)
+    run, h = _extend(const_oracle(0.7), 10, 3)
     assert h.values == [0.7, 0.7, 0.7]
-    assert ledger.spent == 3
+    assert run.ledger.spent == 3
+    assert run.trace == [(1, 0.7), (2, 0.7), (3, 0.7)]
 
 
 def test_learn_single_step():
-    oracle = curve_oracle([[0.3, 0.6, 0.9]])
-    h = learn(oracle, BudgetLedger(5), Configuration((0.0,), 0), 1)
+    _, h = _extend(curve_oracle([[0.3, 0.6, 0.9]]), 5, 1)
     assert h.values == [0.3]
 
 
 def test_learn_ramp_curve():
-    oracle = CallableOracle(lambda c, b: b / 4, 1, 4)
-    h = learn(oracle, BudgetLedger(4), Configuration((0.0,), 0), 4)
+    _, h = _extend(CallableOracle(lambda c, b: b / 4, 1, 4), 4, 4)
     assert h.values == [0.25, 0.5, 0.75, 1.0]
 
 
 def test_learn_needs_remaining_budget():
-    ledger = BudgetLedger(2)
+    run = Run(const_oracle(0.5), BudgetLedger(2))
     with pytest.raises(BudgetExhausted):
-        learn(const_oracle(0.5), ledger, Configuration((0.0,), 0), 3)
-    assert ledger.spent == 0  # feasibility checked before any charge
+        run.extend_to(Configuration((0.0,), 0), 3)
+    assert run.ledger.spent == 0  # feasibility checked before any charge
+    assert run.trace == []
 
 
 def test_learn_partial_fill_truncates():
-    ledger = BudgetLedger(2)
-    h = learn(const_oracle(0.5), ledger, Configuration((0.0,), 0), 3, allow_partial=True)
-    assert len(h) == 2
-    assert ledger.spent == 2
+    run = Run(const_oracle(0.5), BudgetLedger(2))
+    assert run.extend_to(Configuration((0.0,), 0), 3, allow_partial=True) is False
+    assert len(run.histories[0]) == 2
+    assert run.ledger.spent == 2
 
 
 def test_learn_rejects_bad_target():
     oracle = const_oracle(0.5, horizon=3)
     for t in (0, 4):
-        with pytest.raises(InvalidBudget):
-            learn(oracle, BudgetLedger(10), Configuration((0.0,), 0), t)
+        run = Run(oracle, BudgetLedger(10))
+        for partial in (False, True):
+            with pytest.raises(InvalidBudget):
+                run.extend_to(Configuration((0.0,), 0), t, allow_partial=partial)
+        assert run.ledger.spent == 0  # rejected before any charge
+        assert run.trace == []
 
 
 def test_extend_resumes_existing_history():
     oracle = curve_oracle([[0.1, 0.2, 0.3]])
-    ledger = BudgetLedger(10)
-    h = History(0, [0.1])
-    extend(oracle, ledger, Configuration((0.0,), 0), h, 3)
-    assert h.values == [0.1, 0.2, 0.3]
-    assert ledger.spent == 2  # only the two missing steps were charged
-
-
-def test_enforce_monotone_running_max():
+    run = Run(oracle, BudgetLedger(10))
     cfg = Configuration((0.0,), 0)
-    wrapped = enforce_monotone(curve_oracle([[0.2, 0.5, 0.4]]))
-    assert [wrapped.query(cfg, b) for b in (1, 2, 3)] == [0.2, 0.5, 0.5]
-    wrapped = enforce_monotone(curve_oracle([[0.9, 0.1, 0.1]]))
-    assert [wrapped.query(cfg, b) for b in (1, 2, 3)] == [0.9, 0.9, 0.9]
-
-
-def test_enforce_monotone_keeps_monotone_input():
-    cfg = Configuration((0.0,), 0)
-    wrapped = enforce_monotone(curve_oracle([[0.1, 0.2, 0.3]]))
-    assert [wrapped.query(cfg, b) for b in (1, 2, 3)] == [0.1, 0.2, 0.3]
-
-
-def test_enforce_monotone_idempotent():
-    raw = curve_oracle([[0.2, 0.5, 0.4]])
-    once = enforce_monotone(raw)
-    twice = enforce_monotone(once)
-    assert twice is once  # no double wrapping
-    assert isinstance(once, MonotoneOracle)
-    cfg = Configuration((0.0,), 0)
-    assert [twice.query(cfg, b) for b in (1, 2, 3)] == [
-        once.query(cfg, b) for b in (1, 2, 3)
-    ]
+    run.extend_to(cfg, 1)
+    assert run.extend_to(cfg, 3) is True
+    assert run.histories[0].values == [0.1, 0.2, 0.3]
+    assert run.ledger.spent == 3  # the second call charged only the two missing steps
+    assert run.extend_to(cfg, 2) is True  # already past the target: nothing to charge
+    assert run.ledger.spent == 3
 
 
 def test_history_tolerance_clamp():

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import configs_from, curve_oracle
-from uvp import BudgetLedger, History
+from helpers import configs_from, curve_oracle, line
+from uvp import BudgetLedger, EnhancedMetric, InvalidBudget, Run
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
-from uvp.clustering import e_k_center, enhanced_distance, k_center
-from uvp.core import MonotoneOracle, enforce_monotone
+from uvp.clustering import e_k_center, k_center
 from uvp.solvers import SolverParams, ada_cent, e_ada_cent, e_full_cent, full_cent, pred
 
 COMMON = settings(deadline=None, max_examples=60)
@@ -54,19 +53,6 @@ def concave_curves(draw, max_horizon=8):
     return curve, horizon
 
 
-@given(tabular_instances())
-@COMMON
-def test_monotone_wrap_is_running_max_and_idempotent(instance):
-    X, curves, horizon = instance
-    raw = curve_oracle(np.minimum(curves, 0.9), dimension=2)
-    wrapped = enforce_monotone(raw)
-    assert enforce_monotone(wrapped) is wrapped
-    for cfg in X[:2]:
-        seen = [wrapped.query(cfg, b) for b in range(1, horizon + 1)]
-        assert seen == sorted(seen)
-        assert seen[-1] == max(raw.query(cfg, b) for b in range(1, horizon + 1))
-
-
 @given(concave_curves(), st.integers(2, 8))
 @COMMON
 def test_two_point_predictor_is_optimistic_on_concave_curves(curve_horizon, prefix_len):
@@ -88,12 +74,13 @@ def test_greedy_k_center_within_twice_optimal(cells, k):
     assert report.greedy_radius <= 2.0 * report.optimal_radius + 1e-12
 
 
-@given(st.floats(0.0, 50.0), st.floats(1.0, 100.0), st.floats(0.01, 5.0))
+@given(st.floats(0.0, 50.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 5.0))
 @COMMON
-def test_enhanced_distance_never_exceeds_plain(dist, eta, epsilon):
-    adjusted = enhanced_distance(dist, eta, epsilon)
-    assert adjusted <= dist + 1e-12
-    assert enhanced_distance(dist, 1.0, epsilon) == pytest.approx(dist)
+def test_enhanced_distance_never_exceeds_plain(dist, v_best, v_weak, epsilon):
+    metric = EnhancedMetric(epsilon, {0: max(v_best, v_weak), 1: min(v_best, v_weak)})
+    dists = np.array([dist])
+    assert metric.distances(dists, 1)[0] <= dist + 1e-12
+    assert metric.distances(dists, 0)[0] == pytest.approx(dist)  # eta = 1 at v_max
 
 
 @given(tabular_instances(), st.integers(1, 3))
@@ -104,9 +91,7 @@ def test_value_aware_selection_collapses_on_equal_values(instance, k):
         return
     const = np.full_like(curves, 0.5)
     oracle = curve_oracle(const, dimension=2)
-    picked, _ = e_k_center(
-        k, [], {}, X, 1, 0.5, oracle, BudgetLedger(k), allow_partial=False
-    )
+    picked = e_k_center(k, [], X, 1, 0.5, Run(oracle, BudgetLedger(k)), allow_partial=False)
     assert picked == k_center(k, [], X)
 
 
@@ -152,14 +137,36 @@ def test_every_trace_is_anytime_monotone(instance, mult, seed):
     budget = min(mult, len(X)) * horizon
     if budget < horizon:
         return
-    for name, (out, _) in _run_all(X, curves, horizon, budget, seed).items():
+    for name, (out, ledger) in _run_all(X, curves, horizon, budget, seed).items():
         spends = [s for s, _ in out.trace]
         incs = [v for _, v in out.trace]
-        assert spends == sorted(set(spends)), name
+        assert spends == list(range(1, ledger.spent + 1)), name  # one point per unit
         assert incs == sorted(incs) or all(
             a <= b + 1e-15 for a, b in zip(incs, incs[1:])
         ), name
         assert out.best_value == pytest.approx(incs[-1]), name
+
+
+_PAST_HORIZON = SolverParams(budget=12, horizon=3, p=2, epsilon=0.5, delta=0.5)
+_PAST_HORIZON_RUNS = {
+    "full-cent": lambda X, oracle, ledger: full_cent(_PAST_HORIZON, X, oracle, ledger),
+    "e-full-cent": lambda X, oracle, ledger: e_full_cent(_PAST_HORIZON, X, oracle, ledger),
+    "ada-cent": lambda X, oracle, ledger: ada_cent(_PAST_HORIZON, X, oracle, ledger),
+    "e-ada-cent": lambda X, oracle, ledger: e_ada_cent(_PAST_HORIZON, X, oracle, ledger),
+    "random": lambda X, oracle, ledger: random_search(12, 3, X, 0, oracle, ledger),
+    "sha": lambda X, oracle, ledger: successive_halving(12, 3, X, 3, 0, oracle, ledger),
+    "hyperband": lambda X, oracle, ledger: hyperband(12, 3, X, 3, 2, 0, oracle, ledger),
+}
+
+
+@pytest.mark.parametrize("algo", list(_PAST_HORIZON_RUNS))
+def test_horizon_past_the_oracle_is_rejected_before_any_spend(algo):
+    X = line(range(9))
+    oracle = curve_oracle(np.tile([0.2, 0.4], (9, 1)))  # curves end at budget 2
+    ledger = BudgetLedger(12)
+    with pytest.raises(InvalidBudget):
+        _PAST_HORIZON_RUNS[algo](X, oracle, ledger)
+    assert ledger.spent == 0
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.data())
