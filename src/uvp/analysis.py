@@ -18,6 +18,7 @@ from .core import (
     TooLarge,
     ValueOracle,
     config_matrix,
+    distance_row,
 )
 from .instances import TabularBenchmark
 
@@ -46,47 +47,60 @@ class EpsilonReport:
     percentiles: dict[float, float] | None = None
 
 
-def _ratio_floor(ci: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """min over budgets of ci(b)/others(b), one row per other curve.
-
-    Conventions: 0/0 counts as 1, positive/0 as +inf.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = ci[None, :] / others
-    both_zero = (ci[None, :] == 0.0) & (others == 0.0)
-    over_zero = (ci[None, :] > 0.0) & (others == 0.0)
-    ratios = np.where(both_zero, 1.0, ratios)
-    ratios = np.where(over_zero, np.inf, ratios)
-    return ratios.min(axis=1)
-
-
 def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> EpsilonReport:
     """Estimate the per-pair smoothness level from full curves.
 
-    With ``strict`` set, coincident embeddings raise ``DegenerateEmbedding``
-    instead of being skipped.
+    Row i costs O(n*T) for the ratio floors and O(n*d) for the distances,
+    in buffers kept across rows; memory is O(n*n + n*T) and no (n, n, d)
+    array is built. With ``strict`` set, coincident embeddings raise
+    ``DegenerateEmbedding`` instead of being skipped.
     """
     n = bench.n
     if n < 2:
         raise InvalidParams("need at least two configurations to compare")
     X = config_matrix(bench.configs)
-    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-    pairwise = np.zeros((n, n))
+    work = np.empty_like(X)
+    curves = np.asarray(bench.curves, dtype=float)
+    # one column per curve, so the floor of row i is a min over T rows
+    by_budget = np.ascontiguousarray(curves.T)
+    ratios = np.empty_like(by_budget)
+    # ratio conventions 0/0 = 1 and positive/0 = +inf, needed only at the
+    # zero cells of the curves
+    zero_b, zero_j = np.nonzero(by_budget == 0.0)
+    pairwise = np.empty((n, n))
     skipped: list[tuple[int, int]] = []
-    for i in range(n):
-        floors = _ratio_floor(bench.curves[i], bench.curves)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = np.maximum(0.0, (1.0 - floors) / dist[i])
-        row[i] = 0.0
-        zero = (dist[i] == 0.0) & (np.arange(n) != i)
-        row[zero] = np.nan
-        pairwise[i] = row
-        for j in np.nonzero(zero)[0]:
-            if i < j:
-                skipped.append((i, int(j)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            ci = curves[i]
+            np.divide(ci[:, None], by_budget, out=ratios)
+            if zero_b.size:
+                num = ci[zero_b]
+                ratios[zero_b, zero_j] = np.where(
+                    num == 0.0, 1.0, np.where(num > 0.0, np.inf, ratios[zero_b, zero_j])
+                )
+            dist = distance_row(X, X[i], work)
+            row = pairwise[i]
+            np.subtract(1.0, np.minimum.reduce(ratios, axis=0), out=row)
+            np.divide(row, dist, out=row)
+            np.maximum(0.0, row, out=row)
+            row[i] = 0.0
+            zero = dist == 0.0
+            zero[i] = False
+            if zero.any():
+                row[zero] = np.nan
+                skipped.extend((i, int(j)) for j in np.flatnonzero(zero) if i < j)
     if strict and skipped:
         raise DegenerateEmbedding(f"coincident configuration pairs: {skipped}")
     return EpsilonReport(pairwise=pairwise, skipped=tuple(skipped), configs=list(bench.configs))
+
+
+def check_percentile_args(k: int, alphas: Sequence[float]) -> None:
+    """Raise ``InvalidParams`` unless ``k >= 1`` and every alpha lies in (0, 100]."""
+    if k < 1:
+        raise InvalidParams(f"cover size k must be at least 1, got {k}")
+    for alpha in alphas:
+        if not 0.0 < alpha <= 100.0:
+            raise InvalidParams(f"percentile {alpha} outside (0, 100]")
 
 
 def epsilon_percentiles(
@@ -98,27 +112,29 @@ def epsilon_percentiles(
 
     For every scorable unordered pair the larger of its two ordered estimates
     enters the multiset once, multiplied by the radius of a greedy k-cover of
-    the embeddings; percentiles use the nearest-rank rule.
+    the embeddings; percentiles use the nearest-rank rule. ``k`` and
+    ``alphas`` are checked before any pair is read.
     """
+    alphas = tuple(alphas)
+    check_percentile_args(k, alphas)
     n = len(report.configs)
-    vals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = report.pairwise[i, j], report.pairwise[j, i]
-            if math.isnan(a) or math.isnan(b):
-                continue
-            vals.append(max(a, b))
-    if not vals:
+    pairwise = report.pairwise
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    a = pairwise[upper]  # (i, j) for i < j, row-major
+    b = pairwise.T[upper]  # (j, i) for the same pairs
+    # Python's max(a, b): b only when strictly larger, so ties (and a zero
+    # against a negative zero) keep a
+    vals = np.where(b > a, b, a)[~(np.isnan(a) | np.isnan(b))]
+    if not vals.size:
         raise InvalidParams("no scorable pairs: all embeddings coincide")
     centers = k_center(min(k, n), [], report.configs)
     radius = greedy_radius(centers, report.configs)
-    scaled = sorted(v * radius for v in vals)
+    vals = vals * radius
+    vals.sort(kind="stable")  # stable: equal zeros of either sign keep their order
     percentiles: dict[float, float] = {}
     for alpha in alphas:
-        if not 0.0 < alpha <= 100.0:
-            raise InvalidParams(f"percentile {alpha} outside (0, 100]")
-        idx = max(math.ceil(alpha / 100.0 * len(scaled)) - 1, 0)
-        percentiles[float(alpha)] = float(scaled[idx])
+        idx = max(math.ceil(alpha / 100.0 * len(vals)) - 1, 0)
+        percentiles[float(alpha)] = float(vals[idx])
     return replace(report, r=float(radius), percentiles=percentiles)
 
 
@@ -134,10 +150,11 @@ def lipschitz_check(bench: TabularBenchmark, epsilon: float) -> float:
     if n < 2:
         raise InvalidParams("need at least two configurations to compare")
     X = config_matrix(bench.configs)
+    work = np.empty_like(X)
     worst = -math.inf
     for i in range(n - 1):
         gaps = np.abs(bench.curves[i + 1 :] - bench.curves[i]).max(axis=1)
-        dists = np.linalg.norm(X[i + 1 :] - X[i], axis=1)
+        dists = distance_row(X[i + 1 :], X[i], work[i + 1 :])
         worst = max(worst, float((gaps - epsilon * dists).max()))
     return worst
 

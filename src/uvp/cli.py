@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import epsilon_pairwise, epsilon_percentiles, mean_rank
+from .analysis import check_percentile_args, epsilon_pairwise, epsilon_percentiles, mean_rank
 from .baselines import hyperband, random_search, successive_halving
 from .core import BudgetLedger, InvalidParams, SearchOutcome, UvpError, ValueOracle
 from .instances import (
@@ -313,13 +313,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate_eps(args: argparse.Namespace) -> int:
-    bench = load_tabular(args.data)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     except ValueError:
         raise InvalidParams(f"cannot parse --alphas {args.alphas!r}") from None
     if not alphas:
         raise InvalidParams("need at least one percentile")
+    check_percentile_args(args.k, alphas)  # before the file is read
+    bench = load_tabular(args.data)
     report = epsilon_percentiles(epsilon_pairwise(bench, strict=args.strict), args.k, alphas)
     for alpha in alphas:
         print(f"alpha={_fmt(alpha)} value={_fmt(report.percentiles[alpha])}")

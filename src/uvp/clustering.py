@@ -31,6 +31,7 @@ from .core import (
     InvalidParams,
     Run,
     config_matrix,
+    distance_row,
 )
 
 # Centers whose observed value is zero rule out their whole 1/epsilon
@@ -130,13 +131,7 @@ class Cover:
                 np.minimum(self.nearest, self._row(c), out=self.nearest)
 
     def _row(self, center: int) -> np.ndarray:
-        # np.linalg.norm(points - points[center], axis=1) with the same
-        # arithmetic, but in a buffer kept by the cover: a fresh (n, d)
-        # temporary on every pick is handed back to the OS by the allocator
-        # and page-faulted in again on the next pick
-        work = np.subtract(self.points, self.points[center], out=self._work)
-        np.multiply(work, work, out=work)
-        return np.sqrt(np.add.reduce(work, axis=1))
+        return distance_row(self.points, self.points[center], self._work)
 
     def _place(self, center: int) -> None:
         n = len(self.chosen)

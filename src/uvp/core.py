@@ -108,6 +108,19 @@ def config_matrix(X: Sequence[Configuration]) -> np.ndarray:
     return np.asarray([c.coords for c in X], dtype=float)
 
 
+def distance_row(points: np.ndarray, origin: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every row of ``points`` to ``origin``.
+
+    Same arithmetic, bit for bit, as ``np.linalg.norm(points - origin,
+    axis=1)``, but computed in ``work``, a caller-kept buffer of the shape
+    of ``points``: a fresh (n, d) temporary per row is handed back to the
+    OS by the allocator and page-faulted in again on the next row.
+    """
+    np.subtract(points, origin, out=work)
+    np.multiply(work, work, out=work)
+    return np.sqrt(np.add.reduce(work, axis=1))
+
+
 class History:
     """Observed values for one configuration at budgets 1..t. Append-only."""
 

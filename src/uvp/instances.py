@@ -23,6 +23,7 @@ from .core import (
     SchemaError,
     SizeOverflow,
     ValueOracle,
+    distance_row,
 )
 
 LANDSCAPE_KINDS = (
@@ -479,11 +480,11 @@ def gen_smooth(
         raise InvalidBudget("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, (n, d))
-    # resolve accidental duplicates so pairwise distances are positive
+    work = np.empty_like(pts)
+    # resolve accidental duplicates so pairwise distances are positive; the
+    # smallest distance is taken over pairs i < j, one row at a time
     while True:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        dmin = dist[~np.eye(n, dtype=bool)].min()
+        dmin = min(distance_row(pts[i + 1 :], pts[i], work[i + 1 :]).min() for i in range(n - 1))
         if dmin > 1e-9:
             break
         pts = rng.uniform(0.0, 1.0, (n, d))
@@ -492,7 +493,7 @@ def gen_smooth(
     mu = 0.45 * epsilon  # remaining 10% of epsilon is float headroom
     n_peaks = int(rng.integers(1, 4))
     peaks = pts[rng.choice(n, size=min(n_peaks, n), replace=False)]
-    to_peak = np.linalg.norm(pts[:, None, :] - peaks[None, :, :], axis=2).min(axis=1)
+    to_peak = np.min([distance_row(pts, peak, work) for peak in peaks], axis=0)
     v = np.exp(-lam * to_peak)
 
     if horizon == 1:

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
-from uvp import CallableOracle, Configuration, EnhancedMetric, TabularOracle, config_matrix
-from uvp.clustering import DEFAULT_ETA_CAP
+from uvp import (
+    CallableOracle,
+    Configuration,
+    EnhancedMetric,
+    InvalidParams,
+    TabularOracle,
+    config_matrix,
+)
+from uvp.analysis import EpsilonReport
+from uvp.clustering import DEFAULT_ETA_CAP, greedy_radius, k_center
 
 
 def line(xs):
@@ -110,3 +121,64 @@ def ref_e_k_center(
         chosen[pick] = True
         new.append(pick)
     return new
+
+
+# ---------------------------------------------------------------------------
+# reference smoothness estimators: the (n, n, d) broadcast and the per-pair
+# Python loop that the vectorised ones in uvp.analysis must match bit for bit
+
+
+def _ref_ratio_floor(ci, others):
+    """min over budgets of ci(b)/others(b); 0/0 counts as 1, positive/0 as +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = ci[None, :] / others
+    both_zero = (ci[None, :] == 0.0) & (others == 0.0)
+    over_zero = (ci[None, :] > 0.0) & (others == 0.0)
+    ratios = np.where(both_zero, 1.0, ratios)
+    ratios = np.where(over_zero, np.inf, ratios)
+    return ratios.min(axis=1)
+
+
+def ref_epsilon_pairwise(bench):
+    """Pairwise levels from a full (n, n) distance matrix, one row at a time."""
+    n = bench.n
+    X = config_matrix(bench.configs)
+    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    pairwise = np.zeros((n, n))
+    skipped = []
+    for i in range(n):
+        floors = _ref_ratio_floor(bench.curves[i], bench.curves)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row = np.maximum(0.0, (1.0 - floors) / dist[i])
+        row[i] = 0.0
+        zero = (dist[i] == 0.0) & (np.arange(n) != i)
+        row[zero] = np.nan
+        pairwise[i] = row
+        for j in np.nonzero(zero)[0]:
+            if i < j:
+                skipped.append((i, int(j)))
+    return EpsilonReport(pairwise=pairwise, skipped=tuple(skipped), configs=list(bench.configs))
+
+
+def ref_epsilon_percentiles(report, k, alphas):
+    """Percentiles of the radius-scaled pair levels, gathered pair by pair."""
+    n = len(report.configs)
+    vals = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = report.pairwise[i, j], report.pairwise[j, i]
+            if math.isnan(a) or math.isnan(b):
+                continue
+            vals.append(max(a, b))
+    if not vals:
+        raise InvalidParams("no scorable pairs: all embeddings coincide")
+    centers = k_center(min(k, n), [], report.configs)
+    radius = greedy_radius(centers, report.configs)
+    scaled = sorted(v * radius for v in vals)
+    percentiles = {}
+    for alpha in alphas:
+        if not 0.0 < alpha <= 100.0:
+            raise InvalidParams(f"percentile {alpha} outside (0, 100]")
+        idx = max(math.ceil(alpha / 100.0 * len(scaled)) - 1, 0)
+        percentiles[float(alpha)] = float(scaled[idx])
+    return replace(report, r=float(radius), percentiles=percentiles)

@@ -4,12 +4,21 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import configs_from, curve_oracle, line, planar
+from helpers import (
+    configs_from,
+    curve_oracle,
+    line,
+    planar,
+    ref_epsilon_pairwise,
+    ref_epsilon_percentiles,
+)
 from uvp import (
     DegenerateEmbedding,
     InvalidParams,
@@ -182,6 +191,125 @@ def test_epsilon_percentiles_all_pairs_skipped():
     )
     with pytest.raises(InvalidParams):
         epsilon_percentiles(report, k=1)
+
+
+def test_epsilon_percentiles_checks_args_before_any_pair():
+    # a report without a matrix: the arguments must be rejected before it is read
+    report = EpsilonReport(pairwise=None, skipped=(), configs=configs_from([[0.0], [1.0]]))
+    with pytest.raises(InvalidParams, match="k must be at least 1"):
+        epsilon_percentiles(report, k=0)
+    with pytest.raises(InvalidParams, match="percentile 150"):
+        epsilon_percentiles(report, k=1, alphas=(90, 150))
+    with pytest.raises(InvalidParams, match="percentile nan"):
+        epsilon_percentiles(report, k=1, alphas=(float("nan"),))
+
+
+# ---------------------------------------------------------------------------
+# the estimators against their reference bodies, bit for bit
+
+# Curve cells: zeros of both signs, tied values and free floats.
+_CELLS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+# Hand-built level matrices: signed zeros, NaNs, ties, negatives. No infinity:
+# with a zero radius, inf * 0 puts a NaN into the sorted multiset, where
+# Python's sorted() and np.sort order it differently.
+_LEVELS = st.sampled_from([0.0, -0.0, np.nan, 0.5, 1.0]) | st.floats(-1.0, 10.0)
+
+
+@st.composite
+def _smoothness_benches(draw):
+    """Small benchmarks with coincident embeddings, zero curves and d up to 12."""
+    n = draw(st.integers(2, 9))
+    d = draw(st.sampled_from([1, 2, 3, 8, 9, 12]))
+    horizon = draw(st.integers(1, 5))
+    # configurations share rows of a small pool, so embeddings coincide
+    pool = draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=d, max_size=d),
+        min_size=1, max_size=n,
+    ))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    curve = (
+        st.just([0.0] * horizon)
+        | st.lists(_CELLS, min_size=horizon, max_size=horizon)
+    )
+    curves = draw(st.lists(curve, min_size=n, max_size=n))
+    return _bench([pool[r] for r in rows], curves)
+
+
+def _same_percentiles(got, want):
+    assert repr(got.r) == repr(want.r)
+    assert list(got.percentiles) == list(want.percentiles)
+    assert [repr(v) for v in got.percentiles.values()] == [
+        repr(v) for v in want.percentiles.values()
+    ]
+
+
+_ALPHAS = st.lists(st.sampled_from([1.0, 33.3, 50.0, 90.0, 99.0, 100.0]), min_size=1, max_size=4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # x / subnormal
+@settings(deadline=None, max_examples=200)
+@given(bench=_smoothness_benches(), k=st.integers(1, 10), alphas=_ALPHAS)
+def test_estimators_match_reference_bodies(bench, k, alphas):
+    got, want = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
+    assert got.pairwise.tobytes() == want.pairwise.tobytes()  # NaNs in place
+    assert got.skipped == want.skipped
+    try:
+        want = ref_epsilon_percentiles(want, k, alphas)
+    except InvalidParams:
+        with pytest.raises(InvalidParams):
+            epsilon_percentiles(got, k, alphas)
+        return
+    _same_percentiles(epsilon_percentiles(got, k, alphas), want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), k=st.integers(1, 8), alphas=_ALPHAS)
+def test_percentiles_match_reference_on_hand_built_reports(data, k, alphas):
+    n = data.draw(st.integers(2, 7))
+    levels = data.draw(st.lists(_LEVELS, min_size=n * n, max_size=n * n))
+    points = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    report = EpsilonReport(
+        pairwise=np.asarray(levels).reshape(n, n),
+        skipped=(),
+        configs=configs_from([[x] for x in points]),
+    )
+    try:
+        want = ref_epsilon_percentiles(report, k, alphas)
+    except InvalidParams:
+        with pytest.raises(InvalidParams):
+            epsilon_percentiles(report, k, alphas)
+        return
+    _same_percentiles(epsilon_percentiles(report, k, alphas), want)
+
+
+def test_percentiles_keep_the_first_of_tied_signed_zeros():
+    # max(a, b) keeps a on a tie; np.maximum would keep b
+    report = EpsilonReport(
+        pairwise=np.asarray([[0.0, -0.0], [0.0, 0.0]]),
+        skipped=(),
+        configs=configs_from([[0.0], [1.0]]),
+    )
+    out = epsilon_percentiles(report, k=1, alphas=(100,))
+    assert repr(out.percentiles[100.0]) == "-0.0"
+
+
+def test_estimators_stay_within_three_pair_matrices():
+    # the former (n, n, d) distance broadcast alone was d = 16 matrices
+    n, d = 600, 16
+    matrix_bytes = n * n * 8
+    configs, oracle = gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0)
+    bench = TabularBenchmark(configs=configs, curves=oracle.curves)
+    for call in (
+        lambda: epsilon_pairwise(bench),
+        lambda: gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * matrix_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,22 @@ def test_estimate_eps_missing_file_exits_1(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+def test_estimate_eps_bad_alphas_exit_2_before_reading(tmp_path, capsys):
+    # the file does not exist: a check made after loading would exit 1
+    absent = str(tmp_path / "absent.csv")
+    assert entry(["estimate-eps", "--data", absent, "--alphas", "90,150"]) == 2
+    assert "percentile 150" in capsys.readouterr().err
+    assert entry(["estimate-eps", "--data", absent, "--alphas", "90,x"]) == 2
+    assert "cannot parse --alphas" in capsys.readouterr().err
+
+
+def test_estimate_eps_k_zero_exits_2(tmp_path, capsys):
+    data = _write_toy(tmp_path / "toy.csv", [[0.0], [1.0]], [[1.0], [0.5]])
+    assert entry(["estimate-eps", "--data", data, "--k", "0"]) == 2
+    assert "k must be at least 1" in capsys.readouterr().err
+    assert entry(["estimate-eps", "--data", str(tmp_path / "absent.csv"), "--k", "0"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # gen
 
