@@ -322,6 +322,12 @@ def _cmd_estimate_eps(args: argparse.Namespace) -> int:
     check_percentile_args(args.k, alphas)  # before the file is read
     bench = load_tabular(args.data)
     report = epsilon_percentiles(epsilon_pairwise(bench, strict=args.strict), args.k, alphas)
+    if report.r == 0:
+        # every level is scaled by the radius, so each estimate would read 0
+        raise InvalidParams(
+            f"--k {args.k} centers cover every distinct configuration (radius 0); "
+            "use a smaller --k"
+        )
     for alpha in alphas:
         print(f"alpha={_fmt(alpha)} value={_fmt(report.percentiles[alpha])}")
     if report.skipped:

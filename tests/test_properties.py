@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import configs_from, curve_oracle, line
-from uvp import BudgetLedger, EnhancedMetric, InvalidBudget, Run
+from uvp import BudgetLedger, EnhancedMetric, History, InvalidBudget, Run
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.clustering import e_k_center, k_center
-from uvp.solvers import SolverParams, ada_cent, e_ada_cent, e_full_cent, full_cent, pred
+from uvp.solvers import (
+    SolverParams,
+    _keeps,
+    ada_cent,
+    e_ada_cent,
+    e_full_cent,
+    full_cent,
+    pred,
+    tail_fit_pred,
+)
 
 COMMON = settings(deadline=None, max_examples=60)
 
@@ -60,6 +69,98 @@ def test_two_point_predictor_is_optimistic_on_concave_curves(curve_horizon, pref
     prefix = curve[: min(prefix_len, horizon)]
     forecast = pred(prefix, horizon)
     assert forecast >= curve[-1] - 1e-12
+
+
+@given(concave_curves(), st.integers(2, 8), st.floats(0.0, 1.0, exclude_min=True))
+@COMMON
+def test_tail_fit_predictor_is_optimistic_on_concave_curves(curve_horizon, prefix_len, theta):
+    curve, horizon = curve_horizon
+    prefix = curve[: min(prefix_len, horizon)]
+    forecast = tail_fit_pred(prefix, horizon, theta)
+    assert forecast >= curve[-1] - 1e-12
+
+
+WINDOWS = ("drawn", "uniform", "flat", "nearly-flat", "palindrome", "line", "zero-one")
+
+
+@st.composite
+def pruning_cases(draw):
+    """A history, its tail-fit settings and an incumbent that stress the prune test.
+
+    Only the last m = max(2, ceil(theta*t)) values enter the fit; the rest
+    of the history is zeros. Palindromic windows have slope 0 up to
+    roundoff, so np.polyfit's sign noise picks between the last value and
+    the line, and an incumbent between the two tells which was picked.
+    """
+    theta = draw(st.floats(0.0, 1.0, exclude_min=True))
+    horizon = draw(st.integers(2, 10_000))
+    t = draw(st.sampled_from([2, 3]) | st.integers(2, 40) | st.integers(2, horizon))
+    m = max(2, math.ceil(theta * t))
+    kind = draw(st.sampled_from(WINDOWS))
+    level = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "drawn" and m <= 30:
+        window = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    elif kind in ("drawn", "uniform"):
+        window = rng.uniform(0.0, 1.0, m)
+    elif kind == "flat":
+        window = np.full(m, level)
+    elif kind == "nearly-flat":
+        window = level + draw(st.sampled_from([1e-15, 1e-12, 1e-9])) * rng.uniform(-1, 1, m)
+    elif kind == "palindrome":
+        half = rng.uniform(0.0, 1.0, (m + 1) // 2)
+        window = np.concatenate([half, half[: m // 2][::-1]])
+    elif kind == "line":
+        slope = draw(st.floats(-1.0, 1.0)) / draw(st.sampled_from([1, m, horizon]))
+        window = level + slope * np.arange(m)
+    else:
+        window = rng.integers(0, 2, m).astype(float)
+    values = [0.0] * (t - m) + np.clip(window, 0.0, 1.0).tolist()
+
+    forecast = tail_fit_pred(values, horizon, theta)
+    last, mean = values[-1], sum(values[-m:]) / m
+    pick = draw(st.sampled_from(["forecast", "near", "last", "between", "any", "zero", "one"]))
+    if pick == "forecast":
+        best_last = forecast
+    elif pick == "near":
+        nudge = draw(st.sampled_from([-1e-8, -1e-11, -1e-14, 1e-14, 1e-11, 1e-8]))
+        best_last = min(max(forecast + nudge, 0.0), 1.0)
+    elif pick == "last":
+        best_last = last
+    elif pick == "between":
+        best_last = (last + mean) / 2
+    elif pick == "any":
+        best_last = draw(st.floats(0.0, 1.0))
+    else:
+        best_last = 0.0 if pick == "zero" else 1.0
+    return values, horizon, theta, best_last
+
+
+@given(pruning_cases())
+@settings(deadline=None, max_examples=400)
+def test_tail_fit_prune_decision_equals_polyfit(case):
+    values, horizon, theta, best_last = case
+    params = SolverParams(budget=horizon, horizon=horizon, theta=theta, predictor="tail-fit")
+    expected = tail_fit_pred(values, horizon, theta) >= best_last
+    assert _keeps(History(0, values), params, best_last) == expected
+
+
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=15),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@settings(deadline=None, max_examples=200)
+def test_tail_fit_prune_decision_on_symmetric_windows(half, odd, ahead):
+    # the fitted slope is 0 up to roundoff, so np.polyfit's sign noise picks
+    # the forecast: the last value or the line through the mean; an
+    # incumbent halfway between them tells which one was picked
+    values = half + half[::-1][int(odd):]
+    horizon = len(values) + ahead
+    best_last = (values[-1] + sum(values) / len(values)) / 2
+    params = SolverParams(budget=horizon, horizon=horizon, theta=1.0, predictor="tail-fit")
+    expected = tail_fit_pred(values, horizon, 1.0) >= best_last
+    assert _keeps(History(0, values), params, best_last) == expected
 
 
 @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),

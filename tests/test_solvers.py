@@ -25,6 +25,7 @@ from uvp import (
     tail_fit_pred,
 )
 from uvp.instances import gen_isolated_optimum
+from uvp.solvers import _keeps
 
 ALL_SOLVERS = (full_cent, e_full_cent, ada_cent, e_ada_cent)
 
@@ -78,6 +79,45 @@ def test_tail_fit_theta_validation():
         tail_fit_pred([0.1, 0.2], 5, theta=0.0)
     with pytest.raises(EmptyHistory):
         tail_fit_pred([], 5)
+
+
+def _tail_fit(theta=0.3, horizon=10):
+    return SolverParams(budget=horizon, horizon=horizon, theta=theta, predictor="tail-fit")
+
+
+def test_keeps_single_point_is_kept_without_a_fit(monkeypatch):
+    monkeypatch.setattr("uvp.solvers.tail_fit_pred", None)  # any call would fail
+    assert _keeps(History(0, [0.0]), _tail_fit(), 1.0)
+
+
+def test_keeps_decides_clear_cases_without_polyfit(monkeypatch):
+    monkeypatch.setattr("uvp.solvers.tail_fit_pred", None)
+    rising = History(0, [0.1, 0.2, 0.3, 0.4])  # line at 10 is 1.0 (clamped today)
+    assert _keeps(rising, _tail_fit(theta=0.5), 0.9)
+    assert not _keeps(History(0, [0.1, 0.2, 0.25, 0.26]), _tail_fit(theta=0.5), 0.5)
+    falling = History(0, [0.5, 0.48, 0.46])  # keeps iff the last value reaches
+    assert _keeps(falling, _tail_fit(theta=1.0), 0.46)
+    assert not _keeps(falling, _tail_fit(theta=1.0), 0.47)
+
+
+def test_keeps_defers_to_polyfit_on_a_flat_fit():
+    # the fitted slope of a symmetric window is 0 up to roundoff, and
+    # np.polyfit's -5e-17 makes today's forecast the last value 0.2, not the
+    # line's 1/3
+    history = History(0, [0.2, 0.6, 0.2])
+    assert tail_fit_pred(history, 10, theta=1.0) == 0.2
+    assert not _keeps(history, _tail_fit(theta=1.0), 0.3)
+    assert _keeps(history, _tail_fit(theta=1.0), 0.2)
+
+
+def test_keeps_defers_to_polyfit_when_the_line_ties():
+    # the line through 0.1, 0.3 reaches 0.5 at budget 3, and np.polyfit's
+    # rounding lands 3e-16 below it: an incumbent of 0.5 prunes today
+    history = History(0, [0.1, 0.3])
+    forecast = tail_fit_pred(history, 3, theta=1.0)
+    assert forecast < 0.5
+    assert not _keeps(history, _tail_fit(theta=1.0, horizon=3), 0.5)
+    assert _keeps(history, _tail_fit(theta=1.0, horizon=3), forecast)
 
 
 # ---------------------------------------------------------------------------
