@@ -248,13 +248,20 @@ def load_tabular(path: str) -> TabularBenchmark:
 
     Expected layout: header ``id,x0,...,x{d-1},b,value``, one row per
     (configuration, budget) with budgets dense from 1, and an optional second
-    line ``scale,lin|log,...`` flagging per-column embedding scaling. Values
+    line ``scale,lin|log,...`` flagging per-column embedding scaling. Every
+    cell must be finite. Values
     are clamped into [0, 1] (ingest tolerance 1e-9 for writer round-off),
     curves are wrapped to be non-decreasing, and embeddings are min-max
     normalised per column after any log scaling.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text after line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise SchemaError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -292,8 +299,11 @@ def load_tabular(path: str) -> TabularBenchmark:
             raise SchemaError(f"{path}: row {rownum}: negative id {cid}")
         if b < 1:
             raise SchemaError(f"{path}: row {rownum}: budget index {b} must be >= 1")
-        if val < -1e-9 or val > 1.0 + 1e-9:
+        if not -1e-9 <= val <= 1.0 + 1e-9:  # NaN fails too
             raise ParseError(f"row {rownum}, column {len(header)}: value {val} outside [0, 1]")
+        for j, x in enumerate(xs):
+            if not math.isfinite(x):
+                raise ParseError(f"row {rownum}, column {2 + j}: coordinate {x} is not finite")
         val = min(max(val, 0.0), 1.0)
         if cid in coords and coords[cid] != xs:
             raise SchemaError(f"{path}: row {rownum}: id {cid} re-appears with different coordinates")

@@ -178,6 +178,20 @@ def test_estimate_eps_missing_file_exits_1(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+def test_estimate_eps_unreadable_csv_exits_2(tmp_path, capsys):
+    undecodable = tmp_path / "latin.csv"
+    undecodable.write_bytes(b"id,x0,b,value\n0,\xff,1,0.5\n")
+    assert entry(["estimate-eps", "--data", str(undecodable), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(undecodable) in err and "not UTF-8 text after line 0" in err
+    oversized = tmp_path / "wide.csv"
+    field = "1" * (csv.field_size_limit() + 1)
+    oversized.write_text(f"id,x0,b,value\n0,0.0,1,0.5\n1,{field},1,0.5\n", encoding="utf-8")
+    assert entry(["estimate-eps", "--data", str(oversized), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{oversized}: line 3: field larger than field limit" in err
+
+
 def test_estimate_eps_bad_alphas_exit_2_before_reading(tmp_path, capsys):
     # the file does not exist: a check made after loading would exit 1
     absent = str(tmp_path / "absent.csv")

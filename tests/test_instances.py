@@ -293,6 +293,20 @@ def test_load_tabular_rejects_far_value(tmp_path):
         load_tabular(path)
 
 
+def test_load_tabular_rejects_nan_value(tmp_path):
+    path = _write(tmp_path, "id,x0,b,value\n0,0.0,1,0.5\n1,1.0,1,nan\n")
+    with pytest.raises(ParseError, match=r"row 3, column 4: value nan outside \[0, 1\]"):
+        load_tabular(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_tabular_rejects_non_finite_coordinate(tmp_path, bad):
+    # the bad cell belongs to id 2 and is the only row of that id
+    text = f"id,x0,x1,b,value\n0,0.0,0.0,1,0.5\n1,1.0,0.0,1,0.6\n2,0.5,{bad},1,0.7\n"
+    with pytest.raises(ParseError, match=f"row 4, column 3: coordinate {bad} is not finite"):
+        load_tabular(_write(tmp_path, text))
+
+
 def test_load_tabular_rejects_missing_budget(tmp_path):
     path = _write(tmp_path, "id,x0,b,value\n0,0.0,1,0.5\n0,0.0,3,0.6\n")
     with pytest.raises(SchemaError):
