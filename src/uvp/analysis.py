@@ -119,17 +119,27 @@ def epsilon_percentiles(
     check_percentile_args(k, alphas)
     n = len(report.configs)
     pairwise = report.pairwise
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    a = pairwise[upper]  # (i, j) for i < j, row-major
-    b = pairwise.T[upper]  # (j, i) for the same pairs
-    # Python's max(a, b): b only when strictly larger, so ties (and a zero
-    # against a negative zero) keep a
-    vals = np.where(b > a, b, a)[~(np.isnan(a) | np.isnan(b))]
+    # pairs (i, j) with i < j in row-major order, filled one row at a time
+    vals = np.empty(n * (n - 1) // 2)
+    scorable = np.empty(vals.size, dtype=bool)
+    pos = 0
+    for i in range(n - 1):
+        a, b = pairwise[i, i + 1 :], pairwise[i + 1 :, i]
+        end = pos + a.size
+        row = vals[pos:end]
+        row[:] = a
+        # Python's max(a, b): b only when strictly larger, so ties (and a
+        # zero against a negative zero) keep a
+        np.copyto(row, b, where=b > a)
+        scorable[pos:end] = ~(np.isnan(a) | np.isnan(b))
+        pos = end
+    if not scorable.all():
+        vals = vals[scorable]
     if not vals.size:
         raise InvalidParams("no scorable pairs: all embeddings coincide")
     centers = k_center(min(k, n), [], report.configs)
     radius = greedy_radius(centers, report.configs)
-    vals = vals * radius
+    vals *= radius
     vals.sort(kind="stable")  # stable: equal zeros of either sign keep their order
     percentiles: dict[float, float] = {}
     for alpha in alphas:

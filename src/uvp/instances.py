@@ -8,6 +8,7 @@ come from.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -200,23 +201,11 @@ class TabularOracle(ValueOracle):
 
 
 @dataclass
-class TabularMeta:
-    """Provenance of a loaded benchmark: column names, scalings, raw ranges."""
-
-    source: str = ""
-    columns: tuple[str, ...] = ()
-    scales: tuple[str, ...] = ()
-    lo: tuple[float, ...] = ()
-    hi: tuple[float, ...] = ()
-
-
-@dataclass
 class TabularBenchmark:
     """A finite benchmark: embedded configurations plus full value curves."""
 
     configs: list[Configuration]
     curves: np.ndarray
-    metadata: TabularMeta = field(default_factory=TabularMeta)
 
     @property
     def n(self) -> int:
@@ -234,6 +223,33 @@ class TabularBenchmark:
         return TabularOracle(self.curves, self.dimension)
 
 
+# Rows parsed per step by the fast loader. Only one chunk of row lists is
+# alive at a time; keeping every row list alive makes the cyclic garbage
+# collector walk them again and again.
+LOAD_CHUNK_ROWS = 4096
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _normalise(raw: np.ndarray, scales: Sequence[str]) -> np.ndarray:
+    """Log-scale the flagged columns of ``raw`` in place, then min-max normalise each column."""
+    for j, flag in enumerate(scales):
+        if flag == "log":
+            raw[:, j] = np.log(raw[:, j])
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    return (raw - lo) / span
+
+
+def _benchmark(norm: np.ndarray, curves: np.ndarray) -> TabularBenchmark:
+    """Pair the normalised embeddings with the curves wrapped to be non-decreasing."""
+    curves = np.maximum.accumulate(curves, axis=1)
+    configs = [Configuration(tuple(row), i) for i, row in enumerate(norm.tolist())]
+    return TabularBenchmark(configs=configs, curves=curves)
+
+
 def _parse_cell(raw: str, row: int, col: int, kind: str):
     try:
         if kind == "int":
@@ -249,11 +265,105 @@ def load_tabular(path: str) -> TabularBenchmark:
     Expected layout: header ``id,x0,...,x{d-1},b,value``, one row per
     (configuration, budget) with budgets dense from 1, and an optional second
     line ``scale,lin|log,...`` flagging per-column embedding scaling. Every
-    cell must be finite. Values
-    are clamped into [0, 1] (ingest tolerance 1e-9 for writer round-off),
-    curves are wrapped to be non-decreasing, and embeddings are min-max
-    normalised per column after any log scaling.
+    cell must be finite. Values are clamped into [0, 1] (ingest tolerance
+    1e-9 for writer round-off), curves are wrapped to be non-decreasing, and
+    embeddings are min-max normalised per column after any log scaling.
+
+    A valid file is parsed column-wise in chunks and checked with array
+    operations. A file that fails any of those checks is read again row by
+    row, and that reader raises the error for the first faulty row.
     """
+    bench = _load_tabular_fast(path)
+    return bench if bench is not None else _load_tabular_checked(path)
+
+
+def _parse_chunk(chunk: list[list[str]], width: int) -> list[np.ndarray] | None:
+    """Columns of the non-blank rows: ids, (m, d) coordinates, budgets, values."""
+    if set(map(len, chunk)) != {width}:
+        chunk = [row for row in chunk if not _is_blank(row)]
+        if any(len(row) != width for row in chunk):
+            return None
+    m = len(chunk)
+    cols = list(zip(*chunk)) or [()] * width  # a chunk of blank rows only
+    xs = np.empty((m, width - 3))
+    for j, col in enumerate(cols[1:-2]):
+        xs[:, j] = np.fromiter(map(float, col), float, m)
+    return [
+        np.fromiter(map(int, cols[0]), np.int64, m),
+        xs,
+        np.fromiter(map(int, cols[-2]), np.int64, m),
+        np.fromiter(map(float, cols[-1]), float, m),
+    ]
+
+
+def _load_tabular_fast(path: str) -> TabularBenchmark | None:
+    """``load_tabular`` for valid files; None whenever a check fails."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            head = list(itertools.islice(reader, 2))
+            if not head:
+                return None
+            header = [c.strip() for c in head[0]]
+            d = len(header) - 3
+            if d < 1 or header != ["id", *(f"x{j}" for j in range(d)), "b", "value"]:
+                return None
+            scales = ("lin",) * d
+            chunk = head[1:]
+            if chunk and chunk[0] and chunk[0][0].strip() == "scale":
+                scales = tuple(c.strip() for c in chunk[0][1:])
+                if len(scales) != d or any(f not in ("lin", "log") for f in scales):
+                    return None
+                chunk = []
+            chunk += itertools.islice(reader, LOAD_CHUNK_ROWS)
+            parts = []
+            while chunk:
+                cols = _parse_chunk(chunk, d + 3)
+                if cols is None:
+                    return None
+                parts.append(cols)
+                chunk = list(itertools.islice(reader, LOAD_CHUNK_ROWS))
+        except (ValueError, OverflowError, csv.Error):
+            # unparseable cells, ids past int64, undecodable text, bad quoting
+            return None
+    if not parts:
+        return None
+    ids, xs, budgets, vals = (np.concatenate(col) for col in zip(*parts))
+    rows = len(ids)
+    if not rows or not ((vals >= -1e-9) & (vals <= 1.0 + 1e-9)).all():  # NaN fails too
+        return None
+    n, horizon = int(ids.max()) + 1, int(budgets.max())
+    # compared before anything is allocated from the largest id; n >= 1 keeps
+    # the counts given to np.repeat and np.tile below positive
+    if n < 1 or n * horizon != rows:
+        return None
+    # every (id, budget) pair exactly once
+    order = np.lexsort((budgets, ids))
+    if not (
+        np.array_equal(ids[order], np.repeat(np.arange(n), horizon))
+        and np.array_equal(budgets[order], np.tile(np.arange(1, horizon + 1), n))
+    ):
+        return None
+    # each id keeps the coordinates of its first row in file order, and
+    # every other row of the id must equal them (a NaN never does)
+    first = order.reshape(n, horizon).min(axis=1)
+    raw = xs[first]
+    if not np.array_equal(xs, raw[ids]):
+        return None
+    # an infinite coordinate, the log of a non-positive one and a span past
+    # the float range all leave a non-finite normalised coordinate
+    with np.errstate(all="ignore"):
+        norm = _normalise(raw, scales)
+    if not np.isfinite(norm).all():
+        return None
+    curves = np.empty((n, horizon))
+    # Python's min(max(v, 0.0), 1.0): a negative zero stays negative
+    curves[ids, budgets - 1] = np.where(vals < 0, 0.0, np.where(vals > 1, 1.0, vals))
+    return _benchmark(norm, curves)
+
+
+def _load_tabular_checked(path: str) -> TabularBenchmark:
+    """``load_tabular`` one row at a time, raising for the first fault in file order."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -287,7 +397,7 @@ def load_tabular(path: str) -> TabularBenchmark:
     values: dict[int, dict[int, float]] = {}
     for offset, row in enumerate(rows[start:]):
         rownum = start + offset + 1
-        if not row or (len(row) == 1 and not row[0].strip()):
+        if _is_blank(row):
             continue
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
@@ -325,28 +435,13 @@ def load_tabular(path: str) -> TabularBenchmark:
 
     raw = np.asarray([coords[i] for i in range(n)], dtype=float)
     for j, flag in enumerate(scales):
-        if flag == "log":
-            if np.any(raw[:, j] <= 0):
-                bad = int(np.argmax(raw[:, j] <= 0))
-                raise ParseError(f"row for id {bad}, column {2 + j}: log scaling needs positive values")
-            raw[:, j] = np.log(raw[:, j])
-    lo, hi = raw.min(axis=0), raw.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    norm = (raw - lo) / span
-
+        if flag == "log" and np.any(raw[:, j] <= 0):
+            bad = int(np.argmax(raw[:, j] <= 0))
+            raise ParseError(f"row for id {bad}, column {2 + j}: log scaling needs positive values")
     curves = np.asarray(
         [[values[i][b] for b in range(1, horizon + 1)] for i in range(n)], dtype=float
     )
-    curves = np.maximum.accumulate(curves, axis=1)
-    configs = [Configuration(tuple(float(v) for v in norm[i]), i) for i in range(n)]
-    meta = TabularMeta(
-        source=path,
-        columns=tuple(header[1 : 1 + d]),
-        scales=scales,
-        lo=tuple(float(v) for v in lo),
-        hi=tuple(float(v) for v in hi),
-    )
-    return TabularBenchmark(configs=configs, curves=curves, metadata=meta)
+    return _benchmark(_normalise(raw, scales), curves)
 
 
 def save_tabular(
@@ -355,28 +450,28 @@ def save_tabular(
     curves: np.ndarray,
     scales: Sequence[str] | None = None,
 ) -> None:
-    """Write a benchmark in the CSV layout ``load_tabular`` reads back."""
+    """Write a benchmark in the CSV layout ``load_tabular`` reads back.
+
+    Numbers are written with ``repr``, so every value reads back exactly;
+    no numeric cell ever needs CSV quoting.
+    """
     curves = np.asarray(curves, dtype=float)
     if curves.ndim != 2 or curves.shape[0] != len(configs):
         raise InvalidParams("curves must be an (n, T) array matching the configurations")
     d = configs[0].dimension if configs else 0
     if d < 1:
         raise InvalidParams("need at least one configuration")
+    lines = [",".join(["id", *(f"x{j}" for j in range(d)), "b", "value"])]
+    if scales is not None:
+        flags = list(scales)
+        if len(flags) != d or any(f not in ("lin", "log") for f in flags):
+            raise InvalidParams("scales must give lin|log per embedding column")
+        lines.append(",".join(["scale", *flags]))
+    for cfg in configs:
+        prefix = "".join([f"{cfg.id},", *(f"{float(v)!r}," for v in cfg.coords)])
+        lines.extend(f"{prefix}{b},{v!r}" for b, v in enumerate(curves[cfg.id].tolist(), 1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"x{j}" for j in range(d)] + ["b", "value"])
-        if scales is not None:
-            flags = list(scales)
-            if len(flags) != d or any(f not in ("lin", "log") for f in flags):
-                raise InvalidParams("scales must give lin|log per embedding column")
-            writer.writerow(["scale"] + flags)
-        for cfg in configs:
-            for b in range(1, curves.shape[1] + 1):
-                writer.writerow(
-                    [cfg.id]
-                    + [repr(float(v)) for v in cfg.coords]
-                    + [b, repr(float(curves[cfg.id, b - 1]))]
-                )
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
 
@@ -12,11 +13,14 @@ from uvp import (
     Configuration,
     EnhancedMetric,
     InvalidParams,
+    ParseError,
+    SchemaError,
     TabularOracle,
     config_matrix,
 )
 from uvp.analysis import EpsilonReport
 from uvp.clustering import DEFAULT_ETA_CAP, greedy_radius, k_center
+from uvp.instances import TabularBenchmark
 
 
 def line(xs):
@@ -182,3 +186,133 @@ def ref_epsilon_percentiles(report, k, alphas):
         idx = max(math.ceil(alpha / 100.0 * len(scaled)) - 1, 0)
         percentiles[float(alpha)] = float(scaled[idx])
     return replace(report, r=float(radius), percentiles=percentiles)
+
+
+# ---------------------------------------------------------------------------
+# reference tabular IO: the row-by-row loader and the csv.writer saver that
+# uvp.instances.load_tabular and save_tabular must match, results bit for bit
+# and errors by type and message
+
+
+def _ref_parse_cell(raw, row, col, kind):
+    try:
+        if kind == "int":
+            return int(raw)
+        return float(raw)
+    except ValueError:
+        raise ParseError(f"row {row}, column {col}: cannot parse {raw!r} as {kind}") from None
+
+
+def ref_load_tabular(path):
+    """Read a curve benchmark one row at a time, raising at the first fault."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text after line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if len(header) < 3 or header[0] != "id" or header[-2] != "b" or header[-1] != "value":
+        raise SchemaError(f"{path}: header must be id,x0,...,b,value, got {header}")
+    d = len(header) - 3
+    for j in range(d):
+        if header[1 + j] != f"x{j}":
+            raise SchemaError(f"{path}: embedding column {1 + j} must be named x{j}")
+    if d < 1:
+        raise SchemaError(f"{path}: need at least one embedding column")
+
+    start = 1
+    scales = tuple("lin" for _ in range(d))
+    if len(rows) > 1 and rows[1] and rows[1][0].strip() == "scale":
+        flags = [c.strip() for c in rows[1][1:]]
+        if len(flags) != d or any(f not in ("lin", "log") for f in flags):
+            raise SchemaError(f"{path}: scale line must give lin|log for each of {d} columns")
+        scales = tuple(flags)
+        start = 2
+
+    coords = {}
+    values = {}
+    for offset, row in enumerate(rows[start:]):
+        rownum = start + offset + 1
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
+        cid = _ref_parse_cell(row[0], rownum, 1, "int")
+        xs = tuple(_ref_parse_cell(row[1 + j], rownum, 2 + j, "float") for j in range(d))
+        b = _ref_parse_cell(row[-2], rownum, len(header) - 1, "int")
+        val = _ref_parse_cell(row[-1], rownum, len(header), "float")
+        if cid < 0:
+            raise SchemaError(f"{path}: row {rownum}: negative id {cid}")
+        if b < 1:
+            raise SchemaError(f"{path}: row {rownum}: budget index {b} must be >= 1")
+        if not -1e-9 <= val <= 1.0 + 1e-9:  # NaN fails too
+            raise ParseError(f"row {rownum}, column {len(header)}: value {val} outside [0, 1]")
+        for j, x in enumerate(xs):
+            if not math.isfinite(x):
+                raise ParseError(f"row {rownum}, column {2 + j}: coordinate {x} is not finite")
+        val = min(max(val, 0.0), 1.0)
+        if cid in coords and coords[cid] != xs:
+            raise SchemaError(f"{path}: row {rownum}: id {cid} re-appears with different coordinates")
+        coords.setdefault(cid, xs)
+        per = values.setdefault(cid, {})
+        if b in per:
+            raise SchemaError(f"{path}: row {rownum}: duplicate budget {b} for id {cid}")
+        per[b] = val
+
+    if not values:
+        raise SchemaError(f"{path}: no data rows")
+    n = len(values)
+    if sorted(values) != list(range(n)):
+        raise SchemaError(f"{path}: ids must be exactly 0..{n - 1}")
+    horizon = max(max(per) for per in values.values())
+    for cid, per in values.items():
+        if sorted(per) != list(range(1, horizon + 1)):
+            raise SchemaError(f"{path}: id {cid} does not cover budgets 1..{horizon}")
+
+    raw = np.asarray([coords[i] for i in range(n)], dtype=float)
+    for j, flag in enumerate(scales):
+        if flag == "log":
+            if np.any(raw[:, j] <= 0):
+                bad = int(np.argmax(raw[:, j] <= 0))
+                raise ParseError(f"row for id {bad}, column {2 + j}: log scaling needs positive values")
+            raw[:, j] = np.log(raw[:, j])
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    norm = (raw - lo) / span
+
+    curves = np.asarray(
+        [[values[i][b] for b in range(1, horizon + 1)] for i in range(n)], dtype=float
+    )
+    curves = np.maximum.accumulate(curves, axis=1)
+    configs = [Configuration(tuple(float(v) for v in norm[i]), i) for i in range(n)]
+    return TabularBenchmark(configs=configs, curves=curves)
+
+
+def ref_save_tabular(path, configs, curves, scales=None):
+    """Write a benchmark cell by cell through csv.writer."""
+    curves = np.asarray(curves, dtype=float)
+    if curves.ndim != 2 or curves.shape[0] != len(configs):
+        raise InvalidParams("curves must be an (n, T) array matching the configurations")
+    d = configs[0].dimension if configs else 0
+    if d < 1:
+        raise InvalidParams("need at least one configuration")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id"] + [f"x{j}" for j in range(d)] + ["b", "value"])
+        if scales is not None:
+            flags = list(scales)
+            if len(flags) != d or any(f not in ("lin", "log") for f in flags):
+                raise InvalidParams("scales must give lin|log per embedding column")
+            writer.writerow(["scale"] + flags)
+        for cfg in configs:
+            for b in range(1, curves.shape[1] + 1):
+                writer.writerow(
+                    [cfg.id]
+                    + [repr(float(v)) for v in cfg.coords]
+                    + [b, repr(float(curves[cfg.id, b - 1]))]
+                )

@@ -312,6 +312,21 @@ def test_estimators_stay_within_three_pair_matrices():
         assert peak < 3 * matrix_bytes
 
 
+def test_percentiles_stay_within_one_and_a_half_pair_matrices():
+    # the pair values alone fill half a pair matrix
+    n, d = 600, 16
+    configs, oracle = gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0)
+    report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=oracle.curves))
+    report.pairwise[0, 1] = np.nan  # an unscorable pair makes the values compact once
+    tracemalloc.start()
+    try:
+        epsilon_percentiles(report, k=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
+
+
 # ---------------------------------------------------------------------------
 # lipschitz_check
 
