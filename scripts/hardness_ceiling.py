@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from uvp import BudgetLedger
+from uvp import BudgetLedger, SolverParams
 from uvp.baselines import random_search
 from uvp.instances import HardInstanceSpec, gen_hard
 
@@ -49,8 +49,8 @@ def main():
             seed=args.seed_offset + trial,
         )
         configs, oracle = gen_hard(spec)
-        out = random_search(args.budget, args.horizon, configs, trial,
-                            oracle, BudgetLedger(args.budget))
+        params = SolverParams(args.budget, args.horizon, seed=trial)
+        out = random_search(params, configs, oracle, BudgetLedger(args.budget))
         values.append(out.best_value)
 
     mean = float(np.mean(values))

@@ -12,7 +12,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -23,10 +23,8 @@ from .instances import (
     LANDSCAPE_KINDS,
     HardInstanceSpec,
     LandscapeOracle,
-    TabularBenchmark,
     gen_hard,
     landscape,
-    landscape_eval,
     load_tabular,
     mesh_grid,
     sample_uniform,
@@ -54,7 +52,7 @@ _CLUSTER_SOLVERS = {
 
 @dataclass
 class Knobs:
-    """Per-run algorithm settings collected from the command line."""
+    """Per-run algorithm settings: every ``SolverParams`` field except budget and horizon."""
 
     p: int = 25
     epsilon: float = 0.2
@@ -74,28 +72,23 @@ def run_algorithm(
     horizon: int,
     knobs: Knobs,
 ) -> SearchOutcome:
-    """Run one algorithm against a fresh ledger and return its outcome."""
+    """Run one algorithm against a fresh ledger and return its outcome.
+
+    Every algorithm is looked up by its module-level name when called, so a
+    wrapper put in its place (in ``_CLUSTER_SOLVERS`` or as this module's
+    ``random_search``, ``successive_halving`` or ``hyperband``) is the one run.
+    """
     ledger = BudgetLedger(budget)
-    if name in _CLUSTER_SOLVERS:
-        params = SolverParams(
-            budget=budget,
-            horizon=horizon,
-            p=knobs.p,
-            epsilon=knobs.epsilon,
-            delta=knobs.delta,
-            theta=knobs.theta,
-            predictor=knobs.predictor,
-        )
-        return _CLUSTER_SOLVERS[name](params, X, oracle, ledger)
-    if name == "random":
-        return random_search(budget, horizon, X, knobs.seed, oracle, ledger)
-    if name == "sha":
-        return successive_halving(budget, horizon, X, knobs.eta, knobs.seed, oracle, ledger)
-    if name == "hyperband":
-        return hyperband(
-            budget, horizon, X, knobs.eta, knobs.iterations, knobs.seed, oracle, ledger
-        )
-    raise InvalidParams(f"unknown algorithm {name!r}")
+    algorithms = {
+        **_CLUSTER_SOLVERS,
+        "random": random_search,
+        "sha": successive_halving,
+        "hyperband": hyperband,
+    }
+    if name not in algorithms:
+        raise InvalidParams(f"unknown algorithm {name!r}")
+    params = SolverParams(budget=budget, horizon=horizon, **asdict(knobs))
+    return algorithms[name](params, X, oracle, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +107,7 @@ def _fmt(v: float) -> str:
 
 
 def _knobs_from(args: argparse.Namespace) -> Knobs:
-    return Knobs(
-        p=args.p,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        theta=args.theta,
-        predictor=args.predictor,
-        eta=args.eta,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
-
-
-def _materialize_landscape(
-    kind: str, configs, horizon: int, landscape_seed: int
-) -> TabularBenchmark:
-    """Tabulate a landscape over fixed configurations (values repeat per budget)."""
-    spec = landscape(kind, landscape_seed)
-    col = np.asarray([landscape_eval(spec, c.coords) for c in configs])
-    curves = np.repeat(col[:, None], horizon, axis=1)
-    return TabularBenchmark(configs=list(configs), curves=curves)
+    return Knobs(**{f.name: getattr(args, f.name) for f in fields(Knobs)})
 
 
 def _add_knob_args(sub: argparse.ArgumentParser) -> None:
@@ -191,30 +165,32 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _bench_cell(payload):
     """Worker: run one (dataset, seed, algorithm) cell, catching per-cell errors."""
-    name, bench, cap, seed, alg, knobs = payload
-    cell_knobs = Knobs(**{**knobs.__dict__, "seed": seed})
+    name, X, oracle, horizon, cap, seed, alg, knobs = payload
     try:
-        out = run_algorithm(alg, bench.configs, bench.oracle(), cap, bench.horizon, cell_knobs)
+        out = run_algorithm(alg, X, oracle, cap, horizon, replace(knobs, seed=seed))
     except UvpError as exc:
         return (name, seed, alg), None, None, str(exc)
     return (name, seed, alg), out.trace, out.best_value, None
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    datasets: list[tuple[str, TabularBenchmark]] = []
+    # (name, candidates, oracle, horizon); landscapes are read lazily, as in solve
+    datasets = []
     for path in args.data or []:
         name = os.path.splitext(os.path.basename(path))[0]
-        datasets.append((name, load_tabular(path)))
+        bench = load_tabular(path)
+        datasets.append((name, bench.configs, bench.oracle(), bench.horizon))
     for kind in args.landscape or []:
         spec = landscape(kind, args.landscape_seed)
-        configs = sample_uniform(spec.domain, args.n, args.seed)
-        datasets.append((kind, _materialize_landscape(kind, configs, args.horizon, args.landscape_seed)))
+        X = sample_uniform(spec.domain, args.n, args.seed)
+        datasets.append((kind, X, LandscapeOracle(spec, args.horizon), args.horizon))
     if not datasets:
         raise InvalidParams("bench needs at least one --data file or --landscape kind")
-    names = [n for n, _ in datasets]
+    names = [d[0] for d in datasets]
     if len(set(names)) != len(names):
         raise InvalidParams(f"dataset names collide: {names}")
-    datasets.sort(key=lambda pair: pair[0])
+    datasets.sort(key=lambda d: d[0])
+    names.sort()
 
     raw_algos = ",".join(ALGORITHMS) if args.algos is None else args.algos
     algorithms = sorted({a for a in raw_algos.split(",") if a})
@@ -229,15 +205,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
 
     caps = {}
-    for name, bench in datasets:
-        cap = args.budget if args.budget is not None else 20 * bench.horizon
-        if cap < bench.horizon:
+    for name, _, _, horizon in datasets:
+        cap = args.budget if args.budget is not None else 20 * horizon
+        if cap < horizon:
             raise InvalidParams(f"budget {cap} is below one full evaluation of {name}")
         caps[name] = cap
 
     tasks = [
-        (name, bench, caps[name], seed, alg, knobs)
-        for name, bench in datasets
+        (name, X, oracle, horizon, caps[name], seed, alg, knobs)
+        for name, X, oracle, horizon in datasets
         for seed in seeds
         for alg in algorithms
     ]
@@ -265,7 +241,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 [[s, _fmt(v)] for s, v in trace],
             )
         summary_rows = []
-        for name, _ in datasets:
+        for name in names:
             for alg in algorithms:
                 vals = [finals[(name, s, alg)] for s in seeds if (name, s, alg) in finals]
                 if vals:
@@ -288,7 +264,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     complete = [
         alg
         for alg in algorithms
-        if all((name, s, alg) in results for name, _ in datasets for s in seeds)
+        if all((name, s, alg) in results for name in names for s in seeds)
     ]
     if complete:
         ranked = {k: v for k, v in results.items() if k[2] in complete}
@@ -366,8 +342,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         lspec = landscape(args.landscape, args.seed)
         configs = mesh_grid(lspec.domain, args.mesh)
-        bench = _materialize_landscape(args.landscape, configs, 1, args.seed)
-        curves = bench.curves
+        oracle = LandscapeOracle(lspec)
+        curves = np.asarray([[oracle.query(c, 1)] for c in configs])
     save_tabular(args.out, configs, curves)
     print(f"wrote {args.out}: n={len(configs)} d={configs[0].dimension} T={curves.shape[1]}")
     return 0

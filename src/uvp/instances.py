@@ -148,6 +148,15 @@ class LandscapeOracle(ValueOracle):
 # candidate sets
 
 
+def _configs(points: np.ndarray) -> list[Configuration]:
+    """One configuration per row of the (n, d) array ``points``, ids in row order.
+
+    The coordinates become Python floats column by column, and ``zip`` hands
+    out each row as a tuple, so no per-row list is built on the way.
+    """
+    return [Configuration(row, i) for i, row in enumerate(zip(*points.T.tolist()))]
+
+
 def mesh_grid(bounds: Sequence[tuple[float, float]], m: int, cap: int = MESH_CAP) -> list[Configuration]:
     """Regular m-per-dimension grid over ``bounds``, ids in row-major order."""
     if m < 2:
@@ -159,8 +168,7 @@ def mesh_grid(bounds: Sequence[tuple[float, float]], m: int, cap: int = MESH_CAP
         raise SizeOverflow(f"mesh of {total} points exceeds cap {cap}")
     axes = [np.linspace(lo, hi, m) for lo, hi in bounds]
     grids = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return [Configuration(tuple(float(v) for v in row), i) for i, row in enumerate(flat)]
+    return _configs(np.stack([g.reshape(-1) for g in grids], axis=1))
 
 
 def sample_uniform(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> list[Configuration]:
@@ -175,8 +183,7 @@ def sample_uniform(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> 
     rng = np.random.default_rng(seed)
     lows = np.asarray([lo for lo, _ in bounds])
     highs = np.asarray([hi for _, hi in bounds])
-    pts = rng.uniform(lows, highs, size=(n, len(bounds)))
-    return [Configuration(tuple(float(v) for v in row), i) for i, row in enumerate(pts)]
+    return _configs(rng.uniform(lows, highs, size=(n, len(bounds))))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +253,7 @@ def _normalise(raw: np.ndarray, scales: Sequence[str]) -> np.ndarray:
 def _benchmark(norm: np.ndarray, curves: np.ndarray) -> TabularBenchmark:
     """Pair the normalised embeddings with the curves wrapped to be non-decreasing."""
     curves = np.maximum.accumulate(curves, axis=1)
-    configs = [Configuration(tuple(row), i) for i, row in enumerate(norm.tolist())]
-    return TabularBenchmark(configs=configs, curves=curves)
+    return TabularBenchmark(configs=_configs(norm), curves=curves)
 
 
 def _parse_cell(raw: str, row: int, col: int, kind: str):
@@ -368,8 +374,8 @@ def _load_tabular_checked(path: str) -> TabularBenchmark:
         reader = csv.reader(fh)
         try:
             rows = list(reader)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text after line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ParseError(_undecodable(path)) from None
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
@@ -438,10 +444,31 @@ def _load_tabular_checked(path: str) -> TabularBenchmark:
         if flag == "log" and np.any(raw[:, j] <= 0):
             bad = int(np.argmax(raw[:, j] <= 0))
             raise ParseError(f"row for id {bad}, column {2 + j}: log scaling needs positive values")
+    with np.errstate(all="ignore"):
+        norm = _normalise(raw, scales)
+    finite = np.isfinite(norm).all(axis=0)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ParseError(f"column {2 + j}: coordinates span more than the float range")
     curves = np.asarray(
         [[values[i][b] for b in range(1, horizon + 1)] for i in range(n)], dtype=float
     )
-    return _benchmark(_normalise(raw, scales), curves)
+    return _benchmark(norm, curves)
+
+
+def _undecodable(path: str) -> str:
+    """Name the first line of ``path`` that is not UTF-8 text, with its decode error.
+
+    A newline byte never occurs inside a multi-byte UTF-8 sequence, so
+    decoding one physical line at a time finds the line holding the bad byte.
+    """
+    with open(path, "rb") as fh:
+        for num, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{path}: line {num} is not UTF-8 text: {exc}"
+    return f"{path}: not UTF-8 text"  # the file changed while it was read
 
 
 def save_tabular(
@@ -556,8 +583,7 @@ def gen_hard(spec: HardInstanceSpec) -> tuple[list[Configuration], TabularOracle
                     plateau = math.floor(spec.theta_frac * T)
                     ramp = gap * np.minimum(ts, plateau) / T
                     curves[idx] = ramp
-    configs = [Configuration(tuple(points[i]), i) for i in range(m * n)]
-    return configs, TabularOracle(curves, dim)
+    return _configs(points), TabularOracle(curves, dim)
 
 
 def gen_smooth(
@@ -608,8 +634,7 @@ def gen_smooth(
         alphas = 0.5 + rng.uniform(0.0, 1.0, n) * spread
         ts = np.arange(1, horizon + 1, dtype=float)
         curves = v[:, None] * (ts[None, :] / horizon) ** alphas[:, None]
-    configs = [Configuration(tuple(float(c) for c in pts[i]), i) for i in range(n)]
-    return configs, TabularOracle(curves, d)
+    return _configs(pts), TabularOracle(curves, d)
 
 
 def gen_isolated_optimum(
@@ -665,6 +690,5 @@ def gen_isolated_optimum(
         vals.append(v2)
     pts.append((0.0, 0.0))
     vals.append(1.0)
-    configs = [Configuration(p, i) for i, p in enumerate(pts)]
     curves = np.asarray(vals, dtype=float)[:, None]
-    return configs, TabularOracle(curves, 2)
+    return _configs(np.asarray(pts)), TabularOracle(curves, 2)

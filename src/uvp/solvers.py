@@ -1,7 +1,7 @@
 """Budget-allocation solvers built on center selection and curve extrapolation.
 
-Four strategies share the same contract (params, candidates, oracle, ledger)
--> SearchOutcome:
+Four strategies share the contract of every algorithm in this package,
+(params, candidates, oracle, ledger) -> SearchOutcome:
 
 * ``full_cent``:   pick floor(B/T) spread-out centers, train each to T.
 * ``e_full_cent``: same, but selection uses the value-aware distance and
@@ -47,7 +47,10 @@ TIE_TOL = 1e-9
 
 @dataclass
 class SolverParams:
-    """Knobs shared by the solvers. ``budget`` is total units, ``horizon`` is T."""
+    """Knobs shared by every algorithm. ``budget`` is total units, ``horizon`` is T.
+
+    ``eta``, ``iterations`` and ``seed`` are read by the baselines only.
+    """
 
     budget: int
     horizon: int
@@ -56,6 +59,9 @@ class SolverParams:
     delta: float = 0.1
     theta: float = 0.3
     predictor: str = "two-point"
+    eta: int = 3
+    iterations: int = 6
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.budget, (int, np.integer)) or self.budget < 1:
@@ -72,6 +78,10 @@ class SolverParams:
             raise InvalidParams("theta must lie in (0, 1]")
         if self.predictor not in PREDICTORS:
             raise InvalidParams(f"predictor must be one of {PREDICTORS}")
+        if self.eta < 2:
+            raise InvalidParams("eta must be >= 2")
+        if self.iterations < 1:
+            raise InvalidParams("iterations must be >= 1")
 
 
 def pred(history: History | Sequence[float], horizon: int) -> float:

@@ -209,8 +209,15 @@ def ref_load_tabular(path):
         reader = csv.reader(fh)
         try:
             rows = list(reader)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text after line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                lines = raw.read().split(b"\n")
+            for num, line in enumerate(lines, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"{path}: line {num} is not UTF-8 text: {exc}") from None
+            raise
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
@@ -281,9 +288,13 @@ def ref_load_tabular(path):
                 bad = int(np.argmax(raw[:, j] <= 0))
                 raise ParseError(f"row for id {bad}, column {2 + j}: log scaling needs positive values")
             raw[:, j] = np.log(raw[:, j])
-    lo, hi = raw.min(axis=0), raw.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    norm = (raw - lo) / span
+    with np.errstate(all="ignore"):
+        lo, hi = raw.min(axis=0), raw.max(axis=0)
+        span = np.where(hi > lo, hi - lo, 1.0)
+        norm = (raw - lo) / span
+    for j in range(d):
+        if not np.isfinite(norm[:, j]).all():
+            raise ParseError(f"column {2 + j}: coordinates span more than the float range")
 
     curves = np.asarray(
         [[values[i][b] for b in range(1, horizon + 1)] for i in range(n)], dtype=float

@@ -154,15 +154,12 @@ def test_criterion_06_budget_conservation():
             delta = float(rng.uniform(1.0 / horizon, 0.95)) if alg == "eac" else 0.5
             params = SolverParams(budget=budget, horizon=horizon, p=p,
                                   epsilon=eps, delta=delta)
-            fn = {"fc": full_cent, "efc": e_full_cent,
-                  "ac": ada_cent, "eac": e_ada_cent}[alg]
-            out = fn(params, configs, oracle, ledger)
-        elif alg == "random":
-            out = random_search(budget, horizon, configs, trial, oracle, ledger)
-        elif alg == "sha":
-            out = successive_halving(budget, horizon, configs, 2, trial, oracle, ledger)
         else:
-            out = hyperband(budget, horizon, configs, 2, 2, trial, oracle, ledger)
+            params = SolverParams(budget=budget, horizon=horizon,
+                                  eta=2, iterations=2, seed=trial)
+        fn = {"fc": full_cent, "efc": e_full_cent, "ac": ada_cent, "eac": e_ada_cent,
+              "random": random_search, "sha": successive_halving, "hyperband": hyperband}[alg]
+        out = fn(params, configs, oracle, ledger)
         if ledger.spent > budget:
             overspends.append((trial, alg))
         if alg in ("fc", "efc") and ledger.spent != (budget // horizon) * horizon:
@@ -237,7 +234,7 @@ def test_criterion_09_random_search_ceiling():
                                 n_per_cluster=n, r=1.0, horizon=3,
                                 seed=100000 + trial)
         configs, oracle = gen_hard(spec)
-        out = random_search(6, 3, configs, trial, oracle, BudgetLedger(6))
+        out = random_search(SolverParams(6, 3, seed=trial), configs, oracle, BudgetLedger(6))
         values.append(out.best_value)
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(len(values)))

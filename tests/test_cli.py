@@ -2,13 +2,17 @@
 
 import csv
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from helpers import configs_from
-from uvp.cli import entry
+from helpers import configs_from, const_oracle, line
+from uvp import cli
+from uvp.cli import ALGORITHMS, Knobs, entry, run_algorithm
+from uvp.core import BudgetLedger
 from uvp.instances import HardInstanceSpec, gen_hard, load_tabular, save_tabular
+from uvp.solvers import SolverParams
 
 
 def _read_rows(path):
@@ -64,6 +68,54 @@ def test_solve_zero_budget_exits_2(capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_knob_the_algorithm_does_not_read(capsys):
+    # random search never reads eta, but every algorithm validates every knob
+    code = entry([
+        "solve", "--landscape", "radial-decay", "--algo", "random",
+        "--eta", "1", "--n", "50",
+    ])
+    assert code == 2
+    assert "eta must be >= 2" in capsys.readouterr().err
+
+
+_BASELINE_ATTRS = {"random": "random_search", "sha": "successive_halving", "hyperband": "hyperband"}
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_run_algorithm_calls_the_function_bound_at_call_time(monkeypatch, name):
+    # a tracer swaps in wrappers at these two places and reads (oracle, ledger)
+    # as the last two positional arguments
+    calls = []
+
+    def stand_in(label):
+        def fn(*args, **kwargs):
+            calls.append((label, args, kwargs))
+            return label
+
+        return fn
+
+    for key in list(cli._CLUSTER_SOLVERS):
+        monkeypatch.setitem(cli._CLUSTER_SOLVERS, key, stand_in(key))
+    for key, attr in _BASELINE_ATTRS.items():
+        monkeypatch.setattr(cli, attr, stand_in(key))
+    X, oracle = line([0.0, 1.0, 2.0]), const_oracle(0.5)
+    knobs = Knobs(
+        p=3, epsilon=0.5, delta=0.25, theta=0.5, predictor="tail-fit", eta=4, iterations=2, seed=9
+    )
+    assert run_algorithm(name, X, oracle, 12, 3, knobs) == name
+    [(_, args, kwargs)] = calls
+    assert not kwargs
+    params, got_X, got_oracle, ledger = args
+    assert type(params) is SolverParams
+    assert asdict(params) == {"budget": 12, "horizon": 3, **asdict(knobs)}
+    assert got_X is X and got_oracle is oracle
+    assert type(ledger) is BudgetLedger and (ledger.cap, ledger.spent) == (12, 0)
+
+
+def test_knobs_are_solver_params_without_budget_and_horizon():
+    assert {"budget": 1, "horizon": 1, **asdict(Knobs())} == asdict(SolverParams(1, 1))
 
 
 def test_solve_requires_exactly_one_source(tmp_path):
@@ -136,6 +188,19 @@ def test_bench_byte_identical_reruns(tmp_path):
     assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
 
+@pytest.mark.parametrize("algo", ["ada-cent", "sha"])
+def test_bench_landscape_trace_equals_solve(tmp_path, algo):
+    # bench samples the landscape with its first seed, as solve does with --seed
+    common = ["--landscape", "multimodal-bumps", "--n", "300", "--horizon", "3",
+              "--budget", "30", "--seed", "4"]
+    assert entry(["solve", "--algo", algo, *common, "--out", str(tmp_path / "solve")]) == 0
+    assert entry([
+        "bench", "--algos", algo, "--seeds", "2", *common, "--out", str(tmp_path / "bench"),
+    ]) == 0
+    solved = (tmp_path / "solve" / "trace.csv").read_bytes()
+    assert (tmp_path / "bench" / f"trace_multimodal-bumps_{algo}_4.csv").read_bytes() == solved
+
+
 def test_bench_empty_algorithm_list_exits_2(tmp_path):
     data = _bench_dataset(tmp_path)
     assert entry(["bench", "--data", data, "--algos", ""]) == 2
@@ -183,7 +248,7 @@ def test_estimate_eps_unreadable_csv_exits_2(tmp_path, capsys):
     undecodable.write_bytes(b"id,x0,b,value\n0,\xff,1,0.5\n")
     assert entry(["estimate-eps", "--data", str(undecodable), "--k", "1"]) == 2
     err = capsys.readouterr().err
-    assert str(undecodable) in err and "not UTF-8 text after line 0" in err
+    assert str(undecodable) in err and "line 2 is not UTF-8 text" in err
     oversized = tmp_path / "wide.csv"
     field = "1" * (csv.field_size_limit() + 1)
     oversized.write_text(f"id,x0,b,value\n0,0.0,1,0.5\n1,{field},1,0.5\n", encoding="utf-8")

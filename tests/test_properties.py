@@ -198,20 +198,18 @@ def test_value_aware_selection_collapses_on_equal_values(instance, k):
 
 def _run_all(X, curves, horizon, budget, seed):
     outs = {}
-    oracle = curve_oracle(curves, dimension=2)
-    params = SolverParams(budget=budget, horizon=horizon, p=2, epsilon=0.5, delta=0.5)
-    for name, fn in (("fc", full_cent), ("efc", e_full_cent), ("ac", ada_cent)):
+    params = SolverParams(
+        budget=budget, horizon=horizon, p=2, epsilon=0.5, delta=0.5, eta=2, iterations=2, seed=seed
+    )
+    algorithms = {
+        "fc": full_cent, "efc": e_full_cent, "ac": ada_cent, "eac": e_ada_cent,
+        "rs": random_search, "sha": successive_halving, "hb": hyperband,
+    }
+    if int(params.delta * horizon) < 1:
+        del algorithms["eac"]  # no exploration budget
+    for name, fn in algorithms.items():
         ledger = BudgetLedger(budget)
         outs[name] = (fn(params, X, curve_oracle(curves, dimension=2), ledger), ledger)
-    if int(params.delta * horizon) >= 1:
-        ledger = BudgetLedger(budget)
-        outs["eac"] = (e_ada_cent(params, X, curve_oracle(curves, dimension=2), ledger), ledger)
-    ledger = BudgetLedger(budget)
-    outs["rs"] = (random_search(budget, horizon, X, seed, curve_oracle(curves, dimension=2), ledger), ledger)
-    ledger = BudgetLedger(budget)
-    outs["sha"] = (successive_halving(budget, horizon, X, 2, seed, curve_oracle(curves, dimension=2), ledger), ledger)
-    ledger = BudgetLedger(budget)
-    outs["hb"] = (hyperband(budget, horizon, X, 2, 2, seed, curve_oracle(curves, dimension=2), ledger), ledger)
     return outs
 
 
@@ -248,15 +246,17 @@ def test_every_trace_is_anytime_monotone(instance, mult, seed):
         assert out.best_value == pytest.approx(incs[-1]), name
 
 
-_PAST_HORIZON = SolverParams(budget=12, horizon=3, p=2, epsilon=0.5, delta=0.5)
+_PAST_HORIZON = SolverParams(
+    budget=12, horizon=3, p=2, epsilon=0.5, delta=0.5, eta=3, iterations=2, seed=0
+)
 _PAST_HORIZON_RUNS = {
-    "full-cent": lambda X, oracle, ledger: full_cent(_PAST_HORIZON, X, oracle, ledger),
-    "e-full-cent": lambda X, oracle, ledger: e_full_cent(_PAST_HORIZON, X, oracle, ledger),
-    "ada-cent": lambda X, oracle, ledger: ada_cent(_PAST_HORIZON, X, oracle, ledger),
-    "e-ada-cent": lambda X, oracle, ledger: e_ada_cent(_PAST_HORIZON, X, oracle, ledger),
-    "random": lambda X, oracle, ledger: random_search(12, 3, X, 0, oracle, ledger),
-    "sha": lambda X, oracle, ledger: successive_halving(12, 3, X, 3, 0, oracle, ledger),
-    "hyperband": lambda X, oracle, ledger: hyperband(12, 3, X, 3, 2, 0, oracle, ledger),
+    "full-cent": full_cent,
+    "e-full-cent": e_full_cent,
+    "ada-cent": ada_cent,
+    "e-ada-cent": e_ada_cent,
+    "random": random_search,
+    "sha": successive_halving,
+    "hyperband": hyperband,
 }
 
 
@@ -266,7 +266,7 @@ def test_horizon_past_the_oracle_is_rejected_before_any_spend(algo):
     oracle = curve_oracle(np.tile([0.2, 0.4], (9, 1)))  # curves end at budget 2
     ledger = BudgetLedger(12)
     with pytest.raises(InvalidBudget):
-        _PAST_HORIZON_RUNS[algo](X, oracle, ledger)
+        _PAST_HORIZON_RUNS[algo](_PAST_HORIZON, X, oracle, ledger)
     assert ledger.spent == 0
 
 

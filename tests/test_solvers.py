@@ -139,6 +139,10 @@ def test_solver_params_validation():
         SolverParams(budget=1, horizon=1, theta=0.0)
     with pytest.raises(InvalidParams):
         SolverParams(budget=1, horizon=1, predictor="cubic")
+    with pytest.raises(InvalidParams, match="eta"):
+        SolverParams(budget=1, horizon=1, eta=1)
+    with pytest.raises(InvalidParams, match="iterations"):
+        SolverParams(budget=1, horizon=1, iterations=0)
 
 
 def test_full_cent_requires_budget_for_one_evaluation():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import configs_from, ref_load_tabular, ref_save_tabular
-from uvp import InvalidParams, instances
+from uvp import InvalidParams, ParseError, instances
 from uvp.instances import gen_smooth, load_tabular, save_tabular
 
 SETTINGS = settings(
@@ -111,7 +111,7 @@ def _checked_loader_unreachable():
 def test_valid_files_load_bit_for_bit(tmp_path, rows, newline):
     path = _write(tmp_path / "valid.csv", rows, newline)
     want = _outcome(ref_load_tabular, path)
-    assert want[0] == "loads" or "non-finite coordinates" in want[2]  # span overflow
+    assert want[0] == "loads" or "span more than the float range" in want[2]
     if want[0] == "loads":
         with _checked_loader_unreachable():
             assert _outcome(load_tabular, path) == want
@@ -229,6 +229,29 @@ def test_unreadable_and_edge_files_raise_like_the_reference(tmp_path, raw):
     want = _outcome(ref_load_tabular, str(path))
     assert want[0] == "raises"
     assert _outcome_via_checked_loader(str(path)) == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_span_overflow_names_the_column_without_warnings(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("id,x0,x1,b,value\n0,0.5,-1e308,1,0.5\n1,0.5,1e308,1,0.5\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^column 3: coordinates span more than the float range$"):
+        load_tabular(str(path))
+
+
+def test_undecodable_byte_is_reported_on_its_own_line(tmp_path):
+    # csv.reader has finished fewer lines than the decoder has read ahead,
+    # so its line count would point well before the bad byte
+    lines = [b"id,x0,b,value"] + [b"%d,%d.5,1,0.5" % (i, i) for i in range(2000)]
+    lines[1501] = b"1500,\xff.5,1,0.5"
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError) as exc:
+        load_tabular(str(path))
+    assert str(exc.value) == (
+        f"{path}: line 1502 is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+        " in position 5: invalid start byte"
+    )
 
 
 def test_each_id_keeps_its_first_rows_coordinates(tmp_path):
