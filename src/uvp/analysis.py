@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import greedy_radius, k_center
+from .clustering import Cover, greedy_radius, k_center
 from .core import (
     Configuration,
     DegenerateEmbedding,
@@ -137,7 +137,7 @@ def epsilon_percentiles(
         vals = vals[scorable]
     if not vals.size:
         raise InvalidParams("no scorable pairs: all embeddings coincide")
-    centers = k_center(min(k, n), [], report.configs)
+    centers = k_center(min(k, n), Cover(report.configs))
     radius = greedy_radius(centers, report.configs)
     vals *= radius
     vals.sort(kind="stable")  # stable: equal zeros of either sign keep their order
@@ -202,7 +202,7 @@ def brute_force_k_center(X: Sequence[Configuration], k: int, cap: int = 15) -> C
         if radius < best_radius:
             best_radius, best = radius, subset
     assert best is not None
-    greedy = k_center(k, [], X)
+    greedy = k_center(k, Cover(X))
     return ClusteringReport(
         k=k,
         greedy_radius=float(greedy_radius(greedy, X)),

@@ -39,19 +39,13 @@ from .core import (
 DEFAULT_ETA_CAP = 1e6
 
 
-def _check_selection(k: int, seeds: Sequence[int], n: int) -> None:
+def _check_selection(k: int, cover: Cover) -> None:
     if k < 0:
         raise InvalidParams(f"cannot select {k} centers")
-    seen = set()
-    for s in seeds:
-        if not 0 <= s < n:
-            raise InvalidParams(f"seed id {s} outside candidate set of size {n}")
-        if s in seen:
-            raise InvalidParams(f"seed id {s} listed twice")
-        seen.add(s)
-    if k + len(seeds) > n:
+    n, seeds = len(cover.chosen), len(cover.centers)
+    if k + seeds > n:
         raise InsufficientCandidates(
-            f"need {k} new centers on top of {len(seeds)} seeds, only {n} candidates"
+            f"need {k} new centers on top of {seeds} seeds, only {n} candidates"
         )
 
 
@@ -61,13 +55,10 @@ class EnhancedMetric:
 
     epsilon: float
     value_of: dict[int, float]
-    eta_cap: float = DEFAULT_ETA_CAP
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InvalidParams("epsilon must be positive")
-        if self.eta_cap < 1:
-            raise InvalidParams("eta cap must be >= 1")
 
     @property
     def v_max(self) -> float:
@@ -82,8 +73,8 @@ class EnhancedMetric:
         if v_max <= 0.0:
             return 1.0
         if v <= 0.0:
-            return self.eta_cap
-        return min(v_max / v, self.eta_cap)
+            return DEFAULT_ETA_CAP
+        return min(v_max / v, DEFAULT_ETA_CAP)
 
     def distances(self, dist: np.ndarray, center: int) -> np.ndarray:
         """Vectorised enhanced distance from every point to ``center``."""
@@ -94,25 +85,18 @@ class EnhancedMetric:
 class Cover:
     """Incremental farthest-first selection state over one candidate set.
 
-    Holds the (n, d) embedding matrix, the chosen mask, the centers in
-    selection order and every candidate's plain distance to its nearest
-    center. While a value-aware selection runs (from :meth:`revalue` on) it
-    also holds the center values and ``delta``, every candidate's minimum
-    enhanced distance to a center. Distance rows are recomputed when needed,
-    never stored. Build one per solve and pass it to every
-    :func:`k_center` / :func:`e_k_center` call of that solve.
-
-    ``centers`` are the initial centers. With a ``metric`` holding their
-    values, ``delta`` is built as well, each center's distance row being
-    computed once for both.
+    Keeps the candidates as ``configs`` and their (n, d) embedding matrix,
+    the chosen mask, the centers in selection order and every candidate's
+    plain distance to its nearest center. While a value-aware selection runs
+    (from :meth:`revalue` on) it also holds the center values and ``delta``,
+    every candidate's minimum enhanced distance to a center. Distance rows
+    are recomputed when needed, never stored. Build one per solve, on the
+    initial ``centers``, and pass it to every :func:`k_center` /
+    :func:`e_k_center` call of that solve; its centers are their seeds.
     """
 
-    def __init__(
-        self,
-        X: Sequence[Configuration],
-        centers: Sequence[int] = (),
-        metric: EnhancedMetric | None = None,
-    ) -> None:
+    def __init__(self, X: Sequence[Configuration], centers: Sequence[int] = ()) -> None:
+        self.configs = X
         self.points = config_matrix(X)
         self._work = np.empty_like(self.points)
         n = len(self.points)
@@ -124,11 +108,8 @@ class Cover:
         self._v_max: float | None = None
         for c in centers:  # every id is checked before any distance work
             self._place(c)
-        if metric is not None:
-            self.revalue(metric)
-        else:
-            for c in self.centers:
-                np.minimum(self.nearest, self._row(c), out=self.nearest)
+        for c in self.centers:
+            np.minimum(self.nearest, self._row(c), out=self.nearest)
 
     def _row(self, center: int) -> np.ndarray:
         return distance_row(self.points, self.points[center], self._work)
@@ -171,46 +152,24 @@ class Cover:
         """Rebuild ``delta`` from coordinates under ``metric``'s center values.
 
         ``metric.value_of`` must hold a value for every center; the cover
-        keeps it and records the values of later valued adds in it. Each
-        row is folded into the plain nearest distances too, which leaves
-        them unchanged for centers already counted there.
+        keeps it and records the values of later valued adds in it.
         """
         self._metric = metric
         self._v_max = metric.v_max if metric.value_of else None
         self.delta.fill(np.inf)
         for c in self.centers:
-            row = self._row(c)
-            np.minimum(self.nearest, row, out=self.nearest)
-            np.minimum(self.delta, metric.distances(row, c), out=self.delta)
+            np.minimum(self.delta, metric.distances(self._row(c), c), out=self.delta)
 
 
-def _check_cover(cover: Cover, seeds: list[int], X: Sequence[Configuration]) -> None:
-    if len(cover.chosen) != len(X) or cover.centers != seeds:
-        raise InvalidParams("cover must be built on X and hold exactly the seeds, in order")
-
-
-def k_center(
-    k: int, seeds: Sequence[int], X: Sequence[Configuration], *, cover: Cover | None = None
-) -> list[int]:
+def k_center(k: int, cover: Cover) -> list[int]:
     """Select ``k`` new centers by greedy farthest-first traversal.
 
     Each pick maximises the minimum Euclidean distance to the centers chosen
-    so far (seeds included). With no centers at all every candidate is at
-    infinite distance and the tie-break picks the lowest id. Returns only the
-    new center ids, in selection order.
-
-    A ``cover`` is reused and extended with the picks, which spares
-    re-deriving the seeds' distances. It must hold exactly ``seeds``, in
-    order; ``seeds`` then serves only for that check.
+    so far (the cover's centers included). With no centers at all every
+    candidate is at infinite distance and the tie-break picks the lowest id.
+    Extends ``cover`` with the picks and returns them in selection order.
     """
-    seeds = list(seeds)
-    _check_selection(k, seeds, len(X))
-    if k == 0:
-        return []
-    if cover is None:
-        cover = Cover(X, seeds)
-    else:
-        _check_cover(cover, seeds, X)
+    _check_selection(k, cover)
     new: list[int] = []
     for _ in range(k):
         pick = cover.farthest(cover.nearest)
@@ -228,48 +187,36 @@ def greedy_radius(centers: Sequence[int], X: Sequence[Configuration]) -> float:
 
 def e_k_center(
     k: int,
-    seeds: Sequence[int],
-    X: Sequence[Configuration],
+    cover: Cover,
     t: int,
     epsilon: float,
     run: Run,
     *,
     allow_partial: bool = False,
-    eta_cap: float = DEFAULT_ETA_CAP,
-    cover: Cover | None = None,
 ) -> list[int]:
     """Select ``k`` centers farthest-first under the value-aware distance.
 
-    Every seed must have a non-empty history in ``run``. Each iteration uses
-    the value ratios of the current center values, picks the candidate
-    maximising the minimum enhanced distance, and probes it to budget ``t``
-    through ``run`` before the next pick. Returns the new center ids in
-    selection order; their histories are in ``run.histories``.
+    Every center of ``cover`` must have a non-empty history in ``run``. Each
+    iteration uses the value ratios of the current center values, picks the
+    candidate maximising the minimum enhanced distance, and probes it to
+    budget ``t`` through ``run`` before the next pick. Extends ``cover`` with
+    the picks and returns them in selection order; their histories are in
+    ``run.histories``.
 
     With ``allow_partial`` the selection stops quietly once the ledger cap
     intervenes, so a probe may be truncated and trailing picks skipped.
-    A ``cover`` is reused as in :func:`k_center`.
     """
-    seeds = list(seeds)
-    _check_selection(k, seeds, len(X))
-    if epsilon <= 0:
-        raise InvalidParams("epsilon must be positive")
-    for s in seeds:
+    _check_selection(k, cover)
+    for s in cover.centers:
         if len(run.histories.get(s, ())) == 0:
             raise InvalidParams(f"seed center {s} has no observations")
-
-    metric = EnhancedMetric(epsilon, {s: run.histories[s].last for s in seeds}, eta_cap=eta_cap)
-    if cover is None:
-        cover = Cover(X, seeds, metric)
-    else:
-        _check_cover(cover, seeds, X)
-        cover.revalue(metric)
+    cover.revalue(EnhancedMetric(epsilon, {s: run.histories[s].last for s in cover.centers}))
     new: list[int] = []
     for _ in range(k):
         if allow_partial and run.ledger.remaining == 0:
             break
         pick = cover.farthest(cover.delta)
-        run.extend_to(X[pick], t, allow_partial=allow_partial)
+        run.extend_to(cover.configs[pick], t, allow_partial=allow_partial)
         cover.add(pick, run.histories[pick].last)
         new.append(pick)
     return new

@@ -52,6 +52,11 @@ class LandscapeSpec:
     domain: tuple[tuple[float, float], ...] = ((-8.0, 8.0), (-8.0, 8.0))
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
+
+
 def landscape(kind: str, seed: int = 0) -> LandscapeSpec:
     """Build a landscape spec with its standard parameters.
 
@@ -60,6 +65,7 @@ def landscape(kind: str, seed: int = 0) -> LandscapeSpec:
     """
     if kind not in LANDSCAPE_KINDS:
         raise InvalidParams(f"unknown landscape kind {kind!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     if kind == "radial-decay":
         return LandscapeSpec(kind, {"rate": 0.18}, ((-8.0, 8.0), (-8.0, 8.0)))
@@ -180,6 +186,7 @@ def sample_uniform(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> 
     for lo, hi in bounds:
         if hi < lo:
             raise InvalidParams(f"bound ({lo}, {hi}) is inverted")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     lows = np.asarray([lo for lo, _ in bounds])
     highs = np.asarray([hi for _, hi in bounds])
@@ -527,13 +534,13 @@ class HardInstanceSpec:
     def __post_init__(self) -> None:
         if self.variant not in ("fc", "ac"):
             raise InvalidParams("variant must be 'fc' or 'ac'")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InvalidParams("epsilon must be positive")
-        if self.beta <= 1:
+        if not self.beta > 1:
             raise InvalidParams("beta must exceed 1")
         if self.k < 1 or self.n_per_cluster < 1:
             raise InvalidParams("k and n_per_cluster must be >= 1")
-        if self.r <= 0:
+        if not self.r > 0:
             raise InvalidParams("cluster radius r must be positive")
         if self.epsilon * self.r > 1:
             raise InvalidParams("epsilon * r must not exceed 1 (values would leave [0, 1])")
@@ -541,6 +548,7 @@ class HardInstanceSpec:
             raise InvalidBudget("horizon must be >= 1")
         if self.variant == "ac" and not 0 < self.theta_frac < 1:
             raise InvalidParams("theta_frac must lie in (0, 1)")
+        _check_seed(self.seed)
 
 
 def gen_hard(spec: HardInstanceSpec) -> tuple[list[Configuration], TabularOracle]:
@@ -605,10 +613,11 @@ def gen_smooth(
     """
     if n < 2 or d < 1:
         raise InvalidParams("need n >= 2 configurations and d >= 1 dimensions")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidParams("epsilon must be positive")
     if horizon < 1:
         raise InvalidBudget("horizon must be >= 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, (n, d))
     work = np.empty_like(pts)
@@ -654,7 +663,7 @@ def gen_isolated_optimum(
     2-covers, and for a greedy pick made after probes in both rings, but
     not for greedy selection from no observations.
     """
-    if spacing <= 0 or ring_radius <= 0 or epsilon <= 0:
+    if not (spacing > 0 and ring_radius > 0 and epsilon > 0):
         raise InvalidParams("spacing, ring_radius and epsilon must be positive")
     if epsilon * spacing >= 1:
         raise InvalidParams("epsilon * spacing must stay below 1")

@@ -70,7 +70,7 @@ class SolverParams:
             raise InvalidBudget(f"horizon must be a positive integer, got {self.horizon!r}")
         if self.p < 1:
             raise InvalidParams("p (centers per round) must be >= 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InvalidParams("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise InvalidParams("delta must lie in (0, 1)")
@@ -82,6 +82,8 @@ class SolverParams:
             raise InvalidParams("eta must be >= 2")
         if self.iterations < 1:
             raise InvalidParams("iterations must be >= 1")
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
 
 
 def pred(history: History | Sequence[float], horizon: int) -> float:
@@ -181,7 +183,7 @@ def full_cent(
     _check_pool(params, X, oracle)
     k = _num_centers(params)
     run = Run(oracle, ledger)
-    centers = clustering.k_center(k, [], X)
+    centers = clustering.k_center(k, clustering.Cover(X))
     for c in centers:
         run.extend_to(X[c], params.horizon)
     return run.outcome(centers)
@@ -197,7 +199,7 @@ def e_full_cent(
     _check_pool(params, X, oracle)
     k = _num_centers(params)
     run = Run(oracle, ledger)
-    centers = clustering.e_k_center(k, [], X, params.horizon, params.epsilon, run)
+    centers = clustering.e_k_center(k, clustering.Cover(X), params.horizon, params.epsilon, run)
     return run.outcome(centers)
 
 
@@ -249,11 +251,10 @@ def _adaptive(
         n_new = min(params.p, len(X) - len(cover.centers))
         if n_new > 0 and enhanced:
             new = clustering.e_k_center(
-                n_new, cover.centers, X, t_explore, params.epsilon, run,
-                allow_partial=True, cover=cover,
+                n_new, cover, t_explore, params.epsilon, run, allow_partial=True
             )
         elif n_new > 0:
-            new = clustering.k_center(n_new, cover.centers, X, cover=cover)
+            new = clustering.k_center(n_new, cover)
         else:
             new = []
         active = sorted(set(active).union(new))

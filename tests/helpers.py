@@ -19,7 +19,7 @@ from uvp import (
     config_matrix,
 )
 from uvp.analysis import EpsilonReport
-from uvp.clustering import DEFAULT_ETA_CAP, greedy_radius, k_center
+from uvp.clustering import Cover, greedy_radius, k_center
 from uvp.instances import TabularBenchmark
 
 
@@ -94,9 +94,7 @@ def ref_k_center(k, seeds, X):
     return new
 
 
-def ref_e_k_center(
-    k, seeds, X, t, epsilon, run, *, allow_partial=False, eta_cap=DEFAULT_ETA_CAP
-):
+def ref_e_k_center(k, seeds, X, t, epsilon, run, *, allow_partial=False):
     """Value-aware selection rebuilding the enhanced distance before each pick."""
     points = config_matrix(X)
     n = len(X)
@@ -112,9 +110,7 @@ def ref_e_k_center(
         if not centers:
             pick = int(open_ids[0])  # no distances defined yet: lowest id
         else:
-            metric = EnhancedMetric(
-                epsilon, {c: run.histories[c].last for c in centers}, eta_cap=eta_cap
-            )
+            metric = EnhancedMetric(epsilon, {c: run.histories[c].last for c in centers})
             delta = np.full(n, np.inf)
             for c in centers:
                 dist = np.linalg.norm(points - points[c], axis=1)
@@ -176,7 +172,7 @@ def ref_epsilon_percentiles(report, k, alphas):
             vals.append(max(a, b))
     if not vals:
         raise InvalidParams("no scorable pairs: all embeddings coincide")
-    centers = k_center(min(k, n), [], report.configs)
+    centers = k_center(min(k, n), Cover(report.configs))
     radius = greedy_radius(centers, report.configs)
     scaled = sorted(v * radius for v in vals)
     percentiles = {}

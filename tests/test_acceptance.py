@@ -25,7 +25,7 @@ from uvp.analysis import (
 )
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import entry
-from uvp.clustering import EnhancedMetric, e_k_center, k_center
+from uvp.clustering import Cover, EnhancedMetric, e_k_center, k_center
 from uvp.instances import (
     HardInstanceSpec,
     LandscapeOracle,
@@ -192,8 +192,8 @@ def test_criterion_07_isolated_optimum_selection():
     metric = EnhancedMetric(0.5, {s: run.histories[s].last for s in seeds})
     assert metric.eta(7) == 2.0
     # the plain pick is id 5 on the first ring, 0.966 from id 3
-    [plain_pick] = k_center(1, seeds, configs)
-    [aware_pick] = e_k_center(1, seeds, configs, 1, 0.5, run)
+    [plain_pick] = k_center(1, Cover(configs, seeds))
+    [aware_pick] = e_k_center(1, Cover(configs, seeds), 1, 0.5, run)
     plain = oracle.query(configs[plain_pick], 1)
     aware = run.histories[aware_pick].last
     ok = plain == 0.5 and aware == 1.0 and ledger.spent == 3

@@ -35,7 +35,7 @@ from uvp.analysis import (
     lipschitz_check,
     mean_rank,
 )
-from uvp.clustering import greedy_radius, k_center
+from uvp.clustering import Cover, greedy_radius, k_center
 from uvp.instances import (
     HardInstanceSpec,
     TabularBenchmark,
@@ -145,7 +145,7 @@ def test_epsilon_percentiles_from_estimated_matrix():
     bench = _bench(pts, [[1.0], [0.5], [0.5]])
     report = epsilon_pairwise(bench)
     out = epsilon_percentiles(report, k=1, alphas=(50, 100))
-    radius = greedy_radius(k_center(1, [], bench.configs), bench.configs)
+    radius = greedy_radius(k_center(1, Cover(bench.configs)), bench.configs)
     assert out.r == pytest.approx(radius)
     per_pair = []
     for i, j in itertools.combinations(range(3), 2):

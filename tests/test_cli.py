@@ -80,6 +80,50 @@ def test_solve_rejects_a_knob_the_algorithm_does_not_read(capsys):
     assert "eta must be >= 2" in capsys.readouterr().err
 
 
+_SOLVE_LANDSCAPE = ["solve", "--landscape", "radial-decay", "--n", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_SOLVE_LANDSCAPE, "--algo", "e-full-cent", "--epsilon", "nan"],
+        ["gen", "--hard", "fc", "--epsilon", "nan"],
+        ["gen", "--hard", "fc", "--beta", "nan"],
+    ],
+    ids=["solve-epsilon", "gen-epsilon", "gen-beta"],
+)
+def test_nan_knob_exits_2(tmp_path, capsys, argv):
+    # every range check must fail on NaN, not let it through to the arithmetic
+    out = tmp_path / "out.csv"
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(out)]
+    assert entry(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_SOLVE_LANDSCAPE, "--algo", "random", "--seed", "-1"],
+        [*_SOLVE_LANDSCAPE, "--algo", "random", "--landscape-seed", "-1"],
+        ["solve", "--algo", "random", "--budget", "2", "--seed", "-1"],  # --data added below
+        ["gen", "--hard", "fc", "--seed", "-1"],
+        ["gen", "--landscape", "cosine-ring", "--seed", "-1"],
+    ],
+    ids=["solve-seed", "solve-landscape-seed", "solve-data-seed", "gen-hard", "gen-landscape"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(out)]
+    elif "--landscape" not in argv:
+        argv = [*argv, "--data", _write_toy(tmp_path / "toy.csv", [[0.0], [1.0]], [[0.2], [0.5]])]
+    assert entry(argv) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _BASELINE_ATTRS = {"random": "random_search", "sha": "successive_halving", "hyperband": "hyperband"}
 
 

@@ -36,32 +36,32 @@ from uvp.instances import gen_isolated_optimum
 
 def test_k_center_line_example():
     X = line([0.0, 1.0, 2.0, 9.0])
-    assert k_center(2, [], X) == [0, 3]  # x=0 by the empty-seed rule, then x=9
+    assert k_center(2, Cover(X)) == [0, 3]  # x=0 by the empty-seed rule, then x=9
 
 
 def test_k_center_zero_picks():
-    assert k_center(0, [], line([0.0, 1.0])) == []
+    assert k_center(0, Cover(line([0.0, 1.0]))) == []
 
 
 def test_k_center_respects_seed():
     # seed at x=5: the point at x=0 sits 5 away, both 1 and 9 only 4 away
     X = line([0.0, 1.0, 9.0, 5.0])
-    assert k_center(1, [3], X) == [0]
+    assert k_center(1, Cover(X, [3])) == [0]
 
 
 def test_k_center_insufficient_candidates():
     with pytest.raises(InsufficientCandidates):
-        k_center(3, [0], line([0.0, 1.0]))
+        k_center(3, Cover(line([0.0, 1.0]), [0]))
 
 
 def test_k_center_rejects_bad_seeds():
     X = line([0.0, 1.0, 2.0])
     with pytest.raises(InvalidParams):
-        k_center(1, [5], X)
+        k_center(1, Cover(X, [5]))
     with pytest.raises(InvalidParams):
-        k_center(1, [0, 0], X)
+        k_center(1, Cover(X, [0, 0]))
     with pytest.raises(InvalidParams):
-        k_center(-1, [], X)
+        k_center(-1, Cover(X))
 
 
 def test_greedy_radius_examples():
@@ -105,7 +105,7 @@ def test_enhanced_distance_validation():
     with pytest.raises(InvalidParams):
         EnhancedMetric(-0.5, {0: 0.5})
     with pytest.raises(InvalidParams):
-        EnhancedMetric(0.5, {0: 0.5}, eta_cap=0.5)
+        EnhancedMetric(math.nan, {0: 0.5})
     with pytest.raises(EmptyCenters):
         EnhancedMetric(0.5, {}).v_max
 
@@ -143,8 +143,8 @@ def test_enhanced_metric_distance_non_increasing_in_v_max():
 def test_e_k_center_collapses_on_equal_values():
     X = line([0.0, 1.0, 2.0, 9.0])
     run = Run(const_oracle(0.6, horizon=1), BudgetLedger(10))
-    new = e_k_center(2, [], X, 1, 0.5, run)
-    assert new == k_center(2, [], X)
+    new = e_k_center(2, Cover(X), 1, 0.5, run)
+    assert new == k_center(2, Cover(X))
     assert sorted(run.histories) == sorted(new)
     assert all(len(run.histories[c]) == 1 for c in new)
 
@@ -155,13 +155,13 @@ def test_e_k_center_single_seed_uses_plain_distance():
     X = line([0.0, 1.0, 9.0])
     run = Run(const_oracle(0.5, horizon=1), BudgetLedger(10))
     run.extend_to(X[0], 1)
-    assert e_k_center(1, [0], X, 1, 0.5, run) == [2]
+    assert e_k_center(1, Cover(X, [0]), 1, 0.5, run) == [2]
 
 
 def test_e_k_center_charges_k_times_t():
     X = line([0.0, 1.0, 2.0, 3.0, 4.0])
     run = Run(const_oracle(0.4, horizon=2), BudgetLedger(100))
-    new = e_k_center(3, [], X, 2, 0.5, run)
+    new = e_k_center(3, Cover(X), 2, 0.5, run)
     assert run.ledger.spent == 6
     assert all(len(run.histories[c]) == 2 for c in new)
     assert [s for s, _ in run.trace] == [1, 2, 3, 4, 5, 6]  # a trace point per unit
@@ -170,13 +170,13 @@ def test_e_k_center_charges_k_times_t():
 def test_e_k_center_requires_seed_histories():
     X = line([0.0, 1.0])
     with pytest.raises(InvalidParams):
-        e_k_center(1, [0], X, 1, 0.5, Run(const_oracle(0.5, horizon=1), BudgetLedger(5)))
+        e_k_center(1, Cover(X, [0]), 1, 0.5, Run(const_oracle(0.5, horizon=1), BudgetLedger(5)))
 
 
 def test_e_k_center_partial_fill_stops_quietly():
     X = line([0.0, 1.0, 2.0, 3.0])
     run = Run(const_oracle(0.4, horizon=2), BudgetLedger(3))
-    new = e_k_center(3, [], X, 2, 0.5, run, allow_partial=True)
+    new = e_k_center(3, Cover(X), 2, 0.5, run, allow_partial=True)
     assert run.ledger.spent == 3
     assert len(new) == 2  # third pick never happened
     assert [len(run.histories[c]) for c in new] == [2, 1]  # second probe truncated
@@ -189,8 +189,8 @@ def test_e_k_center_downweights_weak_center():
     # third pick jumps to x=1.85 instead
     X = line([0.0, 10.0, 8.1, 1.85])
     oracle = curve_oracle([[1.0], [0.5], [0.2], [0.2]])
-    assert k_center(3, [], X) == [0, 1, 2]
-    assert e_k_center(3, [], X, 1, 0.5, Run(oracle, BudgetLedger(10))) == [0, 1, 3]
+    assert k_center(3, Cover(X)) == [0, 1, 2]
+    assert e_k_center(3, Cover(X), 1, 0.5, Run(oracle, BudgetLedger(10))) == [0, 1, 3]
 
 
 def test_greedy_radius_validates_every_id_first():
@@ -239,8 +239,8 @@ def test_cover_rejects_bad_center_ids():
 
 def test_cover_built_on_valued_centers():
     X = line([0.0, 1.0, 2.0, 9.0])
-    metric = EnhancedMetric(0.5, {0: 0.25, 3: 1.0})
-    cover = Cover(X, [0, 3], metric)
+    cover = Cover(X, [0, 3])
+    cover.revalue(EnhancedMetric(0.5, {0: 0.25, 3: 1.0}))
     assert cover.nearest.tolist() == Cover(X, [0, 3]).nearest.tolist() == [0.0, 1.0, 2.0, 0.0]
     # center 0 has eta = 4: delta = min(d, 4d - 6) near it, plain d near center 3
     assert cover.delta.tolist() == [-6.0, -2.0, 2.0, 0.0]
@@ -255,24 +255,10 @@ def test_cover_valued_add_needs_revalue():
 def test_k_center_extends_a_shared_cover():
     X = line([0.0, 1.0, 2.0, 5.0, 9.0])
     cover = Cover(X)
-    first = k_center(2, [], X, cover=cover)
-    second = k_center(2, first, X, cover=cover)
-    assert first + second == k_center(4, [], X)
+    first = k_center(2, cover)
+    second = k_center(2, cover)
+    assert first + second == k_center(4, Cover(X))
     assert cover.centers == first + second
-
-
-def test_shared_cover_must_hold_the_seeds():
-    X = line([0.0, 1.0, 2.0])
-    cover = Cover(X)
-    cover.add(1)
-    with pytest.raises(InvalidParams):
-        k_center(1, [], X, cover=cover)
-    with pytest.raises(InvalidParams):
-        k_center(1, [1], line([0.0, 1.0, 2.0, 3.0]), cover=cover)
-    run = Run(const_oracle(0.5, horizon=1), BudgetLedger(5))
-    run.extend_to(X[0], 1)
-    with pytest.raises(InvalidParams):
-        e_k_center(1, [0], X, 1, 0.5, run, cover=cover)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +291,6 @@ def selection_cases(draw):
         "k": draw(st.integers(0, n - len(seeds))),
         "t": draw(st.integers(1, horizon)),
         "epsilon": draw(st.sampled_from([0.1, 0.5, 2.0])),
-        "eta_cap": draw(st.sampled_from([1.0, 3.0, DEFAULT_ETA_CAP])),
         "allow_partial": draw(st.booleans()),
     }
 
@@ -314,8 +299,8 @@ def _copy(histories):
     return {c: History(c, h.values) for c, h in histories.items()}
 
 
-def _value_aware(select, case, cap, seeds, histories, **kw):
-    """(ids, {id: values}, spent, trace) of one selection, or the error it raised.
+def _value_aware(select, case, cap, histories):
+    """(ids, {id: values}, spent, trace) of ``select(run)``, or the error it raised.
 
     The run starts from copies of ``histories``, observed before its ledger
     opened, so only the selection's own probes are charged.
@@ -323,19 +308,26 @@ def _value_aware(select, case, cap, seeds, histories, **kw):
     run = Run(curve_oracle(case["curves"], dimension=1), BudgetLedger(cap))
     run.histories.update(_copy(histories))
     try:
-        new = select(
-            case["k"], seeds, case["X"], case["t"], case["epsilon"], run,
-            allow_partial=case["allow_partial"], eta_cap=case["eta_cap"], **kw,
-        )
+        new = select(run)
     except BudgetExhausted:
         return "exhausted", run.ledger.spent
     return new, {c: h.values for c, h in run.histories.items()}, run.ledger.spent, run.trace
 
 
+def _selectors(case, cover):
+    """The engine extending ``cover`` and the reference seeded with its centers."""
+    k, seeds, X = case["k"], list(cover.centers), case["X"]
+    args, partial = (case["t"], case["epsilon"]), case["allow_partial"]
+    return (
+        lambda run: e_k_center(k, cover, *args, run, allow_partial=partial),
+        lambda run: ref_e_k_center(k, seeds, X, *args, run, allow_partial=partial),
+    )
+
+
 @given(selection_cases())
 @settings(deadline=None, max_examples=150)
 def test_k_center_matches_reference(case):
-    assert k_center(case["k"], case["seeds"], case["X"]) == ref_k_center(
+    assert k_center(case["k"], Cover(case["X"], case["seeds"])) == ref_k_center(
         case["k"], case["seeds"], case["X"]
     )
 
@@ -345,8 +337,11 @@ def test_k_center_matches_reference(case):
 def test_e_k_center_matches_reference(case, data):
     # caps below k*t run the ledger dry mid-probe
     cap = data.draw(st.integers(0, case["k"] * case["t"] + 1))
-    args = (case, cap, case["seeds"], case["histories"])
-    assert _value_aware(e_k_center, *args) == _value_aware(ref_e_k_center, *args)
+    engine, reference = _selectors(case, Cover(case["X"], case["seeds"]))
+    histories = case["histories"]
+    assert _value_aware(engine, case, cap, histories) == _value_aware(
+        reference, case, cap, histories
+    )
 
 
 @given(selection_cases(), st.lists(st.integers(1, 5), min_size=1, max_size=4))
@@ -363,12 +358,13 @@ def test_shared_cover_rounds_match_reference(case, rounds):
     for k in rounds:
         seeds = list(plain.centers)
         k_plain = min(k, len(X) - len(seeds))
-        assert k_center(k_plain, seeds, X, cover=plain) == ref_k_center(k_plain, seeds, X)
+        assert k_center(k_plain, plain) == ref_k_center(k_plain, seeds, X)
 
         seeds = list(valued.centers)
         round_case = {**case, "k": min(k, len(X) - len(seeds)), "allow_partial": True}
-        got = _value_aware(e_k_center, round_case, 10, seeds, histories, cover=valued)
-        assert got == _value_aware(ref_e_k_center, round_case, 10, seeds, histories)
+        engine, reference = _selectors(round_case, valued)
+        got = _value_aware(engine, round_case, 10, histories)
+        assert got == _value_aware(reference, round_case, 10, histories)
         new, merged, _, _ = got
         assert valued.centers == seeds + new
         histories = {c: History(c, v) for c, v in merged.items()}
@@ -436,6 +432,6 @@ def test_isolated_optimum_greedy_selection_from_empty_seeds():
     # in acceptance criterion 7, which picks after probes in both rings
     eps = 0.5
     configs, oracle = gen_isolated_optimum(spacing=1.0, ring_radius=0.5, epsilon=eps)
-    plain = k_center(2, [], configs)
-    enhanced = e_k_center(2, [], configs, 1, eps, Run(oracle, BudgetLedger(10)))
+    plain = k_center(2, Cover(configs))
+    enhanced = e_k_center(2, Cover(configs), 1, eps, Run(oracle, BudgetLedger(10)))
     assert enhanced == plain

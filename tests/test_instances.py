@@ -257,6 +257,26 @@ def test_gen_isolated_optimum_validation():
         gen_isolated_optimum(spacing=1.0, ring_radius=0.5, epsilon=0.9)
 
 
+def test_generators_reject_nan_knobs_and_negative_seeds():
+    # a NaN must fail every range check, and a seed must be valid for numpy's rng
+    nan = math.nan
+    hard = dict(variant="fc", epsilon=0.5, beta=2.0, k=1, n_per_cluster=2, r=1.0, horizon=2)
+    for bad in ({"epsilon": nan}, {"beta": nan}, {"r": nan}, {"seed": -1}):
+        with pytest.raises(InvalidParams):
+            HardInstanceSpec(**{**hard, **bad})
+    for call in (
+        lambda: gen_smooth(n=4, d=2, horizon=2, epsilon=nan, seed=0),
+        lambda: gen_smooth(n=4, d=2, horizon=2, epsilon=0.3, seed=-1),
+        lambda: gen_isolated_optimum(spacing=nan),
+        lambda: gen_isolated_optimum(ring_radius=nan),
+        lambda: gen_isolated_optimum(epsilon=nan),
+        lambda: landscape("radial-decay", seed=-1),
+        lambda: sample_uniform([(0.0, 1.0)], 3, seed=-1),
+    ):
+        with pytest.raises(InvalidParams):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # tabular IO
 

@@ -10,7 +10,7 @@ from helpers import configs_from, curve_oracle, line
 from uvp import BudgetLedger, EnhancedMetric, History, InvalidBudget, Run
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
-from uvp.clustering import e_k_center, k_center
+from uvp.clustering import Cover, e_k_center, k_center
 from uvp.solvers import (
     SolverParams,
     _keeps,
@@ -192,8 +192,8 @@ def test_value_aware_selection_collapses_on_equal_values(instance, k):
         return
     const = np.full_like(curves, 0.5)
     oracle = curve_oracle(const, dimension=2)
-    picked = e_k_center(k, [], X, 1, 0.5, Run(oracle, BudgetLedger(k)), allow_partial=False)
-    assert picked == k_center(k, [], X)
+    picked = e_k_center(k, Cover(X), 1, 0.5, Run(oracle, BudgetLedger(k)), allow_partial=False)
+    assert picked == k_center(k, Cover(X))
 
 
 def _run_all(X, curves, horizon, budget, seed):

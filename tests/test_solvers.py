@@ -133,6 +133,8 @@ def test_solver_params_validation():
         SolverParams(budget=1, horizon=1, p=0)
     with pytest.raises(InvalidParams):
         SolverParams(budget=1, horizon=1, epsilon=0.0)
+    with pytest.raises(InvalidParams, match="epsilon"):
+        SolverParams(budget=1, horizon=1, epsilon=math.nan)
     with pytest.raises(InvalidParams):
         SolverParams(budget=1, horizon=1, delta=1.0)
     with pytest.raises(InvalidParams):
@@ -143,6 +145,8 @@ def test_solver_params_validation():
         SolverParams(budget=1, horizon=1, eta=1)
     with pytest.raises(InvalidParams, match="iterations"):
         SolverParams(budget=1, horizon=1, iterations=0)
+    with pytest.raises(InvalidParams, match="seed"):
+        SolverParams(budget=1, horizon=1, seed=-1)
 
 
 def test_full_cent_requires_budget_for_one_evaluation():
