@@ -16,8 +16,9 @@ import numpy as np
 
 from uvp import UvpError
 from uvp.analysis import mean_rank
-from uvp.cli import ALGORITHMS, Knobs, run_algorithm
+from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.instances import LANDSCAPE_KINDS, LandscapeOracle, landscape, sample_uniform
+from uvp.solvers import SolverParams
 
 
 def parse_args():
@@ -48,10 +49,9 @@ def main():
             # resample the candidate pool per seed; the surface stays fixed
             X = sample_uniform(spec.domain, args.n, seed)
             for alg in ALGORITHMS:
-                knobs = Knobs(epsilon=args.epsilon, seed=seed)
+                params = SolverParams(epsilon=args.epsilon, seed=seed)
                 try:
-                    out = run_algorithm(alg, X, oracle, args.budget,
-                                        args.horizon, knobs)
+                    out = run_algorithm(alg, X, oracle, args.budget, args.horizon, params)
                 except UvpError as exc:
                     if alg not in skipped:
                         print(f"skipping {alg}: {exc}")

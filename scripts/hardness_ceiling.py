@@ -49,7 +49,7 @@ def main():
             seed=args.seed_offset + trial,
         )
         configs, oracle = gen_hard(spec)
-        params = SolverParams(args.budget, args.horizon, seed=trial)
+        params = SolverParams(seed=trial)
         out = random_search(params, configs, oracle, BudgetLedger(args.budget))
         values.append(out.best_value)
 

@@ -12,13 +12,13 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .analysis import check_percentile_args, epsilon_pairwise, epsilon_percentiles, mean_rank
 from .baselines import hyperband, random_search, successive_halving
-from .core import BudgetLedger, InvalidParams, SearchOutcome, UvpError, ValueOracle
+from .core import BudgetLedger, InvalidBudget, InvalidParams, SearchOutcome, UvpError, ValueOracle
 from .instances import (
     LANDSCAPE_KINDS,
     HardInstanceSpec,
@@ -50,18 +50,8 @@ _CLUSTER_SOLVERS = {
 }
 
 
-@dataclass
-class Knobs:
-    """Per-run algorithm settings: every ``SolverParams`` field except budget and horizon."""
-
-    p: int = 25
-    epsilon: float = 0.2
-    delta: float = 0.1
-    theta: float = 0.3
-    predictor: str = "two-point"
-    eta: int = 3
-    iterations: int = 6
-    seed: int = 0
+# The old name of the per-run settings, kept because perfbench/worker.py imports it.
+Knobs = SolverParams
 
 
 def run_algorithm(
@@ -70,13 +60,15 @@ def run_algorithm(
     oracle: ValueOracle,
     budget: int,
     horizon: int,
-    knobs: Knobs,
+    knobs: SolverParams,
 ) -> SearchOutcome:
-    """Run one algorithm against a fresh ledger and return its outcome.
+    """Run one algorithm against a fresh ledger of ``budget`` units and return its outcome.
 
-    Every algorithm is looked up by its module-level name when called, so a
-    wrapper put in its place (in ``_CLUSTER_SOLVERS`` or as this module's
-    ``random_search``, ``successive_halving`` or ``hyperband``) is the one run.
+    ``horizon`` must equal ``oracle.horizon``; any other value raises before
+    any spend. Every algorithm is looked up by its module-level name when
+    called, so a wrapper put in its place (in ``_CLUSTER_SOLVERS`` or as this
+    module's ``random_search``, ``successive_halving`` or ``hyperband``) is
+    the one run.
     """
     ledger = BudgetLedger(budget)
     algorithms = {
@@ -87,8 +79,9 @@ def run_algorithm(
     }
     if name not in algorithms:
         raise InvalidParams(f"unknown algorithm {name!r}")
-    params = SolverParams(budget=budget, horizon=horizon, **asdict(knobs))
-    return algorithms[name](params, X, oracle, ledger)
+    if horizon != oracle.horizon:
+        raise InvalidBudget(f"horizon {horizon} is not the oracle's {oracle.horizon}")
+    return algorithms[name](knobs, X, oracle, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +99,8 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _knobs_from(args: argparse.Namespace) -> Knobs:
-    return Knobs(**{f.name: getattr(args, f.name) for f in fields(Knobs)})
+def _knobs_from(args: argparse.Namespace) -> SolverParams:
+    return SolverParams(**{f.name: getattr(args, f.name) for f in fields(SolverParams)})
 
 
 def _add_knob_args(sub: argparse.ArgumentParser) -> None:
@@ -132,16 +125,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise InvalidParams("give exactly one of --data or --landscape")
     if args.data is not None:
         bench = load_tabular(args.data)
-        X, oracle, horizon = bench.configs, bench.oracle(), bench.horizon
+        X, oracle = bench.configs, bench.oracle()
     else:
         if args.horizon < 1:
             raise InvalidParams("horizon must be >= 1")
         spec = landscape(args.landscape, args.landscape_seed)
         X = sample_uniform(spec.domain, args.n, args.seed)
         oracle = LandscapeOracle(spec, args.horizon)
-        horizon = args.horizon
-    budget = args.budget if args.budget is not None else 20 * horizon
-    out = run_algorithm(args.algo, X, oracle, budget, horizon, _knobs_from(args))
+    budget = args.budget if args.budget is not None else 20 * oracle.horizon
+    out = run_algorithm(args.algo, X, oracle, budget, oracle.horizon, _knobs_from(args))
     spent = out.trace[-1][0] if out.trace else 0
     print(f"best_id={out.best} best_value={_fmt(out.best_value)} spent={spent}")
     if args.out:
@@ -165,25 +157,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _bench_cell(payload):
     """Worker: run one (dataset, seed, algorithm) cell, catching per-cell errors."""
-    name, X, oracle, horizon, cap, seed, alg, knobs = payload
+    name, X, oracle, cap, seed, alg, knobs = payload
     try:
-        out = run_algorithm(alg, X, oracle, cap, horizon, replace(knobs, seed=seed))
+        out = run_algorithm(alg, X, oracle, cap, oracle.horizon, replace(knobs, seed=seed))
     except UvpError as exc:
         return (name, seed, alg), None, None, str(exc)
     return (name, seed, alg), out.trace, out.best_value, None
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # (name, candidates, oracle, horizon); landscapes are read lazily, as in solve
+    # (name, candidates, oracle); landscapes are read lazily, as in solve
     datasets = []
     for path in args.data or []:
         name = os.path.splitext(os.path.basename(path))[0]
         bench = load_tabular(path)
-        datasets.append((name, bench.configs, bench.oracle(), bench.horizon))
+        datasets.append((name, bench.configs, bench.oracle()))
     for kind in args.landscape or []:
         spec = landscape(kind, args.landscape_seed)
         X = sample_uniform(spec.domain, args.n, args.seed)
-        datasets.append((kind, X, LandscapeOracle(spec, args.horizon), args.horizon))
+        datasets.append((kind, X, LandscapeOracle(spec, args.horizon)))
     if not datasets:
         raise InvalidParams("bench needs at least one --data file or --landscape kind")
     names = [d[0] for d in datasets]
@@ -205,15 +197,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
 
     caps = {}
-    for name, _, _, horizon in datasets:
-        cap = args.budget if args.budget is not None else 20 * horizon
-        if cap < horizon:
+    for name, _, oracle in datasets:
+        cap = args.budget if args.budget is not None else 20 * oracle.horizon
+        if cap < oracle.horizon:
             raise InvalidParams(f"budget {cap} is below one full evaluation of {name}")
         caps[name] = cap
 
     tasks = [
-        (name, X, oracle, horizon, caps[name], seed, alg, knobs)
-        for name, X, oracle, horizon in datasets
+        (name, X, oracle, caps[name], seed, alg, knobs)
+        for name, X, oracle in datasets
         for seed in seeds
         for alg in algorithms
     ]

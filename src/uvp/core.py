@@ -235,11 +235,16 @@ class Run:
         self._incumbent = -math.inf
 
     def step(self, config: Configuration) -> None:
-        """Charge one unit and evaluate ``config`` at its next budget index."""
-        h = self.histories.setdefault(config.id, History(config.id))
-        b = len(h) + 1
+        """Charge one unit and evaluate ``config`` at its next budget index.
+
+        The only place a history is created, and only once it holds a value.
+        """
+        h = self.histories.get(config.id)
+        if h is None:
+            h = History(config.id)
         self.ledger.charge(1)
-        h.append(self.oracle.query(config, b))
+        h.append(self.oracle.query(config, len(h) + 1))
+        self.histories[config.id] = h
         self._incumbent = max(self._incumbent, h.last)
         self.trace.append((self.ledger.spent, self._incumbent))
 
@@ -252,21 +257,20 @@ class Run:
         """
         if t < 1 or t > self.oracle.horizon:
             raise InvalidBudget(f"target budget {t} outside 1..{self.oracle.horizon}")
-        h = self.histories.setdefault(config.id, History(config.id))
-        if not allow_partial and t - len(h) > self.ledger.remaining:
-            raise BudgetExhausted(f"need {t - len(h)} units, only {self.ledger.remaining} remain")
-        while len(h) < t:
+        missing = t - len(self.histories.get(config.id, ()))
+        if not allow_partial and missing > self.ledger.remaining:
+            raise BudgetExhausted(f"need {missing} units, only {self.ledger.remaining} remain")
+        for _ in range(missing):
             if self.ledger.remaining == 0:
                 return False
             self.step(config)
         return True
 
-    def outcome(self, candidates: Sequence[int]) -> SearchOutcome:
+    def outcome(self) -> SearchOutcome:
         """Best evaluated candidate (ties to the lowest id) plus the trace."""
-        scored = [c for c in candidates if len(self.histories.get(c, ())) > 0]
-        if not scored:
+        if not self.histories:
             raise EmptyHistory("no candidate was ever evaluated")
-        best = min(scored, key=lambda c: (-self.histories[c].last, c))
+        best = min(self.histories, key=lambda c: (-self.histories[c].last, c))
         return SearchOutcome(
             best=best,
             best_value=self.histories[best].last,

@@ -26,7 +26,6 @@ from .core import (
     BudgetLedger,
     Configuration,
     EmptyHistory,
-    History,
     InsufficientCandidates,
     InvalidBudget,
     InvalidParams,
@@ -45,15 +44,15 @@ PREDICTORS = ("two-point", "tail-fit")
 TIE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolverParams:
-    """Knobs shared by every algorithm. ``budget`` is total units, ``horizon`` is T.
+    """Knobs shared by every algorithm.
 
+    The budget B and the horizon T are not knobs: an algorithm spends what
+    its ledger has left at entry and trains up to ``oracle.horizon``.
     ``eta``, ``iterations`` and ``seed`` are read by the baselines only.
     """
 
-    budget: int
-    horizon: int
     p: int = 25
     epsilon: float = 0.2
     delta: float = 0.1
@@ -64,10 +63,6 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.budget, (int, np.integer)) or self.budget < 1:
-            raise InvalidBudget(f"budget must be a positive integer, got {self.budget!r}")
-        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
-            raise InvalidBudget(f"horizon must be a positive integer, got {self.horizon!r}")
         if self.p < 1:
             raise InvalidParams("p (centers per round) must be >= 1")
         if not self.epsilon > 0:
@@ -86,14 +81,13 @@ class SolverParams:
             raise InvalidParams(f"seed must be non-negative, got {self.seed}")
 
 
-def pred(history: History | Sequence[float], horizon: int) -> float:
+def pred(values: Sequence[float], horizon: int) -> float:
     """Optimistic two-point forecast of the value at the horizon.
 
     A single observation predicts +inf (nothing rules anything out yet);
     otherwise the last increment is extended linearly to the horizon. For
     curves with non-increasing increments this never undershoots the truth.
     """
-    values = history.values if isinstance(history, History) else list(history)
     if len(values) == 0:
         raise EmptyHistory("cannot forecast from an empty history")
     if len(values) == 1:
@@ -102,7 +96,7 @@ def pred(history: History | Sequence[float], horizon: int) -> float:
     return values[-1] + (values[-1] - values[-2]) * (horizon - t)
 
 
-def tail_fit_pred(history: History | Sequence[float], horizon: int, theta: float = 0.3) -> float:
+def tail_fit_pred(values: Sequence[float], horizon: int, theta: float = 0.3) -> float:
     """Least-squares forecast from the final ``theta`` fraction of the history.
 
     Fits a line through the last max(2, ceil(theta*t)) observations and
@@ -111,7 +105,6 @@ def tail_fit_pred(history: History | Sequence[float], horizon: int, theta: float
     """
     if not 0 < theta <= 1:
         raise InvalidParams("theta must lie in (0, 1]")
-    values = history.values if isinstance(history, History) else list(history)
     if len(values) == 0:
         raise EmptyHistory("cannot forecast from an empty history")
     if len(values) == 1:
@@ -126,8 +119,8 @@ def tail_fit_pred(history: History | Sequence[float], horizon: int, theta: float
     return min(float(slope * horizon + intercept), 1.0)
 
 
-def _keeps(history: History, params: SolverParams, best_last: float) -> bool:
-    """Whether the forecast of ``history`` reaches ``best_last``, the pruning test.
+def _keeps(values: Sequence[float], params: SolverParams, horizon: int, best_last: float) -> bool:
+    """Whether the forecast of ``values`` at ``horizon`` reaches ``best_last``, the pruning test.
 
     Decides exactly as ``forecast >= best_last`` with the predictor of
     ``params``. Tail-fit fits the centred least-squares line over the same
@@ -140,8 +133,7 @@ def _keeps(history: History, params: SolverParams, best_last: float) -> bool:
     line within ``TIE_TOL`` of ``best_last``.
     """
     if params.predictor != "tail-fit":
-        return pred(history, params.horizon) >= best_last
-    values = history.values
+        return pred(values, horizon) >= best_last
     t = len(values)
     if t == 1:
         return True  # tail_fit_pred forecasts +inf
@@ -152,25 +144,26 @@ def _keeps(history: History, params: SolverParams, best_last: float) -> bool:
     for i, y in enumerate(tail):
         sxy += (i - c) * y
     slope = sxy / (m * (m * m - 1) / 12)
-    line = sum(tail) / m + slope * (params.horizon - (t - c))
+    line = sum(tail) / m + slope * (horizon - (t - c))
     if abs(slope) <= TIE_TOL or abs(line - best_last) <= TIE_TOL:
-        return tail_fit_pred(history, params.horizon, params.theta) >= best_last
+        return tail_fit_pred(values, horizon, params.theta) >= best_last
     return (values[-1] if slope < 0 else line) >= best_last
 
 
-def _check_pool(params: SolverParams, X: Sequence[Configuration], oracle: ValueOracle) -> None:
+def _check_pool(X: Sequence[Configuration], ledger: BudgetLedger) -> None:
+    if ledger.remaining < 1:
+        raise InvalidBudget(f"budget must be positive, {ledger.remaining} units remain")
     if len(X) == 0:
         raise InsufficientCandidates("candidate set is empty")
-    if params.horizon > oracle.horizon:
-        raise InvalidBudget(f"horizon {params.horizon} exceeds the oracle's {oracle.horizon}")
 
 
-def _num_centers(params: SolverParams) -> int:
-    if params.budget < params.horizon:
+def _num_centers(ledger: BudgetLedger, oracle: ValueOracle) -> int:
+    """floor(B/T) for the budget B left in ``ledger`` and the oracle's horizon T."""
+    if ledger.remaining < oracle.horizon:
         raise InvalidBudget(
-            f"budget {params.budget} cannot cover one full evaluation of {params.horizon}"
+            f"budget {ledger.remaining} cannot cover one full evaluation of {oracle.horizon}"
         )
-    return params.budget // params.horizon
+    return ledger.remaining // oracle.horizon
 
 
 def full_cent(
@@ -180,13 +173,12 @@ def full_cent(
     ledger: BudgetLedger,
 ) -> SearchOutcome:
     """Select floor(B/T) centers farthest-first, train each fully, keep the best."""
-    _check_pool(params, X, oracle)
-    k = _num_centers(params)
+    _check_pool(X, ledger)
+    k = _num_centers(ledger, oracle)
     run = Run(oracle, ledger)
-    centers = clustering.k_center(k, clustering.Cover(X))
-    for c in centers:
-        run.extend_to(X[c], params.horizon)
-    return run.outcome(centers)
+    for c in clustering.k_center(k, clustering.Cover(X)):
+        run.extend_to(X[c], oracle.horizon)
+    return run.outcome()
 
 
 def e_full_cent(
@@ -196,11 +188,11 @@ def e_full_cent(
     ledger: BudgetLedger,
 ) -> SearchOutcome:
     """Value-aware full training: selection and full evaluations interleave."""
-    _check_pool(params, X, oracle)
-    k = _num_centers(params)
+    _check_pool(X, ledger)
+    k = _num_centers(ledger, oracle)
     run = Run(oracle, ledger)
-    centers = clustering.e_k_center(k, clustering.Cover(X), params.horizon, params.epsilon, run)
-    return run.outcome(centers)
+    clustering.e_k_center(k, clustering.Cover(X), oracle.horizon, params.epsilon, run)
+    return run.outcome()
 
 
 def ada_cent(
@@ -231,8 +223,8 @@ def _adaptive(
     *,
     enhanced: bool,
 ) -> SearchOutcome:
-    _check_pool(params, X, oracle)
-    horizon = params.horizon
+    _check_pool(X, ledger)
+    horizon = oracle.horizon
     if enhanced:
         t_explore = int(params.delta * horizon)
         if t_explore < 1:
@@ -272,7 +264,9 @@ def _adaptive(
             if stopped or not active:
                 break
             best_last = max(run.histories[x].last for x in active)
-            active = [x for x in active if _keeps(run.histories[x], params, best_last)]
+            active = [
+                x for x in active if _keeps(run.histories[x].values, params, horizon, best_last)
+            ]
         if stopped or not new:
             break  # budget gone, or candidate pool exhausted after a last extension
-    return run.outcome(cover.centers)
+    return run.outcome()

@@ -72,7 +72,7 @@ def _check_ratio(num, name, solver, limit_s, tie_p_to_k=False, **extra):
         budget = k * horizon
         if tie_p_to_k:
             extra["p"] = k  # one selection round of k centers fits the budget
-        params = SolverParams(budget=budget, horizon=horizon, epsilon=eps_hat, **extra)
+        params = SolverParams(epsilon=eps_hat, **extra)
         out = solver(params, configs, oracle, BudgetLedger(budget))
         worst = min(worst, out.best_value - bound)
     elapsed = time.perf_counter() - start
@@ -152,11 +152,9 @@ def test_criterion_06_budget_conservation():
         if alg in ("fc", "efc", "ac", "eac"):
             p = int(rng.integers(1, 4))
             delta = float(rng.uniform(1.0 / horizon, 0.95)) if alg == "eac" else 0.5
-            params = SolverParams(budget=budget, horizon=horizon, p=p,
-                                  epsilon=eps, delta=delta)
+            params = SolverParams(p=p, epsilon=eps, delta=delta)
         else:
-            params = SolverParams(budget=budget, horizon=horizon,
-                                  eta=2, iterations=2, seed=trial)
+            params = SolverParams(eta=2, iterations=2, seed=trial)
         fn = {"fc": full_cent, "efc": e_full_cent, "ac": ada_cent, "eac": e_ada_cent,
               "random": random_search, "sha": successive_halving, "hyperband": hyperband}[alg]
         out = fn(params, configs, oracle, ledger)
@@ -212,7 +210,7 @@ def test_criterion_08_landscape_comparison():
         spec = landscape(kind)  # surfaces are fixed for these kinds
         X = sample_uniform(spec.domain, 10000, seed=0)  # documented seed 0
         oracle = LandscapeOracle(spec, horizon=1)
-        params = SolverParams(budget=10, horizon=1, epsilon=0.2)
+        params = SolverParams(epsilon=0.2)
         fc = full_cent(params, X, oracle, BudgetLedger(10)).best_value
         efc = e_full_cent(params, X, oracle, BudgetLedger(10)).best_value
         rows.append(f"{kind} {efc:.4f}>={fc:.4f}")
@@ -234,7 +232,7 @@ def test_criterion_09_random_search_ceiling():
                                 n_per_cluster=n, r=1.0, horizon=3,
                                 seed=100000 + trial)
         configs, oracle = gen_hard(spec)
-        out = random_search(SolverParams(6, 3, seed=trial), configs, oracle, BudgetLedger(6))
+        out = random_search(SolverParams(seed=trial), configs, oracle, BudgetLedger(6))
         values.append(out.best_value)
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(len(values)))

@@ -15,13 +15,14 @@ from uvp import (
     successive_halving,
 )
 from uvp.analysis import brute_force_opt
+from uvp.instances import gen_smooth
 
 
 def test_random_search_full_coverage_is_exhaustive():
     X = line([0.0, 1.0, 2.0, 3.0])
     curves = [[0.2, 0.4], [0.1, 0.9], [0.3, 0.5], [0.2, 0.6]]
     oracle = curve_oracle(curves)
-    out = random_search(SolverParams(8, 2, seed=0), X, oracle, BudgetLedger(8))
+    out = random_search(SolverParams(seed=0), X, oracle, BudgetLedger(8))
     best_id, best_val = brute_force_opt(X, oracle)
     assert out.best == best_id
     assert out.best_value == best_val
@@ -31,8 +32,8 @@ def test_random_search_deterministic_under_seed():
     X = line([float(i) for i in range(20)])
     curves = np.sort(np.random.default_rng(3).uniform(size=(20, 2)), axis=1)
     oracle = curve_oracle(curves)
-    a = random_search(SolverParams(6, 2, seed=42), X, oracle, BudgetLedger(6))
-    b = random_search(SolverParams(6, 2, seed=42), X, oracle, BudgetLedger(6))
+    a = random_search(SolverParams(seed=42), X, oracle, BudgetLedger(6))
+    b = random_search(SolverParams(seed=42), X, oracle, BudgetLedger(6))
     assert a.best == b.best
     assert a.trace == b.trace
     assert sorted(a.histories) == sorted(b.histories)
@@ -42,7 +43,7 @@ def test_random_search_single_draw():
     X = line([0.0, 1.0, 2.0])
     oracle = curve_oracle([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     ledger = BudgetLedger(2)
-    out = random_search(SolverParams(2, 2, seed=5), X, oracle, ledger)
+    out = random_search(SolverParams(seed=5), X, oracle, ledger)
     assert ledger.spent == 2
     assert len(out.histories) == 1
 
@@ -51,13 +52,13 @@ def test_random_search_needs_enough_candidates():
     X = line([0.0, 1.0])
     oracle = curve_oracle([[0.1], [0.2]])
     with pytest.raises(InsufficientCandidates):
-        random_search(SolverParams(3, 1, seed=0), X, oracle, BudgetLedger(3))
+        random_search(SolverParams(seed=0), X, oracle, BudgetLedger(3))
 
 
 def test_random_search_requires_full_evaluation_budget():
     X = line([0.0])
     with pytest.raises(InvalidBudget):
-        random_search(SolverParams(1, 2, seed=0), X, curve_oracle([[0.1, 0.2]]), BudgetLedger(1))
+        random_search(SolverParams(seed=0), X, curve_oracle([[0.1, 0.2]]), BudgetLedger(1))
 
 
 def test_successive_halving_hand_schedule():
@@ -65,7 +66,7 @@ def test_successive_halving_hand_schedule():
     X = line([0.0, 1.0, 2.0, 3.0])
     curves = [[v] * 4 for v in (0.1, 0.2, 0.3, 0.4)]
     ledger = BudgetLedger(8)
-    out = successive_halving(SolverParams(8, 4, eta=2, seed=0), X, curve_oracle(curves), ledger)
+    out = successive_halving(SolverParams(eta=2, seed=0), X, curve_oracle(curves), ledger)
     assert out.best == 3
     assert out.best_value == 0.4
     assert ledger.spent == 8
@@ -77,7 +78,7 @@ def test_successive_halving_hand_schedule():
 def test_successive_halving_single_arm():
     X = line([0.0])
     out = successive_halving(
-        SolverParams(3, 3, eta=2, seed=9), X, curve_oracle([[0.1, 0.2, 0.3]]), BudgetLedger(3)
+        SolverParams(eta=2, seed=9), X, curve_oracle([[0.1, 0.2, 0.3]]), BudgetLedger(3)
     )
     assert out.best == 0
     assert len(out.histories[0]) == 3
@@ -87,7 +88,7 @@ def test_successive_halving_all_equal_takes_lowest_id():
     X = line([0.0, 1.0, 2.0, 3.0])
     curves = [[0.5] * 2] * 4
     out = successive_halving(
-        SolverParams(8, 2, eta=2, seed=1), X, curve_oracle(curves), BudgetLedger(8)
+        SolverParams(eta=2, seed=1), X, curve_oracle(curves), BudgetLedger(8)
     )
     assert out.best == min(out.histories)
 
@@ -96,9 +97,9 @@ def test_successive_halving_validation():
     X = line([0.0, 1.0])
     oracle = curve_oracle([[0.1], [0.2]])
     with pytest.raises(InvalidParams):
-        successive_halving(SolverParams(2, 1, eta=1, seed=0), X, oracle, BudgetLedger(2))
+        successive_halving(SolverParams(eta=1, seed=0), X, oracle, BudgetLedger(2))
     with pytest.raises(InvalidBudget):
-        successive_halving(SolverParams(0, 1, eta=2, seed=0), X, oracle, BudgetLedger(0))
+        successive_halving(SolverParams(eta=2, seed=0), X, oracle, BudgetLedger(0))
 
 
 def test_hyperband_one_iteration_equals_one_bracket():
@@ -106,8 +107,8 @@ def test_hyperband_one_iteration_equals_one_bracket():
     rng = np.random.default_rng(2)
     curves = np.sort(rng.uniform(size=(9, 3)), axis=1)
     oracle = curve_oracle(curves)
-    hb = hyperband(SolverParams(27, 3, eta=3, iterations=1, seed=7), X, oracle, BudgetLedger(27))
-    sha = successive_halving(SolverParams(27, 3, eta=3, seed=7), X, oracle, BudgetLedger(27))
+    hb = hyperband(SolverParams(eta=3, iterations=1, seed=7), X, oracle, BudgetLedger(27))
+    sha = successive_halving(SolverParams(eta=3, seed=7), X, oracle, BudgetLedger(27))
     assert hb.best == sha.best
     assert hb.best_value == sha.best_value
 
@@ -118,7 +119,7 @@ def test_hyperband_cap_truncates_mid_bracket():
     curves = np.sort(rng.uniform(size=(10, 4)), axis=1)
     ledger = BudgetLedger(7)  # far below a full bracket schedule
     out = hyperband(
-        SolverParams(7, 4, eta=2, iterations=3, seed=1), X, curve_oracle(curves), ledger
+        SolverParams(eta=2, iterations=3, seed=1), X, curve_oracle(curves), ledger
     )
     assert ledger.spent <= 7
     assert out.best in out.histories
@@ -130,10 +131,21 @@ def test_hyperband_constant_arms_returns_max_probed():
     values = [0.3, 0.8, 0.1, 0.6, 0.2, 0.9, 0.5, 0.4]
     curves = [[v] * 2 for v in values]
     out = hyperband(
-        SolverParams(32, 2, eta=2, iterations=2, seed=3), X, curve_oracle(curves), BudgetLedger(32)
+        SolverParams(eta=2, iterations=2, seed=3), X, curve_oracle(curves), BudgetLedger(32)
     )
     probed_max = max(values[i] for i in out.histories)
     assert out.best_value == probed_max
+
+
+def test_hyperband_lists_only_evaluated_arms():
+    # the cap runs out while a bracket still has an arm to extend; that arm
+    # was never charged, so the outcome must not list it
+    X, oracle = gen_smooth(300, 3, 20, 0.3, 0)
+    ledger = BudgetLedger(69)
+    out = hyperband(SolverParams(seed=0), X, oracle, ledger)
+    assert all(len(h) > 0 for h in out.histories.values())
+    assert len(out.histories) == 30
+    assert sum(len(h) for h in out.histories.values()) == ledger.spent == 69
 
 
 @pytest.mark.parametrize("budget", [3, 6, 10, 17])
@@ -143,9 +155,9 @@ def test_baselines_never_overspend(budget):
     curves = np.sort(rng.uniform(size=(12, 3)), axis=1)
     oracle = curve_oracle(curves)
     for runner in (
-        lambda led: random_search(SolverParams(budget, 3, seed=0), X, oracle, led),
-        lambda led: successive_halving(SolverParams(budget, 3, eta=2, seed=0), X, oracle, led),
-        lambda led: hyperband(SolverParams(budget, 3, eta=2, iterations=2, seed=0), X, oracle, led),
+        lambda led: random_search(SolverParams(seed=0), X, oracle, led),
+        lambda led: successive_halving(SolverParams(eta=2, seed=0), X, oracle, led),
+        lambda led: hyperband(SolverParams(eta=2, iterations=2, seed=0), X, oracle, led),
     ):
         ledger = BudgetLedger(budget)
         out = runner(ledger)

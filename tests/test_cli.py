@@ -2,15 +2,13 @@
 
 import csv
 import os
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
 from helpers import configs_from, const_oracle, line
 from uvp import cli
-from uvp.cli import ALGORITHMS, Knobs, entry, run_algorithm
-from uvp.core import BudgetLedger
+from uvp.cli import ALGORITHMS, entry, run_algorithm
+from uvp.core import BudgetLedger, InvalidBudget
 from uvp.instances import HardInstanceSpec, gen_hard, load_tabular, save_tabular
 from uvp.solvers import SolverParams
 
@@ -145,7 +143,7 @@ def test_run_algorithm_calls_the_function_bound_at_call_time(monkeypatch, name):
     for key, attr in _BASELINE_ATTRS.items():
         monkeypatch.setattr(cli, attr, stand_in(key))
     X, oracle = line([0.0, 1.0, 2.0]), const_oracle(0.5)
-    knobs = Knobs(
+    knobs = SolverParams(
         p=3, epsilon=0.5, delta=0.25, theta=0.5, predictor="tail-fit", eta=4, iterations=2, seed=9
     )
     assert run_algorithm(name, X, oracle, 12, 3, knobs) == name
@@ -153,13 +151,31 @@ def test_run_algorithm_calls_the_function_bound_at_call_time(monkeypatch, name):
     assert not kwargs
     params, got_X, got_oracle, ledger = args
     assert type(params) is SolverParams
-    assert asdict(params) == {"budget": 12, "horizon": 3, **asdict(knobs)}
+    assert params is knobs
     assert got_X is X and got_oracle is oracle
     assert type(ledger) is BudgetLedger and (ledger.cap, ledger.spent) == (12, 0)
 
 
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_run_algorithm_rejects_a_horizon_other_than_the_oracles(monkeypatch, name):
+    ledgers = []
+
+    def recorded_ledger(cap):
+        ledgers.append(BudgetLedger(cap))
+        return ledgers[-1]
+
+    monkeypatch.setattr(cli, "BudgetLedger", recorded_ledger)
+    X, oracle = line([0.0, 1.0, 2.0, 3.0]), const_oracle(0.5, horizon=4)
+    knobs = SolverParams(p=2, epsilon=0.5, delta=0.5, eta=2, iterations=2)
+    with pytest.raises(InvalidBudget, match="horizon 2"):
+        run_algorithm(name, X, oracle, 8, 2, knobs)
+    assert [ledger.spent for ledger in ledgers] == [0]
+
+
 def test_knobs_are_solver_params_without_budget_and_horizon():
-    assert {"budget": 1, "horizon": 1, **asdict(Knobs())} == asdict(SolverParams(1, 1))
+    # the budget is the ledger's and the horizon the oracle's, so the per-run
+    # settings are SolverParams itself; the old name is an alias
+    assert cli.Knobs is SolverParams
 
 
 def test_solve_requires_exactly_one_source(tmp_path):
@@ -253,6 +269,17 @@ def test_bench_empty_algorithm_list_exits_2(tmp_path):
 def test_bench_unknown_algorithm_exits_2(tmp_path):
     data = _bench_dataset(tmp_path)
     assert entry(["bench", "--data", data, "--algos", "random,zen"]) == 2
+
+
+def test_bench_bad_knob_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
+    data = _bench_dataset(tmp_path)
+    cells = []
+    monkeypatch.setattr(cli, "_bench_cell", lambda payload: cells.append(payload))
+    out = tmp_path / "bench"
+    assert entry(["bench", "--data", data, "--eta", "1", "--seeds", "2", "--out", str(out)]) == 2
+    assert "eta must be >= 2" in capsys.readouterr().err
+    assert cells == []
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

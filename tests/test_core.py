@@ -60,6 +60,22 @@ def test_learn_partial_fill_truncates():
     assert run.ledger.spent == 2
 
 
+def test_extend_without_a_charge_leaves_no_history():
+    # a partial fill on an empty ledger, a fill that does not fit and a step
+    # past the cap charge nothing, so none may leave an empty history behind
+    cfg = Configuration((0.0,), 0)
+    run = Run(const_oracle(0.5), BudgetLedger(0))
+    assert run.extend_to(cfg, 2, allow_partial=True) is False
+    assert run.histories == {}
+    with pytest.raises(BudgetExhausted):
+        run.step(cfg)
+    assert run.histories == {}
+    run = Run(const_oracle(0.5), BudgetLedger(1))
+    with pytest.raises(BudgetExhausted):
+        run.extend_to(cfg, 2)
+    assert run.histories == {}
+
+
 def test_learn_rejects_bad_target():
     oracle = const_oracle(0.5, horizon=3)
     for t in (0, 4):
@@ -143,7 +159,7 @@ def test_run_outcome_breaks_ties_to_lowest_id():
     run = Run(oracle, BudgetLedger(3))
     for cfg in X:
         run.step(cfg)
-    out = run.outcome([0, 1, 2])
+    out = run.outcome()
     assert out.best == 1
     assert out.best_value == 0.9
 
@@ -151,7 +167,7 @@ def test_run_outcome_breaks_ties_to_lowest_id():
 def test_run_outcome_requires_an_evaluation():
     run = Run(const_oracle(0.5), BudgetLedger(3))
     with pytest.raises(EmptyHistory):
-        run.outcome([0])
+        run.outcome()
 
 
 def test_run_trace_shape():
@@ -162,7 +178,7 @@ def test_run_trace_shape():
     run.step(X[1])
     run.step(X[0])
     run.step(X[1])
-    out = run.outcome([0, 1])
+    out = run.outcome()
     spends = [s for s, _ in out.trace]
     incumbents = [v for _, v in out.trace]
     assert spends == [1, 2, 3, 4]

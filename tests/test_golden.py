@@ -17,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from uvp.cli import ALGORITHMS, Knobs, run_algorithm
+from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.core import UvpError
 from uvp.instances import (
     HardInstanceSpec,
@@ -28,6 +28,7 @@ from uvp.instances import (
     landscape,
     sample_uniform,
 )
+from uvp.solvers import SolverParams
 from uvp.solvers import PREDICTORS
 
 GOLDEN = Path(__file__).with_name("golden_outcomes.json")
@@ -79,7 +80,7 @@ def case_names() -> list[str]:
 
 
 def _digest(algo, predictor, seed, X, oracle, budget) -> str:
-    knobs = Knobs(p=5, predictor=predictor, seed=seed)
+    knobs = SolverParams(p=5, predictor=predictor, seed=seed)
     try:
         out = run_algorithm(algo, X, oracle, budget, oracle.horizon, knobs)
     except UvpError as exc:

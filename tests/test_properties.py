@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import configs_from, curve_oracle, line
-from uvp import BudgetLedger, EnhancedMetric, History, InvalidBudget, Run
+from uvp import BudgetLedger, EnhancedMetric, InvalidBudget, Run, cli
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
+from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.clustering import Cover, e_k_center, k_center
 from uvp.solvers import (
     SolverParams,
@@ -140,9 +141,9 @@ def pruning_cases(draw):
 @settings(deadline=None, max_examples=400)
 def test_tail_fit_prune_decision_equals_polyfit(case):
     values, horizon, theta, best_last = case
-    params = SolverParams(budget=horizon, horizon=horizon, theta=theta, predictor="tail-fit")
+    params = SolverParams(theta=theta, predictor="tail-fit")
     expected = tail_fit_pred(values, horizon, theta) >= best_last
-    assert _keeps(History(0, values), params, best_last) == expected
+    assert _keeps(values, params, horizon, best_last) == expected
 
 
 @given(
@@ -158,9 +159,9 @@ def test_tail_fit_prune_decision_on_symmetric_windows(half, odd, ahead):
     values = half + half[::-1][int(odd):]
     horizon = len(values) + ahead
     best_last = (values[-1] + sum(values) / len(values)) / 2
-    params = SolverParams(budget=horizon, horizon=horizon, theta=1.0, predictor="tail-fit")
+    params = SolverParams(theta=1.0, predictor="tail-fit")
     expected = tail_fit_pred(values, horizon, 1.0) >= best_last
-    assert _keeps(History(0, values), params, best_last) == expected
+    assert _keeps(values, params, horizon, best_last) == expected
 
 
 @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
@@ -198,9 +199,7 @@ def test_value_aware_selection_collapses_on_equal_values(instance, k):
 
 def _run_all(X, curves, horizon, budget, seed):
     outs = {}
-    params = SolverParams(
-        budget=budget, horizon=horizon, p=2, epsilon=0.5, delta=0.5, eta=2, iterations=2, seed=seed
-    )
+    params = SolverParams(p=2, epsilon=0.5, delta=0.5, eta=2, iterations=2, seed=seed)
     algorithms = {
         "fc": full_cent, "efc": e_full_cent, "ac": ada_cent, "eac": e_ada_cent,
         "rs": random_search, "sha": successive_halving, "hb": hyperband,
@@ -246,28 +245,21 @@ def test_every_trace_is_anytime_monotone(instance, mult, seed):
         assert out.best_value == pytest.approx(incs[-1]), name
 
 
-_PAST_HORIZON = SolverParams(
-    budget=12, horizon=3, p=2, epsilon=0.5, delta=0.5, eta=3, iterations=2, seed=0
-)
-_PAST_HORIZON_RUNS = {
-    "full-cent": full_cent,
-    "e-full-cent": e_full_cent,
-    "ada-cent": ada_cent,
-    "e-ada-cent": e_ada_cent,
-    "random": random_search,
-    "sha": successive_halving,
-    "hyperband": hyperband,
-}
-
-
-@pytest.mark.parametrize("algo", list(_PAST_HORIZON_RUNS))
-def test_horizon_past_the_oracle_is_rejected_before_any_spend(algo):
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_horizon_past_the_oracle_is_rejected_before_any_spend(algo, monkeypatch):
     X = line(range(9))
     oracle = curve_oracle(np.tile([0.2, 0.4], (9, 1)))  # curves end at budget 2
-    ledger = BudgetLedger(12)
+    ledgers = []
+
+    def recorded_ledger(cap):
+        ledgers.append(BudgetLedger(cap))
+        return ledgers[-1]
+
+    monkeypatch.setattr(cli, "BudgetLedger", recorded_ledger)
+    params = SolverParams(p=2, epsilon=0.5, delta=0.5, eta=3, iterations=2, seed=0)
     with pytest.raises(InvalidBudget):
-        _PAST_HORIZON_RUNS[algo](_PAST_HORIZON, X, oracle, ledger)
-    assert ledger.spent == 0
+        run_algorithm(algo, X, oracle, 12, 3, params)
+    assert [ledger.spent for ledger in ledgers] == [0]
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.data())

@@ -10,7 +10,6 @@ from uvp import (
     BudgetLedger,
     CallableOracle,
     EmptyHistory,
-    History,
     InsufficientCandidates,
     InvalidBudget,
     InvalidParams,
@@ -46,10 +45,6 @@ def test_pred_zero_slope():
     assert pred([0.3, 0.3], 10) == 0.3
 
 
-def test_pred_accepts_history_objects():
-    assert pred(History(0, [0.5, 0.6]), 5) == pytest.approx(0.9)
-
-
 def test_pred_empty_history():
     with pytest.raises(EmptyHistory):
         pred([], 5)
@@ -81,43 +76,43 @@ def test_tail_fit_theta_validation():
         tail_fit_pred([], 5)
 
 
-def _tail_fit(theta=0.3, horizon=10):
-    return SolverParams(budget=horizon, horizon=horizon, theta=theta, predictor="tail-fit")
+def _tail_fit(theta=0.3):
+    return SolverParams(theta=theta, predictor="tail-fit")
 
 
 def test_keeps_single_point_is_kept_without_a_fit(monkeypatch):
     monkeypatch.setattr("uvp.solvers.tail_fit_pred", None)  # any call would fail
-    assert _keeps(History(0, [0.0]), _tail_fit(), 1.0)
+    assert _keeps([0.0], _tail_fit(), 10, 1.0)
 
 
 def test_keeps_decides_clear_cases_without_polyfit(monkeypatch):
     monkeypatch.setattr("uvp.solvers.tail_fit_pred", None)
-    rising = History(0, [0.1, 0.2, 0.3, 0.4])  # line at 10 is 1.0 (clamped today)
-    assert _keeps(rising, _tail_fit(theta=0.5), 0.9)
-    assert not _keeps(History(0, [0.1, 0.2, 0.25, 0.26]), _tail_fit(theta=0.5), 0.5)
-    falling = History(0, [0.5, 0.48, 0.46])  # keeps iff the last value reaches
-    assert _keeps(falling, _tail_fit(theta=1.0), 0.46)
-    assert not _keeps(falling, _tail_fit(theta=1.0), 0.47)
+    rising = [0.1, 0.2, 0.3, 0.4]  # line at 10 is 1.0 (clamped today)
+    assert _keeps(rising, _tail_fit(theta=0.5), 10, 0.9)
+    assert not _keeps([0.1, 0.2, 0.25, 0.26], _tail_fit(theta=0.5), 10, 0.5)
+    falling = [0.5, 0.48, 0.46]  # keeps iff the last value reaches
+    assert _keeps(falling, _tail_fit(theta=1.0), 10, 0.46)
+    assert not _keeps(falling, _tail_fit(theta=1.0), 10, 0.47)
 
 
 def test_keeps_defers_to_polyfit_on_a_flat_fit():
     # the fitted slope of a symmetric window is 0 up to roundoff, and
     # np.polyfit's -5e-17 makes today's forecast the last value 0.2, not the
     # line's 1/3
-    history = History(0, [0.2, 0.6, 0.2])
-    assert tail_fit_pred(history, 10, theta=1.0) == 0.2
-    assert not _keeps(history, _tail_fit(theta=1.0), 0.3)
-    assert _keeps(history, _tail_fit(theta=1.0), 0.2)
+    values = [0.2, 0.6, 0.2]
+    assert tail_fit_pred(values, 10, theta=1.0) == 0.2
+    assert not _keeps(values, _tail_fit(theta=1.0), 10, 0.3)
+    assert _keeps(values, _tail_fit(theta=1.0), 10, 0.2)
 
 
 def test_keeps_defers_to_polyfit_when_the_line_ties():
     # the line through 0.1, 0.3 reaches 0.5 at budget 3, and np.polyfit's
     # rounding lands 3e-16 below it: an incumbent of 0.5 prunes today
-    history = History(0, [0.1, 0.3])
-    forecast = tail_fit_pred(history, 3, theta=1.0)
+    values = [0.1, 0.3]
+    forecast = tail_fit_pred(values, 3, theta=1.0)
     assert forecast < 0.5
-    assert not _keeps(history, _tail_fit(theta=1.0, horizon=3), 0.5)
-    assert _keeps(history, _tail_fit(theta=1.0, horizon=3), forecast)
+    assert not _keeps(values, _tail_fit(theta=1.0), 3, 0.5)
+    assert _keeps(values, _tail_fit(theta=1.0), 3, forecast)
 
 
 # ---------------------------------------------------------------------------
@@ -125,38 +120,39 @@ def test_keeps_defers_to_polyfit_when_the_line_ties():
 
 
 def test_solver_params_validation():
+    # the budget is what the ledger holds and the horizon is the oracle's
     with pytest.raises(InvalidBudget):
-        SolverParams(budget=0, horizon=1)
+        full_cent(SolverParams(), line([0.0]), const_oracle(0.5), BudgetLedger(0))
     with pytest.raises(InvalidBudget):
-        SolverParams(budget=1, horizon=0)
+        const_oracle(0.5, horizon=0)
     with pytest.raises(InvalidParams):
-        SolverParams(budget=1, horizon=1, p=0)
+        SolverParams(p=0)
     with pytest.raises(InvalidParams):
-        SolverParams(budget=1, horizon=1, epsilon=0.0)
+        SolverParams(epsilon=0.0)
     with pytest.raises(InvalidParams, match="epsilon"):
-        SolverParams(budget=1, horizon=1, epsilon=math.nan)
+        SolverParams(epsilon=math.nan)
     with pytest.raises(InvalidParams):
-        SolverParams(budget=1, horizon=1, delta=1.0)
+        SolverParams(delta=1.0)
     with pytest.raises(InvalidParams):
-        SolverParams(budget=1, horizon=1, theta=0.0)
+        SolverParams(theta=0.0)
     with pytest.raises(InvalidParams):
-        SolverParams(budget=1, horizon=1, predictor="cubic")
+        SolverParams(predictor="cubic")
     with pytest.raises(InvalidParams, match="eta"):
-        SolverParams(budget=1, horizon=1, eta=1)
+        SolverParams(eta=1)
     with pytest.raises(InvalidParams, match="iterations"):
-        SolverParams(budget=1, horizon=1, iterations=0)
+        SolverParams(iterations=0)
     with pytest.raises(InvalidParams, match="seed"):
-        SolverParams(budget=1, horizon=1, seed=-1)
+        SolverParams(seed=-1)
 
 
 def test_full_cent_requires_budget_for_one_evaluation():
-    params = SolverParams(budget=2, horizon=3)
+    params = SolverParams()
     with pytest.raises(InvalidBudget):
         full_cent(params, line([0.0]), const_oracle(0.5), BudgetLedger(2))
 
 
 def test_solvers_reject_empty_pool():
-    params = SolverParams(budget=3, horizon=3)
+    params = SolverParams()
     for solver in ALL_SOLVERS:
         with pytest.raises(InsufficientCandidates):
             solver(params, [], const_oracle(0.5), BudgetLedger(3))
@@ -170,7 +166,7 @@ def test_full_cent_two_point_example():
     X = line([0.0, 9.0])
     oracle = CallableOracle(lambda c, b: 1.0 - 0.1 * abs(c.coords[0] - 9.0), 1, 1)
     ledger = BudgetLedger(2)
-    out = full_cent(SolverParams(budget=2, horizon=1), X, oracle, ledger)
+    out = full_cent(SolverParams(), X, oracle, ledger)
     assert out.best == 1
     assert out.best_value == 1.0
     assert ledger.spent == 2
@@ -178,7 +174,7 @@ def test_full_cent_two_point_example():
 
 def test_full_cent_single_candidate():
     out = full_cent(
-        SolverParams(budget=3, horizon=3),
+        SolverParams(),
         line([0.0]),
         curve_oracle([[0.2, 0.3, 0.8]]),
         BudgetLedger(3),
@@ -191,7 +187,7 @@ def test_full_cent_single_candidate():
 def test_full_cent_budget_equal_horizon_takes_lowest_id():
     X = line([0.0, 5.0])
     oracle = curve_oracle([[0.3], [0.9]])
-    out = full_cent(SolverParams(budget=1, horizon=1), X, oracle, BudgetLedger(1))
+    out = full_cent(SolverParams(), X, oracle, BudgetLedger(1))
     assert out.best == 0  # k = 1, empty-seed tie-break, 5.0 never probed
     assert out.best_value == 0.3
 
@@ -200,7 +196,7 @@ def test_full_cent_spends_floor_b_over_t_times_t():
     X = line([0.0, 1.0, 2.0, 3.0])
     ledger = BudgetLedger(7)
     out = full_cent(
-        SolverParams(budget=7, horizon=2), X, const_oracle(0.5, horizon=2), ledger
+        SolverParams(), X, const_oracle(0.5, horizon=2), ledger
     )
     assert ledger.spent == 6  # 3 centers * 2 units; the leftover unit stays unspent
     assert len(out.histories) == 3
@@ -208,7 +204,7 @@ def test_full_cent_spends_floor_b_over_t_times_t():
 
 def test_e_full_cent_equals_full_cent_on_equal_values():
     X = line([0.0, 1.0, 2.0, 9.0])
-    params = SolverParams(budget=4, horizon=2, epsilon=0.5)
+    params = SolverParams(epsilon=0.5)
     oracle = const_oracle(0.6, horizon=2)
     plain = full_cent(params, X, oracle, BudgetLedger(4))
     aware = e_full_cent(params, X, oracle, BudgetLedger(4))
@@ -219,7 +215,7 @@ def test_e_full_cent_equals_full_cent_on_equal_values():
 
 def test_e_full_cent_single_candidate():
     out = e_full_cent(
-        SolverParams(budget=2, horizon=2, epsilon=0.5),
+        SolverParams(epsilon=0.5),
         line([0.0]),
         curve_oracle([[0.2, 0.7]]),
         BudgetLedger(2),
@@ -235,7 +231,7 @@ def test_isolated_optimum_greedy_solvers_match():
     # acceptance criterion 7 checks the value-aware pick after two probes and
     # test_clustering checks the optimal 2-covers exhaustively
     configs, oracle = gen_isolated_optimum(spacing=1.0, ring_radius=0.5, epsilon=0.5)
-    params = SolverParams(budget=2, horizon=1, epsilon=0.5)
+    params = SolverParams(epsilon=0.5)
     plain = full_cent(params, configs, oracle, BudgetLedger(2))
     aware = e_full_cent(params, configs, oracle, BudgetLedger(2))
     assert plain.best_value == 0.5  # a first-ring value, 1 - eps*spacing
@@ -250,7 +246,7 @@ def test_isolated_optimum_greedy_solvers_match():
 def test_ada_cent_single_candidate_trains_to_horizon():
     curves = [[0.1, 0.2, 0.3, 0.35, 0.38]]
     out = ada_cent(
-        SolverParams(budget=5, horizon=5, p=1),
+        SolverParams(p=1),
         line([0.0]),
         curve_oracle(curves),
         BudgetLedger(5),
@@ -269,7 +265,7 @@ def test_ada_cent_prunes_weaker_same_slope_arm():
     X = line([0.0, 1.0])
     ledger = BudgetLedger(100)
     out = ada_cent(
-        SolverParams(budget=100, horizon=T, p=2),
+        SolverParams(p=2),
         X,
         curve_oracle([weak, strong]),
         ledger,
@@ -287,7 +283,7 @@ def test_ada_cent_identical_curves_never_prune():
     X = line([0.0, 1.0, 2.0])
     ledger = BudgetLedger(15)
     out = ada_cent(
-        SolverParams(budget=15, horizon=T, p=3), X, curve_oracle([curve] * 3), ledger
+        SolverParams(p=3), X, curve_oracle([curve] * 3), ledger
     )
     assert all(len(out.histories[i]) == T for i in range(3))
     assert ledger.spent == 15
@@ -300,7 +296,7 @@ def test_ada_cent_halts_when_pool_exhausted():
     X = line([0.0, 1.0])
     ledger = BudgetLedger(50)
     out = ada_cent(
-        SolverParams(budget=50, horizon=3, p=5),
+        SolverParams(p=5),
         X,
         curve_oracle([[0.1, 0.2, 0.3], [0.2, 0.4, 0.6]]),
         ledger,
@@ -316,7 +312,7 @@ def test_ada_cent_respects_budget_cap_mid_round():
     X = line([0.0, 1.0, 2.0])
     ledger = BudgetLedger(4)
     out = ada_cent(
-        SolverParams(budget=4, horizon=5, p=3),
+        SolverParams(p=3),
         X,
         curve_oracle([[0.1] * 5, [0.2] * 5, [0.3] * 5]),
         ledger,
@@ -326,7 +322,7 @@ def test_ada_cent_respects_budget_cap_mid_round():
 
 
 def test_e_ada_cent_requires_exploration_budget():
-    params = SolverParams(budget=10, horizon=5, delta=0.1)  # floor(0.5) = 0
+    params = SolverParams(delta=0.1)  # floor(0.5) = 0
     with pytest.raises(InvalidParams):
         e_ada_cent(params, line([0.0]), const_oracle(0.5, horizon=5), BudgetLedger(10))
 
@@ -339,7 +335,7 @@ def test_e_ada_cent_near_full_exploration_degenerates_to_full_training():
     curves = [[min(0.04 * (t + 1), 1.0) for t in range(T)] for _ in range(2)]
     ledger = BudgetLedger(40)
     out = e_ada_cent(
-        SolverParams(budget=40, horizon=T, p=2, delta=0.95, epsilon=0.5),
+        SolverParams(p=2, delta=0.95, epsilon=0.5),
         X,
         curve_oracle(curves),
         ledger,
@@ -357,7 +353,7 @@ def test_e_ada_cent_one_round_shape():
     curve = [0.05 * (t + 1) for t in range(T)]
     ledger = BudgetLedger(B)
     out = e_ada_cent(
-        SolverParams(budget=B, horizon=T, p=p, delta=0.1, epsilon=0.5),
+        SolverParams(p=p, delta=0.1, epsilon=0.5),
         X,
         curve_oracle([curve] * n),
         ledger,
@@ -370,7 +366,7 @@ def test_e_ada_cent_equals_ada_cent_centers_on_equal_values():
     T = 10
     X = line([0.0, 1.0, 2.0, 9.0])
     curve = [0.09 * (t + 1) for t in range(T)]
-    params = dict(budget=25, horizon=T, p=2, delta=0.1, epsilon=0.5)
+    params = dict(p=2, delta=0.1, epsilon=0.5)
     plain = ada_cent(SolverParams(**params), X, curve_oracle([curve] * 4), BudgetLedger(25))
     aware = e_ada_cent(SolverParams(**params), X, curve_oracle([curve] * 4), BudgetLedger(25))
     assert plain.best == aware.best
@@ -394,7 +390,7 @@ def test_trace_is_anytime_monotone(solver):
     rng = np.random.default_rng(7)
     for trial in range(10):
         X, oracle = _random_instance(rng, n=8, horizon=4)
-        params = SolverParams(budget=12, horizon=4, p=3, delta=0.3, epsilon=0.5)
+        params = SolverParams(p=3, delta=0.3, epsilon=0.5)
         out = solver(params, X, oracle, BudgetLedger(12))
         incumbents = [v for _, v in out.trace]
         spends = [s for s, _ in out.trace]
@@ -409,7 +405,7 @@ def test_ledger_equals_total_history_length(solver):
     for trial in range(10):
         X, oracle = _random_instance(rng, n=7, horizon=3)
         ledger = BudgetLedger(9)
-        params = SolverParams(budget=9, horizon=3, p=2, delta=0.4, epsilon=0.5)
+        params = SolverParams(p=2, delta=0.4, epsilon=0.5)
         out = solver(params, X, oracle, ledger)
         assert ledger.spent == sum(len(h) for h in out.histories.values())
         assert ledger.spent <= 9
@@ -420,4 +416,4 @@ def test_out_of_range_oracle_value_is_a_uvp_error(solver):
     # the CLI maps UvpError to exit code 2 and bench catches it per cell
     oracle = TabularOracle(np.array([[1.5]]), 1)
     with pytest.raises(UvpError):
-        solver(SolverParams(budget=1, horizon=1), line([0.0]), oracle, BudgetLedger(1))
+        solver(SolverParams(), line([0.0]), oracle, BudgetLedger(1))
