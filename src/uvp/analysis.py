@@ -17,7 +17,7 @@ from .core import (
     MissingTrace,
     TooLarge,
     ValueOracle,
-    config_matrix,
+    config_columns,
     distance_row,
 )
 from .instances import TabularBenchmark
@@ -58,8 +58,8 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
     n = bench.n
     if n < 2:
         raise InvalidParams("need at least two configurations to compare")
-    X = config_matrix(bench.configs)
-    work = np.empty_like(X)
+    columns = config_columns(bench.configs)
+    work = np.empty_like(columns)
     curves = np.asarray(bench.curves, dtype=float)
     # one column per curve, so the floor of row i is a min over T rows
     by_budget = np.ascontiguousarray(curves.T)
@@ -78,7 +78,7 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
                 ratios[zero_b, zero_j] = np.where(
                     num == 0.0, 1.0, np.where(num > 0.0, np.inf, ratios[zero_b, zero_j])
                 )
-            dist = distance_row(X, X[i], work)
+            dist = distance_row(columns, columns[:, i], work)
             row = pairwise[i]
             np.subtract(1.0, np.minimum.reduce(ratios, axis=0), out=row)
             np.divide(row, dist, out=row)
@@ -159,12 +159,12 @@ def lipschitz_check(bench: TabularBenchmark, epsilon: float) -> float:
     n = bench.n
     if n < 2:
         raise InvalidParams("need at least two configurations to compare")
-    X = config_matrix(bench.configs)
-    work = np.empty_like(X)
+    columns = config_columns(bench.configs)
+    work = np.empty_like(columns)
     worst = -math.inf
     for i in range(n - 1):
         gaps = np.abs(bench.curves[i + 1 :] - bench.curves[i]).max(axis=1)
-        dists = distance_row(X[i + 1 :], X[i], work[i + 1 :])
+        dists = distance_row(columns[:, i + 1 :], columns[:, i], work[:, i + 1 :])
         worst = max(worst, float((gaps - epsilon * dists).max()))
     return worst
 
@@ -215,15 +215,13 @@ def brute_force_k_center(X: Sequence[Configuration], k: int, cap: int = 15) -> C
 def brute_force_opt(
     X: Sequence[Configuration],
     oracle: ValueOracle,
-    horizon: int | None = None,
 ) -> tuple[int, float]:
     """Best configuration id and value at full budget, scanning everything."""
     if not X:
         raise InvalidParams("no configurations to scan")
-    t = oracle.horizon if horizon is None else horizon
     best_id, best_val = -1, -math.inf
     for cfg in X:
-        v = oracle.query(cfg, t)
+        v = oracle.query(cfg, oracle.horizon)
         if v > best_val:
             best_id, best_val = cfg.id, v
     return best_id, float(best_val)

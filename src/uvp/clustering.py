@@ -30,7 +30,7 @@ from .core import (
     InsufficientCandidates,
     InvalidParams,
     Run,
-    config_matrix,
+    config_columns,
     distance_row,
 )
 
@@ -85,21 +85,22 @@ class EnhancedMetric:
 class Cover:
     """Incremental farthest-first selection state over one candidate set.
 
-    Keeps the candidates as ``configs`` and their (n, d) embedding matrix,
-    the chosen mask, the centers in selection order and every candidate's
-    plain distance to its nearest center. While a value-aware selection runs
-    (from :meth:`revalue` on) it also holds the center values and ``delta``,
-    every candidate's minimum enhanced distance to a center. Distance rows
-    are recomputed when needed, never stored. Build one per solve, on the
-    initial ``centers``, and pass it to every :func:`k_center` /
-    :func:`e_k_center` call of that solve; its centers are their seeds.
+    Keeps the candidates as ``configs`` and their embeddings as ``columns``,
+    a coordinate-major (d, n) matrix with one row per coordinate. It also
+    keeps the chosen mask, the centers in selection order and every
+    candidate's plain distance to its nearest center. While a value-aware
+    selection runs (from :meth:`revalue` on) it also holds the center values
+    and ``delta``, every candidate's minimum enhanced distance to a center.
+    Distance rows are recomputed when needed, never stored. Build one per
+    solve, on the initial ``centers``, and pass it to every :func:`k_center`
+    / :func:`e_k_center` call of that solve; its centers are their seeds.
     """
 
     def __init__(self, X: Sequence[Configuration], centers: Sequence[int] = ()) -> None:
         self.configs = X
-        self.points = config_matrix(X)
-        self._work = np.empty_like(self.points)
-        n = len(self.points)
+        self.columns = config_columns(X)
+        self._work = np.empty_like(self.columns)
+        n = len(X)
         self.centers: list[int] = []
         self.chosen = np.zeros(n, dtype=bool)
         self.nearest = np.full(n, np.inf)
@@ -112,7 +113,7 @@ class Cover:
             np.minimum(self.nearest, self._row(c), out=self.nearest)
 
     def _row(self, center: int) -> np.ndarray:
-        return distance_row(self.points, self.points[center], self._work)
+        return distance_row(self.columns, self.columns[:, center], self._work)
 
     def _place(self, center: int) -> None:
         n = len(self.chosen)

@@ -108,17 +108,55 @@ def config_matrix(X: Sequence[Configuration]) -> np.ndarray:
     return np.asarray([c.coords for c in X], dtype=float)
 
 
-def distance_row(points: np.ndarray, origin: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Euclidean distance from every row of ``points`` to ``origin``.
+def config_columns(X: Sequence[Configuration]) -> np.ndarray:
+    """Coordinate-major (d, n) embeddings, the layout :func:`distance_row` takes."""
+    return np.ascontiguousarray(config_matrix(X).T)
 
-    Same arithmetic, bit for bit, as ``np.linalg.norm(points - origin,
-    axis=1)``, but computed in ``work``, a caller-kept buffer of the shape
-    of ``points``: a fresh (n, d) temporary per row is handed back to the
-    OS by the allocator and page-faulted in again on the next row.
+
+def distance_row(columns: np.ndarray, origin: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every column of the (d, n) ``columns`` to ``origin``.
+
+    Bit for bit the result of ``np.linalg.norm(points - origin, axis=1)``
+    on the (n, d) ``points = columns.T``. Each coordinate row is subtracted
+    and squared in ``work``, a caller-kept (d, n) buffer, so no n*d
+    temporary is allocated per row. The d squared rows are then added in the
+    order numpy's pairwise summation adds the d terms of one point. Whole
+    rows of n values per operation make this many times faster than numpy's
+    reduce, which runs one length-d loop per point. The returned row is
+    fresh; it never aliases ``work``.
     """
-    np.subtract(points, origin, out=work)
+    np.subtract(columns, origin[:, None], out=work)
     np.multiply(work, work, out=work)
-    return np.sqrt(np.add.reduce(work, axis=1))
+    _pairwise_rows(work)
+    return np.sqrt(work[0])
+
+
+def _pairwise_rows(rows: np.ndarray) -> None:
+    """Add the rows of ``rows`` into ``rows[0]`` in numpy's pairwise order.
+
+    numpy sums m terms sequentially below 8; up to 128 it keeps eight
+    running sums, adds them as a tree and then the remainder in order; above
+    128 it splits at a multiple of 8 near the middle and recurses.
+    """
+    m = len(rows)
+    if m < 8:
+        for i in range(1, m):
+            rows[0] += rows[i]
+    elif m <= 128:
+        end = m - m % 8
+        for i in range(8, end, 8):
+            rows[:8] += rows[i : i + 8]
+        rows[0:8:2] += rows[1:8:2]
+        rows[0:8:4] += rows[2:8:4]
+        rows[0] += rows[4]
+        for i in range(end, m):
+            rows[0] += rows[i]
+    else:
+        half = m // 2
+        half -= half % 8
+        _pairwise_rows(rows[:half])
+        _pairwise_rows(rows[half:])
+        rows[0] += rows[half]
 
 
 class History:

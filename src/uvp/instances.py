@@ -620,11 +620,15 @@ def gen_smooth(
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, (n, d))
-    work = np.empty_like(pts)
+    work = np.empty((d, n))
     # resolve accidental duplicates so pairwise distances are positive; the
     # smallest distance is taken over pairs i < j, one row at a time
     while True:
-        dmin = min(distance_row(pts[i + 1 :], pts[i], work[i + 1 :]).min() for i in range(n - 1))
+        columns = np.ascontiguousarray(pts.T)
+        dmin = min(
+            distance_row(columns[:, i + 1 :], columns[:, i], work[:, i + 1 :]).min()
+            for i in range(n - 1)
+        )
         if dmin > 1e-9:
             break
         pts = rng.uniform(0.0, 1.0, (n, d))
@@ -633,7 +637,7 @@ def gen_smooth(
     mu = 0.45 * epsilon  # remaining 10% of epsilon is float headroom
     n_peaks = int(rng.integers(1, 4))
     peaks = pts[rng.choice(n, size=min(n_peaks, n), replace=False)]
-    to_peak = np.min([distance_row(pts, peak, work) for peak in peaks], axis=0)
+    to_peak = np.min([distance_row(columns, peak, work) for peak in peaks], axis=0)
     v = np.exp(-lam * to_peak)
 
     if horizon == 1:

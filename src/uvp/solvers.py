@@ -229,7 +229,9 @@ def _adaptive(
         t_explore = int(params.delta * horizon)
         if t_explore < 1:
             raise InvalidParams(
-                f"floor(delta * horizon) = {t_explore} leaves no exploration budget"
+                "e-ada-cent needs floor(delta * horizon) >= 1 for its exploration probes, "
+                f"but delta = {params.delta} and horizon = {horizon} give {t_explore}; "
+                "raise --delta or --horizon"
             )
         t_start = t_explore + 1
     else:

@@ -11,7 +11,6 @@ import numpy as np
 from uvp import (
     CallableOracle,
     Configuration,
-    EnhancedMetric,
     InvalidParams,
     ParseError,
     SchemaError,
@@ -19,7 +18,7 @@ from uvp import (
     config_matrix,
 )
 from uvp.analysis import EpsilonReport
-from uvp.clustering import Cover, greedy_radius, k_center
+from uvp.clustering import Cover, EnhancedMetric, greedy_radius, k_center
 from uvp.instances import TabularBenchmark
 
 
@@ -65,6 +64,17 @@ def distinct_points(rng, n, d, low=0.0, high=1.0):
         dist = np.linalg.norm(diff, axis=2)
         if n == 1 or dist[np.triu_indices(n, k=1)].min() > 1e-6:
             return pts
+
+
+# dimensions that run every branch of numpy's pairwise summation over the d
+# squared coordinate differences: sequential below 8, eight running sums up
+# to 128, and split in halves above
+SUMMATION_DIMS = (1, 2, 4, 7, 8, 9, 16, 17, 127, 128, 129, 200)
+
+
+def multiscale_points(rng, n, d):
+    """n points whose coordinates span magnitudes 1e-3..1e4, far from overflow."""
+    return rng.uniform(-1.0, 1.0, size=(n, d)) * 10.0 ** rng.integers(-3, 5, size=(n, d))
 
 
 def configs_from(points):

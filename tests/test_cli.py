@@ -78,6 +78,15 @@ def test_solve_rejects_a_knob_the_algorithm_does_not_read(capsys):
     assert "eta must be >= 2" in capsys.readouterr().err
 
 
+def test_e_ada_cent_at_the_landscape_default_horizon_names_the_fix(capsys):
+    # the default --delta 0.1 at the default --horizon 1 gives floor(0.1) = 0
+    code = entry(["solve", "--landscape", "radial-decay", "--algo", "e-ada-cent", "--n", "200"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "delta = 0.1 and horizon = 1 give 0" in err
+    assert "raise --delta or --horizon" in err
+
+
 _SOLVE_LANDSCAPE = ["solve", "--landscape", "radial-decay", "--n", "100"]
 
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    SUMMATION_DIMS,
     configs_from,
     const_oracle,
     curve_oracle,
     line,
+    multiscale_points,
     ref_e_k_center,
     ref_k_center,
 )
@@ -21,7 +23,6 @@ from uvp import (
     BudgetLedger,
     Cover,
     EmptyCenters,
-    EnhancedMetric,
     History,
     InsufficientCandidates,
     InvalidParams,
@@ -30,7 +31,7 @@ from uvp import (
     greedy_radius,
     k_center,
 )
-from uvp.clustering import DEFAULT_ETA_CAP
+from uvp.clustering import DEFAULT_ETA_CAP, EnhancedMetric
 from uvp.instances import gen_isolated_optimum
 
 
@@ -214,11 +215,13 @@ def test_cover_accumulates_centers():
 def test_cover_distances_match_numpy_norm():
     # the engine computes distance rows in its own buffer; they must equal
     # np.linalg.norm bit for bit, or ties and outcomes could shift
-    points = np.random.default_rng(3).uniform(-5.0, 5.0, size=(200, 3))
-    X = configs_from(points)
-    for center in (0, 57, 199):
-        expected = np.linalg.norm(points - points[center], axis=1)
-        assert Cover(X, [center]).nearest.tobytes() == expected.tobytes()
+    rng = np.random.default_rng(3)
+    for d in SUMMATION_DIMS:
+        points = multiscale_points(rng, 200, d)
+        X = configs_from(points)
+        for center in (0, 57, 199):
+            expected = np.linalg.norm(points - points[center], axis=1)
+            assert Cover(X, [center]).nearest.tobytes() == expected.tobytes(), (d, center)
 
 
 def test_greedy_radius_counts_a_repeated_center_once():

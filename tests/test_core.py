@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import const_oracle, curve_oracle, line
+from helpers import SUMMATION_DIMS, const_oracle, curve_oracle, line, multiscale_points
 from uvp import (
     BudgetExhausted,
     BudgetLedger,
@@ -16,6 +16,7 @@ from uvp import (
     Run,
     config_matrix,
 )
+from uvp.core import distance_row
 
 
 # learning a configuration's curve with Run.extend_to, one charged unit per budget step
@@ -130,6 +131,25 @@ def test_config_matrix_checks_id_order():
         config_matrix(X)
     good = line([0.0, 1.0])
     assert np.array_equal(config_matrix(good), [[0.0], [1.0]])
+
+
+def test_distance_row_matches_numpy_norm_bit_for_bit():
+    # whole coordinate rows summed in numpy's pairwise order must give the
+    # bytes of np.linalg.norm, on full columns and on the tail slices that
+    # the pairwise estimators pass
+    rng = np.random.default_rng(11)
+    for d in SUMMATION_DIMS:
+        points = multiscale_points(rng, 60, d)
+        columns = np.ascontiguousarray(points.T)
+        work = np.empty_like(columns)
+        for i in (0, 1, 30, 58):
+            full = distance_row(columns, columns[:, i], work)
+            expected = np.linalg.norm(points - points[i], axis=1)
+            assert full.tobytes() == expected.tobytes(), (d, i)
+            tail = distance_row(columns[:, i + 1 :], columns[:, i], work[:, i + 1 :])
+            expected = np.linalg.norm(points[i + 1 :] - points[i], axis=1)
+            assert tail.tobytes() == expected.tobytes(), (d, i)
+            assert not np.shares_memory(tail, work)
 
 
 def test_ledger_validation_and_charging():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import configs_from, curve_oracle, line
-from uvp import BudgetLedger, EnhancedMetric, InvalidBudget, Run, cli
+from uvp import BudgetLedger, InvalidBudget, Run, cli
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import ALGORITHMS, run_algorithm
-from uvp.clustering import Cover, e_k_center, k_center
+from uvp.clustering import Cover, EnhancedMetric, e_k_center, k_center
 from uvp.solvers import (
     SolverParams,
     _keeps,
