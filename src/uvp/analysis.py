@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,13 +47,12 @@ class EpsilonReport:
     percentiles: dict[float, float] | None = None
 
 
-def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> EpsilonReport:
-    """Estimate the per-pair smoothness level from full curves.
+def _level_rows(bench: TabularBenchmark, skipped: list[tuple[int, int]], strict: bool):
+    """Yield row i of the pairwise level matrix, for i = 0..n-1, in one reused buffer.
 
-    Row i costs O(n*T) for the ratio floors and O(n*d) for the distances,
-    in buffers kept across rows; memory is O(n*n + n*T) and no (n, n, d)
-    array is built. With ``strict`` set, coincident embeddings raise
-    ``DegenerateEmbedding`` instead of being skipped.
+    Coincident pairs (i, j), i < j, are appended to ``skipped`` as their
+    rows are made. With ``strict`` set, ``DegenerateEmbedding`` is raised
+    after the last row if any pair was skipped.
     """
     n = bench.n
     if n < 2:
@@ -67,10 +66,10 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
     # ratio conventions 0/0 = 1 and positive/0 = +inf, needed only at the
     # zero cells of the curves
     zero_b, zero_j = np.nonzero(by_budget == 0.0)
-    pairwise = np.empty((n, n))
-    skipped: list[tuple[int, int]] = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n):
+    row = np.empty(n)
+    for i in range(n):
+        # entered per row, so the error state never spans a yield
+        with np.errstate(divide="ignore", invalid="ignore"):
             ci = curves[i]
             np.divide(ci[:, None], by_budget, out=ratios)
             if zero_b.size:
@@ -79,7 +78,6 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
                     num == 0.0, 1.0, np.where(num > 0.0, np.inf, ratios[zero_b, zero_j])
                 )
             dist = distance_row(columns, columns[:, i], work)
-            row = pairwise[i]
             np.subtract(1.0, np.minimum.reduce(ratios, axis=0), out=row)
             np.divide(row, dist, out=row)
             np.maximum(0.0, row, out=row)
@@ -89,8 +87,23 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
             if zero.any():
                 row[zero] = np.nan
                 skipped.extend((i, int(j)) for j in np.flatnonzero(zero) if i < j)
+        yield row
     if strict and skipped:
         raise DegenerateEmbedding(f"coincident configuration pairs: {skipped}")
+
+
+def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> EpsilonReport:
+    """Estimate the per-pair smoothness level from full curves.
+
+    Row i costs O(n*T) for the ratio floors and O(n*d) for the distances,
+    in buffers kept across rows; memory is O(n*n + n*T) and no (n, n, d)
+    array is built. With ``strict`` set, coincident embeddings raise
+    ``DegenerateEmbedding`` instead of being skipped.
+    """
+    skipped: list[tuple[int, int]] = []
+    pairwise = np.empty((bench.n, bench.n))
+    for i, row in enumerate(_level_rows(bench, skipped, strict)):
+        pairwise[i] = row
     return EpsilonReport(pairwise=pairwise, skipped=tuple(skipped), configs=list(bench.configs))
 
 
@@ -101,6 +114,85 @@ def check_percentile_args(k: int, alphas: Sequence[float]) -> None:
     for alpha in alphas:
         if not 0.0 < alpha <= 100.0:
             raise InvalidParams(f"percentile {alpha} outside (0, 100]")
+
+
+# pair values are scanned in slices of this many, so no scan holds a
+# temporary the size of all of them
+_SCAN = 1 << 14
+
+
+def _pair_levels(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """The larger level of every scorable unordered pair, folded from matrix rows.
+
+    Pairs (i, j), i < j, come in row-major order. Row i writes its upper
+    part P[i, j], j > i, and folds its lower part P[i, j], j < i, into pair
+    (j, i). Pairs with a NaN on either side are dropped in place, and the
+    result is a view of the n(n-1)/2 buffer.
+    """
+    vals = np.empty(n * (n - 1) // 2)
+    # pair (j, i), j < i, sits at lower[j] + i
+    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+    lower = starts - np.arange(n) - 1
+    for i, row in enumerate(rows):
+        pos = lower[:i] + i
+        a, b = vals[pos], row[:i]
+        # Python's max(a, b): b only when strictly larger, so ties (and a
+        # zero against a negative zero) keep a; a NaN on either side stays
+        vals[pos] = np.where((b > a) | np.isnan(b), b, a)
+        vals[starts[i] : starts[i] + n - 1 - i] = row[i + 1 :]
+    kept = 0
+    for lo in range(0, vals.size, _SCAN):
+        chunk = vals[lo : lo + _SCAN]
+        chunk = chunk[~np.isnan(chunk)]
+        vals[kept : kept + chunk.size] = chunk
+        kept += chunk.size
+    return vals[:kept]
+
+
+def _nearest_rank(vals: np.ndarray, alphas: Sequence[float]) -> dict[float, float]:
+    """Nearest-rank percentiles of ``vals`` as a stable sort would order them.
+
+    ``vals`` is partitioned in place. Zeros of either sign compare equal, so
+    a stable sort keeps them in their given order between the negatives and
+    the positives: a rank that falls on a zero takes the sign of the zero at
+    that place in ``vals``, which is read before the partition.
+    """
+    ranks = {float(a): max(math.ceil(a / 100.0 * vals.size) - 1, 0) for a in alphas}
+    negatives = sum(
+        int(np.count_nonzero(vals[lo : lo + _SCAN] < 0.0)) for lo in range(0, vals.size, _SCAN)
+    )
+    on_zero = {a: r - negatives for a, r in ranks.items() if r >= negatives}
+    out: dict[float, float] = {}
+    seen = 0
+    for lo in range(0, vals.size, _SCAN):
+        if len(out) == len(on_zero):
+            break
+        chunk = vals[lo : lo + _SCAN]
+        zeros = np.flatnonzero(chunk == 0.0)
+        for a, z in on_zero.items():
+            if seen <= z < seen + zeros.size:
+                out[a] = float(chunk[zeros[z - seen]])
+        seen += zeros.size
+    rest = sorted({r for a, r in ranks.items() if a not in out})
+    if rest:
+        vals.partition(rest)
+    return {a: out[a] if a in out else float(vals[r]) for a, r in ranks.items()}
+
+
+def _scaled_percentiles(
+    rows: Iterable[np.ndarray],
+    configs: Sequence[Configuration],
+    k: int,
+    alphas: Sequence[float],
+) -> tuple[float, dict[float, float]]:
+    """Cover radius and nearest-rank percentiles of the pair levels times it."""
+    n = len(configs)
+    vals = _pair_levels(rows, n)
+    if not vals.size:
+        raise InvalidParams("no scorable pairs: all embeddings coincide")
+    radius = greedy_radius(k_center(min(k, n), Cover(configs)), configs)
+    vals *= radius
+    return float(radius), _nearest_rank(vals, alphas)
 
 
 def epsilon_percentiles(
@@ -117,35 +209,8 @@ def epsilon_percentiles(
     """
     alphas = tuple(alphas)
     check_percentile_args(k, alphas)
-    n = len(report.configs)
-    pairwise = report.pairwise
-    # pairs (i, j) with i < j in row-major order, filled one row at a time
-    vals = np.empty(n * (n - 1) // 2)
-    scorable = np.empty(vals.size, dtype=bool)
-    pos = 0
-    for i in range(n - 1):
-        a, b = pairwise[i, i + 1 :], pairwise[i + 1 :, i]
-        end = pos + a.size
-        row = vals[pos:end]
-        row[:] = a
-        # Python's max(a, b): b only when strictly larger, so ties (and a
-        # zero against a negative zero) keep a
-        np.copyto(row, b, where=b > a)
-        scorable[pos:end] = ~(np.isnan(a) | np.isnan(b))
-        pos = end
-    if not scorable.all():
-        vals = vals[scorable]
-    if not vals.size:
-        raise InvalidParams("no scorable pairs: all embeddings coincide")
-    centers = k_center(min(k, n), Cover(report.configs))
-    radius = greedy_radius(centers, report.configs)
-    vals *= radius
-    vals.sort(kind="stable")  # stable: equal zeros of either sign keep their order
-    percentiles: dict[float, float] = {}
-    for alpha in alphas:
-        idx = max(math.ceil(alpha / 100.0 * len(vals)) - 1, 0)
-        percentiles[float(alpha)] = float(vals[idx])
-    return replace(report, r=float(radius), percentiles=percentiles)
+    radius, percentiles = _scaled_percentiles(report.pairwise, report.configs, k, alphas)
+    return replace(report, r=radius, percentiles=percentiles)
 
 
 def lipschitz_check(bench: TabularBenchmark, epsilon: float) -> float:

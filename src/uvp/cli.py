@@ -16,7 +16,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .analysis import check_percentile_args, epsilon_pairwise, epsilon_percentiles, mean_rank
+from .analysis import _level_rows, _scaled_percentiles, check_percentile_args, mean_rank
+# estimate-eps no longer calls these two; perfbench/tracing.py wraps them by name here
+from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
 from .baselines import hyperband, random_search, successive_halving
 from .core import BudgetLedger, InvalidBudget, InvalidParams, SearchOutcome, UvpError, ValueOracle
 from .instances import (
@@ -289,23 +291,26 @@ def _cmd_estimate_eps(args: argparse.Namespace) -> int:
         raise InvalidParams("need at least one percentile")
     check_percentile_args(args.k, alphas)  # before the file is read
     bench = load_tabular(args.data)
-    report = epsilon_percentiles(epsilon_pairwise(bench, strict=args.strict), args.k, alphas)
-    if report.r == 0:
+    # the level rows go straight into the pair values: no n x n matrix is built
+    skipped: list[tuple[int, int]] = []
+    rows = _level_rows(bench, skipped, args.strict)
+    radius, percentiles = _scaled_percentiles(rows, bench.configs, args.k, alphas)
+    if radius == 0:
         # every level is scaled by the radius, so each estimate would read 0
         raise InvalidParams(
             f"--k {args.k} centers cover every distinct configuration (radius 0); "
             "use a smaller --k"
         )
     for alpha in alphas:
-        print(f"alpha={_fmt(alpha)} value={_fmt(report.percentiles[alpha])}")
-    if report.skipped:
-        print(f"skipped {len(report.skipped)} coincident pairs", file=sys.stderr)
+        print(f"alpha={_fmt(alpha)} value={_fmt(percentiles[alpha])}")
+    if skipped:
+        print(f"skipped {len(skipped)} coincident pairs", file=sys.stderr)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_csv(
             os.path.join(args.out, "epsilon.csv"),
             ["alpha", "value"],
-            [[_fmt(a), _fmt(report.percentiles[a])] for a in alphas],
+            [[_fmt(a), _fmt(percentiles[a])] for a in alphas],
         )
     return 0
 

@@ -52,10 +52,6 @@ class OutOfDomain(UvpError):
     """A query point lies outside the landscape's domain."""
 
 
-class SizeOverflow(UvpError):
-    """A requested grid would exceed the configured size cap."""
-
-
 class ParseError(UvpError):
     """A benchmark file contains an unparseable or out-of-range cell."""
 
@@ -65,7 +61,7 @@ class SchemaError(UvpError):
 
 
 class TooLarge(UvpError):
-    """An exact (exponential) computation was asked for too large an input."""
+    """An input exceeds a size cap: a mesh grid or an exhaustive search."""
 
 
 class MissingTrace(UvpError):

@@ -22,7 +22,7 @@ from .core import (
     OutOfDomain,
     ParseError,
     SchemaError,
-    SizeOverflow,
+    TooLarge,
     ValueOracle,
     distance_row,
 )
@@ -171,7 +171,7 @@ def mesh_grid(bounds: Sequence[tuple[float, float]], m: int, cap: int = MESH_CAP
         raise InvalidParams("mesh needs at least one dimension")
     total = m ** len(bounds)
     if total > cap:
-        raise SizeOverflow(f"mesh of {total} points exceeds cap {cap}")
+        raise TooLarge(f"mesh of {total} points exceeds cap {cap}")
     axes = [np.linspace(lo, hi, m) for lo, hi in bounds]
     grids = np.meshgrid(*axes, indexing="ij")
     return _configs(np.stack([g.reshape(-1) for g in grids], axis=1))
@@ -487,7 +487,9 @@ def save_tabular(
     """Write a benchmark in the CSV layout ``load_tabular`` reads back.
 
     Numbers are written with ``repr``, so every value reads back exactly;
-    no numeric cell ever needs CSV quoting.
+    no numeric cell ever needs CSV quoting. The file is written one
+    configuration's T lines at a time. Every check runs before it is
+    opened, so a failing call creates no file.
     """
     curves = np.asarray(curves, dtype=float)
     if curves.ndim != 2 or curves.shape[0] != len(configs):
@@ -495,17 +497,18 @@ def save_tabular(
     d = configs[0].dimension if configs else 0
     if d < 1:
         raise InvalidParams("need at least one configuration")
-    lines = [",".join(["id", *(f"x{j}" for j in range(d)), "b", "value"])]
+    head = ",".join(["id", *(f"x{j}" for j in range(d)), "b", "value"]) + "\n"
     if scales is not None:
         flags = list(scales)
         if len(flags) != d or any(f not in ("lin", "log") for f in flags):
             raise InvalidParams("scales must give lin|log per embedding column")
-        lines.append(",".join(["scale", *flags]))
-    for cfg in configs:
-        prefix = "".join([f"{cfg.id},", *(f"{float(v)!r}," for v in cfg.coords)])
-        lines.extend(f"{prefix}{b},{v!r}" for b, v in enumerate(curves[cfg.id].tolist(), 1))
+        head += ",".join(["scale", *flags]) + "\n"
+    rows = [curves[cfg.id] for cfg in configs]  # an id outside the curves raises here
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head)
+        for cfg, row in zip(configs, rows):
+            prefix = "".join([f"{cfg.id},", *(f"{float(v)!r}," for v in cfg.coords)])
+            fh.write("".join([f"{prefix}{b},{v!r}\n" for b, v in enumerate(row.tolist(), 1)]))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,29 @@ def test_criterion_05_adaptive_solver_ratio_floor():
                  tie_p_to_k=True, predictor="two-point")
 
 
+def test_adaptive_ratio_floor_at_every_affordable_p():
+    # the floor assumes p <= floor(B / T); at B = k * T that is every p up to k
+    start = time.perf_counter()
+    worst = math.inf
+    delta = 0.5
+    cases = 0
+    for configs, oracle, k, horizon, eps_hat, bound in _ratio_suite():
+        assert math.floor(delta * horizon) >= 1  # e-ada-cent explores at least one level
+        for solver in (ada_cent, e_ada_cent):
+            for predictor in ("two-point", "tail-fit"):
+                for p in range(1, k + 1):
+                    params = SolverParams(p=p, epsilon=eps_hat, delta=delta, predictor=predictor)
+                    out = solver(params, configs, oracle, BudgetLedger(k * horizon))
+                    worst = min(worst, out.best_value - bound)
+                    cases += 1
+    elapsed = time.perf_counter() - start
+    ok = worst >= 0.0 and elapsed < 30.0
+    _report(5, "adaptive ratio floor at every p <= B/T", ok,
+            f"min slack {worst:.3e}, {elapsed:.2f}s over {cases} solves")
+    assert worst >= 0.0
+    assert elapsed < 30.0
+
+
 def test_criterion_06_budget_conservation():
     rng = np.random.default_rng(6)
     algorithms = ("fc", "efc", "ac", "eac", "random", "sha", "hyperband")

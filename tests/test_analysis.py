@@ -1,9 +1,12 @@
 """Diagnostics: smoothness estimation, brute-force references, rank summaries."""
 
+import contextlib
+import io
 import itertools
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -26,7 +29,10 @@ from uvp import (
     TooLarge,
 )
 from uvp.analysis import (
+    DEFAULT_ALPHAS,
     EpsilonReport,
+    _level_rows,
+    _scaled_percentiles,
     brute_force_k_center,
     brute_force_opt,
     epsilon_pairwise,
@@ -43,8 +49,11 @@ from uvp.instances import (
     gen_smooth,
     landscape,
     landscape_eval,
+    load_tabular,
     mesh_grid,
+    save_tabular,
 )
+from uvp.cli import entry
 
 
 def _bench(points, curves):
@@ -312,8 +321,8 @@ def test_estimators_stay_within_three_pair_matrices():
         assert peak < 3 * matrix_bytes
 
 
-def test_percentiles_stay_within_one_and_a_half_pair_matrices():
-    # the pair values alone fill half a pair matrix
+def test_percentiles_stay_within_three_quarters_of_a_pair_matrix():
+    # the pair values alone fill half a pair matrix; they are compacted in place
     n, d = 600, 16
     configs, oracle = gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0)
     report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=oracle.curves))
@@ -324,7 +333,79 @@ def test_percentiles_stay_within_one_and_a_half_pair_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * n * 8
+    assert peak < 0.75 * n * n * 8
+
+
+def test_streamed_estimate_stays_within_three_quarters_of_a_pair_matrix(tmp_path):
+    # estimate-eps builds no n x n matrix: the pair values plus row buffers
+    n, d = 600, 16
+    configs, oracle = gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0)
+    path = str(tmp_path / "s.csv")
+    save_tabular(path, configs, oracle.curves)
+    bench = load_tabular(path)
+    tracemalloc.start()
+    try:
+        _scaled_percentiles(_level_rows(bench, [], False), bench.configs, 20, DEFAULT_ALPHAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * n * n * 8
+
+
+def test_percentiles_take_the_sign_of_the_zero_at_the_rank():
+    # pair values 0.0, -1.0, 0.5, 2.0, -0.0, 0.0 in pair order: a stable sort
+    # puts the zeros +0.0, -0.0, +0.0 after the one negative, so the median
+    # rank falls on the -0.0; a plain partition returns a +0.0 there
+    upper = np.zeros((4, 4))
+    upper[np.triu_indices(4, 1)] = [0.0, -1.0, 0.5, 2.0, -0.0, 0.0]
+    report = EpsilonReport(
+        # the same level both ways (a sum would turn -0.0 into 0.0)
+        pairwise=np.where(np.tri(4, dtype=bool), upper.T, upper),
+        skipped=(),
+        configs=configs_from([[0.0], [1.0], [2.0], [3.0]]),
+    )
+    out = epsilon_percentiles(report, k=1, alphas=(50,))
+    assert out.r == 3.0
+    assert repr(out.percentiles[50.0]) == "-0.0"
+    out = epsilon_percentiles(report, k=1, alphas=(30, 60, 100))
+    assert [repr(v) for v in out.percentiles.values()] == ["0.0", "0.0", "6.0"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # x / subnormal
+@settings(deadline=None, max_examples=100)
+@given(bench=_smoothness_benches(), k=st.integers(1, 10), alphas=_ALPHAS, strict=st.booleans())
+def test_cli_estimate_matches_the_two_step_library_call(bench, k, alphas, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out_dir = os.path.join(tmp, "s.csv"), os.path.join(tmp, "eps")
+        save_tabular(data, bench.configs, bench.curves)
+        argv = ["estimate-eps", "--data", data, "--k", str(k), "--out", out_dir]
+        argv += ["--alphas", ",".join(map(str, alphas))] + (["--strict"] if strict else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = entry(argv)
+        stdout, stderr = out.getvalue(), err.getvalue()
+        got_csv = None
+        if os.path.exists(out_dir):
+            with open(os.path.join(out_dir, "epsilon.csv"), encoding="utf-8") as fh:
+                got_csv = fh.read()
+        # the same file through the library, formatted as the command formats it
+        loaded = load_tabular(data)
+        try:
+            report = epsilon_percentiles(epsilon_pairwise(loaded, strict=strict), k, alphas)
+        except (DegenerateEmbedding, InvalidParams) as exc:
+            assert (code, stdout, stderr) == (2, "", f"error: {exc}\n")
+            assert got_csv is None
+            return
+        if report.r == 0:
+            assert code == 2 and stdout == "" and "radius 0" in stderr
+            assert got_csv is None
+            return
+        values = [(repr(float(a)), repr(report.percentiles[float(a)])) for a in alphas]
+        assert code == 0
+        assert stdout == "".join(f"alpha={a} value={v}\n" for a, v in values)
+        skipped = f"skipped {len(report.skipped)} coincident pairs\n" if report.skipped else ""
+        assert stderr == skipped
+        assert got_csv == "alpha,value\n" + "".join(f"{a},{v}\n" for a, v in values)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from uvp import (
     OutOfDomain,
     ParseError,
     SchemaError,
-    SizeOverflow,
+    TooLarge,
 )
 from uvp.analysis import epsilon_pairwise
 from uvp.instances import (
@@ -407,7 +407,7 @@ def test_mesh_grid_corners():
 def test_mesh_grid_validation():
     with pytest.raises(InvalidParams):
         mesh_grid([(0.0, 1.0)], 1)
-    with pytest.raises(SizeOverflow):
+    with pytest.raises(TooLarge):
         mesh_grid([(0.0, 1.0)] * 3, 10, cap=100)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import configs_from, ref_load_tabular, ref_save_tabular
-from uvp import InvalidParams, ParseError, instances
+from uvp import Configuration, InvalidParams, ParseError, instances
 from uvp.instances import gen_smooth, load_tabular, save_tabular
 
 SETTINGS = settings(
@@ -335,4 +335,18 @@ def test_save_tabular_checks_before_opening(tmp_path):
         save_tabular(str(path), configs, np.zeros((3, 2)))
     with pytest.raises(InvalidParams):
         save_tabular(str(path), configs, np.zeros((2, 2)), ["lin", "log"])
+    with pytest.raises(IndexError):
+        save_tabular(str(path), [configs[0], Configuration((1.0,), 2)], np.zeros((2, 2)))
     assert not path.exists()
+
+
+def test_save_tabular_streams_its_lines(tmp_path):
+    # the whole 7.7 MB file once held about 26 MB of strings
+    configs, oracle = gen_smooth(1500, 4, 50, 0.3, 0)
+    tracemalloc.start()
+    try:
+        save_tabular(str(tmp_path / "s.csv"), configs, oracle.curves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
