@@ -23,6 +23,7 @@ from .core import (
 from .instances import TabularBenchmark
 
 DEFAULT_ALPHAS = (90.0, 95.0, 98.0, 99.0)
+BRUTE_FORCE_CAP = 15  # brute_force_k_center tries every size-k subset of at most this many
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +191,11 @@ def _scaled_percentiles(
     vals = _pair_levels(rows, n)
     if not vals.size:
         raise InvalidParams("no scorable pairs: all embeddings coincide")
-    radius = greedy_radius(k_center(min(k, n), Cover(configs)), configs)
+    cover = Cover(configs)
+    k_center(min(k, n), cover)
+    radius = float(cover.nearest.max())
     vals *= radius
-    return float(radius), _nearest_rank(vals, alphas)
+    return radius, _nearest_rank(vals, alphas)
 
 
 def epsilon_percentiles(
@@ -249,15 +252,15 @@ class ClusteringReport:
     optimal_centers: tuple[int, ...]
 
 
-def brute_force_k_center(X: Sequence[Configuration], k: int, cap: int = 15) -> ClusteringReport:
-    """Exact k-cover by trying every size-k subset; guarded by ``cap``.
+def brute_force_k_center(X: Sequence[Configuration], k: int) -> ClusteringReport:
+    """Exact k-cover by trying every size-k subset of at most ``BRUTE_FORCE_CAP`` points.
 
     Also runs the greedy selection on the same input so callers can compare
     the two radii directly.
     """
     n = len(X)
-    if n > cap:
-        raise TooLarge(f"{n} configurations exceed the exhaustive-search cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise TooLarge(f"{n} configurations exceed the exhaustive-search cap {BRUTE_FORCE_CAP}")
     if not 1 <= k <= n:
         raise InvalidParams(f"k must be in 1..{n}")
     best: tuple[int, ...] | None = None
@@ -267,10 +270,11 @@ def brute_force_k_center(X: Sequence[Configuration], k: int, cap: int = 15) -> C
         if radius < best_radius:
             best_radius, best = radius, subset
     assert best is not None
-    greedy = k_center(k, Cover(X))
+    cover = Cover(X)
+    greedy = k_center(k, cover)
     return ClusteringReport(
         k=k,
-        greedy_radius=float(greedy_radius(greedy, X)),
+        greedy_radius=float(cover.nearest.max()),
         optimal_radius=float(best_radius),
         greedy_centers=tuple(greedy),
         optimal_centers=best,

@@ -12,7 +12,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -106,16 +106,16 @@ def _knobs_from(args: argparse.Namespace) -> SolverParams:
 
 
 def _add_knob_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, default=25, help="fresh centers per adaptive round")
-    sub.add_argument(
-        "--epsilon", type=float, default=0.2, help="smoothness level for value-aware selection"
-    )
-    sub.add_argument("--delta", type=float, default=0.1, help="exploration fraction of the horizon")
-    sub.add_argument("--theta", type=float, default=0.3, help="tail fraction for the tail-fit forecast")
-    sub.add_argument("--predictor", choices=PREDICTORS, default="tail-fit")
-    sub.add_argument("--eta", type=int, default=3, help="halving factor for sha and hyperband")
-    sub.add_argument("--iterations", type=int, default=6, help="bracket count for hyperband")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampling and the baselines")
+    sub.add_argument("--p", type=int, help="fresh centers per adaptive round")
+    sub.add_argument("--epsilon", type=float, help="smoothness level for value-aware selection")
+    sub.add_argument("--delta", type=float, help="exploration fraction of the horizon")
+    sub.add_argument("--theta", type=float, help="tail fraction for the tail-fit forecast")
+    sub.add_argument("--predictor", choices=PREDICTORS)
+    sub.add_argument("--eta", type=int, help="halving factor for sha and hyperband")
+    sub.add_argument("--iterations", type=int, help="bracket count for hyperband")
+    sub.add_argument("--seed", type=int, help="seed for sampling and the baselines")
+    # every default is SolverParams', but the CLI forecasts with tail-fit, not two-point
+    sub.set_defaults(**asdict(SolverParams(predictor="tail-fit")))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ no k-by-n matrix of distance rows is ever kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,37 +48,20 @@ def _check_selection(k: int, cover: Cover) -> None:
         )
 
 
-@dataclass
-class EnhancedMetric:
-    """Per-iteration view of center values used by the value-aware selector."""
+def _enhanced(dist: np.ndarray, value: float, v_max: float, epsilon: float) -> np.ndarray:
+    """Enhanced distance from every point, ``dist`` away, to a center worth ``value``.
 
-    epsilon: float
-    value_of: dict[int, float]
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise InvalidParams("epsilon must be positive")
-
-    @property
-    def v_max(self) -> float:
-        if not self.value_of:
-            raise EmptyCenters("no center values recorded")
-        return max(self.value_of.values())
-
-    def eta(self, center: int) -> float:
-        """Best-to-own value ratio for ``center``, clamped to the cap."""
-        v = self.value_of[center]
-        v_max = self.v_max
-        if v_max <= 0.0:
-            return 1.0
-        if v <= 0.0:
-            return DEFAULT_ETA_CAP
-        return min(v_max / v, DEFAULT_ETA_CAP)
-
-    def distances(self, dist: np.ndarray, center: int) -> np.ndarray:
-        """Vectorised enhanced distance from every point to ``center``."""
-        eta = self.eta(center)
-        return np.minimum(dist, eta * dist - (eta - 1.0) / self.epsilon)
+    The center's neighbourhood shrinks by its value ratio eta = v_max / value,
+    clamped to the cap: eta is 1 when no center has a positive value, and
+    the cap when this one has none.
+    """
+    if v_max <= 0.0:
+        eta = 1.0
+    elif value <= 0.0:
+        eta = DEFAULT_ETA_CAP
+    else:
+        eta = min(v_max / value, DEFAULT_ETA_CAP)
+    return np.minimum(dist, eta * dist - (eta - 1.0) / epsilon)
 
 
 class Cover:
@@ -89,8 +71,10 @@ class Cover:
     a coordinate-major (d, n) matrix with one row per coordinate. It also
     keeps the chosen mask, the centers in selection order and every
     candidate's plain distance to its nearest center. While a value-aware
-    selection runs (from :meth:`revalue` on) it also holds the center values
-    and ``delta``, every candidate's minimum enhanced distance to a center.
+    selection runs (from :meth:`revalue` on) it also holds ``epsilon``, the
+    center ``values`` with their best ``v_max``, and ``delta``, every
+    candidate's minimum enhanced distance to a center; ``values`` is None
+    while ``delta`` is stale.
     Distance rows are recomputed when needed, never stored. Build one per
     solve, on the initial ``centers``, and pass it to every :func:`k_center`
     / :func:`e_k_center` call of that solve; its centers are their seeds.
@@ -105,8 +89,9 @@ class Cover:
         self.chosen = np.zeros(n, dtype=bool)
         self.nearest = np.full(n, np.inf)
         self.delta = np.full(n, np.inf)
-        self._metric: EnhancedMetric | None = None
-        self._v_max: float | None = None
+        self.epsilon: float | None = None
+        self.values: dict[int, float] | None = None
+        self.v_max: float | None = None
         for c in centers:  # every id is checked before any distance work
             self._place(c)
         for c in self.centers:
@@ -135,31 +120,34 @@ class Cover:
         :meth:`revalue` call; a plain add leaves ``delta`` stale until the
         next one.
         """
-        if value is not None and self._metric is None:
+        if value is not None and self.values is None:
             raise InvalidParams("a valued center needs revalue() first")
         self._place(center)
         row = self._row(center)
         np.minimum(self.nearest, row, out=self.nearest)
         if value is None:
-            self._metric = None
+            self.values = None
             return
-        self._metric.value_of[center] = value
-        if self._v_max is not None and value <= self._v_max:
-            np.minimum(self.delta, self._metric.distances(row, center), out=self.delta)
+        self.values[center] = value
+        if self.v_max is not None and value <= self.v_max:
+            np.minimum(self.delta, _enhanced(row, value, self.v_max, self.epsilon), out=self.delta)
         else:
-            self.revalue(self._metric)  # first value, or v_max rose: every ratio changed
+            self.revalue(self.epsilon, self.values)  # first value, or v_max rose: every ratio changed
 
-    def revalue(self, metric: EnhancedMetric) -> None:
-        """Rebuild ``delta`` from coordinates under ``metric``'s center values.
+    def revalue(self, epsilon: float, values: dict[int, float]) -> None:
+        """Rebuild ``delta`` from coordinates under ``epsilon`` and the center ``values``.
 
-        ``metric.value_of`` must hold a value for every center; the cover
-        keeps it and records the values of later valued adds in it.
+        ``values`` must hold a value for every center; the cover keeps it and
+        records the values of later valued adds in it.
         """
-        self._metric = metric
-        self._v_max = metric.v_max if metric.value_of else None
+        if not epsilon > 0:
+            raise InvalidParams("epsilon must be positive")
+        self.epsilon, self.values = epsilon, values
+        self.v_max = max(values.values()) if values else None
         self.delta.fill(np.inf)
         for c in self.centers:
-            np.minimum(self.delta, metric.distances(self._row(c), c), out=self.delta)
+            row = _enhanced(self._row(c), values[c], self.v_max, epsilon)
+            np.minimum(self.delta, row, out=self.delta)
 
 
 def k_center(k: int, cover: Cover) -> list[int]:
@@ -211,7 +199,7 @@ def e_k_center(
     for s in cover.centers:
         if len(run.histories.get(s, ())) == 0:
             raise InvalidParams(f"seed center {s} has no observations")
-    cover.revalue(EnhancedMetric(epsilon, {s: run.histories[s].last for s in cover.centers}))
+    cover.revalue(epsilon, {s: run.histories[s].last for s in cover.centers})
     new: list[int] = []
     for _ in range(k):
         if allow_partial and run.ledger.remaining == 0:

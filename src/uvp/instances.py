@@ -163,15 +163,15 @@ def _configs(points: np.ndarray) -> list[Configuration]:
     return [Configuration(row, i) for i, row in enumerate(zip(*points.T.tolist()))]
 
 
-def mesh_grid(bounds: Sequence[tuple[float, float]], m: int, cap: int = MESH_CAP) -> list[Configuration]:
-    """Regular m-per-dimension grid over ``bounds``, ids in row-major order."""
+def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configuration]:
+    """Regular m-per-dimension grid over ``bounds`` (at most MESH_CAP points), row-major ids."""
     if m < 2:
         raise InvalidParams("mesh needs at least 2 points per dimension")
     if len(bounds) < 1:
         raise InvalidParams("mesh needs at least one dimension")
     total = m ** len(bounds)
-    if total > cap:
-        raise TooLarge(f"mesh of {total} points exceeds cap {cap}")
+    if total > MESH_CAP:
+        raise TooLarge(f"mesh of {total} points exceeds cap {MESH_CAP}")
     axes = [np.linspace(lo, hi, m) for lo, hi in bounds]
     grids = np.meshgrid(*axes, indexing="ij")
     return _configs(np.stack([g.reshape(-1) for g in grids], axis=1))
@@ -503,7 +503,12 @@ def save_tabular(
         if len(flags) != d or any(f not in ("lin", "log") for f in flags):
             raise InvalidParams("scales must give lin|log per embedding column")
         head += ",".join(["scale", *flags]) + "\n"
-    rows = [curves[cfg.id] for cfg in configs]  # an id outside the curves raises here
+    seen: set[int] = set()
+    for cfg in configs:  # load_tabular wants each id of 0..n-1 once
+        if cfg.id in seen:
+            raise InvalidParams(f"configuration id {cfg.id} appears more than once")
+        seen.add(cfg.id)
+    rows = [curves[cfg.id] for cfg in configs]  # an id past the curves raises here
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(head)
         for cfg, row in zip(configs, rows):

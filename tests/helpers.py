@@ -18,7 +18,7 @@ from uvp import (
     config_matrix,
 )
 from uvp.analysis import EpsilonReport
-from uvp.clustering import Cover, EnhancedMetric, greedy_radius, k_center
+from uvp.clustering import DEFAULT_ETA_CAP, Cover, greedy_radius, k_center
 from uvp.instances import TabularBenchmark
 
 
@@ -120,17 +120,40 @@ def ref_e_k_center(k, seeds, X, t, epsilon, run, *, allow_partial=False):
         if not centers:
             pick = int(open_ids[0])  # no distances defined yet: lowest id
         else:
-            metric = EnhancedMetric(epsilon, {c: run.histories[c].last for c in centers})
+            values = {c: run.histories[c].last for c in centers}
+            v_max = max(values.values())
             delta = np.full(n, np.inf)
             for c in centers:
+                # eta = v_max / v shrinks a weak center's 1/epsilon neighbourhood
+                if v_max <= 0.0:
+                    eta = 1.0
+                elif values[c] <= 0.0:
+                    eta = DEFAULT_ETA_CAP
+                else:
+                    eta = min(v_max / values[c], DEFAULT_ETA_CAP)
                 dist = np.linalg.norm(points - points[c], axis=1)
-                np.minimum(delta, metric.distances(dist, c), out=delta)
+                np.minimum(delta, np.minimum(dist, eta * dist - (eta - 1.0) / epsilon), out=delta)
             pick = int(open_ids[np.argmax(delta[open_ids])])
         run.extend_to(X[pick], t, allow_partial=allow_partial)
         centers.append(pick)
         chosen[pick] = True
         new.append(pick)
     return new
+
+
+def enhanced_on_line(dist, value, other, epsilon):
+    """Enhanced distances from a center worth ``value`` to points ``dist`` away.
+
+    Read off ``Cover.delta`` on a line: the center sits at 0 and the points
+    at ``dist``. A second center, worth ``other``, lies more than 1/epsilon
+    beyond every point, where its enhanced distance is its plain one and so
+    never the minimum.
+    """
+    dist = [float(x) for x in dist]
+    X = line([0.0, -1.0 - 1.0 / epsilon - max(dist), *dist])
+    cover = Cover(X, [0, 1])
+    cover.revalue(epsilon, {0: value, 1: other})
+    return cover.delta[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from uvp.analysis import (
 )
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import entry
-from uvp.clustering import Cover, EnhancedMetric, e_k_center, k_center
+from uvp.clustering import Cover, e_k_center, k_center
 from uvp.instances import (
     HardInstanceSpec,
     LandscapeOracle,
@@ -210,8 +210,8 @@ def test_criterion_07_isolated_optimum_selection():
         run.extend_to(configs[s], 1)
     # seed 7 is worth half the best probed value: eta = 2 rules out every point
     # within 1 of it, which leaves the origin (0.866 from id 3) farthest
-    metric = EnhancedMetric(0.5, {s: run.histories[s].last for s in seeds})
-    assert metric.eta(7) == 2.0
+    values = {s: run.histories[s].last for s in seeds}
+    assert max(values.values()) / values[7] == 2.0
     # the plain pick is id 5 on the first ring, 0.966 from id 3
     [plain_pick] = k_center(1, Cover(configs, seeds))
     [aware_pick] = e_k_center(1, Cover(configs, seeds), 1, 0.5, run)

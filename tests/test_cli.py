@@ -187,6 +187,13 @@ def test_knobs_are_solver_params_without_budget_and_horizon():
     assert cli.Knobs is SolverParams
 
 
+@pytest.mark.parametrize("argv", [["solve", "--algo", "random"], ["bench"]])
+def test_knob_defaults_are_solver_params(argv):
+    # --predictor is the one CLI default that differs from the library's
+    args = cli.build_parser().parse_args(argv)
+    assert cli._knobs_from(args) == SolverParams(predictor="tail-fit")
+
+
 def test_solve_requires_exactly_one_source(tmp_path):
     data = _write_toy(tmp_path / "toy.csv", [[0.0], [1.0]], [[0.5], [0.6]])
     assert entry(["solve", "--algo", "random"]) == 2

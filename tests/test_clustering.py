@@ -13,6 +13,7 @@ from helpers import (
     configs_from,
     const_oracle,
     curve_oracle,
+    enhanced_on_line,
     line,
     multiscale_points,
     ref_e_k_center,
@@ -31,7 +32,7 @@ from uvp import (
     greedy_radius,
     k_center,
 )
-from uvp.clustering import DEFAULT_ETA_CAP, EnhancedMetric
+from uvp.clustering import DEFAULT_ETA_CAP
 from uvp.instances import gen_isolated_optimum
 
 
@@ -79,54 +80,63 @@ def test_greedy_radius_requires_centers():
 
 def test_enhanced_distance_eta_one_is_identity():
     # the best center (and any center of equal value) keeps the plain distance
-    metric = EnhancedMetric(0.5, {0: 0.8, 1: 0.8})
     dist = np.array([0.0, 2.0, 7.5])
-    assert metric.distances(dist, 0).tolist() == dist.tolist()
-    assert metric.distances(dist, 1).tolist() == dist.tolist()
+    assert enhanced_on_line(dist, 0.8, 0.8, 0.5).tolist() == dist.tolist()
+    assert enhanced_on_line(dist, 0.8, 0.4, 0.5).tolist() == dist.tolist()
 
 
 def test_enhanced_distance_formula():
-    metric = EnhancedMetric(0.25, {0: 1.0, 1: 0.5})  # eta = 2 for center 1
-    assert metric.distances(np.array([2.0, 0.5]), 1).tolist() == [0.0, -3.0]  # min(d, 2d - 4)
+    # eta = 2 for a center worth half the best
+    assert enhanced_on_line([2.0, 0.5], 0.5, 1.0, 0.25).tolist() == [0.0, -3.0]  # min(d, 2d - 4)
+
+
+def _cover_etas(values, epsilon=0.5):
+    """Cover on centers worth ``values``, more than 1/epsilon apart, and their etas.
+
+    At a center only its own enhanced distance, -(eta - 1) / epsilon, can
+    fall below zero, so ``delta`` there gives its eta back.
+    """
+    ids = list(range(len(values)))
+    cover = Cover(line([2.0 / epsilon * i for i in ids]), ids)
+    cover.revalue(epsilon, dict(enumerate(values)))
+    return cover, (1.0 - epsilon * cover.delta).tolist()
 
 
 def test_enhanced_distance_ring_geometry():
     # center at distance d from a ring point, center value ratio 1/(1 - eps*d)
     d, r, eps = 1.0, 0.5, 0.5
     dist = math.hypot(d, r)
-    metric = EnhancedMetric(eps, {0: 1.0, 1: 1.0 - eps * d})
-    assert metric.eta(1) == 1.0 / (1.0 - eps * d)
+    _, etas = _cover_etas([1.0, 1.0 - eps * d], eps)
+    assert etas[1] == 1.0 / (1.0 - eps * d)
     expected = (dist - d) / (1.0 - eps * d)
-    assert metric.distances(np.array([dist]), 1)[0] == pytest.approx(expected, abs=1e-15)
+    got = enhanced_on_line([dist], 1.0 - eps * d, 1.0, eps)[0]
+    assert got == pytest.approx(expected, abs=1e-15)
 
 
 def test_enhanced_distance_validation():
-    with pytest.raises(InvalidParams):
-        EnhancedMetric(0.0, {0: 0.5})
-    with pytest.raises(InvalidParams):
-        EnhancedMetric(-0.5, {0: 0.5})
-    with pytest.raises(InvalidParams):
-        EnhancedMetric(math.nan, {0: 0.5})
-    with pytest.raises(EmptyCenters):
-        EnhancedMetric(0.5, {}).v_max
+    cover = Cover(line([0.0, 1.0]), [0])
+    for bad in (0.0, -0.5, math.nan):
+        with pytest.raises(InvalidParams):
+            cover.revalue(bad, {0: 0.5})
+    assert cover.values is None  # a refused revalue keeps nothing
 
 
 def test_enhanced_distance_never_exceeds_plain():
     rng = np.random.default_rng(0)
     for _ in range(200):
         dist = rng.uniform(0.0, 10.0, size=5)
-        metric = EnhancedMetric(rng.uniform(0.01, 2.0), {0: 1.0, 1: rng.uniform(0.2, 1.0)})
-        assert np.all(metric.distances(dist, 1) <= dist)
+        enhanced = enhanced_on_line(dist, rng.uniform(0.2, 1.0), 1.0, rng.uniform(0.01, 2.0))
+        assert np.all(enhanced <= dist)
 
 
 def test_enhanced_metric_eta_rules():
-    metric = EnhancedMetric(0.5, {0: 0.8, 1: 0.4, 2: 0.0})
-    assert metric.v_max == 0.8
-    assert metric.eta(0) == 1.0
-    assert metric.eta(1) == 2.0
-    assert metric.eta(2) == DEFAULT_ETA_CAP  # zero-valued center hits the cap
-    all_zero = EnhancedMetric(0.5, {0: 0.0, 1: 0.0})
-    assert all_zero.eta(0) == 1.0  # v_max 0 collapses to plain distance
+    cover, etas = _cover_etas([0.8, 0.4, 0.0])
+    assert cover.v_max == 0.8
+    assert etas[0] == 1.0
+    assert etas[1] == 2.0
+    assert etas[2] == DEFAULT_ETA_CAP  # zero-valued center hits the cap
+    _, all_zero = _cover_etas([0.0, 0.0])
+    assert all_zero[0] == 1.0  # v_max 0 collapses to plain distance
 
 
 def test_enhanced_metric_distance_non_increasing_in_v_max():
@@ -134,8 +144,7 @@ def test_enhanced_metric_distance_non_increasing_in_v_max():
     dist = np.array([0.0, 1.0, 3.0])
     prev = None
     for v_max in (0.4, 0.6, 0.8, 1.0):
-        metric = EnhancedMetric(0.5, {0: v_max, 1: 0.4})
-        cur = metric.distances(dist, 1)
+        cur = enhanced_on_line(dist, 0.4, v_max, 0.5)
         if prev is not None:
             assert np.all(cur <= prev + 1e-15)
         prev = cur
@@ -243,7 +252,7 @@ def test_cover_rejects_bad_center_ids():
 def test_cover_built_on_valued_centers():
     X = line([0.0, 1.0, 2.0, 9.0])
     cover = Cover(X, [0, 3])
-    cover.revalue(EnhancedMetric(0.5, {0: 0.25, 3: 1.0}))
+    cover.revalue(0.5, {0: 0.25, 3: 1.0})
     assert cover.nearest.tolist() == Cover(X, [0, 3]).nearest.tolist() == [0.0, 1.0, 2.0, 0.0]
     # center 0 has eta = 4: delta = min(d, 4d - 6) near it, plain d near center 3
     assert cover.delta.tolist() == [-6.0, -2.0, 2.0, 0.0]

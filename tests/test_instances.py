@@ -408,7 +408,7 @@ def test_mesh_grid_validation():
     with pytest.raises(InvalidParams):
         mesh_grid([(0.0, 1.0)], 1)
     with pytest.raises(TooLarge):
-        mesh_grid([(0.0, 1.0)] * 3, 10, cap=100)
+        mesh_grid([(0.0, 1.0)] * 3, 101)  # 1,030,301 points, refused before allocating
 
 
 def test_sample_uniform_degenerate_bounds():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import configs_from, curve_oracle, line
+from helpers import configs_from, curve_oracle, enhanced_on_line, line
 from uvp import BudgetLedger, InvalidBudget, Run, cli
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import ALGORITHMS, run_algorithm
-from uvp.clustering import Cover, EnhancedMetric, e_k_center, k_center
+from uvp.clustering import Cover, e_k_center, k_center
 from uvp.solvers import (
     SolverParams,
     _keeps,
@@ -179,10 +179,10 @@ def test_greedy_k_center_within_twice_optimal(cells, k):
 @given(st.floats(0.0, 50.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 5.0))
 @COMMON
 def test_enhanced_distance_never_exceeds_plain(dist, v_best, v_weak, epsilon):
-    metric = EnhancedMetric(epsilon, {0: max(v_best, v_weak), 1: min(v_best, v_weak)})
-    dists = np.array([dist])
-    assert metric.distances(dists, 1)[0] <= dist + 1e-12
-    assert metric.distances(dists, 0)[0] == pytest.approx(dist)  # eta = 1 at v_max
+    best, weak = max(v_best, v_weak), min(v_best, v_weak)
+    assert enhanced_on_line([dist], weak, best, epsilon)[0] <= dist + 1e-12
+    # eta = 1 at v_max
+    assert enhanced_on_line([dist], best, weak, epsilon)[0] == pytest.approx(dist)
 
 
 @given(tabular_instances(), st.integers(1, 3))

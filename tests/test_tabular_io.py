@@ -337,7 +337,12 @@ def test_save_tabular_checks_before_opening(tmp_path):
         save_tabular(str(path), configs, np.zeros((2, 2)), ["lin", "log"])
     with pytest.raises(IndexError):
         save_tabular(str(path), [configs[0], Configuration((1.0,), 2)], np.zeros((2, 2)))
+    with pytest.raises(InvalidParams, match="id 0 "):  # load_tabular would refuse the file
+        save_tabular(str(path), [configs[0], Configuration((1.0,), 0)], np.zeros((2, 2)))
     assert not path.exists()
+    curves = np.array([[0.25, 0.5], [0.75, 1.0]])
+    save_tabular(str(path), configs[::-1], curves)  # any order of ids 0..n-1 is fine
+    assert load_tabular(str(path)).curves.tolist() == curves.tolist()
 
 
 def test_save_tabular_streams_its_lines(tmp_path):
