@@ -9,7 +9,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .clustering import Cover, greedy_radius, k_center
+from .clustering import Cover, k_center
+# brute_force_k_center no longer calls it; perfbench/tracing.py wraps it by name here
+from .clustering import greedy_radius  # noqa: F401
 from .core import (
     Configuration,
     DegenerateEmbedding,
@@ -255,18 +257,22 @@ class ClusteringReport:
 def brute_force_k_center(X: Sequence[Configuration], k: int) -> ClusteringReport:
     """Exact k-cover by trying every size-k subset of at most ``BRUTE_FORCE_CAP`` points.
 
-    Also runs the greedy selection on the same input so callers can compare
-    the two radii directly.
+    Every subset's radius is read off one table of the n distance rows; ties
+    keep the first subset in ``combinations`` order. Also runs the greedy
+    selection on the same input so callers can compare the two radii directly.
     """
     n = len(X)
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"{n} configurations exceed the exhaustive-search cap {BRUTE_FORCE_CAP}")
     if not 1 <= k <= n:
         raise InvalidParams(f"k must be in 1..{n}")
+    columns = config_columns(X)
+    work = np.empty_like(columns)
+    rows = np.stack([distance_row(columns, columns[:, i], work) for i in range(n)])
     best: tuple[int, ...] | None = None
     best_radius = math.inf
     for subset in itertools.combinations(range(n), k):
-        radius = greedy_radius(list(subset), X)
+        radius = float(rows[list(subset)].min(axis=0).max())
         if radius < best_radius:
             best_radius, best = radius, subset
     assert best is not None

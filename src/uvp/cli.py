@@ -118,23 +118,54 @@ def _add_knob_args(sub: argparse.ArgumentParser) -> None:
     sub.set_defaults(**asdict(SolverParams(predictor="tail-fit")))
 
 
+def _add_source_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--data", action="append", help="benchmark CSV (id,x0..,b,value)")
+    sub.add_argument("--landscape", action="append", choices=LANDSCAPE_KINDS, help="surface kind")
+    sub.add_argument("--n", type=int, default=10000, help="candidates sampled per landscape")
+    sub.add_argument("--horizon", type=int, default=1, help="horizon for landscape sources")
+    sub.add_argument("--landscape-seed", type=int, default=0, help="seed for surface parameters")
+    sub.add_argument("--budget", type=int, help="units per dataset (default 20 * its horizon)")
+
+
+def _datasets(args: argparse.Namespace) -> list[tuple[str, list, ValueOracle, int]]:
+    """(name, candidates, oracle, budget) per --data file and --landscape kind, sorted by name.
+
+    A file is named by its base name without extension, a landscape by its
+    kind. Landscapes are read lazily through their oracle, which is built
+    (and checks the horizon) before any candidate is sampled.
+    """
+    sources = []
+    for path in args.data or []:
+        bench = load_tabular(path)
+        sources.append((os.path.splitext(os.path.basename(path))[0], bench.configs, bench.oracle()))
+    for kind in args.landscape or []:
+        spec = landscape(kind, args.landscape_seed)
+        oracle = LandscapeOracle(spec, args.horizon)
+        sources.append((kind, sample_uniform(spec.domain, args.n, args.seed), oracle))
+    names = [name for name, _, _ in sources]
+    if len(set(names)) != len(names):
+        raise InvalidParams(f"dataset names collide: {names}")
+    datasets = []
+    for name, X, oracle in sorted(sources, key=lambda s: s[0]):
+        budget = args.budget if args.budget is not None else 20 * oracle.horizon
+        if budget < oracle.horizon:
+            raise InvalidParams(f"budget {budget} is below one full evaluation of {name}")
+        datasets.append((name, X, oracle, budget))
+    return datasets
+
+
+def _write_trace(path: str, trace) -> None:
+    _write_csv(path, ["spent", "incumbent"], [[s, _fmt(v)] for s, v in trace])
+
+
 # ---------------------------------------------------------------------------
 # solve
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if (args.data is None) == (args.landscape is None):
+    if len(args.data or []) + len(args.landscape or []) != 1:
         raise InvalidParams("give exactly one of --data or --landscape")
-    if args.data is not None:
-        bench = load_tabular(args.data)
-        X, oracle = bench.configs, bench.oracle()
-    else:
-        if args.horizon < 1:
-            raise InvalidParams("horizon must be >= 1")
-        spec = landscape(args.landscape, args.landscape_seed)
-        X = sample_uniform(spec.domain, args.n, args.seed)
-        oracle = LandscapeOracle(spec, args.horizon)
-    budget = args.budget if args.budget is not None else 20 * oracle.horizon
+    [(_, X, oracle, budget)] = _datasets(args)
     out = run_algorithm(args.algo, X, oracle, budget, oracle.horizon, _knobs_from(args))
     spent = out.trace[-1][0] if out.trace else 0
     print(f"best_id={out.best} best_value={_fmt(out.best_value)} spent={spent}")
@@ -145,11 +176,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ["best_id", "best_value", "spent"],
             [[out.best, _fmt(out.best_value), spent]],
         )
-        _write_csv(
-            os.path.join(args.out, "trace.csv"),
-            ["spent", "incumbent"],
-            [[s, _fmt(v)] for s, v in out.trace],
-        )
+        _write_trace(os.path.join(args.out, "trace.csv"), out.trace)
     return 0
 
 
@@ -168,23 +195,11 @@ def _bench_cell(payload):
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # (name, candidates, oracle); landscapes are read lazily, as in solve
-    datasets = []
-    for path in args.data or []:
-        name = os.path.splitext(os.path.basename(path))[0]
-        bench = load_tabular(path)
-        datasets.append((name, bench.configs, bench.oracle()))
-    for kind in args.landscape or []:
-        spec = landscape(kind, args.landscape_seed)
-        X = sample_uniform(spec.domain, args.n, args.seed)
-        datasets.append((kind, X, LandscapeOracle(spec, args.horizon)))
-    if not datasets:
+    if not (args.data or args.landscape):
         raise InvalidParams("bench needs at least one --data file or --landscape kind")
-    names = [d[0] for d in datasets]
-    if len(set(names)) != len(names):
-        raise InvalidParams(f"dataset names collide: {names}")
-    datasets.sort(key=lambda d: d[0])
-    names.sort()
+    datasets = _datasets(args)
+    caps = {name: cap for name, _, _, cap in datasets}
+    names = list(caps)
 
     raw_algos = ",".join(ALGORITHMS) if args.algos is None else args.algos
     algorithms = sorted({a for a in raw_algos.split(",") if a})
@@ -195,27 +210,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise InvalidParams(f"unknown algorithm {alg!r}")
     if args.seeds < 1:
         raise InvalidParams("need at least one seed")
+    if args.workers < 1:
+        raise InvalidParams(f"need at least one worker, got {args.workers}")
     knobs = _knobs_from(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
 
-    caps = {}
-    for name, _, oracle in datasets:
-        cap = args.budget if args.budget is not None else 20 * oracle.horizon
-        if cap < oracle.horizon:
-            raise InvalidParams(f"budget {cap} is below one full evaluation of {name}")
-        caps[name] = cap
-
     tasks = [
-        (name, X, oracle, caps[name], seed, alg, knobs)
-        for name, X, oracle in datasets
+        (name, X, oracle, cap, seed, alg, knobs)
+        for name, X, oracle, cap in datasets
         for seed in seeds
         for alg in algorithms
     ]
     results: dict[tuple[str, int, str], list[tuple[int, float]]] = {}
     finals: dict[tuple[str, int, str], float] = {}
     failures: list[tuple[str, int, str, str]] = []
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all its workers on first use, so never ask for more than there are cells
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_bench_cell, tasks))
     else:
         cells = [_bench_cell(t) for t in tasks]
@@ -229,11 +241,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for (name, seed, alg), trace in sorted(results.items()):
-            _write_csv(
-                os.path.join(args.out, f"trace_{name}_{alg}_{seed}.csv"),
-                ["spent", "incumbent"],
-                [[s, _fmt(v)] for s, v in trace],
-            )
+            _write_trace(os.path.join(args.out, f"trace_{name}_{alg}_{seed}.csv"), trace)
         summary_rows = []
         for name in names:
             for alg in algorithms:
@@ -358,33 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="run one algorithm on one instance")
     solve.add_argument("--algo", choices=ALGORITHMS, required=True)
-    solve.add_argument("--data", help="benchmark CSV (id,x0..,b,value)")
-    solve.add_argument(
-        "--landscape", choices=LANDSCAPE_KINDS, help="analytic surface instead of a file"
-    )
-    solve.add_argument("--n", type=int, default=10000, help="candidates sampled from a landscape")
-    solve.add_argument("--horizon", type=int, default=1, help="horizon for landscape sources")
-    solve.add_argument("--landscape-seed", type=int, default=0, help="seed for surface parameters")
-    solve.add_argument(
-        "--budget", type=int, default=None, help="total unit budget (default 20 * horizon)"
-    )
+    _add_source_args(solve)
     _add_knob_args(solve)
     solve.add_argument("--out", help="directory for outcome.csv and trace.csv")
     solve.set_defaults(fn=_cmd_solve)
 
     bench = subs.add_parser("bench", help="compare algorithms over datasets and seeds")
-    bench.add_argument("--data", action="append", help="benchmark CSV, repeatable")
-    bench.add_argument(
-        "--landscape", action="append", choices=LANDSCAPE_KINDS, help="analytic surface, repeatable"
-    )
-    bench.add_argument("--n", type=int, default=10000, help="candidates sampled per landscape")
-    bench.add_argument("--horizon", type=int, default=1, help="horizon for landscape sources")
-    bench.add_argument("--landscape-seed", type=int, default=0)
+    _add_source_args(bench)
     bench.add_argument("--algos", help="comma list of algorithms (default: all)")
     bench.add_argument("--seeds", type=int, default=30, help="seeds per (dataset, algorithm)")
-    bench.add_argument(
-        "--budget", type=int, default=None, help="budget cap per dataset (default 20 * its horizon)"
-    )
     _add_knob_args(bench)
     bench.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     bench.add_argument("--out", help="directory for traces, mean_rank.csv and summary.csv")

@@ -482,6 +482,24 @@ def test_brute_force_k_center_dominates_greedy():
         assert report.greedy_radius <= 2.0 * report.optimal_radius + 1e-12
 
 
+def test_brute_force_k_center_matches_per_subset_greedy_radius():
+    # the radius table must give each subset's cover radius bit for bit, and
+    # ties (frequent on a small grid) keep the first subset in combinations order
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        pts = rng.integers(0, 3, size=(n, d)) if trial % 2 else rng.uniform(-5, 5, size=(n, d))
+        configs = configs_from(pts)
+        k = int(rng.integers(1, n + 1))
+        radii = [
+            (greedy_radius(list(s), configs), s) for s in itertools.combinations(range(n), k)
+        ]
+        radius, centers = min(radii, key=lambda r: r[0])
+        report = brute_force_k_center(configs, k)
+        assert repr(report.optimal_radius) == repr(radius)
+        assert report.optimal_centers == centers
+
+
 def test_brute_force_opt_constant_ties_to_lowest_id():
     configs = line([0.0, 1.0, 2.0])
     oracle = curve_oracle([[0.5, 0.5]] * 3)

@@ -194,13 +194,38 @@ def test_knob_defaults_are_solver_params(argv):
     assert cli._knobs_from(args) == SolverParams(predictor="tail-fit")
 
 
-def test_solve_requires_exactly_one_source(tmp_path):
+def test_solve_requires_exactly_one_source(tmp_path, capsys):
+    # a second --data or --landscape is an error, not silently ignored
     data = _write_toy(tmp_path / "toy.csv", [[0.0], [1.0]], [[0.5], [0.6]])
-    assert entry(["solve", "--algo", "random"]) == 2
-    assert entry([
-        "solve", "--algo", "random", "--data", data,
-        "--landscape", "radial-decay",
-    ]) == 2
+    out = tmp_path / "run"
+    for sources in (
+        [],
+        ["--data", data, "--landscape", "radial-decay"],
+        ["--data", data, "--data", data],
+        ["--landscape", "radial-decay", "--landscape", "cosine-ring"],
+    ):
+        assert entry(["solve", "--algo", "random", "--n", "50", *sources, "--out", str(out)]) == 2
+        assert "give exactly one of --data or --landscape" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--landscape", "radial-decay", "--n", "50", "--horizon", "0"],
+         "oracle horizon must be >= 1"),
+        (["--data", "t4.csv", "--budget", "3"], "budget 3 is below one full evaluation of t4"),
+    ],
+    ids=["horizon-0", "budget-below-T"],
+)
+def test_solve_and_bench_word_a_source_fault_alike(tmp_path, capsys, argv, message):
+    _write_toy(tmp_path / "t4.csv", [[0.0], [1.0]], [[0.1, 0.2, 0.3, 0.4]] * 2)
+    argv = [str(tmp_path / a) if a == "t4.csv" else a for a in argv]
+    for command, algo_flag in (("solve", "--algo"), ("bench", "--algos")):
+        out = tmp_path / command
+        assert entry([command, algo_flag, "random", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_solve_on_tabular_data(tmp_path, capsys):
@@ -296,6 +321,54 @@ def test_bench_bad_knob_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
     assert "eta must be >= 2" in capsys.readouterr().err
     assert cells == []
     assert not out.exists()
+
+
+def test_bench_two_workers_write_what_one_writes(tmp_path, capsys):
+    data = _bench_dataset(tmp_path)
+    argv = ["bench", "--data", data, "--algos", "random,sha", "--seeds", "2", "--budget", "20"]
+    printed = []
+    for workers in ("1", "2"):
+        assert entry([*argv, "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert _dir_bytes(tmp_path / "1") == _dir_bytes(tmp_path / "2")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_bench_needs_at_least_one_worker(tmp_path, capsys, workers):
+    data = _bench_dataset(tmp_path)
+    out = tmp_path / "bench"
+    argv = ["bench", "--data", data, "--seeds", "1", "--workers", workers, "--out", str(out)]
+    assert entry(argv) == 2
+    assert f"need at least one worker, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # the pool forks every worker it is asked for, so the count is capped at the cells
+    asked = []
+
+    class SequentialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SequentialPool)
+    data = _bench_dataset(tmp_path)
+    argv = ["bench", "--data", data, "--algos", "random,sha", "--seeds", "1", "--budget", "20"]
+    assert entry([*argv, "--workers", "64", "--out", str(tmp_path / "pool")]) == 0
+    assert asked == [2]
+    assert entry([*argv, "--workers", "1", "--out", str(tmp_path / "one")]) == 0
+    assert asked == [2]
+    assert _dir_bytes(tmp_path / "pool") == _dir_bytes(tmp_path / "one")
 
 
 # ---------------------------------------------------------------------------
