@@ -68,20 +68,12 @@ def _depth(eta: int, n: int, budget: int, horizon: int) -> int:
     return s
 
 
-def _run_bracket(
-    run: Run,
-    X: Sequence[Configuration],
-    arms: Sequence[int],
-    s: int,
-    eta: int,
-    *,
-    allow_partial: bool,
-) -> None:
+def _run_bracket(run: Run, X: Sequence[Configuration], arms: Sequence[int], s: int, eta: int) -> None:
     """One halving bracket: extend arms rung by rung, keep the top 1/eta each time."""
     alive = list(arms)
     for i, r in enumerate(_rung_budgets(s, eta, run.oracle.horizon)):
         for a in alive:
-            if not run.extend_to(X[a], r, allow_partial=allow_partial):
+            if not run.extend_to(X[a], r):
                 return  # ledger cap intervened mid-rung
         if i < s:
             keep = max(1, len(alive) // eta)
@@ -107,7 +99,7 @@ def successive_halving(
     rng = np.random.default_rng(params.seed)
     arms = [int(a) for a in rng.choice(len(X), size=params.eta**s, replace=False)]
     run = Run(oracle, ledger)
-    _run_bracket(run, X, arms, s, params.eta, allow_partial=False)
+    _run_bracket(run, X, arms, s, params.eta)
     return run.outcome()
 
 
@@ -138,5 +130,5 @@ def hyperband(
         n = math.ceil((s_max + 1) / (s + 1) * params.eta**s)
         n = min(n, len(X))
         arms = [int(a) for a in rng.choice(len(X), size=n, replace=False)]
-        _run_bracket(run, X, arms, s, params.eta, allow_partial=True)
+        _run_bracket(run, X, arms, s, params.eta)
     return run.outcome()

@@ -174,15 +174,7 @@ def greedy_radius(centers: Sequence[int], X: Sequence[Configuration]) -> float:
     return float(Cover(X, list(dict.fromkeys(centers))).nearest.max())
 
 
-def e_k_center(
-    k: int,
-    cover: Cover,
-    t: int,
-    epsilon: float,
-    run: Run,
-    *,
-    allow_partial: bool = False,
-) -> list[int]:
+def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[int]:
     """Select ``k`` centers farthest-first under the value-aware distance.
 
     Every center of ``cover`` must have a non-empty history in ``run``. Each
@@ -192,8 +184,8 @@ def e_k_center(
     the picks and returns them in selection order; their histories are in
     ``run.histories``.
 
-    With ``allow_partial`` the selection stops quietly once the ledger cap
-    intervenes, so a probe may be truncated and trailing picks skipped.
+    Selection stops once the ledger is dry, so the last probe may be
+    truncated and fewer than ``k`` centers returned.
     """
     _check_selection(k, cover)
     for s in cover.centers:
@@ -202,10 +194,10 @@ def e_k_center(
     cover.revalue(epsilon, {s: run.histories[s].last for s in cover.centers})
     new: list[int] = []
     for _ in range(k):
-        if allow_partial and run.ledger.remaining == 0:
+        if run.ledger.remaining == 0:
             break
         pick = cover.farthest(cover.delta)
-        run.extend_to(cover.configs[pick], t, allow_partial=allow_partial)
+        run.extend_to(cover.configs[pick], t)
         cover.add(pick, run.histories[pick].last)
         new.append(pick)
     return new

@@ -4,6 +4,8 @@ Every solver in this package is built from the same primitives: an immutable
 candidate ``Configuration``, a ``ValueOracle`` answering "what value does
 configuration x reach after b units of training", an append-only ``History``
 of observed values, and a ``BudgetLedger`` that meters every unit spent.
+A ``Run`` is the one way to spend: ``Run.extend_to`` trains a curve as far
+as the ledger allows, one ``Run.step`` per unit.
 """
 
 from __future__ import annotations
@@ -219,27 +221,21 @@ class CallableOracle(ValueOracle):
 
 @dataclass
 class BudgetLedger:
-    """Meters evaluation spend against a hard cap. One unit = one budget step."""
+    """Meters evaluation spend against a hard cap. One unit = one budget step.
+
+    ``spent`` starts at 0, and only :meth:`Run.step` advances it.
+    """
 
     cap: int
-    spent: int = 0
+    spent: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.cap, (int, np.integer)) or self.cap < 0:
             raise InvalidBudget(f"budget cap must be a non-negative integer, got {self.cap!r}")
-        if self.spent < 0 or self.spent > self.cap:
-            raise InvalidBudget("initial spend outside [0, cap]")
 
     @property
     def remaining(self) -> int:
         return self.cap - self.spent
-
-    def charge(self, units: int = 1) -> None:
-        if units < 0:
-            raise InvalidBudget("cannot charge a negative number of units")
-        if self.spent + units > self.cap:
-            raise BudgetExhausted(f"charge of {units} exceeds remaining {self.remaining}")
-        self.spent += units
 
 
 @dataclass
@@ -256,9 +252,10 @@ class Run:
     """Bookkeeping for one solver execution: histories, spend trace, incumbent.
 
     Every unit a solver or baseline spends goes through :meth:`step`, the
-    only caller of :meth:`BudgetLedger.charge`. The trace records one (units
-    spent, incumbent value) point per charged unit, as it is charged, so it
-    doubles as the anytime curve.
+    only code that advances ``ledger.spent``; :meth:`extend_to` is the one
+    way to train a curve. The trace records one (units spent, incumbent
+    value) point per charged unit, as it is charged, so it doubles as the
+    anytime curve.
     """
 
     def __init__(self, oracle: ValueOracle, ledger: BudgetLedger) -> None:
@@ -269,36 +266,38 @@ class Run:
         self._incumbent = -math.inf
 
     def step(self, config: Configuration) -> None:
-        """Charge one unit and evaluate ``config`` at its next budget index.
+        """Evaluate ``config`` at its next budget index and charge one unit.
 
-        The only place a history is created, and only once it holds a value.
+        A dry ledger raises before the oracle is queried. The unit is charged
+        only once its value is recorded, so a query or value that raises
+        charges nothing. The only place a history is created, and only once
+        it holds a value.
         """
+        ledger = self.ledger
+        if ledger.spent >= ledger.cap:
+            raise BudgetExhausted(f"charge of 1 exceeds remaining {ledger.remaining}")
         h = self.histories.get(config.id)
         if h is None:
             h = History(config.id)
-        self.ledger.charge(1)
         h.append(self.oracle.query(config, len(h) + 1))
         self.histories[config.id] = h
+        ledger.spent += 1
         self._incumbent = max(self._incumbent, h.last)
-        self.trace.append((self.ledger.spent, self._incumbent))
+        self.trace.append((ledger.spent, self._incumbent))
 
-    def extend_to(self, config: Configuration, t: int, *, allow_partial: bool = False) -> bool:
+    def extend_to(self, config: Configuration, t: int) -> bool:
         """Train ``config`` up to budget t, charging only the missing units.
 
-        Returns False on a partial fill. Without ``allow_partial`` a fill
-        that does not fit raises before any charge, as does a target outside
-        1..horizon.
+        Fills as far as the ledger allows and returns False if it runs dry
+        first. A target outside 1..horizon raises before any charge.
         """
         if t < 1 or t > self.oracle.horizon:
             raise InvalidBudget(f"target budget {t} outside 1..{self.oracle.horizon}")
         missing = t - len(self.histories.get(config.id, ()))
-        if not allow_partial and missing > self.ledger.remaining:
-            raise BudgetExhausted(f"need {missing} units, only {self.ledger.remaining} remain")
-        for _ in range(missing):
-            if self.ledger.remaining == 0:
-                return False
+        fill = min(missing, self.ledger.remaining)
+        for _ in range(fill):
             self.step(config)
-        return True
+        return fill == missing
 
     def outcome(self) -> SearchOutcome:
         """Best evaluated candidate (ties to the lowest id) plus the trace."""

@@ -244,31 +244,23 @@ def _adaptive(
     while ledger.remaining > 0:
         n_new = min(params.p, len(X) - len(cover.centers))
         if n_new > 0 and enhanced:
-            new = clustering.e_k_center(
-                n_new, cover, t_explore, params.epsilon, run, allow_partial=True
-            )
+            new = clustering.e_k_center(n_new, cover, t_explore, params.epsilon, run)
         elif n_new > 0:
             new = clustering.k_center(n_new, cover)
         else:
             new = []
         active = sorted(set(active).union(new))
 
-        stopped = False
         for t in range(t_start, horizon + 1):
-            for x in active:
-                if ledger.remaining == 0:
-                    stopped = True
-                    break
-                h = run.histories.get(x)
-                if h is not None and len(h) >= t:
-                    continue  # already trained this far in an earlier round
-                run.step(X[x])
-            if stopped or not active:
+            # a curve trained this far in an earlier round is charged nothing
+            if not all(run.extend_to(X[x], t) for x in active):
+                return run.outcome()  # ledger dry mid-level
+            if not active:
                 break
             best_last = max(run.histories[x].last for x in active)
             active = [
                 x for x in active if _keeps(run.histories[x].values, params, horizon, best_last)
             ]
-        if stopped or not new:
-            break  # budget gone, or candidate pool exhausted after a last extension
+        if not new:
+            break  # candidate pool exhausted after a last extension
     return run.outcome()

@@ -104,7 +104,7 @@ def ref_k_center(k, seeds, X):
     return new
 
 
-def ref_e_k_center(k, seeds, X, t, epsilon, run, *, allow_partial=False):
+def ref_e_k_center(k, seeds, X, t, epsilon, run):
     """Value-aware selection rebuilding the enhanced distance before each pick."""
     points = config_matrix(X)
     n = len(X)
@@ -114,7 +114,7 @@ def ref_e_k_center(k, seeds, X, t, epsilon, run, *, allow_partial=False):
         chosen[s] = True
     new = []
     for _ in range(k):
-        if allow_partial and run.ledger.remaining == 0:
+        if run.ledger.remaining == 0:
             break
         open_ids = np.flatnonzero(~chosen)
         if not centers:
@@ -134,7 +134,7 @@ def ref_e_k_center(k, seeds, X, t, epsilon, run, *, allow_partial=False):
                 dist = np.linalg.norm(points - points[c], axis=1)
                 np.minimum(delta, np.minimum(dist, eta * dist - (eta - 1.0) / epsilon), out=delta)
             pick = int(open_ids[np.argmax(delta[open_ids])])
-        run.extend_to(X[pick], t, allow_partial=allow_partial)
+        run.extend_to(X[pick], t)
         centers.append(pick)
         chosen[pick] = True
         new.append(pick)

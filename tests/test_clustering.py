@@ -20,7 +20,6 @@ from helpers import (
     ref_k_center,
 )
 from uvp import (
-    BudgetExhausted,
     BudgetLedger,
     Cover,
     EmptyCenters,
@@ -186,10 +185,12 @@ def test_e_k_center_requires_seed_histories():
 def test_e_k_center_partial_fill_stops_quietly():
     X = line([0.0, 1.0, 2.0, 3.0])
     run = Run(const_oracle(0.4, horizon=2), BudgetLedger(3))
-    new = e_k_center(3, Cover(X), 2, 0.5, run, allow_partial=True)
+    new = e_k_center(3, Cover(X), 2, 0.5, run)
     assert run.ledger.spent == 3
     assert len(new) == 2  # third pick never happened
     assert [len(run.histories[c]) for c in new] == [2, 1]  # second probe truncated
+    assert e_k_center(1, Cover(X, new), 2, 0.5, run) == []  # a dry ledger picks nothing
+    assert sorted(run.histories) == sorted(new)
 
 
 def test_e_k_center_downweights_weak_center():
@@ -303,7 +304,6 @@ def selection_cases(draw):
         "k": draw(st.integers(0, n - len(seeds))),
         "t": draw(st.integers(1, horizon)),
         "epsilon": draw(st.sampled_from([0.1, 0.5, 2.0])),
-        "allow_partial": draw(st.booleans()),
     }
 
 
@@ -312,27 +312,24 @@ def _copy(histories):
 
 
 def _value_aware(select, case, cap, histories):
-    """(ids, {id: values}, spent, trace) of ``select(run)``, or the error it raised.
+    """(ids, {id: values}, spent, trace) of ``select(run)``.
 
     The run starts from copies of ``histories``, observed before its ledger
     opened, so only the selection's own probes are charged.
     """
     run = Run(curve_oracle(case["curves"], dimension=1), BudgetLedger(cap))
     run.histories.update(_copy(histories))
-    try:
-        new = select(run)
-    except BudgetExhausted:
-        return "exhausted", run.ledger.spent
+    new = select(run)
     return new, {c: h.values for c, h in run.histories.items()}, run.ledger.spent, run.trace
 
 
 def _selectors(case, cover):
     """The engine extending ``cover`` and the reference seeded with its centers."""
     k, seeds, X = case["k"], list(cover.centers), case["X"]
-    args, partial = (case["t"], case["epsilon"]), case["allow_partial"]
+    args = (case["t"], case["epsilon"])
     return (
-        lambda run: e_k_center(k, cover, *args, run, allow_partial=partial),
-        lambda run: ref_e_k_center(k, seeds, X, *args, run, allow_partial=partial),
+        lambda run: e_k_center(k, cover, *args, run),
+        lambda run: ref_e_k_center(k, seeds, X, *args, run),
     )
 
 
@@ -373,7 +370,7 @@ def test_shared_cover_rounds_match_reference(case, rounds):
         assert k_center(k_plain, plain) == ref_k_center(k_plain, seeds, X)
 
         seeds = list(valued.centers)
-        round_case = {**case, "k": min(k, len(X) - len(seeds)), "allow_partial": True}
+        round_case = {**case, "k": min(k, len(X) - len(seeds))}
         engine, reference = _selectors(round_case, valued)
         got = _value_aware(engine, round_case, 10, histories)
         assert got == _value_aware(reference, round_case, 10, histories)

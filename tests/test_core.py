@@ -13,6 +13,7 @@ from uvp import (
     History,
     InvalidBudget,
     InvalidParams,
+    InvalidValue,
     Run,
     config_matrix,
 )
@@ -47,45 +48,97 @@ def test_learn_ramp_curve():
 
 
 def test_learn_needs_remaining_budget():
-    run = Run(const_oracle(0.5), BudgetLedger(2))
-    with pytest.raises(BudgetExhausted):
-        run.extend_to(Configuration((0.0,), 0), 3)
-    assert run.ledger.spent == 0  # feasibility checked before any charge
-    assert run.trace == []
+    # a fill that does not fit in what an earlier fill left spends the rest
+    run = Run(const_oracle(0.5), BudgetLedger(4))
+    first, second = Configuration((0.0,), 0), Configuration((1.0,), 1)
+    assert run.extend_to(first, 3) is True
+    assert run.extend_to(second, 3) is False
+    assert [len(run.histories[c]) for c in (0, 1)] == [3, 1]
+    assert run.extend_to(second, 3) is False  # the dry ledger charges nothing more
+    assert [s for s, _ in run.trace] == [1, 2, 3, 4]
+    assert run.ledger.spent == 4
 
 
 def test_learn_partial_fill_truncates():
     run = Run(const_oracle(0.5), BudgetLedger(2))
-    assert run.extend_to(Configuration((0.0,), 0), 3, allow_partial=True) is False
+    assert run.extend_to(Configuration((0.0,), 0), 3) is False
     assert len(run.histories[0]) == 2
     assert run.ledger.spent == 2
 
 
 def test_extend_without_a_charge_leaves_no_history():
-    # a partial fill on an empty ledger, a fill that does not fit and a step
-    # past the cap charge nothing, so none may leave an empty history behind
-    cfg = Configuration((0.0,), 0)
+    # a fill on a dry ledger and a step past the cap charge nothing, so
+    # neither may leave an empty history behind
+    cfg, other = Configuration((0.0,), 0), Configuration((1.0,), 1)
     run = Run(const_oracle(0.5), BudgetLedger(0))
-    assert run.extend_to(cfg, 2, allow_partial=True) is False
+    assert run.extend_to(cfg, 2) is False
     assert run.histories == {}
     with pytest.raises(BudgetExhausted):
         run.step(cfg)
     assert run.histories == {}
     run = Run(const_oracle(0.5), BudgetLedger(1))
-    with pytest.raises(BudgetExhausted):
-        run.extend_to(cfg, 2)
-    assert run.histories == {}
+    assert run.extend_to(cfg, 2) is False
+    assert run.extend_to(other, 2) is False
+    assert list(run.histories) == [0]
+    assert len(run.histories[0]) == 1
 
 
 def test_learn_rejects_bad_target():
     oracle = const_oracle(0.5, horizon=3)
     for t in (0, 4):
         run = Run(oracle, BudgetLedger(10))
-        for partial in (False, True):
-            with pytest.raises(InvalidBudget):
-                run.extend_to(Configuration((0.0,), 0), t, allow_partial=partial)
+        with pytest.raises(InvalidBudget):
+            run.extend_to(Configuration((0.0,), 0), t)
         assert run.ledger.spent == 0  # rejected before any charge
         assert run.trace == []
+    run = Run(oracle, BudgetLedger(0))
+    with pytest.raises(InvalidBudget):
+        run.extend_to(Configuration((0.0,), 0), 4)  # even on a dry ledger
+
+
+def _assert_spend_recorded(run):
+    assert run.ledger.spent == len(run.trace) == sum(len(h) for h in run.histories.values())
+
+
+def test_step_charges_only_recorded_units():
+    cfg = Configuration((0.0,), 0)
+    # past the horizon: the oracle rejects the budget index
+    run = Run(const_oracle(0.5, horizon=1), BudgetLedger(5))
+    run.step(cfg)
+    with pytest.raises(InvalidBudget):
+        run.step(cfg)
+    _assert_spend_recorded(run)
+    assert run.ledger.spent == 1
+    # a value outside [0, 1], on a fresh and on a started history
+    values = {1: 0.5, 2: 1.5}
+    run = Run(CallableOracle(lambda c, b: values[b] if c.id == 0 else 1.5, 1, 2), BudgetLedger(5))
+    with pytest.raises(InvalidValue):
+        run.step(Configuration((1.0,), 1))
+    _assert_spend_recorded(run)
+    assert run.histories == {}
+    run.step(cfg)
+    with pytest.raises(InvalidValue):
+        run.step(cfg)
+    _assert_spend_recorded(run)
+    assert run.ledger.spent == 1
+
+
+def test_dry_ledger_raises_before_querying():
+    calls = []
+
+    def record(config, b):
+        calls.append((config.id, b))
+        return 0.5
+
+    cfg = Configuration((0.0,), 0)
+    run = Run(CallableOracle(record, 1, 3), BudgetLedger(1))
+    run.step(cfg)
+    with pytest.raises(BudgetExhausted, match="charge of 1 exceeds remaining 0"):
+        run.step(cfg)
+    assert calls == [(0, 1)]
+    assert run.extend_to(cfg, 3) is False
+    assert calls == [(0, 1)]
+    _assert_spend_recorded(run)
 
 
 def test_extend_resumes_existing_history():
@@ -153,16 +206,20 @@ def test_distance_row_matches_numpy_norm_bit_for_bit():
 
 
 def test_ledger_validation_and_charging():
-    with pytest.raises(InvalidBudget):
-        BudgetLedger(-1)
+    for cap in (-1, 2.0, "2"):
+        with pytest.raises(InvalidBudget):
+            BudgetLedger(cap)
+    with pytest.raises(TypeError):
+        BudgetLedger(2, 1)  # spend is not an argument: every ledger opens at 0
     ledger = BudgetLedger(2)
-    ledger.charge(2)
+    assert (ledger.cap, ledger.spent, ledger.remaining) == (2, 0, 2)
+    run = Run(const_oracle(0.5), ledger)  # Run.step is the only way to charge
+    run.step(Configuration((0.0,), 0))
+    run.step(Configuration((0.0,), 0))
     assert ledger.remaining == 0
     with pytest.raises(BudgetExhausted):
-        ledger.charge(1)
-    assert ledger.spent == 2  # failed charge leaves the ledger untouched
-    with pytest.raises(InvalidBudget):
-        ledger.charge(-1)
+        run.step(Configuration((1.0,), 1))
+    assert ledger.spent == 2  # a failed charge leaves the ledger untouched
 
 
 def test_oracle_rejects_out_of_range_budget():

@@ -40,6 +40,12 @@ def _smooth(seed):
     return X, oracle, 200
 
 
+def _smooth_ragged(seed):
+    # B = 207 is off every multiple of T = 20, so fills are cut by the cap
+    X, oracle = gen_smooth(60, 3, 20, 0.3, seed)
+    return X, oracle, 207
+
+
 def _landscape(seed):
     spec = landscape("multimodal-bumps", seed)
     return sample_uniform(spec.domain, 200, seed), LandscapeOracle(spec, 1), 20
@@ -62,6 +68,7 @@ def _isolated(seed):
 # instance name -> seed -> (candidates, oracle, budget); the horizon is the oracle's
 INSTANCES = {
     "smooth": _smooth,
+    "smooth-ragged": _smooth_ragged,
     "landscape": _landscape,
     "hard-fc": _hard("fc"),
     "hard-ac": _hard("ac"),

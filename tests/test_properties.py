@@ -193,7 +193,7 @@ def test_value_aware_selection_collapses_on_equal_values(instance, k):
         return
     const = np.full_like(curves, 0.5)
     oracle = curve_oracle(const, dimension=2)
-    picked = e_k_center(k, Cover(X), 1, 0.5, Run(oracle, BudgetLedger(k)), allow_partial=False)
+    picked = e_k_center(k, Cover(X), 1, 0.5, Run(oracle, BudgetLedger(k)))
     assert picked == k_center(k, Cover(X))
 
 
@@ -233,6 +233,8 @@ def test_every_algorithm_conserves_budget(instance, mult, seed):
 def test_every_trace_is_anytime_monotone(instance, mult, seed):
     X, curves, horizon = instance
     budget = min(mult, len(X)) * horizon
+    if mult % 2 and horizon >= 2:
+        budget += 1  # sometimes a ragged cap
     if budget < horizon:
         return
     for name, (out, ledger) in _run_all(X, curves, horizon, budget, seed).items():
