@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -237,10 +239,8 @@ class TabularBenchmark:
         return TabularOracle(self.curves, self.dimension)
 
 
-# Rows parsed per step by the fast loader. Only one chunk of row lists is
-# alive at a time; keeping every row list alive makes the cyclic garbage
-# collector walk them again and again.
-LOAD_CHUNK_ROWS = 4096
+# An underscore that Python's int and float refuse: one not between two digits.
+_LONE_UNDERSCORE = re.compile(r"(?<![0-9])_|_(?![0-9])")
 
 
 def _is_blank(row: list[str]) -> bool:
@@ -282,66 +282,79 @@ def load_tabular(path: str) -> TabularBenchmark:
     1e-9 for writer round-off), curves are wrapped to be non-decreasing, and
     embeddings are min-max normalised per column after any log scaling.
 
-    A valid file is parsed column-wise in chunks and checked with array
-    operations. A file that fails any of those checks is read again row by
-    row, and that reader raises the error for the first faulty row.
+    A valid file is parsed by numpy in one pass and checked with array
+    operations. A file numpy does not read, such as one with quoted cells or
+    non-ASCII digits, or one that fails any of those checks, is read again
+    row by row; that reader loads it or raises the error for its first
+    faulty row.
     """
     bench = _load_tabular_fast(path)
     return bench if bench is not None else _load_tabular_checked(path)
 
 
-def _parse_chunk(chunk: list[list[str]], width: int) -> list[np.ndarray] | None:
-    """Columns of the non-blank rows: ids, (m, d) coordinates, budgets, values."""
-    if set(map(len, chunk)) != {width}:
-        chunk = [row for row in chunk if not _is_blank(row)]
-        if any(len(row) != width for row in chunk):
-            return None
-    m = len(chunk)
-    cols = list(zip(*chunk)) or [()] * width  # a chunk of blank rows only
-    xs = np.empty((m, width - 3))
-    for j, col in enumerate(cols[1:-2]):
-        xs[:, j] = np.fromiter(map(float, col), float, m)
-    return [
-        np.fromiter(map(int, cols[0]), np.int64, m),
-        xs,
-        np.fromiter(map(int, cols[-2]), np.int64, m),
-        np.fromiter(map(float, cols[-1]), float, m),
-    ]
+def _layout(path: str, rows: list[list[str]]) -> tuple[int, tuple[str, ...], int]:
+    """Embedding width, scale flags and index of the first data row, from the leading rows."""
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if len(header) < 3 or header[0] != "id" or header[-2] != "b" or header[-1] != "value":
+        raise SchemaError(f"{path}: header must be id,x0,...,b,value, got {header}")
+    d = len(header) - 3
+    for j in range(d):
+        if header[1 + j] != f"x{j}":
+            raise SchemaError(f"{path}: embedding column {1 + j} must be named x{j}")
+    if d < 1:
+        raise SchemaError(f"{path}: need at least one embedding column")
+
+    start = 1
+    scales = tuple("lin" for _ in range(d))
+    if len(rows) > 1 and rows[1] and rows[1][0].strip() == "scale":
+        flags = [c.strip() for c in rows[1][1:]]
+        if len(flags) != d or any(f not in ("lin", "log") for f in flags):
+            raise SchemaError(f"{path}: scale line must give lin|log for each of {d} columns")
+        scales = tuple(flags)
+        start = 2
+    return d, scales, start
+
+
+def _data_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The data lines, respelled so numpy reads exactly what Python's int and float read.
+
+    Blank lines are skipped, as ``_is_blank`` skips their rows. A line is
+    refused if it is longer than the csv field limit, as csv.reader may refuse
+    a field in it, or if it holds anything but printable ASCII before its end:
+    numpy strips \\x1c-\\x1f around a number and reads some non-ASCII characters
+    in an integer as digits. numpy reads no digit separators, so an underscore
+    between two digits is dropped and any other underscore is refused.
+    """
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit:
+            raise ValueError(f"line longer than the csv field limit ({limit})")
+        if not line.strip():
+            continue
+        if not (line.isascii() and line.rstrip("\r\n").isprintable()):
+            raise ValueError("a character other than printable ASCII")
+        if "_" in line and _LONE_UNDERSCORE.search(line):
+            raise ValueError("underscore outside a digit group")
+        yield line.replace("_", "")
 
 
 def _load_tabular_fast(path: str) -> TabularBenchmark | None:
     """``load_tabular`` for valid files; None whenever a check fails."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            head = list(itertools.islice(reader, 2))
-            if not head:
-                return None
-            header = [c.strip() for c in head[0]]
-            d = len(header) - 3
-            if d < 1 or header != ["id", *(f"x{j}" for j in range(d)), "b", "value"]:
-                return None
-            scales = ("lin",) * d
-            chunk = head[1:]
-            if chunk and chunk[0] and chunk[0][0].strip() == "scale":
-                scales = tuple(c.strip() for c in chunk[0][1:])
-                if len(scales) != d or any(f not in ("lin", "log") for f in scales):
-                    return None
-                chunk = []
-            chunk += itertools.islice(reader, LOAD_CHUNK_ROWS)
-            parts = []
-            while chunk:
-                cols = _parse_chunk(chunk, d + 3)
-                if cols is None:
-                    return None
-                parts.append(cols)
-                chunk = list(itertools.islice(reader, LOAD_CHUNK_ROWS))
-        except (ValueError, OverflowError, csv.Error):
-            # unparseable cells, ids past int64, undecodable text, bad quoting
+            head = [fh.readline(), fh.readline()]
+            d, scales, start = _layout(path, list(csv.reader(head)))
+            dtype = [("id", np.int64), ("x", float, (d,)), ("b", np.int64), ("value", float)]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                lines = _data_lines(itertools.chain(head[start:], fh))
+                table = np.loadtxt(lines, dtype, comments=None, delimiter=",", ndmin=1)
+        except (SchemaError, ValueError, OverflowError, csv.Error):
+            # a bad header or cell, undecodable text: the row-by-row loader names it
             return None
-    if not parts:
-        return None
-    ids, xs, budgets, vals = (np.concatenate(col) for col in zip(*parts))
+    ids, xs, budgets, vals = (table[name] for name in ("id", "x", "b", "value"))
     rows = len(ids)
     if not rows or not ((vals >= -1e-9) & (vals <= 1.0 + 1e-9)).all():  # NaN fails too
         return None
@@ -385,45 +398,26 @@ def _load_tabular_checked(path: str) -> TabularBenchmark:
             raise ParseError(_undecodable(path)) from None
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 3 or header[0] != "id" or header[-2] != "b" or header[-1] != "value":
-        raise SchemaError(f"{path}: header must be id,x0,...,b,value, got {header}")
-    d = len(header) - 3
-    for j in range(d):
-        if header[1 + j] != f"x{j}":
-            raise SchemaError(f"{path}: embedding column {1 + j} must be named x{j}")
-    if d < 1:
-        raise SchemaError(f"{path}: need at least one embedding column")
-
-    start = 1
-    scales = tuple("lin" for _ in range(d))
-    if len(rows) > 1 and rows[1] and rows[1][0].strip() == "scale":
-        flags = [c.strip() for c in rows[1][1:]]
-        if len(flags) != d or any(f not in ("lin", "log") for f in flags):
-            raise SchemaError(f"{path}: scale line must give lin|log for each of {d} columns")
-        scales = tuple(flags)
-        start = 2
-
+    d, scales, start = _layout(path, rows)
+    width = d + 3
     coords: dict[int, tuple[float, ...]] = {}
     values: dict[int, dict[int, float]] = {}
     for offset, row in enumerate(rows[start:]):
         rownum = start + offset + 1
         if _is_blank(row):
             continue
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
+        if len(row) != width:
+            raise SchemaError(f"{path}: row {rownum} has {len(row)} cells, expected {width}")
         cid = _parse_cell(row[0], rownum, 1, "int")
         xs = tuple(_parse_cell(row[1 + j], rownum, 2 + j, "float") for j in range(d))
-        b = _parse_cell(row[-2], rownum, len(header) - 1, "int")
-        val = _parse_cell(row[-1], rownum, len(header), "float")
+        b = _parse_cell(row[-2], rownum, width - 1, "int")
+        val = _parse_cell(row[-1], rownum, width, "float")
         if cid < 0:
             raise SchemaError(f"{path}: row {rownum}: negative id {cid}")
         if b < 1:
             raise SchemaError(f"{path}: row {rownum}: budget index {b} must be >= 1")
         if not -1e-9 <= val <= 1.0 + 1e-9:  # NaN fails too
-            raise ParseError(f"row {rownum}, column {len(header)}: value {val} outside [0, 1]")
+            raise ParseError(f"row {rownum}, column {width}: value {val} outside [0, 1]")
         for j, x in enumerate(xs):
             if not math.isfinite(x):
                 raise ParseError(f"row {rownum}, column {2 + j}: coordinate {x} is not finite")
@@ -504,16 +498,20 @@ def save_tabular(
             raise InvalidParams("scales must give lin|log per embedding column")
         head += ",".join(["scale", *flags]) + "\n"
     seen: set[int] = set()
-    for cfg in configs:  # load_tabular wants each id of 0..n-1 once
+    for cfg in configs:  # load_tabular wants each id of 0..n-1 once, all of one width
+        if cfg.dimension != d:
+            raise InvalidParams(f"configuration {cfg.id} has {cfg.dimension} coordinates, not {d}")
+        if cfg.id >= len(configs):
+            raise InvalidParams(f"configuration id {cfg.id} outside 0..{len(configs) - 1}")
         if cfg.id in seen:
             raise InvalidParams(f"configuration id {cfg.id} appears more than once")
         seen.add(cfg.id)
-    rows = [curves[cfg.id] for cfg in configs]  # an id past the curves raises here
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(head)
-        for cfg, row in zip(configs, rows):
+        for cfg in configs:
             prefix = "".join([f"{cfg.id},", *(f"{float(v)!r}," for v in cfg.coords)])
-            fh.write("".join([f"{prefix}{b},{v!r}\n" for b, v in enumerate(row.tolist(), 1)]))
+            row = curves[cfg.id].tolist()
+            fh.write("".join([f"{prefix}{b},{v!r}\n" for b, v in enumerate(row, 1)]))
 
 
 # ---------------------------------------------------------------------------

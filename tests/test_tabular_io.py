@@ -221,6 +221,21 @@ def test_faulty_files_raise_like_the_reference(tmp_path, rows, data):
         b"id,x0,b,value\nscale,log\n0,1.0,1,0.5\n1,0.0,1,0.5\n",
         b"id,x0,b,value\n" + b"-3,0.5,-2,0.5\n" * 4,
         b"id,x0,b,value\n10000000000000000,0.5,1,0.5\n",
+        # a finite field past csv.field_size_limit() after the first two lines
+        b"id,x0,b,value\n0,0.5,1,0.5\n1,0." + b"0" * 200_000 + b"1,1,0.5\n",
+        # underscores that Python's int and float refuse
+        b"id,x0,b,value\n0,1__0,1,0.5\n",
+        b"id,x0,b,value\n_0,0.5,1,0.5\n",
+        b"id,x0,b,value\n0,0.5,1_,0.5\n",
+        b"id,x0,b,value\n0,1_.5,1,0.5\n",
+        b"id,x0,b,value\n0,1e_5,1,0.5\n",
+        b"id,x0,b,value\n0,0.5,1,0.5#\n",
+        # numpy strips \x1c around a number, and reads U+2460 (circled digit
+        # one) in an integer as the digit 9264
+        b"id,x0,b,value\n0,0.5\x1c,1,0.5\n",
+        b"id,x0,b,value\n"
+        + b"".join(b"%d,0.5,1,0.5\n" % i for i in range(9264))
+        + "\u2460,0.5,1,0.5\n".encode(),
     ],
 )
 def test_unreadable_and_edge_files_raise_like_the_reference(tmp_path, raw):
@@ -229,6 +244,25 @@ def test_unreadable_and_edge_files_raise_like_the_reference(tmp_path, raw):
     want = _outcome(ref_load_tabular, str(path))
     assert want[0] == "raises"
     assert _outcome_via_checked_loader(str(path)) == want
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'id,x0,b,value\n0,"0.5",1,"0.25"\n1,1.5,"1",0.5\n',
+        b'id,x0,b,value\n""\n0,0.5,1,0.5\n1,1.5,1,0.5\n',
+        "id,x0,b,value\n0,\t0.5\xa0,1, 0.5\t\n1,\xa01.5,\t1,0.5\n".encode(),
+        b"id,x0,b,value\r0,0.5,1,0.5\r1,1.5,1,0.5\r",
+        b"id,x0,b,value\n0,1e1_0,1,0.5\n1,0.5,1,0.5\n",
+    ],
+)
+def test_unusual_valid_spellings_load_like_the_reference(tmp_path, raw):
+    # numpy reads some of these and the row-by-row loader the rest
+    path = tmp_path / "unusual.csv"
+    path.write_bytes(raw)
+    want = _outcome(ref_load_tabular, str(path))
+    assert want[0] == "loads"
+    assert _outcome(load_tabular, str(path)) == want
 
 
 @pytest.mark.filterwarnings("error")
@@ -335,8 +369,10 @@ def test_save_tabular_checks_before_opening(tmp_path):
         save_tabular(str(path), configs, np.zeros((3, 2)))
     with pytest.raises(InvalidParams):
         save_tabular(str(path), configs, np.zeros((2, 2)), ["lin", "log"])
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidParams):
         save_tabular(str(path), [configs[0], Configuration((1.0,), 2)], np.zeros((2, 2)))
+    with pytest.raises(InvalidParams):
+        save_tabular(str(path), [configs[0], Configuration((0.5, 1.0), 1)], np.zeros((2, 2)))
     with pytest.raises(InvalidParams, match="id 0 "):  # load_tabular would refuse the file
         save_tabular(str(path), [configs[0], Configuration((1.0,), 0)], np.zeros((2, 2)))
     assert not path.exists()
