@@ -283,10 +283,10 @@ def load_tabular(path: str) -> TabularBenchmark:
     embeddings are min-max normalised per column after any log scaling.
 
     A valid file is parsed by numpy in one pass and checked with array
-    operations. A file numpy does not read, such as one with quoted cells or
-    non-ASCII digits, or one that fails any of those checks, is read again
-    row by row; that reader loads it or raises the error for its first
-    faulty row.
+    operations. A file the numpy path does not take, such as one with quoted
+    cells, tab or no-break-space padding or non-ASCII digits, or one that
+    fails any of those checks, is read again row by row; that reader loads it
+    or raises the error for its first faulty row.
     """
     bench = _load_tabular_fast(path)
     return bench if bench is not None else _load_tabular_checked(path)
@@ -320,17 +320,16 @@ def _layout(path: str, rows: list[list[str]]) -> tuple[int, tuple[str, ...], int
 def _data_lines(lines: Iterable[str]) -> Iterator[str]:
     """The data lines, respelled so numpy reads exactly what Python's int and float read.
 
-    Blank lines are skipped, as ``_is_blank`` skips their rows. A line is
-    refused if it is longer than the csv field limit, as csv.reader may refuse
-    a field in it, or if it holds anything but printable ASCII before its end:
-    numpy strips \\x1c-\\x1f around a number and reads some non-ASCII characters
-    in an integer as digits. numpy reads no digit separators, so an underscore
-    between two digits is dropped and any other underscore is refused.
+    Blank lines are skipped, as ``_is_blank`` skips them. A line is refused
+    if csv.reader would refuse a field in it as too long, or if it holds
+    anything but printable ASCII before its end: numpy strips \\x1c-\\x1f
+    around a number and reads some non-ASCII characters in an integer as
+    digits. Underscores between digits are dropped, any other is refused.
     """
     limit = csv.field_size_limit()
     for line in lines:
-        if len(line) > limit:
-            raise ValueError(f"line longer than the csv field limit ({limit})")
+        if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+            raise ValueError(f"field longer than the csv field limit ({limit})")
         if not line.strip():
             continue
         if not (line.isascii() and line.rstrip("\r\n").isprintable()):
@@ -349,6 +348,8 @@ def _load_tabular_fast(path: str) -> TabularBenchmark | None:
             dtype = [("id", np.int64), ("x", float, (d,)), ("b", np.int64), ("value", float)]
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # older numpy reads an int cell "1.0" via float, only warning
+                warnings.simplefilter("error", DeprecationWarning)
                 lines = _data_lines(itertools.chain(head[start:], fh))
                 table = np.loadtxt(lines, dtype, comments=None, delimiter=",", ndmin=1)
         except (SchemaError, ValueError, OverflowError, csv.Error):

@@ -5,6 +5,7 @@ raise the same exception, with the same message, on faulty ones;
 ``save_tabular`` must write the same bytes.
 """
 
+import csv
 import os
 import tracemalloc
 from unittest import mock
@@ -230,6 +231,9 @@ def test_faulty_files_raise_like_the_reference(tmp_path, rows, data):
         b"id,x0,b,value\n0,1_.5,1,0.5\n",
         b"id,x0,b,value\n0,1e_5,1,0.5\n",
         b"id,x0,b,value\n0,0.5,1,0.5#\n",
+        # integers spelled as floats, which some numpy versions read through float
+        b"id,x0,b,value\n0,0.5,1.0,0.5\n",
+        b"id,x0,b,value\n0.0,0.5,1,0.5\n",
         # numpy strips \x1c around a number, and reads U+2460 (circled digit
         # one) in an integer as the digit 9264
         b"id,x0,b,value\n0,0.5\x1c,1,0.5\n",
@@ -263,6 +267,25 @@ def test_unusual_valid_spellings_load_like_the_reference(tmp_path, raw):
     want = _outcome(ref_load_tabular, str(path))
     assert want[0] == "loads"
     assert _outcome(load_tabular, str(path)) == want
+
+
+@pytest.mark.parametrize("digits, outcome", [(14, "loads"), (15, "raises")])
+def test_csv_field_limit_applies_to_each_field(tmp_path, digits, outcome):
+    # every line is longer than the limit; only a field longer than it is refused
+    rows = [["id", "x0", "b", "value"], ["0", "0." + "5" * digits, "1", "0.5"]]
+    rows.append(["1", "0.25", "1", "1"])
+    path = _write(tmp_path / "limit.csv", rows)
+    old = csv.field_size_limit(16)
+    try:
+        want = _outcome(ref_load_tabular, path)
+        assert want[0] == outcome
+        if outcome == "loads":
+            with _checked_loader_unreachable():
+                assert _outcome(load_tabular, path) == want
+        else:
+            assert _outcome_via_checked_loader(path) == want
+    finally:
+        csv.field_size_limit(old)
 
 
 @pytest.mark.filterwarnings("error")
