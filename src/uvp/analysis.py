@@ -14,10 +14,8 @@ from .clustering import Cover, k_center
 from .clustering import greedy_radius  # noqa: F401
 from .core import (
     Configuration,
-    DegenerateEmbedding,
     InvalidParams,
-    MissingTrace,
-    TooLarge,
+    SchemaError,
     ValueOracle,
     config_columns,
     distance_row,
@@ -54,7 +52,7 @@ def _level_rows(bench: TabularBenchmark, skipped: list[tuple[int, int]], strict:
     """Yield row i of the pairwise level matrix, for i = 0..n-1, in one reused buffer.
 
     Coincident pairs (i, j), i < j, are appended to ``skipped`` as their
-    rows are made. With ``strict`` set, ``DegenerateEmbedding`` is raised
+    rows are made. With ``strict`` set, ``SchemaError`` is raised
     after the last row if any pair was skipped.
     """
     n = bench.n
@@ -92,7 +90,7 @@ def _level_rows(bench: TabularBenchmark, skipped: list[tuple[int, int]], strict:
                 skipped.extend((i, int(j)) for j in np.flatnonzero(zero) if i < j)
         yield row
     if strict and skipped:
-        raise DegenerateEmbedding(f"coincident configuration pairs: {skipped}")
+        raise SchemaError(f"coincident configuration pairs: {skipped}")
 
 
 def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> EpsilonReport:
@@ -101,7 +99,7 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
     Row i costs O(n*T) for the ratio floors and O(n*d) for the distances,
     in buffers kept across rows; memory is O(n*n + n*T) and no (n, n, d)
     array is built. With ``strict`` set, coincident embeddings raise
-    ``DegenerateEmbedding`` instead of being skipped.
+    ``SchemaError`` instead of being skipped.
     """
     skipped: list[tuple[int, int]] = []
     pairwise = np.empty((bench.n, bench.n))
@@ -263,7 +261,9 @@ def brute_force_k_center(X: Sequence[Configuration], k: int) -> ClusteringReport
     """
     n = len(X)
     if n > BRUTE_FORCE_CAP:
-        raise TooLarge(f"{n} configurations exceed the exhaustive-search cap {BRUTE_FORCE_CAP}")
+        raise InvalidParams(
+            f"{n} configurations exceed the exhaustive-search cap {BRUTE_FORCE_CAP}"
+        )
     if not 1 <= k <= n:
         raise InvalidParams(f"k must be in 1..{n}")
     columns = config_columns(X)
@@ -329,7 +329,7 @@ def incumbent_at(trace: Sequence[tuple[int, float]], spent_cap: float) -> float:
         else:
             break
     if best is None:
-        raise MissingTrace(f"no trace point at or before spend {spent_cap}")
+        raise InvalidParams(f"no trace point at or before spend {spent_cap}")
     return best
 
 
@@ -381,8 +381,8 @@ def mean_rank(
                 trace = results[(ds, seed, alg)]
                 try:
                     vals.append(incumbent_at(trace, f * caps[ds]))
-                except MissingTrace:
-                    raise MissingTrace(
+                except InvalidParams:
+                    raise InvalidParams(
                         f"({ds}, seed {seed}, {alg}) has no spend at fraction {f}"
                     ) from None
             acc += _average_ranks(vals)

@@ -11,6 +11,7 @@ the new units), and never exceed the ledger cap.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .core import (
     BudgetLedger,
     Configuration,
-    InsufficientCandidates,
+    InvalidParams,
     Run,
     SearchOutcome,
     ValueOracle,
@@ -36,7 +37,7 @@ def random_search(
     _check_pool(X, ledger)
     k = _num_centers(ledger, oracle)
     if k > len(X):
-        raise InsufficientCandidates(f"cannot draw {k} distinct arms from {len(X)}")
+        raise InvalidParams(f"cannot draw {k} distinct arms from {len(X)}")
     rng = np.random.default_rng(params.seed)
     run = Run(oracle, ledger)
     for a in rng.choice(len(X), size=k, replace=False):
@@ -87,20 +88,14 @@ def successive_halving(
     oracle: ValueOracle,
     ledger: BudgetLedger,
 ) -> SearchOutcome:
-    """Standard halving: the largest eta-power cohort whose schedule fits the budget.
+    """Standard halving: Hyperband's top bracket alone (``iterations=1``).
 
-    Runs the bracket of :func:`_depth`, eta**s arms through geometric rungs
-    keeping the top 1/eta per rung, and trains the final survivor to the
-    horizon. Leftover budget is left unspent.
+    Runs the bracket of :func:`_depth`, the largest eta-power cohort whose
+    schedule fits the budget, through geometric rungs keeping the top 1/eta
+    per rung, and trains the final survivor to the horizon. Leftover budget
+    is left unspent.
     """
-    _check_pool(X, ledger)
-    _num_centers(ledger, oracle)  # raises unless one full evaluation fits the budget
-    s = _depth(params.eta, len(X), ledger.remaining, oracle.horizon)
-    rng = np.random.default_rng(params.seed)
-    arms = [int(a) for a in rng.choice(len(X), size=params.eta**s, replace=False)]
-    run = Run(oracle, ledger)
-    _run_bracket(run, X, arms, s, params.eta)
-    return run.outcome()
+    return hyperband(replace(params, iterations=1), X, oracle, ledger)
 
 
 def hyperband(
@@ -111,11 +106,10 @@ def hyperband(
 ) -> SearchOutcome:
     """Bracket loop from aggressive to conservative, truncated by the ledger cap.
 
-    The top bracket s_max is the one successive_halving runs (:func:`_depth`),
-    so a single iteration reproduces one halving bracket exactly; further
-    iterations step s downward. Bracket s runs
-    ceil((s_max+1)/(s+1) * eta**s) arms (capped at the pool size) through an
-    s-deep halving schedule. Histories are shared across brackets, so
+    The top bracket s_max is the deepest that fits (:func:`_depth`); one
+    iteration is :func:`successive_halving`, and further iterations step s
+    downward. Bracket s runs ceil((s_max+1)/(s+1) * eta**s) arms (capped at
+    the pool size) through an s-deep halving schedule. Histories are shared across brackets, so
     re-drawing an arm only pays for budget it has not reached yet.
     """
     _check_pool(X, ledger)

@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from .analysis import _level_rows, _scaled_percentiles, check_percentile_args, m
 # estimate-eps no longer calls these two; perfbench/tracing.py wraps them by name here
 from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
 from .baselines import hyperband, random_search, successive_halving
-from .core import BudgetLedger, InvalidBudget, InvalidParams, SearchOutcome, UvpError, ValueOracle
+from .core import BudgetLedger, InvalidParams, SearchOutcome, UvpError, ValueOracle
 from .instances import (
     LANDSCAPE_KINDS,
     HardInstanceSpec,
@@ -82,7 +81,7 @@ def run_algorithm(
     if name not in algorithms:
         raise InvalidParams(f"unknown algorithm {name!r}")
     if horizon != oracle.horizon:
-        raise InvalidBudget(f"horizon {horizon} is not the oracle's {oracle.horizon}")
+        raise InvalidParams(f"horizon {horizon} is not the oracle's {oracle.horizon}")
     return algorithms[name](knobs, X, oracle, ledger)
 
 
@@ -227,7 +226,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # the pool forks all its workers on first use, so never ask for more than there are cells
     workers = min(args.workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        import concurrent.futures  # only a forking bench pays for the pool's imports
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_bench_cell, tasks))
     else:
         cells = [_bench_cell(t) for t in tasks]

@@ -25,8 +25,6 @@ import numpy as np
 
 from .core import (
     Configuration,
-    EmptyCenters,
-    InsufficientCandidates,
     InvalidParams,
     Run,
     config_columns,
@@ -43,7 +41,7 @@ def _check_selection(k: int, cover: Cover) -> None:
         raise InvalidParams(f"cannot select {k} centers")
     n, seeds = len(cover.chosen), len(cover.centers)
     if k + seeds > n:
-        raise InsufficientCandidates(
+        raise InvalidParams(
             f"need {k} new centers on top of {seeds} seeds, only {n} candidates"
         )
 
@@ -170,7 +168,7 @@ def k_center(k: int, cover: Cover) -> list[int]:
 def greedy_radius(centers: Sequence[int], X: Sequence[Configuration]) -> float:
     """Covering radius of ``centers``: max over candidates of nearest-center distance."""
     if len(centers) == 0:
-        raise EmptyCenters("covering radius needs at least one center")
+        raise InvalidParams("covering radius needs at least one center")
     return float(Cover(X, list(dict.fromkeys(centers))).nearest.max())
 
 

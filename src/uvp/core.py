@@ -30,28 +30,16 @@ class BudgetExhausted(UvpError):
     """Requested work does not fit in the remaining budget."""
 
 
-class InvalidBudget(UvpError):
-    """A budget or budget index violates its contract (e.g. B < T, t < 1)."""
-
-
 class InvalidParams(UvpError):
-    """Solver or generator parameters outside their documented domain."""
+    """An argument outside its documented domain.
 
-
-class InsufficientCandidates(UvpError):
-    """The candidate pool is too small for the requested selection."""
-
-
-class EmptyCenters(UvpError):
-    """An operation that needs at least one center received none."""
-
-
-class EmptyHistory(UvpError):
-    """An operation that needs at least one observation received none."""
-
-
-class OutOfDomain(UvpError):
-    """A query point lies outside the landscape's domain."""
+    This covers solver and generator parameters; budgets, budget indices
+    and horizons (a ledger cap, ``B < T``, a target past the horizon); a
+    candidate pool too small for the selection asked of it; an empty set
+    of centers or an empty history; a query point outside the landscape's
+    domain; an input past a size cap (a mesh grid, an exhaustive search,
+    a hard instance); and a rank aggregation missing a cell's trace.
+    """
 
 
 class ParseError(UvpError):
@@ -59,19 +47,11 @@ class ParseError(UvpError):
 
 
 class SchemaError(UvpError):
-    """A benchmark file is structurally inconsistent (ragged or misnumbered)."""
+    """Benchmark data that is structurally inconsistent.
 
-
-class TooLarge(UvpError):
-    """An input exceeds a size cap: a mesh grid or an exhaustive search."""
-
-
-class MissingTrace(UvpError):
-    """A rank aggregation is missing the trace for one of its cells."""
-
-
-class DegenerateEmbedding(UvpError):
-    """Two distinct configurations share an embedding (zero distance)."""
+    This covers a ragged or misnumbered file and, under ``strict``, two
+    distinct configurations that share an embedding (zero distance).
+    """
 
 
 class InvalidValue(UvpError, ValueError):
@@ -177,7 +157,7 @@ class History:
     @property
     def last(self) -> float:
         if not self.values:
-            raise EmptyHistory(f"configuration {self.owner} has no observations")
+            raise InvalidParams(f"configuration {self.owner} has no observations")
         return self.values[-1]
 
     def __len__(self) -> int:
@@ -194,13 +174,13 @@ class ValueOracle(ABC):
         if dimension < 1:
             raise InvalidParams("oracle dimension must be >= 1")
         if horizon < 1:
-            raise InvalidBudget("oracle horizon must be >= 1")
+            raise InvalidParams("oracle horizon must be >= 1")
         self.dimension = dimension
         self.horizon = horizon
 
     def _check_budget(self, b: int) -> None:
         if not isinstance(b, (int, np.integer)) or b < 1 or b > self.horizon:
-            raise InvalidBudget(f"budget index {b} outside 1..{self.horizon}")
+            raise InvalidParams(f"budget index {b} outside 1..{self.horizon}")
 
     @abstractmethod
     def query(self, config: Configuration, b: int) -> float:
@@ -231,7 +211,7 @@ class BudgetLedger:
 
     def __post_init__(self) -> None:
         if not isinstance(self.cap, (int, np.integer)) or self.cap < 0:
-            raise InvalidBudget(f"budget cap must be a non-negative integer, got {self.cap!r}")
+            raise InvalidParams(f"budget cap must be a non-negative integer, got {self.cap!r}")
 
     @property
     def remaining(self) -> int:
@@ -292,7 +272,7 @@ class Run:
         first. A target outside 1..horizon raises before any charge.
         """
         if t < 1 or t > self.oracle.horizon:
-            raise InvalidBudget(f"target budget {t} outside 1..{self.oracle.horizon}")
+            raise InvalidParams(f"target budget {t} outside 1..{self.oracle.horizon}")
         missing = t - len(self.histories.get(config.id, ()))
         fill = min(missing, self.ledger.remaining)
         for _ in range(fill):
@@ -302,7 +282,7 @@ class Run:
     def outcome(self) -> SearchOutcome:
         """Best evaluated candidate (ties to the lowest id) plus the trace."""
         if not self.histories:
-            raise EmptyHistory("no candidate was ever evaluated")
+            raise InvalidParams("no candidate was ever evaluated")
         best = min(self.histories, key=lambda c: (-self.histories[c].last, c))
         return SearchOutcome(
             best=best,

@@ -19,12 +19,9 @@ import numpy as np
 
 from .core import (
     Configuration,
-    InvalidBudget,
     InvalidParams,
-    OutOfDomain,
     ParseError,
     SchemaError,
-    TooLarge,
     ValueOracle,
     distance_row,
 )
@@ -39,6 +36,8 @@ LANDSCAPE_KINDS = (
 )
 
 MESH_CAP = 10**6
+# gen_hard's arrays hold m*n*(m + n + T) cells: points (m*n, m + n), curves (m*n, T)
+HARD_CELL_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +105,10 @@ def landscape_eval(spec: LandscapeSpec, x: Sequence[float]) -> float:
     """Evaluate the surface at ``x``; values are clamped into [0, 1]."""
     pt = np.asarray(x, dtype=float)
     if pt.shape != (len(spec.domain),):
-        raise OutOfDomain(f"point has shape {pt.shape}, domain is {len(spec.domain)}-dimensional")
+        raise InvalidParams(f"point has shape {pt.shape}, domain is {len(spec.domain)}-dimensional")
     for v, (lo, hi) in zip(pt, spec.domain):
         if not lo <= v <= hi:
-            raise OutOfDomain(f"coordinate {v} outside [{lo}, {hi}]")
+            raise InvalidParams(f"coordinate {v} outside [{lo}, {hi}]")
     p = spec.params
     r = float(np.linalg.norm(pt))
     if spec.kind == "radial-decay":
@@ -173,7 +172,7 @@ def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configurati
         raise InvalidParams("mesh needs at least one dimension")
     total = m ** len(bounds)
     if total > MESH_CAP:
-        raise TooLarge(f"mesh of {total} points exceeds cap {MESH_CAP}")
+        raise InvalidParams(f"mesh of {total} points exceeds cap {MESH_CAP}")
     axes = [np.linspace(lo, hi, m) for lo, hi in bounds]
     grids = np.meshgrid(*axes, indexing="ij")
     return _configs(np.stack([g.reshape(-1) for g in grids], axis=1))
@@ -261,6 +260,11 @@ def _benchmark(norm: np.ndarray, curves: np.ndarray) -> TabularBenchmark:
     """Pair the normalised embeddings with the curves wrapped to be non-decreasing."""
     curves = np.maximum.accumulate(curves, axis=1)
     return TabularBenchmark(configs=_configs(norm), curves=curves)
+
+
+def _in_unit(values):
+    """Which values ``load_tabular`` accepts: within 1e-9 of [0, 1], not NaN."""
+    return (values >= -1e-9) & (values <= 1.0 + 1e-9)
 
 
 def _parse_cell(raw: str, row: int, col: int, kind: str):
@@ -357,7 +361,7 @@ def _load_tabular_fast(path: str) -> TabularBenchmark | None:
             return None
     ids, xs, budgets, vals = (table[name] for name in ("id", "x", "b", "value"))
     rows = len(ids)
-    if not rows or not ((vals >= -1e-9) & (vals <= 1.0 + 1e-9)).all():  # NaN fails too
+    if not rows or not _in_unit(vals).all():  # NaN fails too
         return None
     n, horizon = int(ids.max()) + 1, int(budgets.max())
     # compared before anything is allocated from the largest id; n >= 1 keeps
@@ -417,7 +421,7 @@ def _load_tabular_checked(path: str) -> TabularBenchmark:
             raise SchemaError(f"{path}: row {rownum}: negative id {cid}")
         if b < 1:
             raise SchemaError(f"{path}: row {rownum}: budget index {b} must be >= 1")
-        if not -1e-9 <= val <= 1.0 + 1e-9:  # NaN fails too
+        if not _in_unit(val):  # NaN fails too
             raise ParseError(f"row {rownum}, column {width}: value {val} outside [0, 1]")
         for j, x in enumerate(xs):
             if not math.isfinite(x):
@@ -489,6 +493,12 @@ def save_tabular(
     curves = np.asarray(curves, dtype=float)
     if curves.ndim != 2 or curves.shape[0] != len(configs):
         raise InvalidParams("curves must be an (n, T) array matching the configurations")
+    if curves.shape[1] < 1:
+        raise InvalidParams("curves need at least one budget column")
+    bad = np.argwhere(~_in_unit(curves))
+    if bad.size:
+        i, b = bad[0]
+        raise InvalidParams(f"curve {i}, budget {b + 1}: value {curves[i, b]} outside [0, 1]")
     d = configs[0].dimension if configs else 0
     if d < 1:
         raise InvalidParams("need at least one configuration")
@@ -552,10 +562,20 @@ class HardInstanceSpec:
         if self.epsilon * self.r > 1:
             raise InvalidParams("epsilon * r must not exceed 1 (values would leave [0, 1])")
         if self.horizon < 1:
-            raise InvalidBudget("horizon must be >= 1")
+            raise InvalidParams("horizon must be >= 1")
         if self.variant == "ac" and not 0 < self.theta_frac < 1:
             raise InvalidParams("theta_frac must lie in (0, 1)")
         _check_seed(self.seed)
+        if not math.isfinite(self.beta * self.k):
+            raise InvalidParams(f"beta * k = {self.beta * self.k} is not finite")
+        if not math.isfinite(1.0 / self.epsilon):
+            raise InvalidParams(f"1 / epsilon = {1.0 / self.epsilon} is not finite")
+        m, n = math.ceil(self.beta * self.k), self.n_per_cluster
+        if m * n * (m + n + self.horizon) > HARD_CELL_CAP:
+            raise InvalidParams(
+                f"hard instance exceeds cap {HARD_CELL_CAP} on m*n*(m + n + horizon) cells, "
+                "m = ceil(beta * k)"
+            )
 
 
 def gen_hard(spec: HardInstanceSpec) -> tuple[list[Configuration], TabularOracle]:
@@ -623,7 +643,7 @@ def gen_smooth(
     if not epsilon > 0:
         raise InvalidParams("epsilon must be positive")
     if horizon < 1:
-        raise InvalidBudget("horizon must be >= 1")
+        raise InvalidParams("horizon must be >= 1")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, (n, d))

@@ -25,9 +25,6 @@ from . import clustering
 from .core import (
     BudgetLedger,
     Configuration,
-    EmptyHistory,
-    InsufficientCandidates,
-    InvalidBudget,
     InvalidParams,
     Run,
     SearchOutcome,
@@ -89,7 +86,7 @@ def pred(values: Sequence[float], horizon: int) -> float:
     curves with non-increasing increments this never undershoots the truth.
     """
     if len(values) == 0:
-        raise EmptyHistory("cannot forecast from an empty history")
+        raise InvalidParams("cannot forecast from an empty history")
     if len(values) == 1:
         return math.inf
     t = len(values)
@@ -106,7 +103,7 @@ def tail_fit_pred(values: Sequence[float], horizon: int, theta: float = 0.3) -> 
     if not 0 < theta <= 1:
         raise InvalidParams("theta must lie in (0, 1]")
     if len(values) == 0:
-        raise EmptyHistory("cannot forecast from an empty history")
+        raise InvalidParams("cannot forecast from an empty history")
     if len(values) == 1:
         return math.inf
     t = len(values)
@@ -152,15 +149,15 @@ def _keeps(values: Sequence[float], params: SolverParams, horizon: int, best_las
 
 def _check_pool(X: Sequence[Configuration], ledger: BudgetLedger) -> None:
     if ledger.remaining < 1:
-        raise InvalidBudget(f"budget must be positive, {ledger.remaining} units remain")
+        raise InvalidParams(f"budget must be positive, {ledger.remaining} units remain")
     if len(X) == 0:
-        raise InsufficientCandidates("candidate set is empty")
+        raise InvalidParams("candidate set is empty")
 
 
 def _num_centers(ledger: BudgetLedger, oracle: ValueOracle) -> int:
     """floor(B/T) for the budget B left in ``ledger`` and the oracle's horizon T."""
     if ledger.remaining < oracle.horizon:
-        raise InvalidBudget(
+        raise InvalidParams(
             f"budget {ledger.remaining} cannot cover one full evaluation of {oracle.horizon}"
         )
     return ledger.remaining // oracle.horizon

@@ -22,12 +22,7 @@ from helpers import (
     ref_epsilon_pairwise,
     ref_epsilon_percentiles,
 )
-from uvp import (
-    DegenerateEmbedding,
-    InvalidParams,
-    MissingTrace,
-    TooLarge,
-)
+from uvp import InvalidParams, SchemaError
 from uvp.analysis import (
     DEFAULT_ALPHAS,
     EpsilonReport,
@@ -120,7 +115,7 @@ def test_epsilon_pairwise_skips_duplicate_embeddings():
 
 def test_epsilon_pairwise_strict_mode():
     bench = _bench([[0.5], [0.5]], [[0.2], [0.9]])
-    with pytest.raises(DegenerateEmbedding):
+    with pytest.raises(SchemaError, match="coincident configuration pairs"):
         epsilon_pairwise(bench, strict=True)
 
 
@@ -392,7 +387,7 @@ def test_cli_estimate_matches_the_two_step_library_call(bench, k, alphas, strict
         loaded = load_tabular(data)
         try:
             report = epsilon_percentiles(epsilon_pairwise(loaded, strict=strict), k, alphas)
-        except (DegenerateEmbedding, InvalidParams) as exc:
+        except (SchemaError, InvalidParams) as exc:
             assert (code, stdout, stderr) == (2, "", f"error: {exc}\n")
             assert got_csv is None
             return
@@ -463,7 +458,7 @@ def test_brute_force_k_center_single_center():
 
 def test_brute_force_k_center_guard_rails():
     configs = line(list(range(16)))
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidParams, match="exceed the exhaustive-search cap 15"):
         brute_force_k_center(configs, 2)
     small = line([0.0, 1.0])
     with pytest.raises(InvalidParams):
@@ -540,9 +535,9 @@ def test_incumbent_at_carries_forward():
 
 
 def test_incumbent_at_before_first_spend():
-    with pytest.raises(MissingTrace):
+    with pytest.raises(InvalidParams, match="no trace point at or before spend 1"):
         incumbent_at(((2, 0.4),), 1)
-    with pytest.raises(MissingTrace):
+    with pytest.raises(InvalidParams, match="no trace point at or before spend 5"):
         incumbent_at((), 5)
 
 
@@ -637,5 +632,5 @@ def test_mean_rank_missing_trace_point():
         ("d", 0, "a"): ((10, 0.9),),
         ("d", 0, "b"): ((1, 0.8),),
     }
-    with pytest.raises(MissingTrace):
+    with pytest.raises(InvalidParams, match=r"\(d, seed 0, a\) has no spend at fraction 0.1"):
         mean_rank(results, caps={"d": 10}, fractions=(0.1, 1.0))

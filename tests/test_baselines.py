@@ -6,8 +6,6 @@ import pytest
 from helpers import curve_oracle, line
 from uvp import (
     BudgetLedger,
-    InsufficientCandidates,
-    InvalidBudget,
     InvalidParams,
     hyperband,
     random_search,
@@ -51,13 +49,13 @@ def test_random_search_single_draw():
 def test_random_search_needs_enough_candidates():
     X = line([0.0, 1.0])
     oracle = curve_oracle([[0.1], [0.2]])
-    with pytest.raises(InsufficientCandidates):
+    with pytest.raises(InvalidParams, match="cannot draw 3 distinct arms from 2"):
         random_search(SolverParams(seed=0), X, oracle, BudgetLedger(3))
 
 
 def test_random_search_requires_full_evaluation_budget():
     X = line([0.0])
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="cannot cover one full evaluation"):
         random_search(SolverParams(seed=0), X, curve_oracle([[0.1, 0.2]]), BudgetLedger(1))
 
 
@@ -98,7 +96,7 @@ def test_successive_halving_validation():
     oracle = curve_oracle([[0.1], [0.2]])
     with pytest.raises(InvalidParams):
         successive_halving(SolverParams(eta=1, seed=0), X, oracle, BudgetLedger(2))
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="budget must be positive"):
         successive_halving(SolverParams(eta=2, seed=0), X, oracle, BudgetLedger(0))
 
 

@@ -1,14 +1,19 @@
 """End-to-end command line checks driven through entry()."""
 
+import concurrent.futures
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import configs_from, const_oracle, line
 from uvp import cli
 from uvp.cli import ALGORITHMS, entry, run_algorithm
-from uvp.core import BudgetLedger, InvalidBudget
+from uvp.core import BudgetLedger, InvalidParams
 from uvp.instances import HardInstanceSpec, gen_hard, load_tabular, save_tabular
 from uvp.solvers import SolverParams
 
@@ -110,6 +115,22 @@ def test_nan_knob_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "knob, message",
+    [
+        (["--beta", "1e300"], "exceeds cap"),
+        (["--epsilon", "1e-320"], "1 / epsilon = inf is not finite"),
+    ],
+    ids=["beta", "epsilon"],
+)
+def test_gen_hard_past_what_it_can_build_exits_2(tmp_path, capsys, knob, message):
+    # both values pass the range checks; they once crashed inside gen_hard
+    out = tmp_path / "out.csv"
+    assert entry(["gen", "--hard", "fc", *knob, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         [*_SOLVE_LANDSCAPE, "--algo", "random", "--seed", "-1"],
@@ -176,7 +197,7 @@ def test_run_algorithm_rejects_a_horizon_other_than_the_oracles(monkeypatch, nam
     monkeypatch.setattr(cli, "BudgetLedger", recorded_ledger)
     X, oracle = line([0.0, 1.0, 2.0, 3.0]), const_oracle(0.5, horizon=4)
     knobs = SolverParams(p=2, epsilon=0.5, delta=0.5, eta=2, iterations=2)
-    with pytest.raises(InvalidBudget, match="horizon 2"):
+    with pytest.raises(InvalidParams, match="horizon 2"):
         run_algorithm(name, X, oracle, 8, 2, knobs)
     assert [ledger.spent for ledger in ledgers] == [0]
 
@@ -361,7 +382,7 @@ def test_bench_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SequentialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
     data = _bench_dataset(tmp_path)
     argv = ["bench", "--data", data, "--algos", "random,sha", "--seeds", "1", "--budget", "20"]
     assert entry([*argv, "--workers", "64", "--out", str(tmp_path / "pool")]) == 0
@@ -369,6 +390,18 @@ def test_bench_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert entry([*argv, "--workers", "1", "--out", str(tmp_path / "one")]) == 0
     assert asked == [2]
     assert _dir_bytes(tmp_path / "pool") == _dir_bytes(tmp_path / "one")
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only bench --workers > 1 forks a pool, so no other command pays for its imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, uvp.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

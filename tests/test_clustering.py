@@ -22,9 +22,7 @@ from helpers import (
 from uvp import (
     BudgetLedger,
     Cover,
-    EmptyCenters,
     History,
-    InsufficientCandidates,
     InvalidParams,
     Run,
     e_k_center,
@@ -51,7 +49,7 @@ def test_k_center_respects_seed():
 
 
 def test_k_center_insufficient_candidates():
-    with pytest.raises(InsufficientCandidates):
+    with pytest.raises(InvalidParams, match="only 2 candidates"):
         k_center(3, Cover(line([0.0, 1.0]), [0]))
 
 
@@ -73,7 +71,7 @@ def test_greedy_radius_examples():
 
 
 def test_greedy_radius_requires_centers():
-    with pytest.raises(EmptyCenters):
+    with pytest.raises(InvalidParams, match="needs at least one center"):
         greedy_radius([], line([0.0]))
 
 

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
+import uvp
 from helpers import SUMMATION_DIMS, const_oracle, curve_oracle, line, multiscale_points
 from uvp import (
     BudgetExhausted,
     BudgetLedger,
     CallableOracle,
     Configuration,
-    EmptyHistory,
     History,
-    InvalidBudget,
     InvalidParams,
     InvalidValue,
     Run,
+    UvpError,
     config_matrix,
 )
 from uvp.core import distance_row
@@ -87,12 +87,12 @@ def test_learn_rejects_bad_target():
     oracle = const_oracle(0.5, horizon=3)
     for t in (0, 4):
         run = Run(oracle, BudgetLedger(10))
-        with pytest.raises(InvalidBudget):
+        with pytest.raises(InvalidParams, match=f"target budget {t} outside 1..3"):
             run.extend_to(Configuration((0.0,), 0), t)
         assert run.ledger.spent == 0  # rejected before any charge
         assert run.trace == []
     run = Run(oracle, BudgetLedger(0))
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="target budget 4 outside 1..3"):
         run.extend_to(Configuration((0.0,), 0), 4)  # even on a dry ledger
 
 
@@ -105,7 +105,7 @@ def test_step_charges_only_recorded_units():
     # past the horizon: the oracle rejects the budget index
     run = Run(const_oracle(0.5, horizon=1), BudgetLedger(5))
     run.step(cfg)
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="budget index 2 outside 1..1"):
         run.step(cfg)
     _assert_spend_recorded(run)
     assert run.ledger.spent == 1
@@ -165,7 +165,7 @@ def test_history_tolerance_clamp():
 
 
 def test_history_last_requires_observation():
-    with pytest.raises(EmptyHistory):
+    with pytest.raises(InvalidParams, match="configuration 0 has no observations"):
         History(0).last
 
 
@@ -207,7 +207,7 @@ def test_distance_row_matches_numpy_norm_bit_for_bit():
 
 def test_ledger_validation_and_charging():
     for cap in (-1, 2.0, "2"):
-        with pytest.raises(InvalidBudget):
+        with pytest.raises(InvalidParams, match="budget cap must be a non-negative integer"):
             BudgetLedger(cap)
     with pytest.raises(TypeError):
         BudgetLedger(2, 1)  # spend is not an argument: every ledger opens at 0
@@ -226,7 +226,7 @@ def test_oracle_rejects_out_of_range_budget():
     oracle = const_oracle(0.5, horizon=3)
     cfg = Configuration((0.0,), 0)
     for b in (0, 4):
-        with pytest.raises(InvalidBudget):
+        with pytest.raises(InvalidParams, match=f"budget index {b} outside 1..3"):
             oracle.query(cfg, b)
 
 
@@ -243,7 +243,7 @@ def test_run_outcome_breaks_ties_to_lowest_id():
 
 def test_run_outcome_requires_an_evaluation():
     run = Run(const_oracle(0.5), BudgetLedger(3))
-    with pytest.raises(EmptyHistory):
+    with pytest.raises(InvalidParams, match="no candidate was ever evaluated"):
         run.outcome()
 
 
@@ -262,3 +262,19 @@ def test_run_trace_shape():
     assert incumbents == [0.4, 0.5, 0.6, 0.6]
     assert out.best_value == incumbents[-1]
     assert all(a <= b for a, b in zip(incumbents, incumbents[1:]))
+
+
+def test_one_error_class_per_kind_of_fault():
+    errors = {
+        name for name in uvp.__all__
+        if isinstance(getattr(uvp, name), type) and issubclass(getattr(uvp, name), BaseException)
+    }
+    kept = {"UvpError", "InvalidParams", "BudgetExhausted", "InvalidValue", "ParseError", "SchemaError"}
+    assert errors == kept
+    assert all(issubclass(getattr(uvp, name), UvpError) for name in errors)
+    folded = (
+        "InvalidBudget", "InsufficientCandidates", "EmptyCenters", "EmptyHistory",
+        "OutOfDomain", "TooLarge", "MissingTrace", "DegenerateEmbedding",
+    )
+    for name in folded:  # folded into InvalidParams or SchemaError, with no alias left
+        assert not hasattr(uvp, name) and not hasattr(uvp.core, name)

@@ -8,12 +8,9 @@ import pytest
 from helpers import configs_from
 from uvp import (
     Configuration,
-    InvalidBudget,
     InvalidParams,
-    OutOfDomain,
     ParseError,
     SchemaError,
-    TooLarge,
 )
 from uvp.analysis import epsilon_pairwise
 from uvp.instances import (
@@ -54,9 +51,9 @@ def test_cosine_ring_values():
 
 def test_landscape_eval_rejects_out_of_domain():
     spec = landscape("radial-decay")
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(InvalidParams, match=r"coordinate 9.0 outside \["):
         landscape_eval(spec, (9.0, 0.0))
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(InvalidParams, match=r"coordinate -8.1 outside \["):
         landscape_eval(spec, (0.0, -8.1))
 
 
@@ -110,7 +107,7 @@ def test_landscape_oracle_replicates_across_budgets():
     oracle = LandscapeOracle(spec, horizon=3)
     cfg = Configuration((1.0, 1.0), 0)
     assert oracle.query(cfg, 1) == oracle.query(cfg, 2) == oracle.query(cfg, 3)
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="budget index 4 outside 1..3"):
         oracle.query(cfg, 4)
 
 
@@ -210,6 +207,24 @@ def test_gen_hard_validation():
         # eps*r above 1 would push values negative
         HardInstanceSpec(variant="fc", epsilon=0.5, beta=2.0, k=1,
                          n_per_cluster=2, r=3.0, horizon=2)
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"beta": float("inf")}, "beta \\* k = inf is not finite"),
+        ({"epsilon": 1e-320}, "1 / epsilon = inf is not finite"),
+        ({"beta": 1e300}, "exceeds cap"),  # m = ceil(beta * k) is finite but huge
+        ({"k": 10**4}, "exceeds cap"),
+        ({"n_per_cluster": 10**4, "horizon": 10**3}, "exceeds cap"),
+    ],
+)
+def test_gen_hard_refuses_what_it_cannot_build(knobs, message):
+    # checked in the spec, so no draw and no allocation happens
+    spec = {"variant": "fc", "epsilon": 0.5, "beta": 2.0, "k": 2, "n_per_cluster": 5,
+            "r": 1.0, "horizon": 3, **knobs}
+    with pytest.raises(InvalidParams, match=message):
+        HardInstanceSpec(**spec)
 
 
 def test_gen_hard_deterministic():
@@ -407,7 +422,7 @@ def test_mesh_grid_corners():
 def test_mesh_grid_validation():
     with pytest.raises(InvalidParams):
         mesh_grid([(0.0, 1.0)], 1)
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidParams, match="mesh of 1030301 points exceeds cap"):
         mesh_grid([(0.0, 1.0)] * 3, 101)  # 1,030,301 points, refused before allocating
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import configs_from, curve_oracle, enhanced_on_line, line
-from uvp import BudgetLedger, InvalidBudget, Run, cli
+from uvp import BudgetLedger, InvalidParams, Run, cli
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import ALGORITHMS, run_algorithm
@@ -259,7 +259,7 @@ def test_horizon_past_the_oracle_is_rejected_before_any_spend(algo, monkeypatch)
 
     monkeypatch.setattr(cli, "BudgetLedger", recorded_ledger)
     params = SolverParams(p=2, epsilon=0.5, delta=0.5, eta=3, iterations=2, seed=0)
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="horizon 3 is not the oracle's 2"):
         run_algorithm(algo, X, oracle, 12, 3, params)
     assert [ledger.spent for ledger in ledgers] == [0]
 

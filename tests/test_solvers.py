@@ -9,9 +9,6 @@ from helpers import const_oracle, curve_oracle, line
 from uvp import (
     BudgetLedger,
     CallableOracle,
-    EmptyHistory,
-    InsufficientCandidates,
-    InvalidBudget,
     InvalidParams,
     SolverParams,
     TabularOracle,
@@ -46,7 +43,7 @@ def test_pred_zero_slope():
 
 
 def test_pred_empty_history():
-    with pytest.raises(EmptyHistory):
+    with pytest.raises(InvalidParams, match="cannot forecast from an empty history"):
         pred([], 5)
 
 
@@ -72,7 +69,7 @@ def test_tail_fit_negative_slope_returns_last():
 def test_tail_fit_theta_validation():
     with pytest.raises(InvalidParams):
         tail_fit_pred([0.1, 0.2], 5, theta=0.0)
-    with pytest.raises(EmptyHistory):
+    with pytest.raises(InvalidParams, match="cannot forecast from an empty history"):
         tail_fit_pred([], 5)
 
 
@@ -121,9 +118,9 @@ def test_keeps_defers_to_polyfit_when_the_line_ties():
 
 def test_solver_params_validation():
     # the budget is what the ledger holds and the horizon is the oracle's
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="budget must be positive, 0 units remain"):
         full_cent(SolverParams(), line([0.0]), const_oracle(0.5), BudgetLedger(0))
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="oracle horizon must be >= 1"):
         const_oracle(0.5, horizon=0)
     with pytest.raises(InvalidParams):
         SolverParams(p=0)
@@ -147,14 +144,14 @@ def test_solver_params_validation():
 
 def test_full_cent_requires_budget_for_one_evaluation():
     params = SolverParams()
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidParams, match="budget 2 cannot cover one full evaluation of 3"):
         full_cent(params, line([0.0]), const_oracle(0.5), BudgetLedger(2))
 
 
 def test_solvers_reject_empty_pool():
     params = SolverParams()
     for solver in ALL_SOLVERS:
-        with pytest.raises(InsufficientCandidates):
+        with pytest.raises(InvalidParams, match="candidate set is empty"):
             solver(params, [], const_oracle(0.5), BudgetLedger(3))
 
 

@@ -355,6 +355,11 @@ _CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.1]),
 )
+# curve values load_tabular accepts: [0, 1] with its 1e-9 slack at either end
+_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 0.1, -1e-9, 1.0 + 1e-9]),
+)
 
 
 @SETTINGS
@@ -364,7 +369,7 @@ def test_save_tabular_bytes_match_the_reference(tmp_path, data):
     d = data.draw(st.integers(1, 3))
     horizon = data.draw(st.integers(1, 4))
     points = [[data.draw(_CELLS) for _ in range(d)] for _ in range(n)]
-    curves = [[data.draw(_CELLS) for _ in range(horizon)] for _ in range(n)]
+    curves = [[data.draw(_VALUES) for _ in range(horizon)] for _ in range(n)]
     order = data.draw(st.permutations(range(n)))
     configs = [configs_from(points)[i] for i in order]
     scales = data.draw(st.none() | st.lists(st.sampled_from(["lin", "log"]), min_size=d, max_size=d))
@@ -376,13 +381,13 @@ def test_save_tabular_bytes_match_the_reference(tmp_path, data):
 
 def test_save_tabular_special_floats_match_the_reference(tmp_path):
     configs = configs_from([[-0.0, 5e-324], [1e300, -1e300]])
-    curves = np.asarray([[-0.0, 5e-324, 1e300], [0.1, 1.0, 0.0]])
+    curves = np.asarray([[-0.0, 5e-324, 1.0], [0.1, 1.0, -5e-324]])
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     save_tabular(str(got), configs, curves, ["lin", "log"])
     ref_save_tabular(str(want), configs, curves, ["lin", "log"])
     assert got.read_bytes() == want.read_bytes()
     assert b"0,-0.0,5e-324,1,-0.0\n" in got.read_bytes()
-    assert b"1,1e+300,-1e+300,3,0.0\n" in got.read_bytes()
+    assert b"1,1e+300,-1e+300,3,-5e-324\n" in got.read_bytes()
 
 
 def test_save_tabular_checks_before_opening(tmp_path):
@@ -398,6 +403,13 @@ def test_save_tabular_checks_before_opening(tmp_path):
         save_tabular(str(path), [configs[0], Configuration((0.5, 1.0), 1)], np.zeros((2, 2)))
     with pytest.raises(InvalidParams, match="id 0 "):  # load_tabular would refuse the file
         save_tabular(str(path), [configs[0], Configuration((1.0,), 0)], np.zeros((2, 2)))
+    # nor would it load a file with no budget column or a value outside [0, 1]
+    with pytest.raises(InvalidParams, match="at least one budget column"):
+        save_tabular(str(path), configs[:1], np.zeros((1, 0)))
+    for bad in (1.5, 1.0 + 2e-9, -2e-9, float("nan"), float("inf")):
+        curves = np.array([[0.25, 0.5], [0.75, bad]])
+        with pytest.raises(InvalidParams, match=r"curve 1, budget 2: value .* outside \[0, 1\]"):
+            save_tabular(str(path), configs, curves)
     assert not path.exists()
     curves = np.array([[0.25, 0.5], [0.75, 1.0]])
     save_tabular(str(path), configs[::-1], curves)  # any order of ids 0..n-1 is fine
