@@ -355,6 +355,36 @@ def test_bench_two_workers_write_what_one_writes(tmp_path, capsys):
     assert _dir_bytes(tmp_path / "1") == _dir_bytes(tmp_path / "2")
 
 
+def test_bench_failed_cells_are_listed_and_keep_their_algorithm_unranked(tmp_path, capsys):
+    # random cannot draw 20 arms from 12 landscape points, but runs on toy (T = 2)
+    data = _bench_dataset(tmp_path)
+    argv = ["bench", "--data", data, "--landscape", "radial-decay", "--n", "12",
+            "--budget", "20", "--algos", "random,sha,ada-cent", "--seeds", "2"]
+    printed = []
+    for workers in ("1", "2"):
+        assert entry([*argv, "--workers", workers, "--out", str(tmp_path / workers)]) == 2
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert _dir_bytes(tmp_path / "1") == _dir_bytes(tmp_path / "2")
+    out, err = printed[0]
+    assert "2 of 12 cells failed; see failures.csv" in err
+
+    out_dir = tmp_path / "1"
+    assert _read_rows(out_dir / "failures.csv") == [
+        ["dataset", "seed", "algorithm", "error"],
+        ["radial-decay", "0", "random", "cannot draw 20 distinct arms from 12"],
+        ["radial-decay", "1", "random", "cannot draw 20 distinct arms from 12"],
+    ]
+    summary = {tuple(row[:2]) for row in _read_rows(out_dir / "summary.csv")[1:]}
+    assert ("toy", "random") in summary
+    assert ("radial-decay", "random") not in summary
+    ranked = {row[1] for row in _read_rows(out_dir / "mean_rank.csv")[1:]}
+    assert ranked == {"ada-cent", "sha"}
+    ranking = out.split("mean rank at full budget: ")[1]
+    assert "random" not in ranking
+    assert "ada-cent=" in ranking and "sha=" in ranking
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_bench_needs_at_least_one_worker(tmp_path, capsys, workers):
     data = _bench_dataset(tmp_path)
