@@ -68,7 +68,7 @@ def main():
 
     caps = {kind: args.budget for kind in kinds}
     ranked = {k: v for k, v in results.items() if k[2] not in skipped}
-    table = mean_rank(ranked, caps, fractions=[i / 10 for i in range(1, 11)])
+    table = mean_rank(ranked, caps)
     with open(os.path.join(args.out, "mean_rank.csv"), "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["fraction", "algorithm", "mean_rank"])

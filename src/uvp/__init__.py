@@ -39,7 +39,6 @@ from .core import (
     SearchOutcome,
     UvpError,
     ValueOracle,
-    config_matrix,
 )
 from .instances import (
     HardInstanceSpec,
@@ -96,7 +95,6 @@ __all__ = [
     "ada_cent",
     "brute_force_k_center",
     "brute_force_opt",
-    "config_matrix",
     "e_ada_cent",
     "e_full_cent",
     "e_k_center",

@@ -23,6 +23,7 @@ from .core import (
 from .instances import TabularBenchmark
 
 DEFAULT_ALPHAS = (90.0, 95.0, 98.0, 99.0)
+DEFAULT_FRACTIONS = tuple(i / 10 for i in range(1, 11))  # the budget fractions ranks are taken at
 BRUTE_FORCE_CAP = 15  # brute_force_k_center tries every size-k subset of at most this many
 
 
@@ -355,7 +356,7 @@ def mean_rank(
     the same algorithms.
     """
     if fractions is None:
-        fractions = [i / 10 for i in range(1, 11)]
+        fractions = DEFAULT_FRACTIONS
     if not results:
         raise InvalidParams("no results to rank")
     cells = sorted({(ds, seed) for ds, seed, _ in results})

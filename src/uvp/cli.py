@@ -15,7 +15,8 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .analysis import _level_rows, _scaled_percentiles, check_percentile_args, mean_rank
+from .analysis import DEFAULT_FRACTIONS, check_percentile_args, mean_rank
+from .analysis import _level_rows, _scaled_percentiles
 # estimate-eps no longer calls these two; perfbench/tracing.py wraps them by name here
 from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
 from .baselines import hyperband, random_search, successive_halving
@@ -183,14 +184,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 # bench
 
 
-def _bench_cell(payload):
-    """Worker: run one (dataset, seed, algorithm) cell, catching per-cell errors."""
-    name, X, oracle, cap, seed, alg, knobs = payload
+def _bench_cell(task):
+    """Worker: one cell's (trace, best value), or the message of the error it raised."""
+    X, oracle, cap, seed, alg, knobs = task
     try:
         out = run_algorithm(alg, X, oracle, cap, oracle.horizon, replace(knobs, seed=seed))
     except UvpError as exc:
-        return (name, seed, alg), None, None, str(exc)
-    return (name, seed, alg), out.trace, out.best_value, None
+        return str(exc)
+    return out.trace, out.best_value
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -198,7 +199,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParams("bench needs at least one --data file or --landscape kind")
     datasets = _datasets(args)
     caps = {name: cap for name, _, _, cap in datasets}
-    names = list(caps)
 
     raw_algos = ",".join(ALGORITHMS) if args.algos is None else args.algos
     algorithms = sorted({a for a in raw_algos.split(",") if a})
@@ -214,64 +214,49 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     knobs = _knobs_from(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
 
-    tasks = [
-        (name, X, oracle, cap, seed, alg, knobs)
+    tasks = {
+        (name, seed, alg): (X, oracle, cap, seed, alg, knobs)
         for name, X, oracle, cap in datasets
         for seed in seeds
         for alg in algorithms
-    ]
-    results: dict[tuple[str, int, str], list[tuple[int, float]]] = {}
-    finals: dict[tuple[str, int, str], float] = {}
-    failures: list[tuple[str, int, str, str]] = []
+    }
     # the pool forks all its workers on first use, so never ask for more than there are cells
     workers = min(args.workers, len(tasks))
     if workers > 1:
         import concurrent.futures  # only a forking bench pays for the pool's imports
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_bench_cell, tasks))
+            cells = dict(zip(tasks, pool.map(_bench_cell, tasks.values())))
     else:
-        cells = [_bench_cell(t) for t in tasks]
-    for key, trace, final, err in cells:
-        if err is not None:
-            failures.append((*key, err))
-        else:
-            results[key] = trace
-            finals[key] = final
+        cells = {key: _bench_cell(task) for key, task in tasks.items()}
+    failures = sorted((*key, cell) for key, cell in cells.items() if isinstance(cell, str))
+    done = {key: cell for key, cell in cells.items() if not isinstance(cell, str)}
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for (name, seed, alg), trace in sorted(results.items()):
+        finals: dict[tuple[str, str], list[float]] = {}
+        for (name, seed, alg), (trace, best) in done.items():
             _write_trace(os.path.join(args.out, f"trace_{name}_{alg}_{seed}.csv"), trace)
-        summary_rows = []
-        for name in names:
-            for alg in algorithms:
-                vals = [finals[(name, s, alg)] for s in seeds if (name, s, alg) in finals]
-                if vals:
-                    summary_rows.append(
-                        [name, alg, _fmt(float(np.mean(vals))), _fmt(float(np.std(vals)))]
-                    )
+            finals.setdefault((name, alg), []).append(best)
         _write_csv(
             os.path.join(args.out, "summary.csv"),
             ["dataset", "algorithm", "mean_best", "std_best"],
-            summary_rows,
+            [[*key, _fmt(np.mean(v)), _fmt(np.std(v))] for key, v in sorted(finals.items())],
         )
         if failures:
             _write_csv(
                 os.path.join(args.out, "failures.csv"),
                 ["dataset", "seed", "algorithm", "error"],
-                sorted(failures),
+                failures,
             )
 
-    # rank only algorithms that completed every (dataset, seed) cell
-    complete = [
-        alg
-        for alg in algorithms
-        if all((name, s, alg) in results for name in names for s in seeds)
-    ]
-    if complete:
-        ranked = {k: v for k, v in results.items() if k[2] in complete}
-        table = mean_rank(ranked, caps)
+    # an algorithm with a failed cell is left out of the ranking
+    failed = {alg for _, _, alg, _ in failures}
+    ranked = {key: trace for key, (trace, _) in done.items() if key[2] not in failed}
+    if ranked:
+        # rank only where every dataset has spent at least one unit
+        fractions = [f for f in DEFAULT_FRACTIONS if f * min(caps.values()) >= 1]
+        table = mean_rank(ranked, caps, fractions)
         if args.out:
             _write_csv(
                 os.path.join(args.out, "mean_rank.csv"),

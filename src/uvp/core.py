@@ -78,17 +78,15 @@ class Configuration:
         return len(self.coords)
 
 
-def config_matrix(X: Sequence[Configuration]) -> np.ndarray:
-    """Stack candidate embeddings into an (n, d) array; ids must equal positions."""
+def config_columns(X: Sequence[Configuration]) -> np.ndarray:
+    """Coordinate-major (d, n) embeddings, the layout :func:`distance_row` takes.
+
+    Ids must equal positions.
+    """
     for pos, cfg in enumerate(X):
         if cfg.id != pos:
             raise InvalidParams(f"configuration at position {pos} has id {cfg.id}")
-    return np.asarray([c.coords for c in X], dtype=float)
-
-
-def config_columns(X: Sequence[Configuration]) -> np.ndarray:
-    """Coordinate-major (d, n) embeddings, the layout :func:`distance_row` takes."""
-    return np.ascontiguousarray(config_matrix(X).T)
+    return np.ascontiguousarray(np.asarray([c.coords for c in X], dtype=float).T)
 
 
 def distance_row(columns: np.ndarray, origin: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -60,6 +60,10 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for knob in ("p", "eta", "iterations", "seed"):
+            value = getattr(self, knob)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidParams(f"{knob} must be an integer, got {value!r}")
         if self.p < 1:
             raise InvalidParams("p (centers per round) must be >= 1")
         if not self.epsilon > 0:

@@ -15,7 +15,6 @@ from uvp import (
     ParseError,
     SchemaError,
     TabularOracle,
-    config_matrix,
 )
 from uvp.analysis import EpsilonReport
 from uvp.clustering import DEFAULT_ETA_CAP, Cover, greedy_radius, k_center
@@ -87,7 +86,7 @@ def configs_from(points):
 
 def ref_k_center(k, seeds, X):
     """Plain farthest-first selection from scratch; the engine must match it."""
-    points = config_matrix(X)
+    points = np.asarray([c.coords for c in X], dtype=float)
     n = len(X)
     nearest = np.full(n, np.inf)
     chosen = np.zeros(n, dtype=bool)
@@ -106,7 +105,7 @@ def ref_k_center(k, seeds, X):
 
 def ref_e_k_center(k, seeds, X, t, epsilon, run):
     """Value-aware selection rebuilding the enhanced distance before each pick."""
-    points = config_matrix(X)
+    points = np.asarray([c.coords for c in X], dtype=float)
     n = len(X)
     centers = list(seeds)
     chosen = np.zeros(n, dtype=bool)
@@ -175,7 +174,7 @@ def _ref_ratio_floor(ci, others):
 def ref_epsilon_pairwise(bench):
     """Pairwise levels from a full (n, n) distance matrix, one row at a time."""
     n = bench.n
-    X = config_matrix(bench.configs)
+    X = np.asarray([c.coords for c in bench.configs], dtype=float)
     dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
     pairwise = np.zeros((n, n))
     skipped = []

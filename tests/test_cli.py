@@ -385,6 +385,22 @@ def test_bench_failed_cells_are_listed_and_keep_their_algorithm_unranked(tmp_pat
     assert "ada-cent=" in ranking and "sha=" in ranking
 
 
+def test_bench_ranks_only_where_every_dataset_has_spent_a_unit(tmp_path, capsys):
+    # at B = 9 the 0.1 fraction is 0.9 units, before any cell has spent one
+    data = str(tmp_path / "h.csv")
+    assert entry(["gen", "--hard", "fc", "--epsilon", "0.5", "--beta", "2", "--k", "2",
+                  "--n", "5", "--horizon", "3", "--out", data]) == 0
+    for budget, first in (("9", 2), ("10", 1)):
+        out = tmp_path / budget
+        assert entry(["bench", "--data", data, "--seeds", "2", "--budget", budget,
+                      "--algos", "random,sha", "--out", str(out)]) == 0
+        fractions = [float(row[0]) for row in _read_rows(out / "mean_rank.csv")[1:]]
+        assert sorted(set(fractions)) == [i / 10 for i in range(first, 11)]
+        captured = capsys.readouterr()
+        assert "mean rank at full budget: " in captured.out
+        assert captured.err == ""
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_bench_needs_at_least_one_worker(tmp_path, capsys, workers):
     data = _bench_dataset(tmp_path)

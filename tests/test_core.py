@@ -15,9 +15,8 @@ from uvp import (
     InvalidValue,
     Run,
     UvpError,
-    config_matrix,
 )
-from uvp.core import distance_row
+from uvp.core import config_columns, distance_row
 
 
 # learning a configuration's curve with Run.extend_to, one charged unit per budget step
@@ -178,12 +177,12 @@ def test_configuration_validation():
         Configuration((0.0,), -1)
 
 
-def test_config_matrix_checks_id_order():
+def test_config_columns_checks_id_order():
     X = [Configuration((0.0,), 0), Configuration((1.0,), 2)]
     with pytest.raises(InvalidParams):
-        config_matrix(X)
+        config_columns(X)
     good = line([0.0, 1.0])
-    assert np.array_equal(config_matrix(good), [[0.0], [1.0]])
+    assert np.array_equal(config_columns(good), [[0.0, 1.0]])
 
 
 def test_distance_row_matches_numpy_norm_bit_for_bit():

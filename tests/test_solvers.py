@@ -1,6 +1,7 @@
 """Solver behavior: predictors, the two full-training variants, adaptive pruning."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ def test_solver_params_validation():
         SolverParams(iterations=0)
     with pytest.raises(InvalidParams, match="seed"):
         SolverParams(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [("p", 2.5), ("eta", 2.5), ("iterations", 1.5), ("seed", 1.5), ("seed", math.nan),
+     ("p", 3.0), ("seed", "1")],
+)
+def test_solver_params_integer_knobs_refuse_other_values(knob, value):
+    # a float knob used to pass the range checks and fail mid-run with a bare TypeError
+    with pytest.raises(InvalidParams, match=re.escape(f"{knob} must be an integer, got {value!r}")):
+        SolverParams(**{knob: value})
+
+
+def test_solver_params_integer_knobs_take_numpy_integers():
+    params = SolverParams(p=np.int64(2), eta=np.int32(2), iterations=np.int64(1), seed=np.int64(5))
+    assert (params.p, params.eta, params.iterations, params.seed) == (2, 2, 1, 5)
 
 
 def test_full_cent_requires_budget_for_one_evaluation():
