@@ -353,10 +353,9 @@ def mean_rank(
     (spent, incumbent) points; ``caps`` gives each dataset's total budget.
     Within a cell algorithms are ranked by incumbent value, best rank 1 and
     ties averaged, then ranks are averaged over cells. Every cell must cover
-    the same algorithms.
+    the same algorithms. By default ranks are taken at each of
+    ``DEFAULT_FRACTIONS`` where every dataset has spent at least one unit.
     """
-    if fractions is None:
-        fractions = DEFAULT_FRACTIONS
     if not results:
         raise InvalidParams("no results to rank")
     cells = sorted({(ds, seed) for ds, seed, _ in results})
@@ -370,6 +369,11 @@ def mean_rank(
     for ds, _ in cells:
         if ds not in caps:
             raise InvalidParams(f"no budget cap for dataset {ds!r}")
+    if fractions is None:
+        low = min(caps[ds] for ds, _ in cells)
+        fractions = [f for f in DEFAULT_FRACTIONS if f * low >= 1]
+        if not fractions:
+            raise InvalidParams(f"no default fraction of budget {low} reaches one unit")
 
     means = np.zeros((len(fractions), len(algorithms)))
     for fi, f in enumerate(fractions):

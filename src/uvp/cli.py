@@ -15,7 +15,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .analysis import DEFAULT_FRACTIONS, check_percentile_args, mean_rank
+from .analysis import check_percentile_args, mean_rank
 from .analysis import _level_rows, _scaled_percentiles
 # estimate-eps no longer calls these two; perfbench/tracing.py wraps them by name here
 from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
@@ -254,9 +254,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     failed = {alg for _, _, alg, _ in failures}
     ranked = {key: trace for key, (trace, _) in done.items() if key[2] not in failed}
     if ranked:
-        # rank only where every dataset has spent at least one unit
-        fractions = [f for f in DEFAULT_FRACTIONS if f * min(caps.values()) >= 1]
-        table = mean_rank(ranked, caps, fractions)
+        table = mean_rank(ranked, caps)
         if args.out:
             _write_csv(
                 os.path.join(args.out, "mean_rank.csv"),

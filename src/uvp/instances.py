@@ -179,9 +179,11 @@ def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configurati
 
 
 def sample_uniform(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> list[Configuration]:
-    """n points uniform over the box, seeded; degenerate bounds collapse to a point."""
+    """n points (at most MESH_CAP) uniform over the box, seeded; degenerate bounds collapse."""
     if n < 1:
         raise InvalidParams("need at least one sample")
+    if n > MESH_CAP:  # checked before any draw
+        raise InvalidParams(f"sample of {n} points exceeds cap {MESH_CAP}")
     if len(bounds) < 1:
         raise InvalidParams("need at least one dimension")
     for lo, hi in bounds:
@@ -242,38 +244,9 @@ class TabularBenchmark:
 _LONE_UNDERSCORE = re.compile(r"(?<![0-9])_|_(?![0-9])")
 
 
-def _is_blank(row: list[str]) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
-def _normalise(raw: np.ndarray, scales: Sequence[str]) -> np.ndarray:
-    """Log-scale the flagged columns of ``raw`` in place, then min-max normalise each column."""
-    for j, flag in enumerate(scales):
-        if flag == "log":
-            raw[:, j] = np.log(raw[:, j])
-    lo, hi = raw.min(axis=0), raw.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    return (raw - lo) / span
-
-
-def _benchmark(norm: np.ndarray, curves: np.ndarray) -> TabularBenchmark:
-    """Pair the normalised embeddings with the curves wrapped to be non-decreasing."""
-    curves = np.maximum.accumulate(curves, axis=1)
-    return TabularBenchmark(configs=_configs(norm), curves=curves)
-
-
 def _in_unit(values):
     """Which values ``load_tabular`` accepts: within 1e-9 of [0, 1], not NaN."""
     return (values >= -1e-9) & (values <= 1.0 + 1e-9)
-
-
-def _parse_cell(raw: str, row: int, col: int, kind: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"row {row}, column {col}: cannot parse {raw!r} as {kind}") from None
 
 
 def load_tabular(path: str) -> TabularBenchmark:
@@ -286,14 +259,18 @@ def load_tabular(path: str) -> TabularBenchmark:
     1e-9 for writer round-off), curves are wrapped to be non-decreasing, and
     embeddings are min-max normalised per column after any log scaling.
 
-    A valid file is parsed by numpy in one pass and checked with array
-    operations. A file the numpy path does not take, such as one with quoted
-    cells, tab or no-break-space padding or non-ASCII digits, or one that
-    fails any of those checks, is read again row by row; that reader loads it
-    or raises the error for its first faulty row.
+    Two parsers feed one set of checks, ``_checked``. A valid file is parsed
+    by numpy in one pass. A file numpy does not take (quoted cells, tab or
+    no-break-space padding, non-ASCII digits) or that breaks any rule is read
+    again row by row with csv.reader and Python's int and float, so an error
+    names the first faulty row in file order. An id or budget of any size is
+    checked without building anything from it.
     """
-    bench = _load_tabular_fast(path)
-    return bench if bench is not None else _load_tabular_checked(path)
+    try:
+        return _checked(path, *_numpy_columns(path))
+    except (SchemaError, ParseError, ValueError, OverflowError, csv.Error):
+        pass  # a bad header or cell, undecodable text or a broken rule
+    return _checked(path, *_csv_columns(path))
 
 
 def _layout(path: str, rows: list[list[str]]) -> tuple[int, tuple[str, ...], int]:
@@ -324,7 +301,7 @@ def _layout(path: str, rows: list[list[str]]) -> tuple[int, tuple[str, ...], int
 def _data_lines(lines: Iterable[str]) -> Iterator[str]:
     """The data lines, respelled so numpy reads exactly what Python's int and float read.
 
-    Blank lines are skipped, as ``_is_blank`` skips them. A line is refused
+    Blank lines are skipped, as ``_csv_columns`` skips them. A line is refused
     if csv.reader would refuse a field in it as too long, or if it holds
     anything but printable ASCII before its end: numpy strips \\x1c-\\x1f
     around a number and reads some non-ASCII characters in an integer as
@@ -343,58 +320,29 @@ def _data_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line.replace("_", "")
 
 
-def _load_tabular_fast(path: str) -> TabularBenchmark | None:
-    """``load_tabular`` for valid files; None whenever a check fails."""
+def _numpy_columns(path: str) -> tuple:
+    """Scale flags, ids, coordinates, budgets and values, from one ``np.loadtxt`` call."""
     with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            head = [fh.readline(), fh.readline()]
-            d, scales, start = _layout(path, list(csv.reader(head)))
-            dtype = [("id", np.int64), ("x", float, (d,)), ("b", np.int64), ("value", float)]
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                # older numpy reads an int cell "1.0" via float, only warning
-                warnings.simplefilter("error", DeprecationWarning)
-                lines = _data_lines(itertools.chain(head[start:], fh))
-                table = np.loadtxt(lines, dtype, comments=None, delimiter=",", ndmin=1)
-        except (SchemaError, ValueError, OverflowError, csv.Error):
-            # a bad header or cell, undecodable text: the row-by-row loader names it
-            return None
-    ids, xs, budgets, vals = (table[name] for name in ("id", "x", "b", "value"))
-    rows = len(ids)
-    if not rows or not _in_unit(vals).all():  # NaN fails too
-        return None
-    n, horizon = int(ids.max()) + 1, int(budgets.max())
-    # compared before anything is allocated from the largest id; n >= 1 keeps
-    # the counts given to np.repeat and np.tile below positive
-    if n < 1 or n * horizon != rows:
-        return None
-    # every (id, budget) pair exactly once
-    order = np.lexsort((budgets, ids))
-    if not (
-        np.array_equal(ids[order], np.repeat(np.arange(n), horizon))
-        and np.array_equal(budgets[order], np.tile(np.arange(1, horizon + 1), n))
-    ):
-        return None
-    # each id keeps the coordinates of its first row in file order, and
-    # every other row of the id must equal them (a NaN never does)
-    first = order.reshape(n, horizon).min(axis=1)
-    raw = xs[first]
-    if not np.array_equal(xs, raw[ids]):
-        return None
-    # an infinite coordinate, the log of a non-positive one and a span past
-    # the float range all leave a non-finite normalised coordinate
-    with np.errstate(all="ignore"):
-        norm = _normalise(raw, scales)
-    if not np.isfinite(norm).all():
-        return None
-    curves = np.empty((n, horizon))
-    # Python's min(max(v, 0.0), 1.0): a negative zero stays negative
-    curves[ids, budgets - 1] = np.where(vals < 0, 0.0, np.where(vals > 1, 1.0, vals))
-    return _benchmark(norm, curves)
+        head = [fh.readline(), fh.readline()]
+        d, scales, start = _layout(path, list(csv.reader(head)))
+        dtype = [("id", np.int64), ("x", float, (d,)), ("b", np.int64), ("value", float)]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # older numpy reads an int cell "1.0" via float, only warning
+            warnings.simplefilter("error", DeprecationWarning)
+            lines = _data_lines(itertools.chain(head[start:], fh))
+            table = np.loadtxt(lines, dtype, comments=None, delimiter=",", ndmin=1)
+    return scales, table["id"], table["x"], table["b"], table["value"]
 
 
-def _load_tabular_checked(path: str) -> TabularBenchmark:
-    """``load_tabular`` one row at a time, raising for the first fault in file order."""
+def _csv_columns(path: str) -> tuple:
+    """The columns of ``_numpy_columns`` read row by row, then row numbers and a parse error.
+
+    Cells are parsed by Python's int and float; ids and budgets past int64
+    make object arrays. The parse stops at the first row of the wrong width
+    or with a cell it cannot parse, and returns that row's error with the
+    columns of the rows before it.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -405,61 +353,112 @@ def _load_tabular_checked(path: str) -> TabularBenchmark:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     d, scales, start = _layout(path, rows)
     width = d + 3
-    coords: dict[int, tuple[float, ...]] = {}
-    values: dict[int, dict[int, float]] = {}
-    for offset, row in enumerate(rows[start:]):
-        rownum = start + offset + 1
-        if _is_blank(row):
-            continue
-        if len(row) != width:
-            raise SchemaError(f"{path}: row {rownum} has {len(row)} cells, expected {width}")
-        cid = _parse_cell(row[0], rownum, 1, "int")
-        xs = tuple(_parse_cell(row[1 + j], rownum, 2 + j, "float") for j in range(d))
-        b = _parse_cell(row[-2], rownum, width - 1, "int")
-        val = _parse_cell(row[-1], rownum, width, "float")
-        if cid < 0:
-            raise SchemaError(f"{path}: row {rownum}: negative id {cid}")
-        if b < 1:
-            raise SchemaError(f"{path}: row {rownum}: budget index {b} must be >= 1")
-        if not _in_unit(val):  # NaN fails too
-            raise ParseError(f"row {rownum}, column {width}: value {val} outside [0, 1]")
-        for j, x in enumerate(xs):
-            if not math.isfinite(x):
-                raise ParseError(f"row {rownum}, column {2 + j}: coordinate {x} is not finite")
-        val = min(max(val, 0.0), 1.0)
-        if cid in coords and coords[cid] != xs:
-            raise SchemaError(f"{path}: row {rownum}: id {cid} re-appears with different coordinates")
-        coords.setdefault(cid, xs)
-        per = values.setdefault(cid, {})
-        if b in per:
-            raise SchemaError(f"{path}: row {rownum}: duplicate budget {b} for id {cid}")
-        per[b] = val
+    kinds = (int, *(float,) * d, int, float)
+    cells, nums, error = [], [], None  # cells: every parsed cell, row after row
+    try:
+        for num in range(start + 1, len(rows) + 1):
+            row, rows[num - 1] = rows[num - 1], None  # each row is freed once parsed
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # a blank line
+            if len(row) != width:
+                raise SchemaError(f"{path}: row {num} has {len(row)} cells, expected {width}")
+            for col, (kind, raw) in enumerate(zip(kinds, row), 1):
+                cells.append(kind(raw))
+            nums.append(num)
+    except SchemaError as exc:
+        error = exc
+    except ValueError:  # int or float refused the cell the loop variables name
+        error = ParseError(f"row {num}, column {col}: cannot parse {raw!r} as {kind.__name__}")
+    del rows, cells[len(nums) * width :]  # and the cells of the row that failed
+    ids, budgets = (_int_column(cells[j::width]) for j in (0, width - 2))
+    xs = np.array([cells[j::width] for j in range(1, width - 2)], dtype=float).T
+    vals = np.array(cells[width - 1 :: width], dtype=float)
+    return scales, ids, xs, budgets, vals, nums, error
 
-    if not values:
-        raise SchemaError(f"{path}: no data rows")
-    n = len(values)
-    if sorted(values) != list(range(n)):
+
+def _int_column(values: list[int]) -> np.ndarray:
+    """``values`` as int64, or as Python ints in an object array if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _checked(path, scales, ids, xs, budgets, vals, rows=None, error=None) -> TabularBenchmark:
+    """Check the parsed columns against every rule of the layout and build the benchmark.
+
+    ``rows`` numbers the data rows in the file, and ``error``, the parse error
+    of the row that stopped the row-by-row parse, is raised only if no row
+    before it breaks a rule. Without ``rows`` a faulty row raises a bare
+    ValueError, and ``load_tabular`` reads the file again row by row.
+    """
+    if not len(ids):
+        raise error or SchemaError(f"{path}: no data rows")
+    # by id, then budget; the sort is stable, so equal (id, budget) rows keep their file order
+    order = np.lexsort((budgets, ids))
+    # a difference is 0 exactly where two neighbours are equal, even if it wraps
+    new_id = np.diff(ids[order]) != 0
+    starts = np.flatnonzero(np.concatenate(([True], new_id)))
+    counts = np.diff(starts, append=len(order))
+    # each id's first row in file order, whose coordinates it keeps
+    first = np.minimum.reduceat(order, starts)
+    raw = xs[first]
+
+    finite = np.isfinite(xs)
+    moved = np.zeros(len(order), dtype=bool)
+    for j, column in enumerate(raw.T):
+        moved[order] |= xs[order, j] != np.repeat(column, counts)
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = ~new_id & (np.diff(budgets[order]) == 0)
+    negative, below, outside = ids < 0, budgets < 1, ~_in_unit(vals)  # NaN is outside
+    bad = negative | below | outside | ~finite.all(axis=1) | moved | repeated
+    if bad.any():
+        if rows is None:
+            raise ValueError("a data row breaks a rule")
+        r = int(np.argmax(bad))
+        at = f"row {rows[r]}"
+        if negative[r]:
+            raise SchemaError(f"{path}: {at}: negative id {ids[r]}")
+        if below[r]:
+            raise SchemaError(f"{path}: {at}: budget index {budgets[r]} must be >= 1")
+        if outside[r]:
+            raise ParseError(f"{at}, column {xs.shape[1] + 3}: value {vals[r]} outside [0, 1]")
+        if not finite[r].all():
+            j = int(np.argmin(finite[r]))
+            raise ParseError(f"{at}, column {2 + j}: coordinate {xs[r, j]} is not finite")
+        if moved[r]:
+            raise SchemaError(f"{path}: {at}: id {ids[r]} re-appears with different coordinates")
+        raise SchemaError(f"{path}: {at}: duplicate budget {budgets[r]} for id {ids[r]}")
+    if error is not None:
+        raise error
+
+    # the ids are distinct and non-negative, each id's budgets distinct and positive
+    n, horizon = len(starts), budgets.max()
+    if ids[first[-1]] != n - 1:
         raise SchemaError(f"{path}: ids must be exactly 0..{n - 1}")
-    horizon = max(max(per) for per in values.values())
-    for cid, per in values.items():
-        if sorted(per) != list(range(1, horizon + 1)):
-            raise SchemaError(f"{path}: id {cid} does not cover budgets 1..{horizon}")
-
-    raw = np.asarray([coords[i] for i in range(n)], dtype=float)
-    for j, flag in enumerate(scales):
-        if flag == "log" and np.any(raw[:, j] <= 0):
-            bad = int(np.argmax(raw[:, j] <= 0))
-            raise ParseError(f"row for id {bad}, column {2 + j}: log scaling needs positive values")
-    with np.errstate(all="ignore"):
-        norm = _normalise(raw, scales)
-    finite = np.isfinite(norm).all(axis=0)
-    if not finite.all():
-        j = int(np.argmin(finite))
+    short = counts != horizon
+    if short.any():
+        cid = ids[first[short].min()]  # the first one in the file
+        raise SchemaError(f"{path}: id {cid} does not cover budgets 1..{horizon}")
+    for j in [j for j, flag in enumerate(scales) if flag == "log"]:
+        if np.any(raw[:, j] <= 0):
+            cid = int(np.argmax(raw[:, j] <= 0))
+            raise ParseError(f"row for id {cid}, column {2 + j}: log scaling needs positive values")
+        raw[:, j] = np.log(raw[:, j])
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    with np.errstate(all="ignore"):  # a span past the float range overflows
+        norm = (raw - lo) / np.where(hi > lo, hi - lo, 1.0)
+    spans = np.isfinite(norm).all(axis=0)
+    if not spans.all():
+        j = int(np.argmin(spans))
         raise ParseError(f"column {2 + j}: coordinates span more than the float range")
-    curves = np.asarray(
-        [[values[i][b] for b in range(1, horizon + 1)] for i in range(n)], dtype=float
-    )
-    return _benchmark(norm, curves)
+
+    # row i is id i; clamped as Python's min(max(v, 0.0), 1.0), so a -0.0 stays negative
+    curves = vals[order].reshape(n, horizon)
+    curves[curves < 0] = 0.0
+    curves[curves > 1] = 1.0
+    np.maximum.accumulate(curves, axis=1, out=curves)
+    return TabularBenchmark(configs=_configs(norm), curves=curves)
 
 
 def _undecodable(path: str) -> str:

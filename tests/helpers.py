@@ -306,7 +306,7 @@ def ref_load_tabular(path):
         raise SchemaError(f"{path}: ids must be exactly 0..{n - 1}")
     horizon = max(max(per) for per in values.values())
     for cid, per in values.items():
-        if sorted(per) != list(range(1, horizon + 1)):
+        if len(per) != horizon:  # the budgets are distinct and lie in 1..horizon
             raise SchemaError(f"{path}: id {cid} does not cover budgets 1..{horizon}")
 
     raw = np.asarray([coords[i] for i in range(n)], dtype=float)

@@ -25,6 +25,7 @@ from helpers import (
 from uvp import InvalidParams, SchemaError
 from uvp.analysis import (
     DEFAULT_ALPHAS,
+    DEFAULT_FRACTIONS,
     EpsilonReport,
     _level_rows,
     _scaled_percentiles,
@@ -624,6 +625,21 @@ def test_mean_rank_validation():
         mean_rank(results, caps={"d": 1}, fractions=(1.2,))
     with pytest.raises(InvalidParams):
         mean_rank({}, caps={"d": 1})
+
+
+def test_mean_rank_default_fractions_start_where_every_dataset_spent_a_unit():
+    # at cap 9 the 0.1 point is 0.9 units, before any trace point, so it is left out
+    results = {}
+    for alg, v in (("a", 0.9), ("b", 0.5)):
+        results[("d", 0, alg)] = tuple((t, v) for t in range(1, 10))
+        results[("e", 0, alg)] = tuple((t, v) for t in range(1, 21))
+    table = mean_rank(results, caps={"d": 9, "e": 20})
+    assert table.fractions == DEFAULT_FRACTIONS[1:]
+    assert table.means.tolist() == [[1.0, 2.0]] * 9
+    wide = {key: trace for key, trace in results.items() if key[0] == "e"}
+    assert mean_rank(wide, caps={"e": 20}).fractions == DEFAULT_FRACTIONS
+    with pytest.raises(InvalidParams, match="no default fraction of budget 0 reaches one unit"):
+        mean_rank(results, caps={"d": 0, "e": 20})
 
 
 def test_mean_rank_missing_trace_point():

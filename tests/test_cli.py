@@ -58,6 +58,13 @@ def test_solve_landscape_trace_length(tmp_path, capsys):
     assert outcome[1][2] == "10"
 
 
+def test_solve_past_the_sample_cap_exits_2(capsys):
+    # 10^11 points would need terabytes; the count is refused before any draw
+    argv = ["solve", "--landscape", "radial-decay", "--algo", "random", "--n", "100000000000"]
+    assert entry(argv) == 2
+    assert "sample of 100000000000 points exceeds cap 1000000" in capsys.readouterr().err
+
+
 def test_solve_unknown_algorithm_exits_2():
     with pytest.raises(SystemExit) as exc:
         entry(["solve", "--landscape", "radial-decay", "--algo", "gradient"])
@@ -494,6 +501,16 @@ def test_estimate_eps_unreadable_csv_exits_2(tmp_path, capsys):
     assert entry(["estimate-eps", "--data", str(oversized), "--k", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{oversized}: line 3: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("budget", ["100000000000", "99999999999999999999"])
+def test_estimate_eps_on_a_budget_cell_of_any_size_exits_2(tmp_path, capsys, budget):
+    # the coverage check counts budgets; it builds nothing from the largest one
+    data = tmp_path / "far.csv"
+    data.write_text(f"id,x0,b,value\n0,0.5,{budget},0.5\n", encoding="utf-8")
+    assert entry(["estimate-eps", "--data", str(data), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: id 0 does not cover budgets 1..{budget}\n"
 
 
 def test_estimate_eps_bad_alphas_exit_2_before_reading(tmp_path, capsys):

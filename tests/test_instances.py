@@ -15,6 +15,7 @@ from uvp import (
 from uvp.analysis import epsilon_pairwise
 from uvp.instances import (
     LANDSCAPE_KINDS,
+    MESH_CAP,
     HardInstanceSpec,
     LandscapeOracle,
     TabularBenchmark,
@@ -424,6 +425,11 @@ def test_mesh_grid_validation():
         mesh_grid([(0.0, 1.0)], 1)
     with pytest.raises(InvalidParams, match="mesh of 1030301 points exceeds cap"):
         mesh_grid([(0.0, 1.0)] * 3, 101)  # 1,030,301 points, refused before allocating
+
+
+def test_sample_uniform_refuses_more_points_than_the_mesh_cap():
+    with pytest.raises(InvalidParams, match="sample of 1000001 points exceeds cap 1000000"):
+        sample_uniform([(0.0, 1.0)], MESH_CAP + 1, seed=0)
 
 
 def test_sample_uniform_degenerate_bounds():

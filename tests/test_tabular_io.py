@@ -102,9 +102,9 @@ def _write(path, rows, newline="\n"):
     return str(path)
 
 
-def _checked_loader_unreachable():
-    fail = AssertionError("a valid file reached the row-by-row loader")
-    return mock.patch("uvp.instances._load_tabular_checked", side_effect=fail)
+def _row_parse_unreachable():
+    fail = AssertionError("a valid file reached the row-by-row parse")
+    return mock.patch("uvp.instances._csv_columns", side_effect=fail)
 
 
 @SETTINGS
@@ -114,7 +114,7 @@ def test_valid_files_load_bit_for_bit(tmp_path, rows, newline):
     want = _outcome(ref_load_tabular, path)
     assert want[0] == "loads" or "span more than the float range" in want[2]
     if want[0] == "loads":
-        with _checked_loader_unreachable():
+        with _row_parse_unreachable():
             assert _outcome(load_tabular, path) == want
     else:
         assert _outcome(load_tabular, path) == want
@@ -182,13 +182,11 @@ def _fault(draw, rows):
                 other[j] = new
 
 
-def _outcome_via_checked_loader(path):
-    """``_outcome(load_tabular, path)``, asserting that only the row-by-row loader raises."""
-    with mock.patch(
-        "uvp.instances._load_tabular_checked", wraps=instances._load_tabular_checked
-    ) as checked:
+def _outcome_via_row_parse(path):
+    """``_outcome(load_tabular, path)``, asserting that every error follows the row-by-row parse."""
+    with mock.patch("uvp.instances._csv_columns", wraps=instances._csv_columns) as parse:
         got = _outcome(load_tabular, path)
-    assert got[0] == "loads" or checked.called
+    assert got[0] == "loads" or parse.called
     return got
 
 
@@ -198,7 +196,7 @@ def test_faulty_files_raise_like_the_reference(tmp_path, rows, data):
     for _ in range(data.draw(st.integers(1, 3))):
         _fault(data.draw, rows)
     path = _write(tmp_path / "faulty.csv", rows)
-    assert _outcome_via_checked_loader(path) == _outcome(ref_load_tabular, path)
+    assert _outcome_via_row_parse(path) == _outcome(ref_load_tabular, path)
 
 
 @pytest.mark.parametrize(
@@ -214,7 +212,9 @@ def test_faulty_files_raise_like_the_reference(tmp_path, rows, data):
         b"id,x0,b,value\n0,nan,1,0.5\n",
         b"id,x0,b,value\n0,0.5,1,nan\n",
         b"id,x0,b,value\n99999999999999999999,0.5,1,0.5\n",
+        # a SchemaError: budgets are counted, never listed as 1..b
         b"id,x0,b,value\n0,0.5,99999999999999999999,0.5\n",
+        b"id,x0,b,value\n0,0.5,100000000000,0.5\n",
         b"id,x0,b,value\n1,0.5,1,0.5\n2,0.5,1,0.5\n",
         b"id,x0,b,value\n1,0.5,1,0.5\n1,0.5,1,0.5\n",
         b"id,x0,b,value\n0,-1e308,1,0.5\n1,1e308,1,0.5\n",
@@ -247,7 +247,7 @@ def test_unreadable_and_edge_files_raise_like_the_reference(tmp_path, raw):
     path.write_bytes(raw)
     want = _outcome(ref_load_tabular, str(path))
     assert want[0] == "raises"
-    assert _outcome_via_checked_loader(str(path)) == want
+    assert _outcome_via_row_parse(str(path)) == want
 
 
 @pytest.mark.parametrize(
@@ -261,7 +261,7 @@ def test_unreadable_and_edge_files_raise_like_the_reference(tmp_path, raw):
     ],
 )
 def test_unusual_valid_spellings_load_like_the_reference(tmp_path, raw):
-    # numpy reads some of these and the row-by-row loader the rest
+    # numpy reads some of these and the row-by-row parse the rest
     path = tmp_path / "unusual.csv"
     path.write_bytes(raw)
     want = _outcome(ref_load_tabular, str(path))
@@ -280,10 +280,10 @@ def test_csv_field_limit_applies_to_each_field(tmp_path, digits, outcome):
         want = _outcome(ref_load_tabular, path)
         assert want[0] == outcome
         if outcome == "loads":
-            with _checked_loader_unreachable():
+            with _row_parse_unreachable():
                 assert _outcome(load_tabular, path) == want
         else:
-            assert _outcome_via_checked_loader(path) == want
+            assert _outcome_via_row_parse(path) == want
     finally:
         csv.field_size_limit(old)
 
