@@ -154,8 +154,22 @@ def _datasets(args: argparse.Namespace) -> list[tuple[str, list, ValueOracle, in
     return datasets
 
 
-def _write_trace(path: str, trace) -> None:
-    _write_csv(path, ["spent", "incumbent"], [[s, _fmt(v)] for s, v in trace])
+def _write_trace(paths: list[str], trace) -> None:
+    """Write ``trace`` as a spent,incumbent CSV to each of ``paths``, one ``write`` per file.
+
+    The text, the bytes ``_write_csv`` would write, is built once. The
+    incumbent is the same float object until it improves, so its ``repr``
+    is taken once per run of that object.
+    """
+    lines, last, text = ["spent,incumbent\n"], None, ""
+    for spent, value in trace:
+        if value is not last:
+            last, text = value, _fmt(value)
+        lines.append(f"{spent},{text}\n")
+    body = "".join(lines)
+    for path in paths:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(body)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +190,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ["best_id", "best_value", "spent"],
             [[out.best, _fmt(out.best_value), spent]],
         )
-        _write_trace(os.path.join(args.out, "trace.csv"), out.trace)
+        _write_trace([os.path.join(args.out, "trace.csv")], out.trace)
     return 0
 
 
@@ -185,7 +199,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _bench_cell(task):
-    """Worker: one cell's (trace, best value), or the message of the error it raised."""
+    """Worker: one run's (trace, best value), or the message of the error it raised."""
     X, oracle, cap, seed, alg, knobs = task
     try:
         out = run_algorithm(alg, X, oracle, cap, oracle.horizon, replace(knobs, seed=seed))
@@ -214,30 +228,39 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     knobs = _knobs_from(args)
     seeds = list(range(args.seed, args.seed + args.seeds))
 
-    tasks = {
-        (name, seed, alg): (X, oracle, cap, seed, alg, knobs)
-        for name, X, oracle, cap in datasets
+    # each (dataset, seed, algorithm) cell's run; a cluster solver reads no
+    # seed, so its cells on a dataset share one run, made with the first seed
+    runs = {
+        (name, seed, alg): (name, seeds[0] if alg in _CLUSTER_SOLVERS else seed, alg)
+        for name, _, _, _ in datasets
         for seed in seeds
         for alg in algorithms
     }
-    # the pool forks all its workers on first use, so never ask for more than there are cells
+    sources = {name: (X, oracle, cap) for name, X, oracle, cap in datasets}
+    tasks = {run: (*sources[run[0]], run[1], run[2], knobs) for run in runs.values()}
+    # the pool forks all its workers on first use, so never ask for more than there are runs
     workers = min(args.workers, len(tasks))
     if workers > 1:
         import concurrent.futures  # only a forking bench pays for the pool's imports
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = dict(zip(tasks, pool.map(_bench_cell, tasks.values())))
+            outcomes = dict(zip(tasks, pool.map(_bench_cell, tasks.values())))
     else:
-        cells = {key: _bench_cell(task) for key, task in tasks.items()}
+        outcomes = {run: _bench_cell(task) for run, task in tasks.items()}
+    cells = {key: outcomes[run] for key, run in runs.items()}
     failures = sorted((*key, cell) for key, cell in cells.items() if isinstance(cell, str))
     done = {key: cell for key, cell in cells.items() if not isinstance(cell, str)}
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         finals: dict[tuple[str, str], list[float]] = {}
-        for (name, seed, alg), (trace, best) in done.items():
-            _write_trace(os.path.join(args.out, f"trace_{name}_{alg}_{seed}.csv"), trace)
+        files: dict[tuple[str, int, str], list[str]] = {}  # the trace files of each run
+        for (name, seed, alg), (_, best) in done.items():
+            path = os.path.join(args.out, f"trace_{name}_{alg}_{seed}.csv")
+            files.setdefault(runs[name, seed, alg], []).append(path)
             finals.setdefault((name, alg), []).append(best)
+        for run, paths in files.items():
+            _write_trace(paths, outcomes[run][0])
         _write_csv(
             os.path.join(args.out, "summary.csv"),
             ["dataset", "algorithm", "mean_best", "std_best"],
@@ -265,7 +288,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ranking = ", ".join(f"{table.algorithms[i]}={table.means[-1][i]:.2f}" for i in order)
         print(f"mean rank at full budget: {ranking}")
     if failures:
-        print(f"{len(failures)} of {len(tasks)} cells failed; see failures.csv", file=sys.stderr)
+        print(f"{len(failures)} of {len(cells)} cells failed; see failures.csv", file=sys.stderr)
         return 2
     return 0
 

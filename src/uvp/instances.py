@@ -260,11 +260,14 @@ def load_tabular(path: str) -> TabularBenchmark:
     embeddings are min-max normalised per column after any log scaling.
 
     Two parsers feed one set of checks, ``_checked``. A valid file is parsed
-    by numpy in one pass. A file numpy does not take (quoted cells, tab or
-    no-break-space padding, non-ASCII digits) or that breaks any rule is read
-    again row by row with csv.reader and Python's int and float, so an error
-    names the first faulty row in file order. An id or budget of any size is
-    checked without building anything from it.
+    by numpy in one pass. If the lines after the header hold only digits,
+    ``eE.+-``, commas and LF endings, with no field past the csv field
+    limit, numpy reads them straight from the file; any other file reaches
+    numpy through ``_data_lines``. A file numpy does not take (quoted cells,
+    tab or no-break-space padding, non-ASCII digits) or that breaks any rule
+    is read again row by row with csv.reader and Python's int and float, so
+    an error names the first faulty row in file order. An id or budget of
+    any size is checked without building anything from it.
     """
     try:
         return _checked(path, *_numpy_columns(path))
@@ -320,17 +323,55 @@ def _data_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line.replace("_", "")
 
 
+# The bytes of a plain data line: numpy reads its fields exactly as Python's int and float do.
+_PLAIN_BYTES = b"0123456789eE.+-,\n"
+_CHUNK = 1 << 16  # bytes ``_plain`` scans at a time
+
+
+def _plain(fh) -> bool:
+    """Whether the rest of the binary file ``fh`` needs none of ``_data_lines``' respelling.
+
+    It must hold only ``_PLAIN_BYTES`` and no field longer than the csv
+    field limit. The file is scanned in chunks of ``_CHUNK`` bytes; a field's
+    length is carried over from one chunk to the next.
+    """
+    limit = csv.field_size_limit()
+    run = 0  # length of the field the previous chunk ended in
+    while chunk := fh.read(_CHUNK):
+        if chunk.translate(None, _PLAIN_BYTES):
+            return False
+        raw = np.frombuffer(chunk, np.uint8)
+        ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+        if not len(ends):
+            run += len(chunk)
+        elif run + ends[0] > limit or np.any(np.diff(ends) > limit + 1):
+            return False
+        else:
+            run = len(chunk) - 1 - int(ends[-1])
+        if run > limit:
+            return False
+    return True
+
+
 def _numpy_columns(path: str) -> tuple:
-    """Scale flags, ids, coordinates, budgets and values, from one ``np.loadtxt`` call."""
+    """Scale flags, ids, coordinates, budgets and values, from one ``np.loadtxt`` call.
+
+    Numpy reads the open file's lines straight if ``_plain`` passes them,
+    and through ``_data_lines`` otherwise.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         head = [fh.readline(), fh.readline()]
         d, scales, start = _layout(path, list(csv.reader(head)))
         dtype = [("id", np.int64), ("x", float, (d,)), ("b", np.int64), ("value", float)]
+        lines = itertools.chain(head[start:], fh)
+        with open(path, "rb") as raw:
+            raw.seek(len("".join(head[:start]).encode("utf-8")))
+            if not _plain(raw):
+                lines = _data_lines(lines)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # older numpy reads an int cell "1.0" via float, only warning
             warnings.simplefilter("error", DeprecationWarning)
-            lines = _data_lines(itertools.chain(head[start:], fh))
             table = np.loadtxt(lines, dtype, comments=None, delimiter=",", ndmin=1)
     return scales, table["id"], table["x"], table["b"], table["value"]
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -328,6 +329,38 @@ def test_bench_landscape_trace_equals_solve(tmp_path, algo):
     ]) == 0
     solved = (tmp_path / "solve" / "trace.csv").read_bytes()
     assert (tmp_path / "bench" / f"trace_multimodal-bumps_{algo}_4.csv").read_bytes() == solved
+    if algo in cli._CLUSTER_SOLVERS:  # its second seed's cell shares the first seed's run
+        assert (tmp_path / "bench" / f"trace_multimodal-bumps_{algo}_5.csv").read_bytes() == solved
+
+
+def _csv_writer_trace(trace):
+    """The bytes csv.writer writes for a trace, as every output of the CLI once was."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["spent", "incumbent"])
+    writer.writerows([s, repr(float(v))] for s, v in trace)
+    return buf.getvalue().encode("utf-8")
+
+
+_SAME = 0.25
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        [],
+        [(1, 0.5)],
+        [(1, _SAME), (2, _SAME), (3, _SAME), (4, 1.0), (5, 1.0)],
+        [(1, -0.0), (2, 0.0), (3, 0.0), (4, 5e-324), (5, 0.1), (6, 0.1), (7, 1.0)],
+        [(1, np.float64(0.1)), (2, np.float64(0.1)), (3, 0.1), (4, np.float64(1.0))],
+    ],
+)
+def test_write_trace_matches_csv_writer(tmp_path, trace):
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    cli._write_trace(paths, trace)
+    want = _csv_writer_trace(trace)
+    for path in paths:
+        assert Path(path).read_bytes() == want
 
 
 def test_bench_empty_algorithm_list_exits_2(tmp_path):
@@ -443,6 +476,52 @@ def test_bench_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert entry([*argv, "--workers", "1", "--out", str(tmp_path / "one")]) == 0
     assert asked == [2]
     assert _dir_bytes(tmp_path / "pool") == _dir_bytes(tmp_path / "one")
+    # six cells, but the two cluster solvers make one run each
+    argv = ["bench", "--data", data, "--algos", "full-cent,ada-cent", "--seeds", "3",
+            "--budget", "20", "--workers", "8", "--out", str(tmp_path / "cluster")]
+    assert entry(argv) == 0
+    assert asked == [2, 2]
+    assert len([p for p in os.listdir(tmp_path / "cluster") if p.startswith("trace_")]) == 6
+
+
+def test_bench_runs_each_cluster_solver_once_per_dataset(tmp_path, monkeypatch):
+    # a cluster solver reads no seed, so bench runs it with the first seed only
+    # and every seed's cell shares that run; a baseline runs once per seed
+    runs = []
+
+    def counted(label, fn):
+        def wrapper(params, X, oracle, ledger):
+            runs.append((len(X), params.seed, label))
+            return fn(params, X, oracle, ledger)
+
+        return wrapper
+
+    for key, fn in list(cli._CLUSTER_SOLVERS.items()):
+        monkeypatch.setitem(cli._CLUSTER_SOLVERS, key, counted(key, fn))
+    for key, attr in _BASELINE_ATTRS.items():
+        monkeypatch.setattr(cli, attr, counted(key, getattr(cli, attr)))
+    toy = _bench_dataset(tmp_path)  # 12 configurations, T = 2
+    rng = np.random.default_rng(5)
+    small = _write_toy(
+        tmp_path / "small.csv", rng.uniform(size=(9, 2)), np.sort(rng.uniform(size=(9, 3)), axis=1)
+    )
+    out = tmp_path / "bench"
+    assert entry([
+        "bench", "--data", toy, "--data", small, "--seeds", "3", "--seed", "4", "--budget", "18",
+        "--delta", "0.5", "--out", str(out),
+    ]) == 0
+    assert sorted(runs) == sorted(
+        (n, seed, alg)
+        for n in (12, 9)
+        for alg in ALGORITHMS
+        for seed in ((4,) if alg in cli._CLUSTER_SOLVERS else (4, 5, 6))
+    )
+    files = _dir_bytes(out)
+    assert len([name for name in files if name.startswith("trace_")]) == 2 * 7 * 3
+    for name in ("small", "toy"):
+        for alg in cli._CLUSTER_SOLVERS:
+            shared = {files[f"trace_{name}_{alg}_{seed}.csv"] for seed in (4, 5, 6)}
+            assert len(shared) == 1, (name, alg)
 
 
 def test_import_leaves_the_process_pool_unloaded():

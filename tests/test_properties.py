@@ -1,18 +1,20 @@
 """Property-based checks over randomized instances."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import configs_from, curve_oracle, enhanced_on_line, line
-from uvp import BudgetLedger, InvalidParams, Run, cli
+from uvp import BudgetLedger, InvalidParams, Run, UvpError, cli
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.clustering import Cover, e_k_center, k_center
 from uvp.solvers import (
+    PREDICTORS,
     SolverParams,
     _keeps,
     ada_cent,
@@ -245,6 +247,41 @@ def test_every_trace_is_anytime_monotone(instance, mult, seed):
             a <= b + 1e-15 for a, b in zip(incs, incs[1:])
         ), name
         assert out.best_value == pytest.approx(incs[-1]), name
+
+
+def _outcome_text(name, X, oracle, budget, params):
+    """A run's best, best value and trace by repr, or the message of the UvpError it raised."""
+    try:
+        out = run_algorithm(name, X, oracle, budget, oracle.horizon, params)
+    except UvpError as exc:
+        return ("raises", type(exc), str(exc))
+    return ("runs", out.best, repr(out.best_value), repr(out.trace))
+
+
+@given(
+    tabular_instances(),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([0.05, 0.5, 2.0]),
+    st.sampled_from([0.1, 0.5, 0.9]),
+    st.sampled_from([0.3, 1.0]),
+)
+@settings(deadline=None, max_examples=40)
+def test_cluster_solvers_read_no_seed(instance, mult, p, epsilon, delta, theta):
+    # bench runs each cluster solver once per dataset and shares that
+    # outcome across its seeds, which holds only while no seed is read
+    X, curves, horizon = instance
+    oracle = curve_oracle(curves, dimension=2)
+    budget = max(min(mult, len(X)) * horizon + mult % 2, horizon)
+    for name in cli._CLUSTER_SOLVERS:
+        for predictor in PREDICTORS:
+            params = SolverParams(p=p, epsilon=epsilon, delta=delta, theta=theta,
+                                  predictor=predictor)
+            first, other = (
+                _outcome_text(name, X, oracle, budget, replace(params, seed=seed))
+                for seed in (0, 7)
+            )
+            assert first == other, (name, predictor)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

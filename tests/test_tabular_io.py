@@ -288,6 +288,123 @@ def test_csv_field_limit_applies_to_each_field(tmp_path, digits, outcome):
         csv.field_size_limit(old)
 
 
+# ---------------------------------------------------------------------------
+# the plain-file lane: numpy reads the open file without _data_lines
+
+
+def _lane_only():
+    fail = AssertionError("a plain file went through _data_lines")
+    return mock.patch("uvp.instances._data_lines", side_effect=fail)
+
+
+@pytest.mark.parametrize("scale", [False, True])
+def test_plain_lf_file_skips_data_lines(tmp_path, scale):
+    rows = [["id", "x0", "x1", "b", "value"], *([["scale", "lin", "log"]] if scale else [])]
+    rows += [[], ["0", "-0.0", "1e+300", "1", "5e-324"], ["0", "-0.0", "1e+300", "2", "0.1"], []]
+    rows += [["1", "2.5", "3E-5", "2", "1.0"], ["1", "2.5", "3E-5", "1", "+.5"], []]
+    path = _write(tmp_path / "plain.csv", rows)
+    want = _outcome(ref_load_tabular, path)
+    assert want[0] == "loads"
+    with _lane_only(), _row_parse_unreachable():
+        assert _outcome(load_tabular, path) == want
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"id,x0,b,value\n0,1_0.5,1,0.5\n1,0.5,1,0.5\n",
+        b"id,x0,b,value\n0, 0.5,1,0.5\n1,0.25,1 ,0.5\n",
+        b"id,x0,b,value\r\n0,0.5,1,0.5\r\n1,0.25,1,0.5\r\n",
+        b"id,x0,b,value\n0,0.5,1,0.5\r\n1,0.25,1,0.5\n",
+        b"id,x0,b,value\r0,0.5,1,0.5\r1,0.25,1,0.5\r",
+        b'id,x0,b,value\n0,"0.5",1,0.5\n1,0.25,1,0.5\n',
+    ],
+)
+def test_files_off_the_lane_load_like_the_reference(tmp_path, raw):
+    path = tmp_path / "respelled.csv"
+    path.write_bytes(raw)
+    want = _outcome(ref_load_tabular, str(path))
+    assert want[0] == "loads"
+    with mock.patch("uvp.instances._data_lines", wraps=instances._data_lines) as respell:
+        assert _outcome(load_tabular, str(path)) == want
+    assert respell.called
+
+
+def _straddling(path, digits, before):
+    """A valid file but for one x0 field of ``digits`` digits, ``before`` of
+    them ahead of the end of the lane's first chunk."""
+    text = "id,x0,b,value\n"
+    i = 0
+    while len(text) < instances._CHUNK - before - 40:
+        text += f"{i},0.5,1,0.5\n"
+        i += 1
+    lead = f"{i + 1},"
+    pad = instances._CHUNK - before - len(lead) - len(text) - len(f"{i},0.5,1,0.5\n")
+    text += f"{i},0.5{'0' * pad},1,0.5\n{lead}"
+    assert len(text) == instances._CHUNK - before
+    path.write_text(text + "1" * digits + ",1,0.5\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "limit, digits, before, outcome",
+    [
+        (100, 100, 50, "loads"),
+        (100, 100, 0, "loads"),
+        (100, 100, 100, "loads"),
+        (100, 101, 50, "raises"),
+        (100, 101, 1, "raises"),
+        (100, 101, 0, "raises"),
+        (100, 101, 101, "raises"),
+        (100, 101, 200, "raises"),
+        (None, 200_000, 10, "raises"),
+    ],
+)
+def test_field_limit_holds_across_a_chunk_boundary(tmp_path, limit, digits, before, outcome):
+    old = csv.field_size_limit(limit) if limit else csv.field_size_limit()
+    try:
+        path = _straddling(tmp_path / "straddle.csv", digits, before)
+        want = _outcome(ref_load_tabular, path)
+        assert want[0] == outcome
+        if outcome == "loads":
+            with _lane_only(), _row_parse_unreachable():
+                assert _outcome(load_tabular, path) == want
+        else:
+            assert "field larger than field limit" in want[2]
+            assert _outcome_via_row_parse(path) == want
+    finally:
+        csv.field_size_limit(old)
+
+
+_PLAIN_CELLS = st.text(alphabet="0123456789eE.+-", max_size=6)
+
+
+@st.composite
+def plain_files(draw):
+    """The text of a file whose data lines hold only the lane's bytes:
+    valid tables in plain spellings, some cells redrawn from that alphabet."""
+    rows = [[cell.strip().replace("_", "") for cell in row] for row in draw(valid_tables())]
+    start = 2 if rows[1][:1] == ["scale"] else 1
+    odds = draw(st.sampled_from([0, 30, 5]))  # one cell in ``odds`` is redrawn, none at 0
+    for row in rows[start:]:
+        if row == [""]:
+            row.clear()  # a blank line
+        for j in range(len(row)):
+            if odds and draw(st.integers(1, odds)) == 1:
+                row[j] = draw(_PLAIN_CELLS)
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@SETTINGS
+@given(text=plain_files())
+def test_plain_files_load_like_the_reference(tmp_path, text):
+    path = tmp_path / "plain.csv"
+    path.write_text(text, encoding="utf-8")
+    want = _outcome(ref_load_tabular, str(path))
+    with _lane_only():
+        assert _outcome(load_tabular, str(path)) == want
+
+
 @pytest.mark.filterwarnings("error")
 def test_span_overflow_names_the_column_without_warnings(tmp_path):
     path = tmp_path / "wide.csv"
