@@ -40,8 +40,7 @@ def random_search(
         raise InvalidParams(f"cannot draw {k} distinct arms from {len(X)}")
     rng = np.random.default_rng(params.seed)
     run = Run(oracle, ledger)
-    for a in rng.choice(len(X), size=k, replace=False):
-        run.extend_to(X[a], oracle.horizon)
+    run.extend_all([X[a] for a in rng.choice(len(X), size=k, replace=False)], oracle.horizon)
     return run.outcome()
 
 
@@ -73,9 +72,8 @@ def _run_bracket(run: Run, X: Sequence[Configuration], arms: Sequence[int], s: i
     """One halving bracket: extend arms rung by rung, keep the top 1/eta each time."""
     alive = list(arms)
     for i, r in enumerate(_rung_budgets(s, eta, run.oracle.horizon)):
-        for a in alive:
-            if not run.extend_to(X[a], r):
-                return  # ledger cap intervened mid-rung
+        if not run.extend_all([X[a] for a in alive], r):
+            return  # ledger cap intervened mid-rung
         if i < s:
             keep = max(1, len(alive) // eta)
             # rank by the value observed at this rung's budget, ties to low id

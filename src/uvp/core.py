@@ -4,8 +4,9 @@ Every solver in this package is built from the same primitives: an immutable
 candidate ``Configuration``, a ``ValueOracle`` answering "what value does
 configuration x reach after b units of training", an append-only ``History``
 of observed values, and a ``BudgetLedger`` that meters every unit spent.
-A ``Run`` is the one way to spend: ``Run.extend_to`` trains a curve as far
-as the ledger allows, one ``Run.step`` per unit.
+A ``Run`` is the one way to spend: ``Run.extend_all`` trains a batch of
+curves to one budget as far as the ledger allows, reading every value it
+charges through one ``ValueOracle.values`` call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -184,6 +185,17 @@ class ValueOracle(ABC):
     def query(self, config: Configuration, b: int) -> float:
         """Value reached by ``config`` after ``b`` training units."""
 
+    def values(self, configs: Sequence[Configuration], budgets: Sequence[int]) -> Iterable[float]:
+        """``query(configs[i], budgets[i])`` for every i, in order.
+
+        The default is a generator, so :class:`Run` records unit i before
+        query i + 1 runs. An override must give the values of ``query`` pair
+        by pair, and if some pair's query raises it must raise the same
+        error only once the pairs before it are consumed.
+        """
+        for config, b in zip(configs, budgets):
+            yield self.query(config, b)
+
 
 class CallableOracle(ValueOracle):
     """Wrap an arbitrary (config, b) -> value callable."""
@@ -201,7 +213,7 @@ class CallableOracle(ValueOracle):
 class BudgetLedger:
     """Meters evaluation spend against a hard cap. One unit = one budget step.
 
-    ``spent`` starts at 0, and only :meth:`Run.step` advances it.
+    ``spent`` starts at 0, and only :class:`Run`'s recording loop advances it.
     """
 
     cap: int
@@ -229,11 +241,11 @@ class SearchOutcome:
 class Run:
     """Bookkeeping for one solver execution: histories, spend trace, incumbent.
 
-    Every unit a solver or baseline spends goes through :meth:`step`, the
-    only code that advances ``ledger.spent``; :meth:`extend_to` is the one
-    way to train a curve. The trace records one (units spent, incumbent
-    value) point per charged unit, as it is charged, so it doubles as the
-    anytime curve.
+    Every unit a solver or baseline spends is charged by :meth:`_record`, the
+    only code that advances ``ledger.spent``; :meth:`extend_all` is the one
+    way to train curves and :meth:`step` charges a single unit. The trace
+    records one (units spent, incumbent value) point per charged unit, in
+    charge order, so it doubles as the anytime curve.
     """
 
     def __init__(self, oracle: ValueOracle, ledger: BudgetLedger) -> None:
@@ -246,36 +258,89 @@ class Run:
     def step(self, config: Configuration) -> None:
         """Evaluate ``config`` at its next budget index and charge one unit.
 
-        A dry ledger raises before the oracle is queried. The unit is charged
-        only once its value is recorded, so a query or value that raises
-        charges nothing. The only place a history is created, and only once
-        it holds a value.
+        A dry ledger raises before the oracle is queried.
         """
         ledger = self.ledger
         if ledger.spent >= ledger.cap:
             raise BudgetExhausted(f"charge of 1 exceeds remaining {ledger.remaining}")
-        h = self.histories.get(config.id)
-        if h is None:
-            h = History(config.id)
-        h.append(self.oracle.query(config, len(h) + 1))
-        self.histories[config.id] = h
-        ledger.spent += 1
-        self._incumbent = max(self._incumbent, h.last)
-        self.trace.append((ledger.spent, self._incumbent))
+        self._record([config], [len(self.histories.get(config.id, ())) + 1])
 
     def extend_to(self, config: Configuration, t: int) -> bool:
-        """Train ``config`` up to budget t, charging only the missing units.
+        """Train ``config`` up to budget t; see :meth:`extend_all`."""
+        return self.extend_all((config,), t)
 
-        Fills as far as the ledger allows and returns False if it runs dry
-        first. A target outside 1..horizon raises before any charge.
+    def extend_all(self, configs: Sequence[Configuration], t: int) -> bool:
+        """Train each of ``configs`` up to budget t, charging only the missing units.
+
+        Units are charged config by config, each curve budget by budget, as
+        far as the ledger allows; the first curve the ledger cannot fill is
+        filled as far as it goes and the configs after it get nothing.
+        Returns False if the ledger ran dry before every curve reached t. A
+        target that is not an integer in 1..horizon raises before any charge.
         """
-        if t < 1 or t > self.oracle.horizon:
-            raise InvalidParams(f"target budget {t} outside 1..{self.oracle.horizon}")
-        missing = t - len(self.histories.get(config.id, ()))
-        fill = min(missing, self.ledger.remaining)
-        for _ in range(fill):
-            self.step(config)
-        return fill == missing
+        horizon = self.oracle.horizon
+        if not isinstance(t, (int, np.integer)) or t < 1 or t > horizon:
+            raise InvalidParams(f"target budget {t} outside 1..{horizon}")
+        units: list[Configuration] = []
+        budgets: list[int] = []
+        room = self.ledger.remaining
+        histories = self.histories
+        planned: set[int] = set()  # a config listed twice is planned once
+        complete = True
+        for config in configs:
+            cid = config.id
+            h = histories.get(cid)
+            have = 0 if h is None else len(h.values)
+            if have >= t or cid in planned:
+                continue
+            fill = t - have
+            if fill > room:
+                fill, complete = room, False
+            if fill == 1:
+                units.append(config)
+                budgets.append(have + 1)
+            else:
+                units += [config] * fill
+                budgets += range(have + 1, have + fill + 1)
+            if not complete:
+                break
+            planned.add(cid)
+            room -= fill
+        if units:
+            self._record(units, budgets)
+        return complete
+
+    def _record(self, units: Sequence[Configuration], budgets: Sequence[int]) -> None:
+        """Query ``units[i]`` at ``budgets[i]`` in order and charge each unit.
+
+        The caller has checked that the ledger covers every unit. A unit is
+        charged only once its value is recorded, so a query or value that
+        raises charges nothing and leaves every earlier unit charged. A
+        history is created only when it gets its first value.
+        """
+        ledger, histories, trace = self.ledger, self.histories, self.trace
+        incumbent = self._incumbent
+        owner = None
+        try:
+            for config, v in zip(units, self.oracle.values(units, budgets)):
+                if config is not owner:  # units come grouped by config
+                    owner = config
+                    h = histories.get(config.id)
+                    if h is None:
+                        h = History(config.id)
+                    recorded = h.values
+                if type(v) is float and 0.0 <= v <= 1.0:
+                    recorded.append(v)
+                else:
+                    h.append(v)  # the tolerance-and-clamp rule
+                    v = recorded[-1]
+                histories[config.id] = h
+                ledger.spent += 1
+                if v > incumbent:
+                    incumbent = v
+                trace.append((ledger.spent, incumbent))
+        finally:
+            self._incumbent = incumbent
 
     def outcome(self) -> SearchOutcome:
         """Best evaluated candidate (ties to the lowest id) plus the trace."""

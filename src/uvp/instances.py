@@ -216,6 +216,24 @@ class TabularOracle(ValueOracle):
             raise InvalidParams(f"configuration id {config.id} outside benchmark")
         return float(self.curves[config.id, b - 1])
 
+    def values(self, configs: Sequence[Configuration], budgets: Sequence[int]) -> Iterable[float]:
+        """One fancy index over ``curves`` when every id and budget is an int in range.
+
+        Otherwise this is the per-pair default, so a bad id or budget raises
+        the error :meth:`query` raises, at the same pair.
+        """
+        ids = [c.id for c in configs]
+        n, horizon = self.curves.shape
+        if (
+            set(map(type, ids)) == set(map(type, budgets)) == {int}
+            and min(ids) >= 0
+            and max(ids) < n
+            and min(budgets) >= 1
+            and max(budgets) <= horizon
+        ):
+            return self.curves[ids, np.subtract(budgets, 1)].tolist()
+        return super().values(configs, budgets)
+
 
 @dataclass
 class TabularBenchmark:

@@ -177,8 +177,7 @@ def full_cent(
     _check_pool(X, ledger)
     k = _num_centers(ledger, oracle)
     run = Run(oracle, ledger)
-    for c in clustering.k_center(k, clustering.Cover(X)):
-        run.extend_to(X[c], oracle.horizon)
+    run.extend_all([X[c] for c in clustering.k_center(k, clustering.Cover(X))], oracle.horizon)
     return run.outcome()
 
 
@@ -240,6 +239,7 @@ def _adaptive(
         t_start = 1
 
     run = Run(oracle, ledger)
+    histories = run.histories
     cover = clustering.Cover(X)  # one selection engine for every round
     active: list[int] = []
     while ledger.remaining > 0:
@@ -254,14 +254,12 @@ def _adaptive(
 
         for t in range(t_start, horizon + 1):
             # a curve trained this far in an earlier round is charged nothing
-            if not all(run.extend_to(X[x], t) for x in active):
+            if not run.extend_all([X[x] for x in active], t):
                 return run.outcome()  # ledger dry mid-level
             if not active:
                 break
-            best_last = max(run.histories[x].last for x in active)
-            active = [
-                x for x in active if _keeps(run.histories[x].values, params, horizon, best_last)
-            ]
+            best_last = max(histories[x].values[-1] for x in active)
+            active = [x for x in active if _keeps(histories[x].values, params, horizon, best_last)]
         if not new:
             break  # candidate pool exhausted after a last extension
     return run.outcome()

@@ -12,13 +12,16 @@ from uvp import (
     CallableOracle,
     Configuration,
     InvalidParams,
+    InvalidValue,
     ParseError,
     SchemaError,
     TabularOracle,
 )
 from uvp.analysis import EpsilonReport
 from uvp.clustering import DEFAULT_ETA_CAP, Cover, greedy_radius, k_center
+from uvp.core import VALUE_TOL
 from uvp.instances import TabularBenchmark
+from uvp.solvers import pred, tail_fit_pred
 
 
 def line(xs):
@@ -355,3 +358,195 @@ def ref_save_tabular(path, configs, curves, scales=None):
                     + [repr(float(v)) for v in cfg.coords]
                     + [b, repr(float(curves[cfg.id, b - 1]))]
                 )
+
+
+# ---------------------------------------------------------------------------
+# reference solvers: every algorithm as README describes it, written with
+# plain lists, one oracle query per unit, and its own spend counter and
+# trace. Picks go through ref_k_center and ref_e_k_center, and the prune test
+# calls pred and tail_fit_pred itself. uvp's engine must give the same best,
+# best value, trace and histories, by repr.
+
+
+class RefCurve(list):
+    """One candidate's observed values at budgets 1, 2, ...; ``last`` as History has."""
+
+    @property
+    def last(self):
+        return self[-1]
+
+
+class RefRun:
+    """Per-unit spending: query, check the value, then count the unit and trace it.
+
+    It is its own ``ledger`` (``remaining``), so ``ref_e_k_center`` can probe
+    through it.
+    """
+
+    def __init__(self, oracle, cap):
+        self.oracle = oracle
+        self.cap = cap
+        self.spent = 0
+        self.best = -math.inf
+        self.histories = {}
+        self.trace = []
+        self.ledger = self
+
+    @property
+    def remaining(self):
+        return self.cap - self.spent
+
+    def extend_to(self, config, t):
+        """Query ``config`` at each missing budget up to t while units remain."""
+        curve = self.histories.get(config.id, RefCurve())
+        while len(curve) < t:
+            if self.spent == self.cap:
+                return False
+            v = float(self.oracle.query(config, len(curve) + 1))
+            if not -VALUE_TOL <= v <= 1.0 + VALUE_TOL:  # NaN fails too
+                raise InvalidValue(f"observed value {v!r} outside [0, 1]")
+            curve.append(min(max(v, 0.0), 1.0))
+            self.histories[config.id] = curve
+            self.spent += 1
+            self.best = max(self.best, curve[-1])
+            self.trace.append((self.spent, self.best))
+        return True
+
+    def outcome(self):
+        """(best id, its value, trace, {id: values}); ties to the lowest id."""
+        best = min(self.histories, key=lambda c: (-self.histories[c][-1], c))
+        histories = {c: list(v) for c, v in self.histories.items()}
+        return best, self.histories[best][-1], self.trace, histories
+
+
+def ref_full_cent(params, X, oracle, cap):
+    """floor(B/T) greedy k-center picks, each trained to the horizon in pick order."""
+    run = RefRun(oracle, cap)
+    for c in ref_k_center(cap // oracle.horizon, [], X):
+        run.extend_to(X[c], oracle.horizon)
+    return run.outcome()
+
+
+def ref_e_full_cent(params, X, oracle, cap):
+    """floor(B/T) value-aware picks, each trained to the horizon before the next pick."""
+    run = RefRun(oracle, cap)
+    ref_e_k_center(cap // oracle.horizon, [], X, oracle.horizon, params.epsilon, run)
+    return run.outcome()
+
+
+def _ref_keeps(curve, params, horizon, incumbent):
+    if params.predictor == "tail-fit":
+        return tail_fit_pred(curve, horizon, params.theta) >= incumbent
+    return pred(curve, horizon) >= incumbent
+
+
+def _ref_adaptive(params, X, oracle, cap, enhanced):
+    """Rounds of p fresh centers, trained one budget level at a time.
+
+    Each level trains every active candidate one unit further, candidate by
+    candidate in id order, then prunes those whose forecast at the horizon
+    falls below the best last value among the active candidates. README
+    calls that threshold the incumbent, but the solvers compare with the
+    active candidates' best, which is lower once the best curve is pruned;
+    this reference follows the solvers (see the FOUND note in CHANGES.md).
+    e-ada-cent picks its centers value-aware, probing each to floor(delta*T)
+    units first. A round ends at the horizon; the next adds p new centers to
+    the survivors, until the candidates or the budget run out.
+    """
+    horizon = oracle.horizon
+    t_explore = math.floor(params.delta * horizon) if enhanced else 0
+    if enhanced and t_explore < 1:
+        raise InvalidParams("no exploration probe fits")
+    run = RefRun(oracle, cap)
+    centers, active = [], []
+    while run.remaining > 0:
+        n_new = min(params.p, len(X) - len(centers))
+        if enhanced:
+            new = ref_e_k_center(n_new, centers, X, t_explore, params.epsilon, run)
+        else:
+            new = ref_k_center(n_new, centers, X)
+        centers += new
+        active = sorted(set(active) | set(new))
+        for t in range(t_explore + 1, horizon + 1):
+            for x in active:
+                if not run.extend_to(X[x], t):
+                    return run.outcome()
+            if active:
+                best = max(run.histories[x][-1] for x in active)
+                active = [x for x in active if _ref_keeps(run.histories[x], params, horizon, best)]
+        if not new:
+            break
+    return run.outcome()
+
+
+def ref_ada_cent(params, X, oracle, cap):
+    return _ref_adaptive(params, X, oracle, cap, enhanced=False)
+
+
+def ref_e_ada_cent(params, X, oracle, cap):
+    return _ref_adaptive(params, X, oracle, cap, enhanced=True)
+
+
+def ref_hyperband(params, X, oracle, cap):
+    """Brackets s = s_max, s_max - 1, ... for ``params.iterations`` brackets.
+
+    s_max is the largest s with eta^s <= n whose schedule fits the budget:
+    eta^(s-i) arms trained from rung i-1 to rung i, rung i at budget
+    max(1, T // eta^(s-i)). Bracket s draws ceil((s_max+1)/(s+1) * eta^s)
+    arms (at most n) without replacement, trains them rung by rung in draw
+    order, and keeps the best 1/eta (at least one) at each rung but the last,
+    ranked by the value at that rung's budget, ties to the lowest id. A
+    bracket cut short by the budget ends the run.
+    """
+    eta, horizon, n = params.eta, oracle.horizon, len(X)
+
+    def rungs(s):
+        return [max(1, horizon // eta ** (s - i)) for i in range(s + 1)]
+
+    def cost(s):
+        budgets = [0] + rungs(s)
+        return sum(eta ** (s - i) * (budgets[i + 1] - budgets[i]) for i in range(s + 1))
+
+    s_max = 0
+    while eta ** (s_max + 1) <= n and cost(s_max + 1) <= cap:
+        s_max += 1
+    rng = np.random.default_rng(params.seed)
+    run = RefRun(oracle, cap)
+    for s in range(s_max, max(-1, s_max - params.iterations), -1):
+        if run.remaining == 0:
+            break
+        count = min(-(-(s_max + 1) * eta**s // (s + 1)), n)
+        alive = [int(a) for a in rng.choice(n, size=count, replace=False)]
+        for i, r in enumerate(rungs(s)):
+            if not all(run.extend_to(X[a], r) for a in alive):
+                break
+            if i < s:
+                alive.sort(key=lambda a: (-run.histories[a][r - 1], a))
+                alive = alive[: max(1, len(alive) // eta)]
+    return run.outcome()
+
+
+def ref_random_search(params, X, oracle, cap):
+    """floor(B/T) distinct arms drawn uniformly with the seed, each trained to the horizon."""
+    rng = np.random.default_rng(params.seed)
+    run = RefRun(oracle, cap)
+    for a in rng.choice(len(X), size=cap // oracle.horizon, replace=False):
+        run.extend_to(X[int(a)], oracle.horizon)
+    return run.outcome()
+
+
+def ref_successive_halving(params, X, oracle, cap):
+    """Hyperband's top bracket alone."""
+    return ref_hyperband(replace(params, iterations=1), X, oracle, cap)
+
+
+# every algorithm by its CLI name, with the reference it must match
+REFERENCES = {
+    "full-cent": ref_full_cent,
+    "e-full-cent": ref_e_full_cent,
+    "ada-cent": ref_ada_cent,
+    "e-ada-cent": ref_e_ada_cent,
+    "random": ref_random_search,
+    "sha": ref_successive_halving,
+    "hyperband": ref_hyperband,
+}

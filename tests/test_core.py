@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import uvp
-from helpers import SUMMATION_DIMS, const_oracle, curve_oracle, line, multiscale_points
+from helpers import (
+    REFERENCES,
+    SUMMATION_DIMS,
+    const_oracle,
+    curve_oracle,
+    line,
+    multiscale_points,
+)
 from uvp import (
     BudgetExhausted,
     BudgetLedger,
@@ -16,7 +23,11 @@ from uvp import (
     Run,
     UvpError,
 )
+from uvp import cli
+from uvp.cli import run_algorithm
 from uvp.core import config_columns, distance_row
+from uvp.instances import gen_smooth
+from uvp.solvers import PREDICTORS, SolverParams
 
 
 # learning a configuration's curve with Run.extend_to, one charged unit per budget step
@@ -84,15 +95,200 @@ def test_extend_without_a_charge_leaves_no_history():
 
 def test_learn_rejects_bad_target():
     oracle = const_oracle(0.5, horizon=3)
-    for t in (0, 4):
-        run = Run(oracle, BudgetLedger(10))
-        with pytest.raises(InvalidParams, match=f"target budget {t} outside 1..3"):
-            run.extend_to(Configuration((0.0,), 0), t)
-        assert run.ledger.spent == 0  # rejected before any charge
-        assert run.trace == []
+    for t in (0, 4, 2.0, 2.5, np.float64(2.0), "2", None):
+        for extend in (
+            lambda run: run.extend_to(Configuration((0.0,), 0), t),
+            lambda run: run.extend_all(line([0.0, 1.0]), t),
+        ):
+            run = Run(oracle, BudgetLedger(10))
+            with pytest.raises(InvalidParams, match=f"target budget {t} outside 1..3"):
+                extend(run)
+            assert run.ledger.spent == 0  # rejected before any charge
+            assert run.trace == [] and run.histories == {}
+    run = Run(oracle, BudgetLedger(10))
+    assert run.extend_to(Configuration((0.0,), 0), np.int64(2)) is True
+    assert run.ledger.spent == 2
     run = Run(oracle, BudgetLedger(0))
     with pytest.raises(InvalidParams, match="target budget 4 outside 1..3"):
         run.extend_to(Configuration((0.0,), 0), 4)  # even on a dry ledger
+
+
+def test_extend_all_charges_config_by_config():
+    X = line([0.0, 1.0, 2.0])
+    oracle = curve_oracle([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+    run = Run(oracle, BudgetLedger(20))
+    run.extend_to(X[1], 1)
+    assert run.extend_all([X[2], X[1], X[0]], 2) is True
+    # id 2 first, then the one missing unit of id 1, then id 0
+    assert run.trace == [(1, 0.4), (2, 0.7), (3, 0.8), (4, 0.8), (5, 0.8), (6, 0.8)]
+    assert {c: h.values for c, h in run.histories.items()} == {
+        1: [0.4, 0.5], 2: [0.7, 0.8], 0: [0.1, 0.2]
+    }
+    assert run.extend_all([X[0], X[0], X[1]], 3) is True  # a repeated config is trained once
+    assert [len(run.histories[c]) for c in (0, 1, 2)] == [3, 3, 2]
+    assert run.ledger.spent == 8
+    assert run.extend_all([], 3) is True
+
+
+def test_extend_all_stops_at_the_first_curve_the_ledger_cannot_fill():
+    X = line([0.0, 1.0, 2.0])
+    run = Run(const_oracle(0.5), BudgetLedger(5))
+    assert run.extend_all(X, 3) is False
+    assert {c: len(h) for c, h in run.histories.items()} == {0: 3, 1: 2}  # id 2 gets nothing
+    assert run.ledger.spent == 5
+    assert run.extend_all([X[0]], 3) is True  # already full: a dry ledger is not needed
+    assert run.extend_all(X, 3) is False
+    assert run.ledger.spent == 5
+
+
+def test_tabular_values_equal_queries_pair_by_pair():
+    rng = np.random.default_rng(3)
+    curves = rng.uniform(0.0, 1.0, size=(6, 5))
+    curves[2, 3] = -0.0
+    oracle = curve_oracle(curves)
+    X = line(range(6))
+    for _ in range(50):
+        ids = rng.integers(0, 6, size=rng.integers(1, 12))  # repeated ids included
+        configs = [X[i] for i in ids]
+        budgets = rng.integers(1, 6, size=len(ids)).tolist()
+        got = list(oracle.values(configs, budgets))
+        want = [oracle.query(c, b) for c, b in zip(configs, budgets)]
+        assert repr(got) == repr(want)
+        assert all(type(v) is float for v in got)
+    assert repr(list(oracle.values([X[2]], [4]))) == "[-0.0]"
+    assert list(oracle.values([], [])) == []
+
+
+@pytest.mark.parametrize(
+    "config, b",
+    [
+        (Configuration((0.0,), 6), 1),  # id past the benchmark
+        (Configuration((0.0,), True), 1),  # a bool id, which query refuses
+        (Configuration((0.0,), 1.0), 1),
+        (Configuration((0.0,), 0), 0),
+        (Configuration((0.0,), 0), 4),  # budget past T
+        (Configuration((0.0,), 0), 2.0),
+    ],
+)
+def test_tabular_values_raise_where_the_query_raises(config, b):
+    oracle = curve_oracle(np.full((6, 3), 0.5))
+    X = line(range(6))
+    with pytest.raises(Exception) as expected:
+        oracle.query(config, b)
+    configs, budgets = [X[0], X[1], config, X[2]], [1, 2, b, 3]
+    values = iter(oracle.values(configs, budgets))
+    assert [next(values), next(values)] == [0.5, 0.5]  # the pairs before the fault
+    with pytest.raises(type(expected.value)) as got:
+        next(values)
+    assert str(got.value) == str(expected.value)
+
+
+def test_tabular_values_take_numpy_integers():
+    oracle = curve_oracle(np.arange(12.0).reshape(3, 4) / 12)
+    configs = [Configuration((0.0,), np.int64(2)), Configuration((0.0,), 1)]
+    budgets = [np.int64(4), 1]
+    assert list(oracle.values(configs, budgets)) == [oracle.query(c, b) for c, b in zip(configs, budgets)]
+
+
+def _stepped(oracle, configs, t, cap):
+    """Train ``configs`` to t one ``Run.step`` at a time: the per-unit path."""
+    run = Run(oracle, BudgetLedger(cap))
+    try:
+        for cfg in configs:
+            while len(run.histories.get(cfg.id, ())) < t:
+                if run.ledger.remaining == 0:
+                    return run, None
+                run.step(cfg)
+    except Exception as exc:  # noqa: BLE001 - the per-unit path's own error
+        return run, exc
+    return run, None
+
+
+def _faulty_batches():
+    """(name, oracle, configs, units before the fault): each faults in a batch's middle."""
+    X = line([0.0, 1.0, 2.0, 3.0])
+    good = np.tile([0.2, 0.4, 0.6], (4, 1))
+    nan, high = good.copy(), good.copy()
+    nan[2, 1], high[2, 1] = np.nan, 1.5
+    short = curve_oracle(good[:, :2])
+    short.horizon = 3  # its curves end at budget 2, its horizon says 3
+    table = curve_oracle(good)
+
+    def raising(config, b):
+        if (config.id, b) == (2, 2):
+            raise RuntimeError("oracle failed at (2, 2)")
+        return table.query(config, b)
+
+    return [
+        ("id", table, [X[0], X[1], Configuration((9.0,), 7), X[3]], 6),
+        ("budget past T, tabular", short, X, 2),
+        ("budget past T, callable", CallableOracle(curve_oracle(good[:, :2]).query, 1, 3), X, 2),
+        ("nan", curve_oracle(nan), X, 7),
+        ("1.5", curve_oracle(high), X, 7),
+        ("raising callable", CallableOracle(raising, 1, 3), X, 7),
+    ]
+
+
+@pytest.mark.parametrize("case", _faulty_batches(), ids=lambda case: case[0])
+def test_a_fault_mid_batch_charges_only_the_units_before_it(case):
+    _, oracle, configs, before = case
+    stepped, expected = _stepped(oracle, configs, 3, 100)
+    assert expected is not None and stepped.ledger.spent == before
+    run = Run(oracle, BudgetLedger(100))
+    with pytest.raises(type(expected)) as caught:
+        run.extend_all(configs, 3)
+    assert str(caught.value) == str(expected)
+    assert run.ledger.spent == before
+    _assert_spend_recorded(run)
+    assert all(len(h) > 0 for h in run.histories.values())  # no empty history
+    assert repr(run.trace) == repr(stepped.trace)
+    assert {c: h.values for c, h in run.histories.items()} == {
+        c: h.values for c, h in stepped.histories.items()
+    }
+
+
+def test_values_in_range_are_stored_as_read_and_others_clamped():
+    curves = [[-0.0, 0.0, 1.0, 1.0 + 1e-13, -1e-13]]
+    run = Run(curve_oracle(curves), BudgetLedger(10))
+    run.extend_to(Configuration((0.0,), 0), 5)
+    assert repr(run.histories[0].values) == "[-0.0, 0.0, 1.0, 1.0, 0.0]"
+    assert repr([v for _, v in run.trace]) == "[-0.0, -0.0, 1.0, 1.0, 1.0]"
+    run = Run(CallableOracle(lambda c, b: np.float64(0.25), 1, 2), BudgetLedger(10))
+    run.extend_to(Configuration((0.0,), 0), 2)
+    assert [type(v) for v in run.histories[0].values] == [float, float]
+    assert [type(v) for _, v in run.trace] == [float, float]
+
+
+@pytest.mark.parametrize("algo", REFERENCES)
+def test_each_algorithm_queries_in_the_reference_order(algo, monkeypatch):
+    # every (id, b) the oracle is asked for, in order, and the units charged
+    # when it was asked: query k runs only once the k units before it are
+    # charged. Budgets 47 and 131 are off every multiple of T = 6.
+    X, table = gen_smooth(30, 2, 6, 0.3, 1)
+    ledgers = []
+
+    def recorded_ledger(cap):
+        ledgers.append(BudgetLedger(cap))
+        return ledgers[-1]
+
+    monkeypatch.setattr(cli, "BudgetLedger", recorded_ledger)
+    for budget in (6, 47, 131):
+        for predictor in PREDICTORS:
+            params = SolverParams(p=4, delta=0.4, predictor=predictor, seed=3)
+            calls, ref_calls = [], []
+
+            def engine_query(config, b):
+                calls.append((config.id, b, ledgers[-1].spent))
+                return table.query(config, b)
+
+            def ref_query(config, b):
+                ref_calls.append((config.id, b, len(ref_calls)))
+                return table.query(config, b)
+
+            run_algorithm(algo, X, CallableOracle(engine_query, 2, 6), budget, 6, params)
+            REFERENCES[algo](params, X, CallableOracle(ref_query, 2, 6), budget)
+            assert calls == ref_calls, (budget, predictor)
+            assert len(calls) == ledgers[-1].spent
 
 
 def _assert_spend_recorded(run):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import configs_from, curve_oracle, enhanced_on_line, line
+from helpers import REFERENCES, configs_from, curve_oracle, enhanced_on_line, line
 from uvp import BudgetLedger, InvalidParams, Run, UvpError, cli
 from uvp.analysis import brute_force_k_center, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
@@ -282,6 +282,60 @@ def test_cluster_solvers_read_no_seed(instance, mult, p, epsilon, delta, theta):
                 for seed in (0, 7)
             )
             assert first == other, (name, predictor)
+
+
+@st.composite
+def solver_cases(draw):
+    """A small instance, a budget from T to n*T and every knob.
+
+    Coordinates lie on a coarse integer grid and values on a grid of 1/q,
+    so distances, values and forecasts tie; curves are sometimes not
+    monotone.
+    """
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = configs_from(rng.integers(0, draw(st.sampled_from([3, 6, 20])), size=(n, d)).astype(float))
+    q = draw(st.sampled_from([1, 2, 4, 10]))
+    curves = rng.integers(0, q + 1, size=(n, horizon)) / q
+    if draw(st.booleans()):
+        curves = np.maximum.accumulate(curves, axis=1)
+    budget = draw(st.integers(horizon, n * horizon))
+    params = SolverParams(
+        p=draw(st.integers(1, 6)),
+        epsilon=draw(st.sampled_from([0.1, 0.5, 1.0, 3.0])),
+        # mostly a delta that leaves e-ada-cent a probe of 1..T-1 units
+        delta=draw(
+            st.sampled_from([0.1, 0.5])
+            | st.integers(1, max(1, horizon - 1)).map(lambda k: min(k + 0.5, horizon - 0.5) / horizon)
+        ),
+        theta=draw(st.sampled_from([0.1, 0.3, 0.5, 1.0])),
+        predictor=draw(st.sampled_from(PREDICTORS)),
+        eta=draw(st.integers(2, 4)),
+        iterations=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 5)),
+    )
+    return X, curves, budget, params
+
+
+@given(solver_cases())
+@settings(deadline=None, max_examples=300)
+def test_every_algorithm_matches_its_reference(case):
+    X, curves, budget, params = case
+    oracle = curve_oracle(curves, dimension=len(X[0].coords))
+    for name, ref in REFERENCES.items():
+        try:
+            out = run_algorithm(name, X, oracle, budget, oracle.horizon, params)
+        except UvpError as exc:
+            with pytest.raises(type(exc)):
+                ref(params, X, oracle, budget)
+            continue
+        best, best_value, trace, histories = ref(params, X, oracle, budget)
+        assert out.best == best, name
+        assert repr(out.best_value) == repr(best_value), name
+        assert repr(out.trace) == repr(trace), name
+        assert repr({c: h.values for c, h in out.histories.items()}) == repr(histories), name
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

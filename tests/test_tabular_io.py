@@ -288,6 +288,35 @@ def test_csv_field_limit_applies_to_each_field(tmp_path, digits, outcome):
         csv.field_size_limit(old)
 
 
+@pytest.mark.parametrize("respell", ["crlf", "underscore"])
+@pytest.mark.parametrize("at", [3, 5])
+@pytest.mark.parametrize("digits, outcome", [(14, "loads"), (15, "raises")])
+def test_csv_field_limit_applies_past_the_header_lines(tmp_path, respell, at, digits, outcome):
+    # line 2 may be a scale line, which _layout reads with csv.reader; a
+    # field from line 3 on is checked by _data_lines, which a CRLF file or a
+    # digit separator sends the lines through. Every data line is longer
+    # than the limit, and the row of 15-character fields is within it.
+    rows = [
+        ["id", "x0", "b", "value"],
+        ["0", "0.5_0" if respell == "underscore" else "0.50", "1", "0.5"],
+        ["1", "0.2500000000000", "1", "0.1250000000000"],
+        ["2", "0.75", "1", "0.25"],
+        ["3", "0.125", "1", "1"],
+    ]
+    rows[at - 1][1] = "0." + "5" * digits
+    path = _write(tmp_path / "limit.csv", rows, "\r\n" if respell == "crlf" else "\n")
+    old = csv.field_size_limit(16)
+    try:
+        with mock.patch("uvp.instances._data_lines", wraps=instances._data_lines) as respelled:
+            got = _outcome_via_row_parse(path)
+        assert respelled.called
+        want = _outcome(ref_load_tabular, path)
+        assert want[0] == outcome
+        assert got == want
+    finally:
+        csv.field_size_limit(old)
+
+
 # ---------------------------------------------------------------------------
 # the plain-file lane: numpy reads the open file without _data_lines
 
