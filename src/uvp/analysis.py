@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -322,16 +324,16 @@ class RankTable:
 
 
 def incumbent_at(trace: Sequence[tuple[int, float]], spent_cap: float) -> float:
-    """Best value seen by the time ``spent_cap`` units were charged."""
-    best = None
-    for spent, inc in trace:
-        if spent <= spent_cap + 1e-9:
-            best = inc
-        else:
-            break
-    if best is None:
+    """Best value seen by the time ``spent_cap`` units were charged.
+
+    The spends of ``trace`` must never decrease, as in every ``Run`` trace,
+    and ``spent_cap`` must not be NaN; the last point at or before the cap
+    is found by bisection.
+    """
+    i = bisect.bisect_right(trace, spent_cap + 1e-9, key=operator.itemgetter(0))
+    if i == 0:
         raise InvalidParams(f"no trace point at or before spend {spent_cap}")
-    return best
+    return trace[i - 1][1]
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .analysis import check_percentile_args, mean_rank
+from .analysis import DEFAULT_ALPHAS, check_percentile_args, mean_rank
 from .analysis import _level_rows, _scaled_percentiles
 # estimate-eps no longer calls these two; perfbench/tracing.py wraps them by name here
 from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
@@ -390,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     est = subs.add_parser("estimate-eps", help="estimate the smoothness level of a benchmark")
     est.add_argument("--data", required=True)
     est.add_argument("--k", type=int, default=20, help="cover size for the radius scaling")
-    est.add_argument("--alphas", default="90,95,98,99", help="comma list of percentiles")
+    alphas = ",".join(f"{a:g}" for a in DEFAULT_ALPHAS)
+    est.add_argument("--alphas", default=alphas, help="comma list of percentiles")
     est.add_argument("--strict", action="store_true", help="fail on coincident embeddings")
     est.add_argument("--out", help="directory for epsilon.csv")
     est.set_defaults(fn=_cmd_estimate_eps)

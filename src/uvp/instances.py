@@ -657,25 +657,20 @@ def gen_hard(spec: HardInstanceSpec) -> tuple[list[Configuration], TabularOracle
     opt_member = int(rng.integers(n))
 
     gap = 1.0 - spec.epsilon * spec.r
-    curves = np.zeros((m * n, T))
+    rows = np.arange(m * n)
+    cluster, member = np.divmod(rows, n)
     points = np.zeros((m * n, dim))
-    for j in range(m):
-        for i in range(n):
-            idx = j * n + i
-            points[idx, j] = anchor_scale
-            points[idx, m + i] = offset_scale
-            if spec.variant == "fc":
-                if j == opt_cluster:
-                    curves[idx, T - 1] = 1.0 if i == opt_member else gap
-            else:
-                ts = np.arange(1, T + 1)
-                if j == opt_cluster:
-                    top = 1.0 if i == opt_member else gap
-                    curves[idx] = top * ts / T
-                else:
-                    plateau = math.floor(spec.theta_frac * T)
-                    ramp = gap * np.minimum(ts, plateau) / T
-                    curves[idx] = ramp
+    points[rows, cluster] = anchor_scale
+    points[rows, m + member] = offset_scale
+    hidden = (cluster == opt_cluster)[:, None]
+    top = np.where(member == opt_member, 1.0, gap)[:, None]
+    if spec.variant == "fc":
+        curves = np.zeros((m * n, T))
+        curves[:, T - 1 :] = np.where(hidden, top, 0.0)
+    else:
+        ts = np.arange(1, T + 1)
+        plateau = math.floor(spec.theta_frac * T)
+        curves = np.where(hidden, top * ts / T, gap * np.minimum(ts, plateau) / T)
     return _configs(points), TabularOracle(curves, dim)
 
 
@@ -776,16 +771,12 @@ def gen_isolated_optimum(
         5.0 * math.pi / 3,
     ]
 
-    pts: list[tuple[float, float]] = [(spacing, 0.0)]
-    vals: list[float] = [v1]
-    for a in angles:
-        pts.append((spacing + ring_radius * math.cos(a), ring_radius * math.sin(a)))
-        vals.append(v1)
-    pts.append((2.0 * spacing, 0.0))
-    vals.append(v2)
-    for a in angles:
-        pts.append((2.0 * spacing + ring_radius * math.cos(a), ring_radius * math.sin(a)))
-        vals.append(v2)
+    pts: list[tuple[float, float]] = []
+    vals: list[float] = []
+    for center, v in ((spacing, v1), (2.0 * spacing, v2)):
+        pts.append((center, 0.0))
+        pts.extend((center + ring_radius * math.cos(a), ring_radius * math.sin(a)) for a in angles)
+        vals += [v] * (1 + len(angles))
     pts.append((0.0, 0.0))
     vals.append(1.0)
     curves = np.asarray(vals, dtype=float)[:, None]

@@ -6,9 +6,12 @@ Four strategies share the contract of every algorithm in this package,
 * ``full_cent``:   pick floor(B/T) spread-out centers, train each to T.
 * ``e_full_cent``: same, but selection uses the value-aware distance and
                    interleaves full evaluations with the picks.
-* ``ada_cent``:    rounds of p fresh centers trained one unit at a time,
-                   pruning every configuration whose optimistic forecast
-                   falls behind the best observed value.
+* ``ada_cent``:    rounds of p fresh centers trained one unit at a time;
+                   after each level, every active configuration whose
+                   optimistic forecast falls below the best last value
+                   among the active ones is pruned. This threshold drops
+                   below the incumbent once the best curve is pruned;
+                   whether the paper means it or the incumbent is open.
 * ``e_ada_cent``:  ada_cent with value-aware selection and short probes of
                    floor(delta*T) units during selection.
 """

@@ -17,7 +17,7 @@ from uvp import (
     SchemaError,
     TabularOracle,
 )
-from uvp.analysis import EpsilonReport
+from uvp.analysis import EpsilonReport, RankTable
 from uvp.clustering import DEFAULT_ETA_CAP, Cover, greedy_radius, k_center
 from uvp.core import VALUE_TOL
 from uvp.instances import TabularBenchmark
@@ -445,10 +445,9 @@ def _ref_adaptive(params, X, oracle, cap, enhanced):
 
     Each level trains every active candidate one unit further, candidate by
     candidate in id order, then prunes those whose forecast at the horizon
-    falls below the best last value among the active candidates. README
-    calls that threshold the incumbent, but the solvers compare with the
-    active candidates' best, which is lower once the best curve is pruned;
-    this reference follows the solvers (see the FOUND note in CHANGES.md).
+    falls below the best last value among the active candidates, as README
+    states. That threshold is lower than the incumbent once the best curve
+    is pruned; whether the paper means it or the incumbent is still open.
     e-ada-cent picks its centers value-aware, probing each to floor(delta*T)
     units first. A round ends at the horizon; the next adds p new centers to
     the survivors, until the candidates or the budget run out.
@@ -550,3 +549,65 @@ REFERENCES = {
     "sha": ref_successive_halving,
     "hyperband": ref_hyperband,
 }
+
+
+def ref_incumbent_at(trace, spent_cap):
+    """The last incumbent at or before ``spent_cap`` (within 1e-9), by a scan from the start."""
+    best = None
+    for spent, inc in trace:
+        if spent <= spent_cap + 1e-9:
+            best = inc
+        else:
+            break
+    if best is None:
+        raise InvalidParams(f"no trace point at or before spend {spent_cap}")
+    return best
+
+
+def ref_mean_rank(results, caps, fractions=None):
+    """``mean_rank`` with plain loops and lists.
+
+    Raises what ``mean_rank`` raises, in the same order: empty results, a
+    cell missing an algorithm, a dataset without a cap, no default
+    fraction, then per fraction in turn a fraction outside (0, 1] or a
+    trace with no point by that fraction of its cap.
+    """
+    if not results:
+        raise InvalidParams("no results to rank")
+    cells = sorted({(ds, seed) for ds, seed, _ in results})
+    algorithms = tuple(sorted({alg for _, _, alg in results}))
+    for ds, seed in cells:
+        have = {alg for d, s, alg in results if (d, s) == (ds, seed)}
+        if have != set(algorithms):
+            raise InvalidParams(
+                f"cell ({ds}, {seed}) covers {sorted(have)}, expected {list(algorithms)}"
+            )
+    for ds, _ in cells:
+        if ds not in caps:
+            raise InvalidParams(f"no budget cap for dataset {ds!r}")
+    if fractions is None:
+        low = min(caps[ds] for ds, _ in cells)
+        fractions = [i / 10 for i in range(1, 11) if i / 10 * low >= 1]
+        if not fractions:
+            raise InvalidParams(f"no default fraction of budget {low} reaches one unit")
+    means = []
+    for f in fractions:
+        if not 0.0 < f <= 1.0:
+            raise InvalidParams(f"fraction {f} outside (0, 1]")
+        acc = [0.0] * len(algorithms)
+        for ds, seed in cells:
+            vals = []
+            for alg in algorithms:
+                try:
+                    vals.append(float(ref_incumbent_at(results[(ds, seed, alg)], f * caps[ds])))
+                except InvalidParams:
+                    raise InvalidParams(
+                        f"({ds}, seed {seed}, {alg}) has no spend at fraction {f}"
+                    ) from None
+            for a, v in enumerate(vals):
+                better = sum(1 for w in vals if w > v)
+                equal = sum(1 for w in vals if w == v)
+                acc[a] += better + (equal + 1) / 2
+        means.append([x / len(cells) for x in acc])
+    means = np.array(means, dtype=float).reshape(len(fractions), len(algorithms))
+    return RankTable(tuple(float(f) for f in fractions), algorithms, means)

@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import REFERENCES, configs_from, curve_oracle, enhanced_on_line, line
+from helpers import (
+    REFERENCES,
+    configs_from,
+    curve_oracle,
+    enhanced_on_line,
+    line,
+    ref_incumbent_at,
+    ref_mean_rank,
+)
 from uvp import BudgetLedger, InvalidParams, Run, UvpError, cli
-from uvp.analysis import brute_force_k_center, mean_rank
+from uvp.analysis import DEFAULT_FRACTIONS, brute_force_k_center, incumbent_at, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.clustering import Cover, e_k_center, k_center
@@ -373,3 +381,92 @@ def test_mean_rank_rows_sum_to_rank_total(m, n_datasets, data):
     total = m * (m + 1) / 2
     for row in table.means:
         assert float(np.sum(row)) == pytest.approx(total)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the message of the ``InvalidParams`` it raises."""
+    try:
+        return "value", fn(*args)
+    except InvalidParams as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def cumulative_traces(draw, values=st.floats(0.0, 1.0), first=st.integers(0, 3), min_len=0):
+    """(spent, incumbent) points whose spends never decrease.
+
+    Steps of 0 repeat a spend, 1 makes the trace dense and larger steps
+    sparse; the first spend may be 0 or lie past 1, and the trace may be empty.
+    """
+    spent = draw(first)
+    trace = []
+    for _ in range(draw(st.integers(min_len, 12))):
+        trace.append((spent, draw(values)))
+        spent += draw(st.sampled_from((0, 1, 1, 2, 5)))
+    return tuple(trace)
+
+
+# offsets around an integer spend s: a cap 5e-10 below s reaches it only
+# through the 1e-9 tolerance, 2e-9 below does not, and (s - 1e-9) + 1e-9
+# can round to exactly s, where bisect_left and bisect_right part
+_CAP_OFFSETS = (-1.0, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9, 0.5)
+
+
+@given(cumulative_traces(), st.data())
+@settings(deadline=None, max_examples=400)
+def test_incumbent_at_matches_the_scan(trace, data):
+    spends = [s for s, _ in trace] or [0, 1]
+    top = spends[-1] + 2
+    cap = data.draw(
+        st.one_of(
+            st.builds(lambda s, o: s + o, st.sampled_from(spends), st.sampled_from(_CAP_OFFSETS)),
+            st.builds(lambda f, b: f * b, st.sampled_from(DEFAULT_FRACTIONS), st.integers(1, top)),
+            st.floats(-2.0, top),
+        )
+    )
+    got, want = _outcome(incumbent_at, trace, cap), _outcome(ref_incumbent_at, trace, cap)
+    assert repr(got) == repr(want)
+
+
+@st.composite
+def rank_results(draw):
+    """Results and caps for ``mean_rank``: tied values, several datasets, some faults."""
+    algorithms = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True))
+    values = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+    first = st.sampled_from((1, 1, 1, 1, 0, 2))  # mostly one point per unit from the first
+    caps, results = {}, {}
+    for d in range(draw(st.integers(1, 3))):
+        name = f"ds{d}"
+        caps[name] = draw(st.integers(1, 12))
+        for seed in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True)):
+            for alg in algorithms:
+                results[(name, seed, alg)] = draw(cumulative_traces(values, first, min_len=1))
+    fault = draw(st.sampled_from((None,) * 7 + ("no results", "short cell", "no cap", "zero cap")))
+    name = draw(st.sampled_from(sorted(caps)))
+    if fault == "no results":
+        results = {}
+    elif fault == "short cell":
+        del results[draw(st.sampled_from(sorted(results)))]
+    elif fault == "no cap":
+        del caps[name]
+    elif fault == "zero cap":
+        caps[name] = 0
+    fractions = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(DEFAULT_FRACTIONS + (0.25, 0.0, 1.5)), max_size=4),
+        )
+    )
+    return results, caps, fractions
+
+
+def _rank_columns(fn, *args):
+    table = fn(*args)
+    return table.fractions, table.algorithms, table.means.tobytes()
+
+
+@given(rank_results())
+@settings(deadline=None, max_examples=300)
+def test_mean_rank_matches_the_plain_loop(case):
+    got = _outcome(_rank_columns, mean_rank, *case)
+    assert got == _outcome(_rank_columns, ref_mean_rank, *case)
