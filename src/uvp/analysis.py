@@ -326,12 +326,12 @@ class RankTable:
 def incumbent_at(trace: Sequence[tuple[int, float]], spent_cap: float) -> float:
     """Best value seen by the time ``spent_cap`` units were charged.
 
-    The spends of ``trace`` must never decrease, as in every ``Run`` trace,
-    and ``spent_cap`` must not be NaN; the last point at or before the cap
-    is found by bisection.
+    The spends of ``trace`` must never decrease, as in every ``Run`` trace;
+    the last point at or before the cap is found by bisection. No point is
+    at or before a NaN cap.
     """
     i = bisect.bisect_right(trace, spent_cap + 1e-9, key=operator.itemgetter(0))
-    if i == 0:
+    if i == 0 or math.isnan(spent_cap):
         raise InvalidParams(f"no trace point at or before spend {spent_cap}")
     return trace[i - 1][1]
 
@@ -352,7 +352,8 @@ def mean_rank(
     """Average ranks across (dataset, seed) cells at each budget fraction.
 
     ``results`` maps (dataset, seed, algorithm) to a trace of cumulative
-    (spent, incumbent) points; ``caps`` gives each dataset's total budget.
+    (spent, incumbent) points; ``caps`` gives each dataset's total budget,
+    a finite number > 0.
     Within a cell algorithms are ranked by incumbent value, best rank 1 and
     ties averaged, then ranks are averaged over cells. Every cell must cover
     the same algorithms. By default ranks are taken at each of
@@ -371,6 +372,8 @@ def mean_rank(
     for ds, _ in cells:
         if ds not in caps:
             raise InvalidParams(f"no budget cap for dataset {ds!r}")
+        if not 0 < caps[ds] < math.inf:
+            raise InvalidParams(f"budget cap {caps[ds]} for dataset {ds!r} must be finite and > 0")
     if fractions is None:
         low = min(caps[ds] for ds, _ in cells)
         fractions = [f for f in DEFAULT_FRACTIONS if f * low >= 1]

@@ -10,10 +10,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -258,10 +257,6 @@ class TabularBenchmark:
         return TabularOracle(self.curves, self.dimension)
 
 
-# An underscore that Python's int and float refuse: one not between two digits.
-_LONE_UNDERSCORE = re.compile(r"(?<![0-9])_|_(?![0-9])")
-
-
 def _in_unit(values):
     """Which values ``load_tabular`` accepts: within 1e-9 of [0, 1], not NaN."""
     return (values >= -1e-9) & (values <= 1.0 + 1e-9)
@@ -277,15 +272,14 @@ def load_tabular(path: str) -> TabularBenchmark:
     1e-9 for writer round-off), curves are wrapped to be non-decreasing, and
     embeddings are min-max normalised per column after any log scaling.
 
-    Two parsers feed one set of checks, ``_checked``. A valid file is parsed
-    by numpy in one pass. If the lines after the header hold only digits,
-    ``eE.+-``, commas and LF endings, with no field past the csv field
-    limit, numpy reads them straight from the file; any other file reaches
-    numpy through ``_data_lines``. A file numpy does not take (quoted cells,
-    tab or no-break-space padding, non-ASCII digits) or that breaks any rule
-    is read again row by row with csv.reader and Python's int and float, so
-    an error names the first faulty row in file order. An id or budget of
-    any size is checked without building anything from it.
+    Two parsers feed one set of checks, ``_checked``. If the lines after the
+    header hold only digits, ``eE.+-``, commas, spaces and CR or LF endings,
+    with no field past the csv field limit, numpy reads them in one pass
+    straight from the file. Any other file (quoted cells, digit separators,
+    whitespace-only lines, tab padding, non-ASCII text) or one that breaks
+    any rule is read row by row with csv.reader and Python's int and float,
+    so an error names the first faulty row in file order. An id or budget
+    of any size is checked without building anything from it.
     """
     try:
         return _checked(path, *_numpy_columns(path))
@@ -319,39 +313,18 @@ def _layout(path: str, rows: list[list[str]]) -> tuple[int, tuple[str, ...], int
     return d, scales, start
 
 
-def _data_lines(lines: Iterable[str]) -> Iterator[str]:
-    """The data lines, respelled so numpy reads exactly what Python's int and float read.
-
-    Blank lines are skipped, as ``_csv_columns`` skips them. A line is refused
-    if csv.reader would refuse a field in it as too long, or if it holds
-    anything but printable ASCII before its end: numpy strips \\x1c-\\x1f
-    around a number and reads some non-ASCII characters in an integer as
-    digits. Underscores between digits are dropped, any other is refused.
-    """
-    limit = csv.field_size_limit()
-    for line in lines:
-        if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
-            raise ValueError(f"field longer than the csv field limit ({limit})")
-        if not line.strip():
-            continue
-        if not (line.isascii() and line.rstrip("\r\n").isprintable()):
-            raise ValueError("a character other than printable ASCII")
-        if "_" in line and _LONE_UNDERSCORE.search(line):
-            raise ValueError("underscore outside a digit group")
-        yield line.replace("_", "")
-
-
-# The bytes of a plain data line: numpy reads its fields exactly as Python's int and float do.
-_PLAIN_BYTES = b"0123456789eE.+-,\n"
+# The bytes of a plain data line: numpy reads or refuses its fields as Python's int and float do.
+_PLAIN_BYTES = b"0123456789eE.+-, \r\n"
 _CHUNK = 1 << 16  # bytes ``_plain`` scans at a time
 
 
 def _plain(fh) -> bool:
-    """Whether the rest of the binary file ``fh`` needs none of ``_data_lines``' respelling.
+    """Whether numpy may read the rest of the binary file ``fh`` as csv.reader would.
 
     It must hold only ``_PLAIN_BYTES`` and no field longer than the csv
-    field limit. The file is scanned in chunks of ``_CHUNK`` bytes; a field's
-    length is carried over from one chunk to the next.
+    field limit, counting a CR toward the field it ends. The file is scanned
+    in chunks of ``_CHUNK`` bytes; a field's length is carried over from one
+    chunk to the next.
     """
     limit = csv.field_size_limit()
     run = 0  # length of the field the previous chunk ended in
@@ -374,8 +347,8 @@ def _plain(fh) -> bool:
 def _numpy_columns(path: str) -> tuple:
     """Scale flags, ids, coordinates, budgets and values, from one ``np.loadtxt`` call.
 
-    Numpy reads the open file's lines straight if ``_plain`` passes them,
-    and through ``_data_lines`` otherwise.
+    Numpy reads the open file's lines straight; a file ``_plain`` refuses
+    raises ValueError and is left to ``_csv_columns``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         head = [fh.readline(), fh.readline()]
@@ -385,7 +358,7 @@ def _numpy_columns(path: str) -> tuple:
         with open(path, "rb") as raw:
             raw.seek(len("".join(head[:start]).encode("utf-8")))
             if not _plain(raw):
-                lines = _data_lines(lines)
+                raise ValueError("not a plain file")
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # older numpy reads an int cell "1.0" via float, only warning

@@ -568,9 +568,10 @@ def ref_mean_rank(results, caps, fractions=None):
     """``mean_rank`` with plain loops and lists.
 
     Raises what ``mean_rank`` raises, in the same order: empty results, a
-    cell missing an algorithm, a dataset without a cap, no default
-    fraction, then per fraction in turn a fraction outside (0, 1] or a
-    trace with no point by that fraction of its cap.
+    cell missing an algorithm, a dataset without a cap or with a cap that
+    is not finite and > 0, no default fraction, then per fraction in turn a
+    fraction outside (0, 1] or a trace with no point by that fraction of
+    its cap.
     """
     if not results:
         raise InvalidParams("no results to rank")
@@ -585,6 +586,8 @@ def ref_mean_rank(results, caps, fractions=None):
     for ds, _ in cells:
         if ds not in caps:
             raise InvalidParams(f"no budget cap for dataset {ds!r}")
+        if not (caps[ds] > 0 and caps[ds] != float("inf")):
+            raise InvalidParams(f"budget cap {caps[ds]} for dataset {ds!r} must be finite and > 0")
     if fractions is None:
         low = min(caps[ds] for ds, _ in cells)
         fractions = [i / 10 for i in range(1, 11) if i / 10 * low >= 1]

@@ -638,7 +638,9 @@ def test_mean_rank_default_fractions_start_where_every_dataset_spent_a_unit():
     assert table.means.tolist() == [[1.0, 2.0]] * 9
     wide = {key: trace for key, trace in results.items() if key[0] == "e"}
     assert mean_rank(wide, caps={"e": 20}).fractions == DEFAULT_FRACTIONS
-    with pytest.raises(InvalidParams, match="no default fraction of budget 0 reaches one unit"):
+    with pytest.raises(InvalidParams, match="no default fraction of budget 0.5 reaches one unit"):
+        mean_rank(results, caps={"d": 0.5, "e": 20})
+    with pytest.raises(InvalidParams, match="budget cap 0 for dataset 'd' must be finite and > 0"):
         mean_rank(results, caps={"d": 0, "e": 20})
 
 

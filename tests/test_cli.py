@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from helpers import configs_from, const_oracle, line
 from uvp import cli
 from uvp.cli import ALGORITHMS, entry, run_algorithm
 from uvp.core import BudgetLedger, InvalidParams
-from uvp.instances import HardInstanceSpec, gen_hard, load_tabular, save_tabular
+from uvp.instances import HardInstanceSpec, gen_hard, gen_smooth, load_tabular, save_tabular
 from uvp.solvers import SolverParams
 
 
@@ -580,6 +581,33 @@ def test_estimate_eps_unreadable_csv_exits_2(tmp_path, capsys):
     assert entry(["estimate-eps", "--data", str(oversized), "--k", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{oversized}: line 3: field larger than field limit" in err
+
+
+def test_crlf_and_space_separated_csv_gives_the_lf_outputs(tmp_path, capsys, monkeypatch):
+    # csv.writer's default \r\n line end and ", " separators keep every byte
+    # on numpy's lane, so the row-by-row parse is never called
+    lf, respelled = tmp_path / "lf" / "toy.csv", tmp_path / "crlf" / "toy.csv"
+    lf.parent.mkdir()
+    respelled.parent.mkdir()
+    configs, oracle = gen_smooth(30, 2, 6, 0.3, 1)
+    save_tabular(str(lf), configs, oracle.curves)
+    with open(respelled, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for row in _read_rows(lf):
+            writer.writerow([row[0], *(" " + cell for cell in row[1:])])
+    assert b"\r\n" in respelled.read_bytes() and b", " in respelled.read_bytes()
+
+    def outputs(data):
+        out = str(Path(data).parent / "bench")
+        argv = ["bench", "--data", data, "--algos", "random,sha", "--seeds", "2", "--out", out]
+        assert entry(argv) == 0
+        assert entry(["estimate-eps", "--data", data, "--k", "5"]) == 0
+        return _dir_bytes(out), capsys.readouterr().out
+
+    want = outputs(str(lf))
+    fail = AssertionError("a lane file reached the row-by-row parse")
+    monkeypatch.setattr("uvp.instances._csv_columns", mock.Mock(side_effect=fail))
+    assert outputs(str(respelled)) == want
 
 
 @pytest.mark.parametrize("budget", ["100000000000", "99999999999999999999"])

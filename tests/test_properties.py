@@ -422,6 +422,7 @@ def test_incumbent_at_matches_the_scan(trace, data):
             st.builds(lambda s, o: s + o, st.sampled_from(spends), st.sampled_from(_CAP_OFFSETS)),
             st.builds(lambda f, b: f * b, st.sampled_from(DEFAULT_FRACTIONS), st.integers(1, top)),
             st.floats(-2.0, top),
+            st.just(math.nan),
         )
     )
     got, want = _outcome(incumbent_at, trace, cap), _outcome(ref_incumbent_at, trace, cap)
@@ -441,7 +442,7 @@ def rank_results(draw):
         for seed in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True)):
             for alg in algorithms:
                 results[(name, seed, alg)] = draw(cumulative_traces(values, first, min_len=1))
-    fault = draw(st.sampled_from((None,) * 7 + ("no results", "short cell", "no cap", "zero cap")))
+    fault = draw(st.sampled_from((None,) * 7 + ("no results", "short cell", "no cap", "bad cap")))
     name = draw(st.sampled_from(sorted(caps)))
     if fault == "no results":
         results = {}
@@ -449,8 +450,8 @@ def rank_results(draw):
         del results[draw(st.sampled_from(sorted(results)))]
     elif fault == "no cap":
         del caps[name]
-    elif fault == "zero cap":
-        caps[name] = 0
+    elif fault == "bad cap":
+        caps[name] = draw(st.sampled_from((0, 0.0, -1, -0.5, math.nan, math.inf, -math.inf)))
     fractions = draw(
         st.one_of(
             st.none(),

@@ -107,13 +107,25 @@ def _row_parse_unreachable():
     return mock.patch("uvp.instances._csv_columns", side_effect=fail)
 
 
+# the bytes ``_plain`` lets numpy read straight from the file, line ends aside
+_LANE = set("0123456789eE.+-, ")
+
+
+def _on_the_lane(rows):
+    """Whether the data lines of ``rows`` hold only lane bytes, none of them
+    a whitespace-only line (numpy refuses one; csv.reader skips it)."""
+    start = 2 if rows[1][:1] == ["scale"] else 1
+    lines = [",".join(row) for row in rows[start:]]
+    return all(set(line) <= _LANE and (line.strip() or not line) for line in lines)
+
+
 @SETTINGS
-@given(rows=valid_tables(), newline=st.sampled_from(["\n", "\r\n"]))
+@given(rows=valid_tables(), newline=st.sampled_from(["\n", "\r\n", "\r"]))
 def test_valid_files_load_bit_for_bit(tmp_path, rows, newline):
     path = _write(tmp_path / "valid.csv", rows, newline)
     want = _outcome(ref_load_tabular, path)
     assert want[0] == "loads" or "span more than the float range" in want[2]
-    if want[0] == "loads":
+    if want[0] == "loads" and _on_the_lane(rows):
         with _row_parse_unreachable():
             assert _outcome(load_tabular, path) == want
     else:
@@ -293,9 +305,10 @@ def test_csv_field_limit_applies_to_each_field(tmp_path, digits, outcome):
 @pytest.mark.parametrize("digits, outcome", [(14, "loads"), (15, "raises")])
 def test_csv_field_limit_applies_past_the_header_lines(tmp_path, respell, at, digits, outcome):
     # line 2 may be a scale line, which _layout reads with csv.reader; a
-    # field from line 3 on is checked by _data_lines, which a CRLF file or a
-    # digit separator sends the lines through. Every data line is longer
-    # than the limit, and the row of 15-character fields is within it.
+    # field from line 3 on is checked by _plain, which passes a CRLF file
+    # within the limit to numpy, or by the row-by-row parse, which a digit
+    # separator sends the file to. Every data line is longer than the
+    # limit, and the row of 15-character fields (16 with a CR) is within it.
     rows = [
         ["id", "x0", "b", "value"],
         ["0", "0.5_0" if respell == "underscore" else "0.50", "1", "0.5"],
@@ -307,9 +320,9 @@ def test_csv_field_limit_applies_past_the_header_lines(tmp_path, respell, at, di
     path = _write(tmp_path / "limit.csv", rows, "\r\n" if respell == "crlf" else "\n")
     old = csv.field_size_limit(16)
     try:
-        with mock.patch("uvp.instances._data_lines", wraps=instances._data_lines) as respelled:
+        with mock.patch("uvp.instances._csv_columns", wraps=instances._csv_columns) as parse:
             got = _outcome_via_row_parse(path)
-        assert respelled.called
+        assert parse.called == (respell == "underscore" or outcome == "raises")
         want = _outcome(ref_load_tabular, path)
         assert want[0] == outcome
         assert got == want
@@ -317,46 +330,70 @@ def test_csv_field_limit_applies_past_the_header_lines(tmp_path, respell, at, di
         csv.field_size_limit(old)
 
 
+@pytest.mark.parametrize(
+    "row, outcome",
+    [
+        # a last field at the limit whose CR _plain counts: the row parse loads it
+        (b"0,0.5,1,0." + b"5" * 14 + b"\r\n", "loads"),
+        # padding counts toward a field's length, in csv.reader as in _plain
+        (b"0, 0." + b"5" * 13 + b",1,0.5\n", "loads"),
+        (b"0, 0." + b"5" * 14 + b",1,0.5\n", "raises"),
+    ],
+)
+def test_csv_field_limit_counts_line_ends_and_padding(tmp_path, row, outcome):
+    # the row is line 3, past the two lines _layout reads with csv.reader
+    path = tmp_path / "limit.csv"
+    path.write_bytes(b"id,x0,b,value\r\n1,0.25,1,1\r\n" + row)
+    old = csv.field_size_limit(16)
+    try:
+        want = _outcome(ref_load_tabular, str(path))
+        assert want[0] == outcome
+        assert _outcome_via_row_parse(str(path)) == want
+    finally:
+        csv.field_size_limit(old)
+
+
 # ---------------------------------------------------------------------------
-# the plain-file lane: numpy reads the open file without _data_lines
-
-
-def _lane_only():
-    fail = AssertionError("a plain file went through _data_lines")
-    return mock.patch("uvp.instances._data_lines", side_effect=fail)
+# the plain-file lane: numpy reads the open file, and a file of lane bytes
+# only that loads never reaches the row-by-row parse
 
 
 @pytest.mark.parametrize("scale", [False, True])
-def test_plain_lf_file_skips_data_lines(tmp_path, scale):
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("pad", ["", " "])
+def test_plain_files_skip_the_row_parse(tmp_path, scale, newline, pad):
     rows = [["id", "x0", "x1", "b", "value"], *([["scale", "lin", "log"]] if scale else [])]
     rows += [[], ["0", "-0.0", "1e+300", "1", "5e-324"], ["0", "-0.0", "1e+300", "2", "0.1"], []]
     rows += [["1", "2.5", "3E-5", "2", "1.0"], ["1", "2.5", "3E-5", "1", "+.5"], []]
-    path = _write(tmp_path / "plain.csv", rows)
+    start = 2 if scale else 1
+    rows[start:] = [[pad + cell + pad for cell in row] for row in rows[start:]]
+    path = _write(tmp_path / "plain.csv", rows, newline)
     want = _outcome(ref_load_tabular, path)
     assert want[0] == "loads"
-    with _lane_only(), _row_parse_unreachable():
+    with _row_parse_unreachable():
         assert _outcome(load_tabular, path) == want
 
 
 @pytest.mark.parametrize(
-    "raw",
+    "raw, row_parse",
     [
-        b"id,x0,b,value\n0,1_0.5,1,0.5\n1,0.5,1,0.5\n",
-        b"id,x0,b,value\n0, 0.5,1,0.5\n1,0.25,1 ,0.5\n",
-        b"id,x0,b,value\r\n0,0.5,1,0.5\r\n1,0.25,1,0.5\r\n",
-        b"id,x0,b,value\n0,0.5,1,0.5\r\n1,0.25,1,0.5\n",
-        b"id,x0,b,value\r0,0.5,1,0.5\r1,0.25,1,0.5\r",
-        b'id,x0,b,value\n0,"0.5",1,0.5\n1,0.25,1,0.5\n',
+        (b"id,x0,b,value\n0,1_0.5,1,0.5\n1,0.5,1,0.5\n", True),
+        (b"id,x0,b,value\n0, 0.5,1,0.5\n1,0.25,1 ,0.5\n", False),
+        (b"id,x0,b,value\r\n0,0.5,1,0.5\r\n1,0.25,1,0.5\r\n", False),
+        (b"id,x0,b,value\n0,0.5,1,0.5\r\n1,0.25,1,0.5\n", False),
+        (b"id,x0,b,value\r0,0.5,1,0.5\r1,0.25,1,0.5\r", False),
+        (b'id,x0,b,value\n0,"0.5",1,0.5\n1,0.25,1,0.5\n', True),
+        (b"id,x0,b,value\n0,0.5,1,0.5\n  \n1,0.25,1,0.5\n", True),
     ],
 )
-def test_files_off_the_lane_load_like_the_reference(tmp_path, raw):
+def test_respelled_files_load_like_the_reference(tmp_path, raw, row_parse):
     path = tmp_path / "respelled.csv"
     path.write_bytes(raw)
     want = _outcome(ref_load_tabular, str(path))
     assert want[0] == "loads"
-    with mock.patch("uvp.instances._data_lines", wraps=instances._data_lines) as respell:
+    with mock.patch("uvp.instances._csv_columns", wraps=instances._csv_columns) as parse:
         assert _outcome(load_tabular, str(path)) == want
-    assert respell.called
+    assert parse.called == row_parse
 
 
 def _straddling(path, digits, before):
@@ -396,7 +433,7 @@ def test_field_limit_holds_across_a_chunk_boundary(tmp_path, limit, digits, befo
         want = _outcome(ref_load_tabular, path)
         assert want[0] == outcome
         if outcome == "loads":
-            with _lane_only(), _row_parse_unreachable():
+            with _row_parse_unreachable():
                 assert _outcome(load_tabular, path) == want
         else:
             assert "field larger than field limit" in want[2]
@@ -405,13 +442,14 @@ def test_field_limit_holds_across_a_chunk_boundary(tmp_path, limit, digits, befo
         csv.field_size_limit(old)
 
 
-_PLAIN_CELLS = st.text(alphabet="0123456789eE.+-", max_size=6)
+_PLAIN_CELLS = st.text(alphabet="0123456789eE.+- ", max_size=6)
 
 
 @st.composite
 def plain_files(draw):
     """The text of a file whose data lines hold only the lane's bytes:
-    valid tables in plain spellings, some cells redrawn from that alphabet."""
+    valid tables in plain spellings, some cells redrawn from that alphabet,
+    and LF, CRLF or CR line ends."""
     rows = [[cell.strip().replace("_", "") for cell in row] for row in draw(valid_tables())]
     start = 2 if rows[1][:1] == ["scale"] else 1
     odds = draw(st.sampled_from([0, 30, 5]))  # one cell in ``odds`` is redrawn, none at 0
@@ -421,17 +459,19 @@ def plain_files(draw):
         for j in range(len(row)):
             if odds and draw(st.integers(1, odds)) == 1:
                 row[j] = draw(_PLAIN_CELLS)
-    return "".join(",".join(row) + "\n" for row in rows)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(",".join(row) + newline for row in rows)
 
 
 @SETTINGS
 @given(text=plain_files())
 def test_plain_files_load_like_the_reference(tmp_path, text):
     path = tmp_path / "plain.csv"
-    path.write_text(text, encoding="utf-8")
-    want = _outcome(ref_load_tabular, str(path))
-    with _lane_only():
-        assert _outcome(load_tabular, str(path)) == want
+    path.write_bytes(text.encode())
+    with mock.patch("uvp.instances._csv_columns", wraps=instances._csv_columns) as parse:
+        got = _outcome(load_tabular, str(path))
+    assert got == _outcome(ref_load_tabular, str(path))
+    assert got[0] == "raises" or not parse.called
 
 
 @pytest.mark.filterwarnings("error")
