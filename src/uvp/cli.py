@@ -22,7 +22,9 @@ from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
 from .baselines import hyperband, random_search, successive_halving
 from .core import BudgetLedger, InvalidParams, SearchOutcome, UvpError, ValueOracle
 from .instances import (
+    HARD_CELL_CAP,
     LANDSCAPE_KINDS,
+    MESH_CAP,
     HardInstanceSpec,
     LandscapeOracle,
     gen_hard,
@@ -51,6 +53,9 @@ _CLUSTER_SOLVERS = {
     "e-ada-cent": e_ada_cent,
 }
 
+
+# Most seeds one `bench` runs; every seed adds a run per (dataset, baseline).
+SEEDS_CAP = 10**4
 
 # The old name of the per-run settings, kept because perfbench/worker.py imports it.
 Knobs = SolverParams
@@ -141,6 +146,12 @@ def _datasets(args: argparse.Namespace) -> list[tuple[str, list, ValueOracle, in
     for kind in args.landscape or []:
         spec = landscape(kind, args.landscape_seed)
         oracle = LandscapeOracle(spec, args.horizon)
+        # n*horizon cells bound what a run can spend; sample_uniform refuses n past MESH_CAP
+        if args.n <= MESH_CAP and args.n * args.horizon > HARD_CELL_CAP:
+            raise InvalidParams(
+                f"landscape of {args.n} points at horizon {args.horizon} exceeds cap "
+                f"{HARD_CELL_CAP} on n*horizon cells"
+            )
         sources.append((kind, sample_uniform(spec.domain, args.n, args.seed), oracle))
     names = [name for name, _, _ in sources]
     if len(set(names)) != len(names):
@@ -211,6 +222,8 @@ def _bench_cell(task):
 def _cmd_bench(args: argparse.Namespace) -> int:
     if not (args.data or args.landscape):
         raise InvalidParams("bench needs at least one --data file or --landscape kind")
+    if not 1 <= args.seeds <= SEEDS_CAP:
+        raise InvalidParams(f"need between 1 and {SEEDS_CAP} seeds, got {args.seeds}")
     datasets = _datasets(args)
     caps = {name: cap for name, _, _, cap in datasets}
 
@@ -221,8 +234,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise InvalidParams(f"unknown algorithm {alg!r}")
-    if args.seeds < 1:
-        raise InvalidParams("need at least one seed")
     if args.workers < 1:
         raise InvalidParams(f"need at least one worker, got {args.workers}")
     knobs = _knobs_from(args)

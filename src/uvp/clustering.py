@@ -6,15 +6,18 @@ the effective distance around weak centers, so later picks avoid regions a
 low-value center already rules out.
 
 Both run on one incremental engine, :class:`Cover`, built once per solve
-(Gonzalez's O(k*n) farthest-first traversal). A plain pick folds the new
-center's distance row into the nearest-center distances in O(n*d). A
-value-aware pick folds the row's enhanced distance into ``delta`` in O(n*d)
-as long as the best center value v_max stays put; only when v_max rises do
-the value ratios of all centers change, and ``delta`` is rebuilt from the
-coordinates in O(|centers|*n*d). Each :func:`e_k_center` call rebuilds it
-once on entry as well, because seed values change between calls. Selecting
-k centers therefore costs O(k*n*d) plus one rebuild per rise of v_max, and
-no k-by-n matrix of distance rows is ever kept.
+(Gonzalez's O(k*n) farthest-first traversal). Each pick folds the new
+center's distance row into the nearest-center distances in O(n*d). The
+value-aware selector keeps its own state for the length of one
+:func:`e_k_center` call: the center values, their best v_max and
+``delta``, every candidate's minimum enhanced distance to a center. It
+folds each probed center's enhanced row into ``delta`` in O(n*d) as long
+as v_max stays put; when v_max rises the value ratios of all centers
+change, and ``delta`` is rebuilt from the coordinates in O(|centers|*n*d)
+before the next pick. The first pick of each call rebuilds it as well,
+because seed values change between calls. Selecting k centers therefore
+costs O(k*n*d) plus one rebuild per rise of v_max, and no k-by-n matrix of
+distance rows is ever kept.
 """
 
 from __future__ import annotations
@@ -68,11 +71,7 @@ class Cover:
     Keeps the candidates as ``configs`` and their embeddings as ``columns``,
     a coordinate-major (d, n) matrix with one row per coordinate. It also
     keeps the chosen mask, the centers in selection order and every
-    candidate's plain distance to its nearest center. While a value-aware
-    selection runs (from :meth:`revalue` on) it also holds ``epsilon``, the
-    center ``values`` with their best ``v_max``, and ``delta``, every
-    candidate's minimum enhanced distance to a center; ``values`` is None
-    while ``delta`` is stale.
+    candidate's plain distance to its nearest center.
     Distance rows are recomputed when needed, never stored. Build one per
     solve, on the initial ``centers``, and pass it to every :func:`k_center`
     / :func:`e_k_center` call of that solve; its centers are their seeds.
@@ -86,10 +85,6 @@ class Cover:
         self.centers: list[int] = []
         self.chosen = np.zeros(n, dtype=bool)
         self.nearest = np.full(n, np.inf)
-        self.delta = np.full(n, np.inf)
-        self.epsilon: float | None = None
-        self.values: dict[int, float] | None = None
-        self.v_max: float | None = None
         for c in centers:  # every id is checked before any distance work
             self._place(c)
         for c in self.centers:
@@ -111,41 +106,12 @@ class Cover:
         """Open candidate with the highest ``score``; ties go to the lowest id."""
         return int(np.argmax(np.where(self.chosen, -np.inf, score)))
 
-    def add(self, center: int, value: float | None = None) -> None:
-        """Make ``center`` a center; ``value`` is its probed value, if any.
-
-        A value also folds the center into ``delta``, which needs an earlier
-        :meth:`revalue` call; a plain add leaves ``delta`` stale until the
-        next one.
-        """
-        if value is not None and self.values is None:
-            raise InvalidParams("a valued center needs revalue() first")
+    def add(self, center: int) -> np.ndarray:
+        """Make ``center`` a center and return its distance row to every candidate."""
         self._place(center)
         row = self._row(center)
         np.minimum(self.nearest, row, out=self.nearest)
-        if value is None:
-            self.values = None
-            return
-        self.values[center] = value
-        if self.v_max is not None and value <= self.v_max:
-            np.minimum(self.delta, _enhanced(row, value, self.v_max, self.epsilon), out=self.delta)
-        else:
-            self.revalue(self.epsilon, self.values)  # first value, or v_max rose: every ratio changed
-
-    def revalue(self, epsilon: float, values: dict[int, float]) -> None:
-        """Rebuild ``delta`` from coordinates under ``epsilon`` and the center ``values``.
-
-        ``values`` must hold a value for every center; the cover keeps it and
-        records the values of later valued adds in it.
-        """
-        if not epsilon > 0:
-            raise InvalidParams("epsilon must be positive")
-        self.epsilon, self.values = epsilon, values
-        self.v_max = max(values.values()) if values else None
-        self.delta.fill(np.inf)
-        for c in self.centers:
-            row = _enhanced(self._row(c), values[c], self.v_max, epsilon)
-            np.minimum(self.delta, row, out=self.delta)
+        return row
 
 
 def k_center(k: int, cover: Cover) -> list[int]:
@@ -189,13 +155,28 @@ def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[i
     for s in cover.centers:
         if len(run.histories.get(s, ())) == 0:
             raise InvalidParams(f"seed center {s} has no observations")
-    cover.revalue(epsilon, {s: run.histories[s].last for s in cover.centers})
+    if not epsilon > 0:
+        raise InvalidParams("epsilon must be positive")
+    values = {s: run.histories[s].last for s in cover.centers}
+    v_max = max(values.values(), default=-np.inf)
+    delta = np.empty(len(cover.chosen))  # each candidate's minimum enhanced distance to a center
+    stale = True  # seed values are new on entry
     new: list[int] = []
     for _ in range(k):
         if run.ledger.remaining == 0:
             break
-        pick = cover.farthest(cover.delta)
+        if stale:
+            delta.fill(np.inf)
+            for c in cover.centers:
+                np.minimum(delta, _enhanced(cover._row(c), values[c], v_max, epsilon), out=delta)
+            stale = False
+        pick = cover.farthest(delta)
         run.extend_to(cover.configs[pick], t)
-        cover.add(pick, run.histories[pick].last)
+        values[pick] = run.histories[pick].last
+        row = cover.add(pick)
+        if values[pick] <= v_max:
+            np.minimum(delta, _enhanced(row, values[pick], v_max, epsilon), out=delta)
+        else:
+            v_max, stale = values[pick], True  # every ratio changed
         new.append(pick)
     return new

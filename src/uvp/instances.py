@@ -508,12 +508,7 @@ def _undecodable(path: str) -> str:
     return f"{path}: not UTF-8 text"  # the file changed while it was read
 
 
-def save_tabular(
-    path: str,
-    configs: Sequence[Configuration],
-    curves: np.ndarray,
-    scales: Sequence[str] | None = None,
-) -> None:
+def save_tabular(path: str, configs: Sequence[Configuration], curves: np.ndarray) -> None:
     """Write a benchmark in the CSV layout ``load_tabular`` reads back.
 
     Numbers are written with ``repr``, so every value reads back exactly;
@@ -534,11 +529,6 @@ def save_tabular(
     if d < 1:
         raise InvalidParams("need at least one configuration")
     head = ",".join(["id", *(f"x{j}" for j in range(d)), "b", "value"]) + "\n"
-    if scales is not None:
-        flags = list(scales)
-        if len(flags) != d or any(f not in ("lin", "log") for f in flags):
-            raise InvalidParams("scales must give lin|log per embedding column")
-        head += ",".join(["scale", *flags]) + "\n"
     seen: set[int] = set()
     for cfg in configs:  # load_tabular wants each id of 0..n-1 once, all of one width
         if cfg.dimension != d:

@@ -143,21 +143,6 @@ def ref_e_k_center(k, seeds, X, t, epsilon, run):
     return new
 
 
-def enhanced_on_line(dist, value, other, epsilon):
-    """Enhanced distances from a center worth ``value`` to points ``dist`` away.
-
-    Read off ``Cover.delta`` on a line: the center sits at 0 and the points
-    at ``dist``. A second center, worth ``other``, lies more than 1/epsilon
-    beyond every point, where its enhanced distance is its plain one and so
-    never the minimum.
-    """
-    dist = [float(x) for x in dist]
-    X = line([0.0, -1.0 - 1.0 / epsilon - max(dist), *dist])
-    cover = Cover(X, [0, 1])
-    cover.revalue(epsilon, {0: value, 1: other})
-    return cover.delta[2:]
-
-
 # ---------------------------------------------------------------------------
 # reference smoothness estimators: the (n, n, d) broadcast and the per-pair
 # Python loop that the vectorised ones in uvp.analysis must match bit for bit

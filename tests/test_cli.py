@@ -67,6 +67,38 @@ def test_solve_past_the_sample_cap_exits_2(capsys):
     assert "sample of 100000000000 points exceeds cap 1000000" in capsys.readouterr().err
 
 
+_HORIZON_CAP = "exceeds cap 10000000 on n*horizon cells"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--algos", "random", "--budget", "2", "--seeds", "9223372036854775808"],
+         "need between 1 and 10000 seeds, got 9223372036854775808"),
+        (["bench", "--algos", "random", "--budget", "2", "--seeds", "100000000"],
+         "need between 1 and 10000 seeds, got 100000000"),
+        (["solve", "--algo", "full-cent", "--horizon", "9223372036854775808"],
+         f"landscape of 40 points at horizon 9223372036854775808 {_HORIZON_CAP}"),
+        (["solve", "--algo", "full-cent", "--horizon", "100000000000"],
+         f"landscape of 40 points at horizon 100000000000 {_HORIZON_CAP}"),
+    ],
+    ids=["seeds-past-int64", "seeds-1e8", "horizon-past-int64", "horizon-1e11"],
+)
+def test_oversized_seeds_or_horizon_exit_2_before_sampling(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # each once ended in an OverflowError or a MemoryError
+    def no_sampling(*args):
+        raise AssertionError("sampled candidates")
+
+    monkeypatch.setattr(cli, "sample_uniform", no_sampling)
+    out = tmp_path / "out"
+    argv = [*argv, "--landscape", "radial-decay", "--n", "40", "--out", str(out)]
+    assert entry(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"  # one line, no traceback
+    assert not out.exists()
+
+
 def test_solve_unknown_algorithm_exits_2():
     with pytest.raises(SystemExit) as exc:
         entry(["solve", "--landscape", "radial-decay", "--algo", "gradient"])

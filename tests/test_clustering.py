@@ -13,7 +13,6 @@ from helpers import (
     configs_from,
     const_oracle,
     curve_oracle,
-    enhanced_on_line,
     line,
     multiscale_points,
     ref_e_k_center,
@@ -21,6 +20,7 @@ from helpers import (
 )
 from uvp import (
     BudgetLedger,
+    CallableOracle,
     Cover,
     History,
     InvalidParams,
@@ -29,7 +29,7 @@ from uvp import (
     greedy_radius,
     k_center,
 )
-from uvp.clustering import DEFAULT_ETA_CAP
+from uvp.clustering import DEFAULT_ETA_CAP, _enhanced
 from uvp.instances import gen_isolated_optimum
 
 
@@ -76,63 +76,51 @@ def test_greedy_radius_requires_centers():
 
 
 def test_enhanced_distance_eta_one_is_identity():
-    # the best center (and any center of equal value) keeps the plain distance
+    # a center worth v_max keeps the plain distance
     dist = np.array([0.0, 2.0, 7.5])
-    assert enhanced_on_line(dist, 0.8, 0.8, 0.5).tolist() == dist.tolist()
-    assert enhanced_on_line(dist, 0.8, 0.4, 0.5).tolist() == dist.tolist()
+    assert _enhanced(dist, 0.8, 0.8, 0.5).tolist() == dist.tolist()
 
 
 def test_enhanced_distance_formula():
     # eta = 2 for a center worth half the best
-    assert enhanced_on_line([2.0, 0.5], 0.5, 1.0, 0.25).tolist() == [0.0, -3.0]  # min(d, 2d - 4)
+    assert _enhanced(np.array([2.0, 0.5]), 0.5, 1.0, 0.25).tolist() == [0.0, -3.0]  # min(d, 2d - 4)
 
 
-def _cover_etas(values, epsilon=0.5):
-    """Cover on centers worth ``values``, more than 1/epsilon apart, and their etas.
+def _etas(values, epsilon=0.5):
+    """The eta of centers worth ``values``, with v_max their best.
 
-    At a center only its own enhanced distance, -(eta - 1) / epsilon, can
-    fall below zero, so ``delta`` there gives its eta back.
+    At distance 0 a center's enhanced distance is -(eta - 1) / epsilon,
+    which gives its eta back.
     """
-    ids = list(range(len(values)))
-    cover = Cover(line([2.0 / epsilon * i for i in ids]), ids)
-    cover.revalue(epsilon, dict(enumerate(values)))
-    return cover, (1.0 - epsilon * cover.delta).tolist()
+    zero = np.zeros(1)
+    return [1.0 - epsilon * _enhanced(zero, v, max(values), epsilon)[0] for v in values]
 
 
 def test_enhanced_distance_ring_geometry():
     # center at distance d from a ring point, center value ratio 1/(1 - eps*d)
     d, r, eps = 1.0, 0.5, 0.5
     dist = math.hypot(d, r)
-    _, etas = _cover_etas([1.0, 1.0 - eps * d], eps)
+    etas = _etas([1.0, 1.0 - eps * d], eps)
     assert etas[1] == 1.0 / (1.0 - eps * d)
     expected = (dist - d) / (1.0 - eps * d)
-    got = enhanced_on_line([dist], 1.0 - eps * d, 1.0, eps)[0]
+    got = _enhanced(np.array([dist]), 1.0 - eps * d, 1.0, eps)[0]
     assert got == pytest.approx(expected, abs=1e-15)
-
-
-def test_enhanced_distance_validation():
-    cover = Cover(line([0.0, 1.0]), [0])
-    for bad in (0.0, -0.5, math.nan):
-        with pytest.raises(InvalidParams):
-            cover.revalue(bad, {0: 0.5})
-    assert cover.values is None  # a refused revalue keeps nothing
 
 
 def test_enhanced_distance_never_exceeds_plain():
     rng = np.random.default_rng(0)
     for _ in range(200):
         dist = rng.uniform(0.0, 10.0, size=5)
-        enhanced = enhanced_on_line(dist, rng.uniform(0.2, 1.0), 1.0, rng.uniform(0.01, 2.0))
+        enhanced = _enhanced(dist, rng.uniform(0.2, 1.0), 1.0, rng.uniform(0.01, 2.0))
         assert np.all(enhanced <= dist)
 
 
 def test_enhanced_metric_eta_rules():
-    cover, etas = _cover_etas([0.8, 0.4, 0.0])
-    assert cover.v_max == 0.8
+    etas = _etas([0.8, 0.4, 0.0])
     assert etas[0] == 1.0
     assert etas[1] == 2.0
     assert etas[2] == DEFAULT_ETA_CAP  # zero-valued center hits the cap
-    _, all_zero = _cover_etas([0.0, 0.0])
+    all_zero = _etas([0.0, 0.0])
     assert all_zero[0] == 1.0  # v_max 0 collapses to plain distance
 
 
@@ -141,7 +129,7 @@ def test_enhanced_metric_distance_non_increasing_in_v_max():
     dist = np.array([0.0, 1.0, 3.0])
     prev = None
     for v_max in (0.4, 0.6, 0.8, 1.0):
-        cur = enhanced_on_line(dist, 0.4, v_max, 0.5)
+        cur = _enhanced(dist, 0.4, v_max, 0.5)
         if prev is not None:
             assert np.all(cur <= prev + 1e-15)
         prev = cur
@@ -178,6 +166,27 @@ def test_e_k_center_requires_seed_histories():
     X = line([0.0, 1.0])
     with pytest.raises(InvalidParams):
         e_k_center(1, Cover(X, [0]), 1, 0.5, Run(const_oracle(0.5, horizon=1), BudgetLedger(5)))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_e_k_center_refuses_bad_input_before_any_query(k):
+    X = line([0.0, 1.0, 2.0])
+    queries = []
+    oracle = CallableOracle(lambda config, b: queries.append(config.id) or 0.5, 1, 1)
+    run = Run(oracle, BudgetLedger(5))
+    run.extend_to(X[0], 1)
+    cover = Cover(X, [0])
+    for bad in (0.0, -0.5, math.nan):
+        with pytest.raises(InvalidParams, match="epsilon must be positive"):
+            e_k_center(k, cover, 1, bad, run)
+    # the checks run in order: selection size, seed histories, epsilon
+    with pytest.raises(InvalidParams, match="seed center 1 has no observations"):
+        e_k_center(k, Cover(X, [0, 1]), 1, 0.0, run)
+    with pytest.raises(InvalidParams, match="only 3 candidates"):
+        e_k_center(k + 3, Cover(X, [0, 1]), 1, 0.0, run)
+    assert queries == [0]  # the seed's own probe only
+    assert cover.centers == [0]
+    assert run.ledger.spent == 1
 
 
 def test_e_k_center_partial_fill_stops_quietly():
@@ -248,19 +257,15 @@ def test_cover_rejects_bad_center_ids():
         Cover(line([0.0, 1.0]), [0, 2])
 
 
-def test_cover_built_on_valued_centers():
+def test_cover_add_returns_the_distance_row():
     X = line([0.0, 1.0, 2.0, 9.0])
-    cover = Cover(X, [0, 3])
-    cover.revalue(0.5, {0: 0.25, 3: 1.0})
+    cover = Cover(X)
+    rows = {c: cover.add(c) for c in (0, 3)}
+    assert rows[0].tolist() == [0.0, 1.0, 2.0, 9.0]
     assert cover.nearest.tolist() == Cover(X, [0, 3]).nearest.tolist() == [0.0, 1.0, 2.0, 0.0]
-    # center 0 has eta = 4: delta = min(d, 4d - 6) near it, plain d near center 3
-    assert cover.delta.tolist() == [-6.0, -2.0, 2.0, 0.0]
-
-
-def test_cover_valued_add_needs_revalue():
-    cover = Cover(line([0.0, 1.0]))
-    with pytest.raises(InvalidParams):
-        cover.add(0, 0.5)
+    # center 0 worth 0.25 has eta = 4: min(d, 4d - 6) near it, plain d near center 3
+    delta = np.minimum(_enhanced(rows[0], 0.25, 1.0, 0.5), _enhanced(rows[3], 1.0, 1.0, 0.5))
+    assert delta.tolist() == [-6.0, -2.0, 2.0, 0.0]
 
 
 def test_k_center_extends_a_shared_cover():
@@ -378,6 +383,20 @@ def test_shared_cover_rounds_match_reference(case, rounds):
         for c, h in histories.items():
             if len(h) < case["horizon"]:
                 h.append(oracle.query(X[c], len(h) + 1))
+
+
+@given(selection_cases(), st.data())
+@settings(deadline=None, max_examples=100)
+def test_e_k_center_leaves_a_plain_cover(case, data):
+    """After valued picks the cover is the one its centers build, and plain picks go on from it."""
+    cover = Cover(case["X"], case["seeds"])
+    engine, _ = _selectors(case, cover)
+    cap = data.draw(st.integers(0, case["k"] * case["t"] + 1))
+    _value_aware(engine, case, cap, case["histories"])
+    fresh = Cover(case["X"], cover.centers)
+    assert cover.nearest.tobytes() == fresh.nearest.tobytes()
+    k = data.draw(st.integers(0, len(case["X"]) - len(cover.centers)))
+    assert k_center(k, cover) == k_center(k, fresh)
 
 
 # ---------------------------------------------------------------------------

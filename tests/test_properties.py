@@ -11,7 +11,6 @@ from helpers import (
     REFERENCES,
     configs_from,
     curve_oracle,
-    enhanced_on_line,
     line,
     ref_incumbent_at,
     ref_mean_rank,
@@ -20,7 +19,7 @@ from uvp import BudgetLedger, InvalidParams, Run, UvpError, cli
 from uvp.analysis import DEFAULT_FRACTIONS, brute_force_k_center, incumbent_at, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import ALGORITHMS, run_algorithm
-from uvp.clustering import Cover, e_k_center, k_center
+from uvp.clustering import Cover, _enhanced, e_k_center, k_center
 from uvp.solvers import (
     PREDICTORS,
     SolverParams,
@@ -190,9 +189,9 @@ def test_greedy_k_center_within_twice_optimal(cells, k):
 @COMMON
 def test_enhanced_distance_never_exceeds_plain(dist, v_best, v_weak, epsilon):
     best, weak = max(v_best, v_weak), min(v_best, v_weak)
-    assert enhanced_on_line([dist], weak, best, epsilon)[0] <= dist + 1e-12
+    assert _enhanced(np.array([dist]), weak, best, epsilon)[0] <= dist + 1e-12
     # eta = 1 at v_max
-    assert enhanced_on_line([dist], best, weak, epsilon)[0] == pytest.approx(dist)
+    assert _enhanced(np.array([dist]), best, best, epsilon)[0] == pytest.approx(dist)
 
 
 @given(tabular_instances(), st.integers(1, 3))

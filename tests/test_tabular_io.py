@@ -558,10 +558,9 @@ def test_save_tabular_bytes_match_the_reference(tmp_path, data):
     curves = [[data.draw(_VALUES) for _ in range(horizon)] for _ in range(n)]
     order = data.draw(st.permutations(range(n)))
     configs = [configs_from(points)[i] for i in order]
-    scales = data.draw(st.none() | st.lists(st.sampled_from(["lin", "log"]), min_size=d, max_size=d))
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    save_tabular(str(got), configs, np.asarray(curves), scales)
-    ref_save_tabular(str(want), configs, np.asarray(curves), scales)
+    save_tabular(str(got), configs, np.asarray(curves))
+    ref_save_tabular(str(want), configs, np.asarray(curves))
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -569,8 +568,8 @@ def test_save_tabular_special_floats_match_the_reference(tmp_path):
     configs = configs_from([[-0.0, 5e-324], [1e300, -1e300]])
     curves = np.asarray([[-0.0, 5e-324, 1.0], [0.1, 1.0, -5e-324]])
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    save_tabular(str(got), configs, curves, ["lin", "log"])
-    ref_save_tabular(str(want), configs, curves, ["lin", "log"])
+    save_tabular(str(got), configs, curves)
+    ref_save_tabular(str(want), configs, curves)
     assert got.read_bytes() == want.read_bytes()
     assert b"0,-0.0,5e-324,1,-0.0\n" in got.read_bytes()
     assert b"1,1e+300,-1e+300,3,-5e-324\n" in got.read_bytes()
@@ -581,8 +580,6 @@ def test_save_tabular_checks_before_opening(tmp_path):
     path = tmp_path / "never.csv"
     with pytest.raises(InvalidParams):
         save_tabular(str(path), configs, np.zeros((3, 2)))
-    with pytest.raises(InvalidParams):
-        save_tabular(str(path), configs, np.zeros((2, 2)), ["lin", "log"])
     with pytest.raises(InvalidParams):
         save_tabular(str(path), [configs[0], Configuration((1.0,), 2)], np.zeros((2, 2)))
     with pytest.raises(InvalidParams):
