@@ -326,9 +326,10 @@ class RankTable:
 def incumbent_at(trace: Sequence[tuple[int, float]], spent_cap: float) -> float:
     """Best value seen by the time ``spent_cap`` units were charged.
 
-    The spends of ``trace`` must never decrease, as in every ``Run`` trace;
-    the last point at or before the cap is found by bisection. No point is
-    at or before a NaN cap.
+    ``trace`` is any sequence of (spent, incumbent) pairs whose spends never
+    decrease, such as a ``Run`` trace or a list of tuples; the last point at
+    or before the cap is found by bisection. No point is at or before a NaN
+    cap.
     """
     i = bisect.bisect_right(trace, spent_cap + 1e-9, key=operator.itemgetter(0))
     if i == 0 or math.isnan(spent_cap):
@@ -351,9 +352,9 @@ def mean_rank(
 ) -> RankTable:
     """Average ranks across (dataset, seed) cells at each budget fraction.
 
-    ``results`` maps (dataset, seed, algorithm) to a trace of cumulative
-    (spent, incumbent) points; ``caps`` gives each dataset's total budget,
-    a finite number > 0.
+    ``results`` maps (dataset, seed, algorithm) to a trace: any sequence of
+    (spent, incumbent) pairs whose spends never decrease, such as a ``Run``
+    trace. ``caps`` gives each dataset's total budget, a finite number > 0.
     Within a cell algorithms are ranked by incumbent value, best rank 1 and
     ties averaged, then ranks are averaged over cells. Every cell must cover
     the same algorithms. By default ranks are taken at each of

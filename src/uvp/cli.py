@@ -20,7 +20,7 @@ from .analysis import _level_rows, _scaled_percentiles
 # estimate-eps no longer calls these two; perfbench/tracing.py wraps them by name here
 from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
 from .baselines import hyperband, random_search, successive_halving
-from .core import BudgetLedger, InvalidParams, SearchOutcome, UvpError, ValueOracle
+from .core import BudgetLedger, InvalidParams, SearchOutcome, Trace, UvpError, ValueOracle
 from .instances import (
     HARD_CELL_CAP,
     LANDSCAPE_KINDS,
@@ -165,7 +165,7 @@ def _datasets(args: argparse.Namespace) -> list[tuple[str, list, ValueOracle, in
     return datasets
 
 
-def _write_trace(paths: list[str], trace) -> None:
+def _write_trace(paths: list[str], trace: Trace) -> None:
     """Write ``trace`` as a spent,incumbent CSV to each of ``paths``, one ``write`` per file.
 
     The text, the bytes ``_write_csv`` would write, is built once. The
@@ -173,7 +173,7 @@ def _write_trace(paths: list[str], trace) -> None:
     is taken once per run of that object.
     """
     lines, last, text = ["spent,incumbent\n"], None, ""
-    for spent, value in trace:
+    for spent, value in enumerate(trace.incumbents, 1):
         if value is not last:
             last, text = value, _fmt(value)
         lines.append(f"{spent},{text}\n")
@@ -192,7 +192,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise InvalidParams("give exactly one of --data or --landscape")
     [(_, X, oracle, budget)] = _datasets(args)
     out = run_algorithm(args.algo, X, oracle, budget, oracle.horizon, _knobs_from(args))
-    spent = out.trace[-1][0] if out.trace else 0
+    spent = len(out.trace)
     print(f"best_id={out.best} best_value={_fmt(out.best_value)} spent={spent}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -228,13 +228,55 @@ class BudgetLedger:
         return self.cap - self.spent
 
 
+class Trace(Sequence):
+    """An anytime trace: point i is (i + 1 units spent, incumbent after them).
+
+    The spend of point i is always i + 1, so only the incumbents are kept,
+    one float per charged unit. Reads give the stored float objects. A trace
+    equals, and has the ``repr`` of, the list of (spent, incumbent) tuples it
+    stands for; a slice is such a list.
+    """
+
+    __slots__ = ("incumbents",)
+
+    def __init__(self, incumbents: Iterable[float] = ()) -> None:
+        self.incumbents: list[float] = list(incumbents)
+
+    def __len__(self) -> int:
+        return len(self.incumbents)
+
+    def __getitem__(self, i):
+        incumbents = self.incumbents
+        if isinstance(i, slice):
+            return [(j + 1, incumbents[j]) for j in range(*i.indices(len(incumbents)))]
+        value = incumbents[i]  # an index out of range raises here, before the modulo
+        return (i % len(incumbents) + 1, value)
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return enumerate(self.incumbents, 1)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self.incumbents == other.incumbents
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SearchOutcome:
-    """Result of one solver run: the incumbent plus its anytime trace."""
+    """Result of one solver run: the incumbent plus its anytime trace.
+
+    The trace keeps one incumbent float per charged unit; point i is
+    (i + 1, incumbent).
+    """
 
     best: int
     best_value: float
-    trace: list[tuple[int, float]] = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
     histories: dict[int, History] = field(default_factory=dict)
 
 
@@ -244,15 +286,15 @@ class Run:
     Every unit a solver or baseline spends is charged by :meth:`_record`, the
     only code that advances ``ledger.spent``; :meth:`extend_all` is the one
     way to train curves and :meth:`step` charges a single unit. The trace
-    records one (units spent, incumbent value) point per charged unit, in
-    charge order, so it doubles as the anytime curve.
+    keeps one incumbent float per charged unit, in charge order; point i is
+    (i + 1, incumbent), so it doubles as the anytime curve.
     """
 
     def __init__(self, oracle: ValueOracle, ledger: BudgetLedger) -> None:
         self.oracle = oracle
         self.ledger = ledger
         self.histories: dict[int, History] = {}
-        self.trace: list[tuple[int, float]] = []
+        self.trace = Trace()
         self._incumbent = -math.inf
 
     def step(self, config: Configuration) -> None:
@@ -318,7 +360,7 @@ class Run:
         raises charges nothing and leaves every earlier unit charged. A
         history is created only when it gets its first value.
         """
-        ledger, histories, trace = self.ledger, self.histories, self.trace
+        ledger, histories, incumbents = self.ledger, self.histories, self.trace.incumbents
         incumbent = self._incumbent
         owner = None
         try:
@@ -338,7 +380,7 @@ class Run:
                 ledger.spent += 1
                 if v > incumbent:
                     incumbent = v
-                trace.append((ledger.spent, incumbent))
+                incumbents.append(incumbent)
         finally:
             self._incumbent = incumbent
 
@@ -350,6 +392,6 @@ class Run:
         return SearchOutcome(
             best=best,
             best_value=self.histories[best].last,
-            trace=list(self.trace),
+            trace=Trace(self.trace.incumbents),
             histories=dict(self.histories),
         )

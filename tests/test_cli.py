@@ -15,7 +15,7 @@ import pytest
 from helpers import configs_from, const_oracle, line
 from uvp import cli
 from uvp.cli import ALGORITHMS, entry, run_algorithm
-from uvp.core import BudgetLedger, InvalidParams
+from uvp.core import BudgetLedger, InvalidParams, Trace
 from uvp.instances import HardInstanceSpec, gen_hard, gen_smooth, load_tabular, save_tabular
 from uvp.solvers import SolverParams
 
@@ -390,7 +390,7 @@ _SAME = 0.25
 )
 def test_write_trace_matches_csv_writer(tmp_path, trace):
     paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
-    cli._write_trace(paths, trace)
+    cli._write_trace(paths, Trace(v for _, v in trace))  # each case spends 1, 2, ...
     want = _csv_writer_trace(trace)
     for path in paths:
         assert Path(path).read_bytes() == want

@@ -1,5 +1,9 @@
 """Core plumbing: histories, ledger accounting, run bookkeeping and spending."""
 
+import gc
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,9 +29,9 @@ from uvp import (
 )
 from uvp import cli
 from uvp.cli import run_algorithm
-from uvp.core import config_columns, distance_row
+from uvp.core import Trace, config_columns, distance_row
 from uvp.instances import gen_smooth
-from uvp.solvers import PREDICTORS, SolverParams
+from uvp.solvers import PREDICTORS, SolverParams, ada_cent
 
 
 # learning a configuration's curve with Run.extend_to, one charged unit per budget step
@@ -457,6 +461,79 @@ def test_run_trace_shape():
     assert incumbents == [0.4, 0.5, 0.6, 0.6]
     assert out.best_value == incumbents[-1]
     assert all(a <= b for a, b in zip(incumbents, incumbents[1:]))
+
+
+# the trace: one incumbent float per charged unit, read as (spent, incumbent) points
+
+
+_TRACE_CASES = [[], [0.5], [0.25, 0.25, 0.75], [-0.0, 0.0, 5e-324, 1.0]]
+
+
+@pytest.mark.parametrize("incumbents", _TRACE_CASES)
+def test_trace_equals_and_prints_as_its_list_of_points(incumbents):
+    trace = Trace(incumbents)
+    points = [(i + 1, v) for i, v in enumerate(incumbents)]
+    assert trace == points and points == trace
+    assert not (trace != points) and not (points != trace)
+    assert repr(trace) == repr(points)
+    assert trace == Trace(incumbents)
+    assert trace != points + [(len(points) + 1, 1.0)] and points + [(0, 1.0)] != trace
+    assert trace != tuple(points)  # a list of tuples equals no tuple either
+
+
+def test_trace_indexing():
+    trace = Trace([0.25, 0.5, 0.5])
+    assert trace[0] == (1, 0.25) and trace[2] == (3, 0.5)
+    assert trace[-1] == (3, 0.5) and trace[-3] == (1, 0.25)
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            trace[i]
+    with pytest.raises(IndexError):
+        Trace()[0]
+    assert trace[1:] == [(2, 0.5), (3, 0.5)] and type(trace[1:]) is list
+    assert trace[::-2] == [(3, 0.5), (1, 0.25)]
+    assert trace[5:] == []
+
+
+def test_trace_reads_give_the_stored_floats():
+    stored = [-0.0, 0.5, 1.0]
+    trace = Trace(stored)
+    assert all(v is w for (_, v), w in zip(trace, stored))
+    assert all(trace[i][1] is stored[i] for i in range(3))
+    assert [s for s, _ in trace] == [1, 2, 3]
+    assert repr(trace[0][1]) == "-0.0"
+
+
+def test_trace_pickles():
+    trace = Trace([-0.0, 0.25, 1.0])
+    back = pickle.loads(pickle.dumps(trace))
+    assert type(back) is Trace and back == trace and repr(back) == repr(trace)
+
+
+def test_outcome_trace_is_a_copy():
+    run = Run(const_oracle(0.5), BudgetLedger(3))
+    run.step(Configuration((0.0,), 0))
+    out = run.outcome()
+    run.step(Configuration((1.0,), 1))
+    assert out.trace == [(1, 0.5)] and run.trace == [(1, 0.5), (2, 0.5)]
+
+
+def test_an_outcome_holds_few_bytes_per_charged_unit():
+    # the trace keeps one float per unit, shared with the history that
+    # recorded it, instead of a (spent, incumbent) tuple per unit
+    X, oracle = gen_smooth(1000, 4, 100, 0.3, 0)
+    params = SolverParams(predictor="tail-fit")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ada_cent(params, X, oracle, BudgetLedger(10000))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(out.trace) == 10000
+    assert held / len(out.trace) <= 64
 
 
 def test_one_error_class_per_kind_of_fault():

@@ -428,6 +428,27 @@ def test_incumbent_at_matches_the_scan(trace, data):
     assert repr(got) == repr(want)
 
 
+@given(tabular_instances(), st.integers(1, 4), st.integers(0, 10), st.data())
+@settings(deadline=None, max_examples=40)
+def test_incumbent_at_matches_the_scan_on_run_traces(instance, mult, seed, data):
+    X, curves, horizon = instance
+    budget = min(mult, len(X)) * horizon
+    if mult % 2 and horizon >= 2:
+        budget += 1  # sometimes a ragged cap
+    for name, (out, _) in _run_all(X, curves, horizon, budget, seed).items():
+        top = len(out.trace) + 2
+        cap = data.draw(
+            st.one_of(
+                st.builds(lambda s, o: s + o, st.integers(0, top), st.sampled_from(_CAP_OFFSETS)),
+                st.builds(lambda f, b: f * b, st.sampled_from(DEFAULT_FRACTIONS), st.integers(1, top)),
+                st.floats(-2.0, top),
+            )
+        )
+        got = _outcome(incumbent_at, out.trace, cap)
+        want = _outcome(ref_incumbent_at, list(out.trace), cap)
+        assert repr(got) == repr(want), name
+
+
 @st.composite
 def rank_results(draw):
     """Results and caps for ``mean_rank``: tied values, several datasets, some faults."""
