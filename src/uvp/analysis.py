@@ -11,9 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .clustering import Cover, k_center
-# brute_force_k_center no longer calls it; perfbench/tracing.py wraps it by name here
-from .clustering import greedy_radius  # noqa: F401
+from .clustering import Cover, greedy_radius, k_center
 from .core import (
     Configuration,
     InvalidParams,
@@ -52,62 +50,90 @@ class EpsilonReport:
 
 
 def _level_rows(bench: TabularBenchmark, skipped: list[tuple[int, int]], strict: bool):
-    """Yield row i of the pairwise level matrix, for i = 0..n-1, in one reused buffer.
+    """Yield the levels of the pairs (i, j), j > i, both ways, in row-major pair order.
 
-    Coincident pairs (i, j), i < j, are appended to ``skipped`` as their
-    rows are made. With ``strict`` set, ``SchemaError`` is raised
-    after the last row if any pair was skipped.
+    Row i gives a (2, m) view of one reused buffer for its m pairs: row 0
+    holds P[i, j], from curve_i / curve_j, and row 1 holds P[j, i], from
+    curve_j / curve_i, with the same divisions and zero conventions as the
+    full matrix. One distance row over the j > i slice serves both; it
+    equals what row j would give, since a - b is -(b - a) bit for bit.
+    Coincident pairs (i, j) read NaN both ways and are appended to
+    ``skipped`` as their rows are made. With ``strict`` set,
+    ``SchemaError`` is raised after the last row if any pair was skipped.
     """
     n = bench.n
     if n < 2:
         raise InvalidParams("need at least two configurations to compare")
     columns = config_columns(bench.configs)
-    work = np.empty_like(columns)
     curves = np.asarray(bench.curves, dtype=float)
-    # one column per curve, so the floor of row i is a min over T rows
+    # one column per curve, so a floor is a min over T contiguous rows
     by_budget = np.ascontiguousarray(curves.T)
-    ratios = np.empty_like(by_budget)
+    d, horizon = len(columns), len(by_budget)
+    # flat buffers: row i works in contiguous prefixes shaped to its m pairs,
+    # and its coordinates take the place of its ratios once they are reduced
+    work = np.empty(max(horizon, d) * (n - 1))
+    levels = np.empty(2 * (n - 1))
     # ratio conventions 0/0 = 1 and positive/0 = +inf, needed only at the
-    # zero cells of the curves
-    zero_b, zero_j = np.nonzero(by_budget == 0.0)
-    row = np.empty(n)
-    for i in range(n):
+    # zero cells of the curves; curve j is zero at budgets zero_b[at[j]:at[j + 1]]
+    zero_j, zero_b = np.nonzero(curves == 0.0)
+    at = np.searchsorted(zero_j, np.arange(n + 1))
+    for i in range(n - 1):
+        m = n - 1 - i
+        quotients = work[: horizon * m].reshape(horizon, m)
+        row = levels[: 2 * m].reshape(2, m)
+        ci, rest = curves[i][:, None], by_budget[:, i + 1 :]
         # entered per row, so the error state never spans a yield
         with np.errstate(divide="ignore", invalid="ignore"):
-            ci = curves[i]
-            np.divide(ci[:, None], by_budget, out=ratios)
-            if zero_b.size:
-                num = ci[zero_b]
-                ratios[zero_b, zero_j] = np.where(
-                    num == 0.0, 1.0, np.where(num > 0.0, np.inf, ratios[zero_b, zero_j])
-                )
-            dist = distance_row(columns, columns[:, i], work)
-            np.subtract(1.0, np.minimum.reduce(ratios, axis=0), out=row)
+            # dividing a contiguous copy of the strided columns is as fast as
+            # dividing them in place, and numpy then buffers only ci
+            np.copyto(quotients, rest)
+            np.divide(ci, quotients, out=quotients)
+            if at[i + 1] < at[n]:  # zero cells of the curves j > i
+                b, j = zero_b[at[i + 1] :], zero_j[at[i + 1] :] - (i + 1)
+                quotients[b, j] = _by_zero(ci[b, 0], quotients[b, j])
+            np.minimum.reduce(quotients, axis=0, out=row[0])
+            np.copyto(quotients, rest)
+            np.divide(quotients, ci, out=quotients)
+            if at[i] < at[i + 1]:  # zero cells of curve i
+                b = zero_b[at[i] : at[i + 1]]
+                quotients[b] = _by_zero(rest[b], quotients[b])
+            np.minimum.reduce(quotients, axis=0, out=row[1])
+            coords = work[: d * m].reshape(d, m)
+            np.copyto(coords, columns[:, i + 1 :])
+            dist = distance_row(coords, columns[:, i], coords)
+            np.subtract(1.0, row, out=row)
             np.divide(row, dist, out=row)
             np.maximum(0.0, row, out=row)
-            row[i] = 0.0
             zero = dist == 0.0
-            zero[i] = False
             if zero.any():
-                row[zero] = np.nan
-                skipped.extend((i, int(j)) for j in np.flatnonzero(zero) if i < j)
+                row[:, zero] = np.nan
+                skipped.extend((i, i + 1 + int(j)) for j in np.flatnonzero(zero))
         yield row
     if strict and skipped:
         raise SchemaError(f"coincident configuration pairs: {skipped}")
 
 
+def _by_zero(num: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """``ratio`` at cells whose denominator is zero: 0/0 = 1 and positive/0 = +inf."""
+    return np.where(num == 0.0, 1.0, np.where(num > 0.0, np.inf, ratio))
+
+
 def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> EpsilonReport:
     """Estimate the per-pair smoothness level from full curves.
 
-    Row i costs O(n*T) for the ratio floors and O(n*d) for the distances,
-    in buffers kept across rows; memory is O(n*n + n*T) and no (n, n, d)
-    array is built. With ``strict`` set, coincident embeddings raise
-    ``SchemaError`` instead of being skipped.
+    Row i costs O((n - i)*T) for the ratio floors of its pairs j > i, both
+    ways, and O((n - i)*d) for their distances, in buffers kept across rows;
+    each row fills P[i, j] and P[j, i]. Memory is O(n*n + n*T) and no
+    (n, n, d) array is built. With ``strict`` set, coincident embeddings
+    raise ``SchemaError`` instead of being skipped.
     """
+    n = bench.n
     skipped: list[tuple[int, int]] = []
-    pairwise = np.empty((bench.n, bench.n))
-    for i, row in enumerate(_level_rows(bench, skipped, strict)):
-        pairwise[i] = row
+    pairwise = np.empty((n, n))
+    np.fill_diagonal(pairwise, 0.0)
+    for i, (upper, lower) in enumerate(_level_rows(bench, skipped, strict)):
+        pairwise[i, i + 1 :] = upper
+        pairwise[i + 1 :, i] = lower
     return EpsilonReport(pairwise=pairwise, skipped=tuple(skipped), configs=list(bench.configs))
 
 
@@ -120,48 +146,24 @@ def check_percentile_args(k: int, alphas: Sequence[float]) -> None:
             raise InvalidParams(f"percentile {alpha} outside (0, 100]")
 
 
-# pair values are scanned in slices of this many, so no scan holds a
-# temporary the size of all of them
+def _rank(alpha: float, count: int) -> int:
+    """Index of the nearest-rank ``alpha`` percentile among ``count`` sorted values."""
+    return max(math.ceil(alpha / 100.0 * count) - 1, 0)
+
+
+# _nearest_rank scans its values in slices of this many, so no mask or
+# index array grows with the number of pairs
 _SCAN = 1 << 14
 
 
-def _pair_levels(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """The larger level of every scorable unordered pair, folded from matrix rows.
-
-    Pairs (i, j), i < j, come in row-major order. Row i writes its upper
-    part P[i, j], j > i, and folds its lower part P[i, j], j < i, into pair
-    (j, i). Pairs with a NaN on either side are dropped in place, and the
-    result is a view of the n(n-1)/2 buffer.
-    """
-    vals = np.empty(n * (n - 1) // 2)
-    # pair (j, i), j < i, sits at lower[j] + i
-    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
-    lower = starts - np.arange(n) - 1
-    for i, row in enumerate(rows):
-        pos = lower[:i] + i
-        a, b = vals[pos], row[:i]
-        # Python's max(a, b): b only when strictly larger, so ties (and a
-        # zero against a negative zero) keep a; a NaN on either side stays
-        vals[pos] = np.where((b > a) | np.isnan(b), b, a)
-        vals[starts[i] : starts[i] + n - 1 - i] = row[i + 1 :]
-    kept = 0
-    for lo in range(0, vals.size, _SCAN):
-        chunk = vals[lo : lo + _SCAN]
-        chunk = chunk[~np.isnan(chunk)]
-        vals[kept : kept + chunk.size] = chunk
-        kept += chunk.size
-    return vals[:kept]
-
-
-def _nearest_rank(vals: np.ndarray, alphas: Sequence[float]) -> dict[float, float]:
-    """Nearest-rank percentiles of ``vals`` as a stable sort would order them.
+def _nearest_rank(vals: np.ndarray, ranks: Mapping[float, int]) -> dict[float, float]:
+    """The values at ``ranks`` of ``vals`` as a stable sort would order them.
 
     ``vals`` is partitioned in place. Zeros of either sign compare equal, so
     a stable sort keeps them in their given order between the negatives and
     the positives: a rank that falls on a zero takes the sign of the zero at
     that place in ``vals``, which is read before the partition.
     """
-    ranks = {float(a): max(math.ceil(a / 100.0 * vals.size) - 1, 0) for a in alphas}
     negatives = sum(
         int(np.count_nonzero(vals[lo : lo + _SCAN] < 0.0)) for lo in range(0, vals.size, _SCAN)
     )
@@ -183,22 +185,77 @@ def _nearest_rank(vals: np.ndarray, alphas: Sequence[float]) -> dict[float, floa
     return {a: out[a] if a in out else float(vals[r]) for a, r in ranks.items()}
 
 
+def _top(vals: np.ndarray, keep: int) -> float:
+    """Move the last ``keep`` of ``vals`` in stable sorted order to its front.
+
+    They keep their given order. Returns t, the smallest of them. Every
+    value above t is kept, and of the values equal to t the last ones,
+    since a stable sort puts a later equal value higher.
+    """
+    t = np.partition(vals, vals.size - keep)[vals.size - keep]
+    kept = vals > t
+    ties = np.flatnonzero(vals == t)
+    kept[ties[ties.size - keep + np.count_nonzero(kept) :]] = True
+    vals[:keep] = vals[kept]
+    return float(t)
+
+
 def _scaled_percentiles(
-    rows: Iterable[np.ndarray],
+    rows: Iterable[tuple[np.ndarray, np.ndarray]],
     configs: Sequence[Configuration],
     k: int,
     alphas: Sequence[float],
 ) -> tuple[float, dict[float, float]]:
-    """Cover radius and nearest-rank percentiles of the pair levels times it."""
+    """Cover radius and nearest-rank percentiles of the pair levels times it.
+
+    ``rows`` gives, row by row in row-major pair order, the levels
+    (P[i, j], P[j, i]) of the pairs (i, j), j > i. A pair's value is
+    Python's max of the two, and a pair with a NaN either way is not scored.
+    The values are read in one pass, and only those that can still reach a
+    rank are held: a window that keeps the largest values in pair order.
+    """
     n = len(configs)
-    vals = _pair_levels(rows, n)
-    if not vals.size:
+    pairs = n * (n - 1) // 2
+    # the cover does not depend on the levels, so rows are scaled as they come
+    radius = greedy_radius(k_center(min(k, n), Cover(configs)), configs) if pairs else 0.0
+    # rank r of N values needs the N - r largest, a count that never falls as
+    # N grows, so the count at N = pairs serves any number of scored pairs
+    keep = max(pairs - _rank(a, pairs) for a in alphas)
+    # a compaction frees a quarter of the window and room for a whole row;
+    # it copies the window once, so a window over half the pairs would save
+    # nothing and every value is held instead (it is then never compacted)
+    cap = keep + keep // 4 + n
+    if 2 * cap >= pairs:
+        cap = pairs
+    window = np.empty(cap)
+    size = scored = nans = 0
+    floor = -math.inf  # no later value below it can reach a rank
+    for upper, lower in rows:
+        # Python's max(upper, lower): lower only when strictly larger, so ties
+        # (and a zero against a negative zero) keep upper; a NaN either way stays
+        vals = np.where((lower > upper) | np.isnan(lower), lower, upper)
+        unscored = vals.size - int(np.count_nonzero(vals == vals))
+        scored += vals.size - unscored
+        vals *= radius
+        if not 0.0 < radius < math.inf:
+            # 0 * inf is NaN, which a sort puts after every number
+            nans += int(np.count_nonzero(np.isnan(vals))) - unscored
+        vals = vals[vals >= floor]  # NaN too
+        if size + vals.size > cap:
+            floor = _top(window[:size], keep)
+            size = keep
+            vals = vals[vals >= floor]
+        window[size : size + vals.size] = vals
+        size += vals.size
+    if not scored:
         raise InvalidParams("no scorable pairs: all embeddings coincide")
-    cover = Cover(configs)
-    k_center(min(k, n), cover)
-    radius = float(cover.nearest.max())
-    vals *= radius
-    return radius, _nearest_rank(vals, alphas)
+    # the window holds the largest `size` of the `finite` numbers
+    finite = scored - nans
+    ranks = {float(a): _rank(a, scored) for a in alphas}
+    picked = _nearest_rank(
+        window[:size], {a: r - (finite - size) for a, r in ranks.items() if r < finite}
+    )
+    return radius, {a: picked.get(a, math.nan) for a in ranks}
 
 
 def epsilon_percentiles(
@@ -210,12 +267,16 @@ def epsilon_percentiles(
 
     For every scorable unordered pair the larger of its two ordered estimates
     enters the multiset once, multiplied by the radius of a greedy k-cover of
-    the embeddings; percentiles use the nearest-rank rule. ``k`` and
-    ``alphas`` are checked before any pair is read.
+    the embeddings; percentiles use the nearest-rank rule. Matrix row i is
+    folded against column i in one pass, and beyond the matrix only the
+    values that can still reach a rank are held. ``k`` and ``alphas`` are
+    checked before any pair is read.
     """
     alphas = tuple(alphas)
     check_percentile_args(k, alphas)
-    radius, percentiles = _scaled_percentiles(report.pairwise, report.configs, k, alphas)
+    levels = report.pairwise
+    rows = ((levels[i, i + 1 :], levels[i + 1 :, i]) for i in range(len(report.configs) - 1))
+    radius, percentiles = _scaled_percentiles(rows, report.configs, k, alphas)
     return replace(report, r=radius, percentiles=percentiles)
 
 

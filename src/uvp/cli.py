@@ -317,7 +317,8 @@ def _cmd_estimate_eps(args: argparse.Namespace) -> int:
         raise InvalidParams("need at least one percentile")
     check_percentile_args(args.k, alphas)  # before the file is read
     bench = load_tabular(args.data)
-    # the level rows go straight into the pair values: no n x n matrix is built
+    # one pass over the level rows, holding only the pair values that can
+    # reach a percentile: no n x n matrix and no n(n-1)/2 pair array
     skipped: list[tuple[int, int]] = []
     rows = _level_rows(bench, skipped, args.strict)
     radius, percentiles = _scaled_percentiles(rows, bench.configs, args.k, alphas)

@@ -4,11 +4,14 @@ import contextlib
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,12 +25,13 @@ from helpers import (
     ref_epsilon_pairwise,
     ref_epsilon_percentiles,
 )
-from uvp import InvalidParams, SchemaError
+from uvp import InvalidParams, SchemaError, analysis
 from uvp.analysis import (
     DEFAULT_ALPHAS,
     DEFAULT_FRACTIONS,
     EpsilonReport,
     _level_rows,
+    _rank,
     _scaled_percentiles,
     brute_force_k_center,
     brute_force_opt,
@@ -317,35 +321,156 @@ def test_estimators_stay_within_three_pair_matrices():
         assert peak < 3 * matrix_bytes
 
 
-def test_percentiles_stay_within_three_quarters_of_a_pair_matrix():
-    # the pair values alone fill half a pair matrix; they are compacted in place
-    n, d = 600, 16
-    configs, oracle = gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0)
-    report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=oracle.curves))
-    report.pairwise[0, 1] = np.nan  # an unscorable pair makes the values compact once
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        epsilon_percentiles(report, k=20)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.75 * n * n * 8
 
 
-def test_streamed_estimate_stays_within_three_quarters_of_a_pair_matrix(tmp_path):
-    # estimate-eps builds no n x n matrix: the pair values plus row buffers
+def test_percentiles_need_no_more_than_a_window_beside_the_matrix():
+    # the default alphas keep the largest tenth of the pairs, held in a window
+    # of an eighth of them plus a row and copied once while it is compacted:
+    # about a quarter of the pair bytes on top of the given matrix (0.26 here)
     n, d = 600, 16
+    pair_bytes = n * (n - 1) // 2 * 8
+    configs, oracle = gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0)
+    report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=oracle.curves))
+    report.pairwise[0, 1] = np.nan  # an unscorable pair
+    with mock.patch.object(analysis, "_top", wraps=analysis._top) as top:
+        peak = _traced_peak(lambda: epsilon_percentiles(report, k=20))
+    assert top.called
+    assert peak < 0.35 * pair_bytes
+
+
+def test_streamed_estimate_holds_a_window_not_the_pair_values(tmp_path):
+    # estimate-eps builds no n x n matrix and, at the default alphas, no
+    # n(n-1)/2 pair array either: the window and the row buffers; an alpha of
+    # 50 needs half the pairs, so every value is held, within the bound that
+    # held when the pair array was always built
+    n, d = 1200, 16
+    pair_bytes = n * (n - 1) // 2 * 8
     configs, oracle = gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0)
     path = str(tmp_path / "s.csv")
     save_tabular(path, configs, oracle.curves)
     bench = load_tabular(path)
-    tracemalloc.start()
+    want = epsilon_percentiles(epsilon_pairwise(bench), 20, (50.0, *DEFAULT_ALPHAS)).percentiles
+    for alphas, bound in ((DEFAULT_ALPHAS, 0.6 * pair_bytes), ((50.0,), 0.75 * n * n * 8)):
+        got = {}
+        peak = _traced_peak(
+            lambda: got.update(
+                _scaled_percentiles(_level_rows(bench, [], False), bench.configs, 20, alphas)[1]
+            )
+        )
+        assert peak < bound
+        assert got == {a: want[a] for a in alphas}
+
+
+def test_window_size_covers_every_count_of_scored_pairs():
+    # the window is sized for all M pairs before any is scored: rank r of N
+    # values needs the N - r largest, which must never exceed the count at M
+    for pairs in (1, 2, 3, 10, 45, 780, 4950, 20100):
+        for alpha in (1e-300, 33.3, 99.99999999999999, 100.0):
+            keep = pairs - _rank(alpha, pairs)
+            assert all(count - _rank(alpha, count) <= keep for count in range(1, pairs + 1))
+
+
+# The alphas always include 99 and 100. With none below 90 the window holds
+# at most a tenth of the pairs, so on up to 40 configurations (780 pairs) it
+# is compacted many times per call; an alpha below 60 holds every value.
+_WINDOW_ALPHAS = st.lists(st.sampled_from([1.0, 33.3, 50.0, 90.0, 99.9]), max_size=2).flatmap(
+    lambda alphas: st.permutations(alphas + [99.0, 100.0])
+)
+
+
+@st.composite
+def _wide_benches(draw):
+    """Up to 40 configurations on a coarse grid: coincident embeddings, tied levels."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 4))
+    points = draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=d, max_size=d),
+        min_size=n, max_size=n,
+    ))
+    cells = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    curves = draw(st.lists(
+        st.just([0.0] * horizon) | st.lists(cells, min_size=horizon, max_size=horizon),
+        min_size=n, max_size=n,
+    ))
+    return _bench(points, curves)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # x / subnormal
+@settings(deadline=None, max_examples=300)
+@given(bench=_wide_benches(), k=st.integers(1, 10), alphas=_WINDOW_ALPHAS, strict=st.booleans())
+def test_streamed_estimate_matches_the_reference_pair_list(bench, k, alphas, strict):
+    # the command's own call against the pair-by-pair reference, which sorts
+    # the whole list: no selection is shared between the two
+    want = ref_epsilon_pairwise(bench)
+    skipped: list[tuple[int, int]] = []
+    rows = _level_rows(bench, skipped, strict)
+    if strict and want.skipped:
+        with pytest.raises(SchemaError, match="coincident configuration pairs"):
+            _scaled_percentiles(rows, bench.configs, k, alphas)
+        return
     try:
-        _scaled_percentiles(_level_rows(bench, [], False), bench.configs, 20, DEFAULT_ALPHAS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.75 * n * n * 8
+        want = ref_epsilon_percentiles(want, k, alphas)
+    except InvalidParams as exc:
+        with pytest.raises(InvalidParams, match=re.escape(str(exc))):
+            _scaled_percentiles(rows, bench.configs, k, alphas)
+        return
+    radius, percentiles = _scaled_percentiles(rows, bench.configs, k, alphas)
+    assert tuple(skipped) == want.skipped
+    _same_percentiles(replace(want, r=radius, percentiles=percentiles), want)
+
+
+# mostly zeros of both signs: the window's smallest kept value is often a
+# zero, and which zeros it keeps decides the sign at the rank
+_ZERO_LEVELS = st.sampled_from([0.0, -0.0, 0.0, -0.0, -1.0, np.nan, 0.5])
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), k=st.integers(1, 8), alphas=_WINDOW_ALPHAS)
+def test_window_keeps_the_last_tied_values_of_hand_built_reports(data, k, alphas):
+    n = data.draw(st.integers(2, 40))
+    # up to 1600 levels: drawn from a small drawn pool by a drawn seed
+    pool = data.draw(st.lists(_ZERO_LEVELS | _LEVELS, min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    points = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    report = EpsilonReport(
+        pairwise=rng.choice(np.asarray(pool), size=(n, n)),
+        skipped=(),
+        configs=configs_from([[x] for x in points]),
+    )
+    try:
+        want = ref_epsilon_percentiles(report, k, alphas)
+    except InvalidParams:
+        with pytest.raises(InvalidParams):
+            epsilon_percentiles(report, k, alphas)
+        return
+    _same_percentiles(epsilon_percentiles(report, k, alphas), want)
+
+
+def test_window_compacts_and_keeps_the_last_signed_zeros():
+    # 40 configurations, 780 pairs; at alphas 99 and 100 the window keeps 8
+    # values. The pair values are zeros of both signs except for a few
+    # negatives, so every compaction cuts through tied zeros
+    n = 40
+    rng = np.random.default_rng(3)
+    signs = rng.integers(0, 2, size=(n, n))
+    pairwise = np.where(signs == 1, -0.0, 0.0)
+    pairwise[rng.random((n, n)) < 0.05] = -1.0
+    report = EpsilonReport(
+        pairwise=pairwise, skipped=(), configs=configs_from([[float(x)] for x in range(n)])
+    )
+    for alphas in ((99.0, 100.0), (90.0,), (99.9,)):
+        with mock.patch.object(analysis, "_top", wraps=analysis._top) as top:
+            got = epsilon_percentiles(report, 1, alphas)
+        assert top.call_count > 1
+        _same_percentiles(got, ref_epsilon_percentiles(report, 1, alphas))
 
 
 def test_percentiles_take_the_sign_of_the_zero_at_the_rank():
