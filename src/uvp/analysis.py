@@ -37,7 +37,8 @@ class EpsilonReport:
 
     ``pairwise[i, j]`` is the smallest level at which the ordered pair (i, j)
     satisfies the ratio bound: max(0, (1 - min_b curve_i(b)/curve_j(b)) / dist).
-    The matrix is not symmetric. Coincident configurations cannot be scored
+    In the ratio, 0/0 counts as 1 and positive/0 as +inf, with -0.0 read as
+    0. The matrix is not symmetric. Coincident configurations cannot be scored
     and appear as NaN, with the unordered pairs listed in ``skipped``.
     ``r`` and ``percentiles`` are filled in by :func:`epsilon_percentiles`.
     """
@@ -54,53 +55,52 @@ def _level_rows(bench: TabularBenchmark, skipped: list[tuple[int, int]], strict:
 
     Row i gives a (2, m) view of one reused buffer for its m pairs: row 0
     holds P[i, j], from curve_i / curve_j, and row 1 holds P[j, i], from
-    curve_j / curve_i, with the same divisions and zero conventions as the
-    full matrix. One distance row over the j > i slice serves both; it
-    equals what row j would give, since a - b is -(b - a) bit for bit.
-    Coincident pairs (i, j) read NaN both ways and are appended to
-    ``skipped`` as their rows are made. With ``strict`` set,
-    ``SchemaError`` is raised after the last row if any pair was skipped.
+    curve_j / curve_i. A ratio 0/0 counts as 1 and positive/0 as +inf, with
+    -0.0 read as 0: plain division gives both once -0.0 is made 0.0, as
+    ``fmin`` skips the NaN of 0/0 and a floor over a common zero is capped
+    at 1. One distance row over the j > i slice serves both; it equals what
+    row j would give, since a - b is -(b - a) bit for bit. Coincident pairs
+    (i, j) read NaN both ways and are appended to ``skipped`` as their rows
+    are made. With ``strict`` set, ``SchemaError`` is raised after the last
+    row if any pair was skipped.
     """
     n = bench.n
     if n < 2:
         raise InvalidParams("need at least two configurations to compare")
     columns = config_columns(bench.configs)
-    curves = np.asarray(bench.curves, dtype=float)
-    # one column per curve, so a floor is a min over T contiguous rows
-    by_budget = np.ascontiguousarray(curves.T)
+    # one column per curve, so a floor is a min over T contiguous rows; a
+    # copy even where the transpose is contiguous, since -0.0 becomes 0.0
+    by_budget = np.asarray(bench.curves, dtype=float).T.copy()
+    by_budget += 0.0
+    has_zero = (by_budget == 0.0).any(axis=0)
     d, horizon = len(columns), len(by_budget)
     # flat buffers: row i works in contiguous prefixes shaped to its m pairs,
-    # and its coordinates take the place of its ratios once they are reduced
+    # first with its coordinates and then with its ratios
     work = np.empty(max(horizon, d) * (n - 1))
     levels = np.empty(2 * (n - 1))
-    # ratio conventions 0/0 = 1 and positive/0 = +inf, needed only at the
-    # zero cells of the curves; curve j is zero at budgets zero_b[at[j]:at[j + 1]]
-    zero_j, zero_b = np.nonzero(curves == 0.0)
-    at = np.searchsorted(zero_j, np.arange(n + 1))
     for i in range(n - 1):
         m = n - 1 - i
+        coords = work[: d * m].reshape(d, m)
+        np.copyto(coords, columns[:, i + 1 :])
+        # outside the error state below: a distance that overflows still warns
+        dist = distance_row(coords, columns[:, i], coords)
         quotients = work[: horizon * m].reshape(horizon, m)
         row = levels[: 2 * m].reshape(2, m)
-        ci, rest = curves[i][:, None], by_budget[:, i + 1 :]
+        ci, rest = by_budget[:, i : i + 1], by_budget[:, i + 1 :]
         # entered per row, so the error state never spans a yield
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # dividing a contiguous copy of the strided columns is as fast as
             # dividing them in place, and numpy then buffers only ci
             np.copyto(quotients, rest)
             np.divide(ci, quotients, out=quotients)
-            if at[i + 1] < at[n]:  # zero cells of the curves j > i
-                b, j = zero_b[at[i + 1] :], zero_j[at[i + 1] :] - (i + 1)
-                quotients[b, j] = _by_zero(ci[b, 0], quotients[b, j])
-            np.minimum.reduce(quotients, axis=0, out=row[0])
+            np.fmin.reduce(quotients, axis=0, out=row[0], initial=np.inf)
             np.copyto(quotients, rest)
             np.divide(quotients, ci, out=quotients)
-            if at[i] < at[i + 1]:  # zero cells of curve i
-                b = zero_b[at[i] : at[i + 1]]
-                quotients[b] = _by_zero(rest[b], quotients[b])
-            np.minimum.reduce(quotients, axis=0, out=row[1])
-            coords = work[: d * m].reshape(d, m)
-            np.copyto(coords, columns[:, i + 1 :])
-            dist = distance_row(coords, columns[:, i], coords)
+            np.fmin.reduce(quotients, axis=0, out=row[1], initial=np.inf)
+            if has_zero[i]:
+                # a floor of 1 or more gives level 0 at any finite distance;
+                # at an infinite one, 0/0 = 1 gives 0 where inf would give NaN
+                np.minimum(row, 1.0, out=row, where=((ci == 0.0) & (rest == 0.0)).any(axis=0))
             np.subtract(1.0, row, out=row)
             np.divide(row, dist, out=row)
             np.maximum(0.0, row, out=row)
@@ -111,11 +111,6 @@ def _level_rows(bench: TabularBenchmark, skipped: list[tuple[int, int]], strict:
         yield row
     if strict and skipped:
         raise SchemaError(f"coincident configuration pairs: {skipped}")
-
-
-def _by_zero(num: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """``ratio`` at cells whose denominator is zero: 0/0 = 1 and positive/0 = +inf."""
-    return np.where(num == 0.0, 1.0, np.where(num > 0.0, np.inf, ratio))
 
 
 def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> EpsilonReport:

@@ -150,7 +150,7 @@ def ref_e_k_center(k, seeds, X, t, epsilon, run):
 
 def _ref_ratio_floor(ci, others):
     """min over budgets of ci(b)/others(b); 0/0 counts as 1, positive/0 as +inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = ci[None, :] / others
     both_zero = (ci[None, :] == 0.0) & (others == 0.0)
     over_zero = (ci[None, :] > 0.0) & (others == 0.0)
@@ -168,7 +168,7 @@ def ref_epsilon_pairwise(bench):
     skipped = []
     for i in range(n):
         floors = _ref_ratio_floor(bench.curves[i], bench.curves)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             row = np.maximum(0.0, (1.0 - floors) / dist[i])
         row[i] = 0.0
         zero = (dist[i] == 0.0) & (np.arange(n) != i)

@@ -92,6 +92,18 @@ def test_epsilon_pairwise_zero_conventions():
     report = epsilon_pairwise(bench)
     assert report.pairwise[0, 1] == 0.0  # ratio +inf never binds
     assert report.pairwise[1, 0] == pytest.approx(1.0)  # 0/0.5 = 0 -> (1-0)/1
+    # a distance that overflows to inf: the floor min(0/0, 0.5/0) = 1 gives
+    # (1 - 1) / inf = 0, where a floor of +inf would give NaN
+    bench = _bench([[0.0], [1e200]], [[0.0, 0.5], [0.0, 0.0]])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        assert epsilon_pairwise(bench).pairwise.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    # -0.0 reads as 0: 0.5/-0.0 = +inf and -0.0/-0.0 = 1. With one budget the
+    # transposed curves are contiguous, and the benchmark's own -0.0 stays
+    bench = _bench([[0.0], [1.0], [2.0]], [[-0.0], [0.5], [-0.0]])
+    report = epsilon_pairwise(bench)
+    assert report.pairwise[1, 0] == report.pairwise[0, 2] == 0.0
+    assert report.pairwise[0, 1] == 1.0  # -0.0/0.5 = 0 -> (1-0)/1
+    assert np.signbit(bench.curves[[0, 2], 0]).all()
 
 
 def test_epsilon_pairwise_matches_brute_force():
@@ -226,15 +238,22 @@ _LEVELS = st.sampled_from([0.0, -0.0, np.nan, 0.5, 1.0]) | st.floats(-1.0, 10.0)
 
 @st.composite
 def _smoothness_benches(draw):
-    """Small benchmarks with coincident embeddings, zero curves and d up to 12."""
+    """Small benchmarks with coincident embeddings, zero curves and d up to 12.
+
+    One draw in four scales the embeddings by 1e200, so distances overflow
+    to inf: the only inputs where a floor of 0/0 = 1 gives another level
+    than a floor above 1.
+    """
     n = draw(st.integers(2, 9))
     d = draw(st.sampled_from([1, 2, 3, 8, 9, 12]))
     horizon = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e200]))
     # configurations share rows of a small pool, so embeddings coincide
     pool = draw(st.lists(
         st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=d, max_size=d),
         min_size=1, max_size=n,
     ))
+    pool = [[x * scale for x in p] for p in pool]
     rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
     curve = (
         st.just([0.0] * horizon)
@@ -255,20 +274,40 @@ def _same_percentiles(got, want):
 _ALPHAS = st.lists(st.sampled_from([1.0, 33.3, 50.0, 90.0, 99.0, 100.0]), min_size=1, max_size=4)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # x / subnormal
 @settings(deadline=None, max_examples=200)
 @given(bench=_smoothness_benches(), k=st.integers(1, 10), alphas=_ALPHAS)
 def test_estimators_match_reference_bodies(bench, k, alphas):
+    # embeddings 1e200 apart: squared distances overflow to inf in both (numpy
+    # warns), and so does the cover radius, which a level 0 turns into NaN
+    far = max(abs(x) for c in bench.configs for x in c.coords) > 1.0
+    with np.errstate(over="ignore", invalid="ignore") if far else contextlib.nullcontext():
+        got, want = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
+        assert got.pairwise.tobytes() == want.pairwise.tobytes()  # NaNs in place
+        assert got.skipped == want.skipped
+        try:
+            want = ref_epsilon_percentiles(want, k, alphas)
+        except InvalidParams:
+            with pytest.raises(InvalidParams):
+                epsilon_percentiles(got, k, alphas)
+            return
+        _same_percentiles(epsilon_percentiles(got, k, alphas), want)
+
+
+def test_estimators_match_reference_on_a_flat_at_zero_hard_instance():
+    # fc curves are zero until the horizon: 0/0 at almost every cell, and
+    # x/0 between the hidden cluster and the rest at the last budget
+    spec = HardInstanceSpec("fc", epsilon=0.05, beta=2.0, k=10, n_per_cluster=10, r=1.0, horizon=6)
+    configs, oracle = gen_hard(spec)
+    bench = TabularBenchmark(configs=configs, curves=oracle.curves)
+    assert bench.n == 200 and (bench.curves == 0.0).mean() > 0.9
     got, want = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
-    assert got.pairwise.tobytes() == want.pairwise.tobytes()  # NaNs in place
-    assert got.skipped == want.skipped
-    try:
-        want = ref_epsilon_percentiles(want, k, alphas)
-    except InvalidParams:
-        with pytest.raises(InvalidParams):
-            epsilon_percentiles(got, k, alphas)
-        return
-    _same_percentiles(epsilon_percentiles(got, k, alphas), want)
+    assert got.pairwise.tobytes() == want.pairwise.tobytes()
+    assert got.skipped == want.skipped == ()
+    assert (got.pairwise > 0.0).any()  # some pair binds
+    _same_percentiles(
+        epsilon_percentiles(got, 20, (1.0, 50.0, *DEFAULT_ALPHAS, 100.0)),
+        ref_epsilon_percentiles(want, 20, (1.0, 50.0, *DEFAULT_ALPHAS, 100.0)),
+    )
 
 
 @settings(deadline=None, max_examples=200)
@@ -403,7 +442,6 @@ def _wide_benches(draw):
     return _bench(points, curves)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # x / subnormal
 @settings(deadline=None, max_examples=300)
 @given(bench=_wide_benches(), k=st.integers(1, 10), alphas=_WINDOW_ALPHAS, strict=st.booleans())
 def test_streamed_estimate_matches_the_reference_pair_list(bench, k, alphas, strict):
@@ -492,7 +530,6 @@ def test_percentiles_take_the_sign_of_the_zero_at_the_rank():
     assert [repr(v) for v in out.percentiles.values()] == ["0.0", "0.0", "6.0"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # x / subnormal
 @settings(deadline=None, max_examples=100)
 @given(bench=_smoothness_benches(), k=st.integers(1, 10), alphas=_ALPHAS, strict=st.booleans())
 def test_cli_estimate_matches_the_two_step_library_call(bench, k, alphas, strict):

@@ -595,6 +595,16 @@ def test_estimate_eps_warns_on_duplicates(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+def test_estimate_eps_on_a_subnormal_value_prints_no_warning(tmp_path, capsys):
+    # 0.5 / 1e-310 overflows to +inf, a ratio that never binds; a numpy
+    # RuntimeWarning fails this test
+    data = _write_toy(tmp_path / "tiny.csv", [[0.0], [1.0], [2.0]],
+                      [[1e-310], [0.5], [0.25]])
+    code = entry(["estimate-eps", "--data", data, "--k", "2", "--alphas", "50,100"])
+    # pair levels max(1 - 2e-310, 0) = 1.0, (1 - 4e-310) / 2 = 0.5 and 0.5; radius 1
+    assert (code, *capsys.readouterr()) == (0, "alpha=50.0 value=0.5\nalpha=100.0 value=1.0\n", "")
+
+
 def test_estimate_eps_missing_file_exits_1(tmp_path, capsys):
     code = entry(["estimate-eps", "--data", str(tmp_path / "absent.csv")])
     assert code == 1
