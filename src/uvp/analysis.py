@@ -120,7 +120,10 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
     ways, and O((n - i)*d) for their distances, in buffers kept across rows;
     each row fills P[i, j] and P[j, i]. Memory is O(n*n + n*T) and no
     (n, n, d) array is built. With ``strict`` set, coincident embeddings
-    raise ``SchemaError`` instead of being skipped.
+    raise ``SchemaError`` instead of being skipped. A pair about 1e154 or
+    more apart, whose distance overflows to inf, reads NaN if its ratio
+    floor is +inf; it is not in ``skipped``, and the percentiles drop it.
+    ``load_tabular`` scales coordinates to [0, 1], so the CLI never meets one.
     """
     n = bench.n
     skipped: list[tuple[int, int]] = []
@@ -393,14 +396,6 @@ def incumbent_at(trace: Sequence[tuple[int, float]], spent_cap: float) -> float:
     return trace[i - 1][1]
 
 
-def _average_ranks(values: Sequence[float]) -> np.ndarray:
-    """Rank 1 for the highest value; tied values share the mean of their ranks."""
-    v = np.asarray(values, dtype=float)
-    better = (v[None, :] > v[:, None]).sum(axis=1)
-    equal = (v[None, :] == v[:, None]).sum(axis=1)
-    return better + (equal + 1) / 2
-
-
 def mean_rank(
     results: Mapping[tuple[str, int, str], Sequence[tuple[int, float]]],
     caps: Mapping[str, int],
@@ -411,21 +406,25 @@ def mean_rank(
     ``results`` maps (dataset, seed, algorithm) to a trace: any sequence of
     (spent, incumbent) pairs whose spends never decrease, such as a ``Run``
     trace. ``caps`` gives each dataset's total budget, a finite number > 0.
-    Within a cell algorithms are ranked by incumbent value, best rank 1 and
-    ties averaged, then ranks are averaged over cells. Every cell must cover
-    the same algorithms. By default ranks are taken at each of
-    ``DEFAULT_FRACTIONS`` where every dataset has spent at least one unit.
+    Every cell must cover the same algorithms. By default ranks are taken at
+    each of ``DEFAULT_FRACTIONS`` where every dataset has spent at least one
+    unit. One pass over ``results`` groups the cells; each fraction then
+    ranks a (cells x algorithms) table of incumbents, best rank 1 and ties
+    averaged (0.0 ties -0.0, a NaN ranks 0.5), and averages over the cells.
+    Ranks are halves, so the means are exact in any summation order.
     """
     if not results:
         raise InvalidParams("no results to rank")
-    cells = sorted({(ds, seed) for ds, seed, _ in results})
-    algorithms = tuple(sorted({alg for _, _, alg in results}))
-    for ds, seed in cells:
-        have = {alg for d, s, alg in results if (d, s) == (ds, seed)}
-        if have != set(algorithms):
-            raise InvalidParams(
-                f"cell ({ds}, {seed}) covers {sorted(have)}, expected {list(algorithms)}"
-            )
+    by_cell: dict[tuple[str, int], set[str]] = {}
+    for ds, seed, alg in results:
+        by_cell.setdefault((ds, seed), set()).add(alg)
+    cells = sorted(by_cell)
+    algorithms = tuple(sorted(set().union(*by_cell.values())))
+    if len(results) != len(cells) * len(algorithms):
+        ds, seed = next(c for c in cells if len(by_cell[c]) < len(algorithms))
+        raise InvalidParams(
+            f"cell ({ds}, {seed}) covers {sorted(by_cell[ds, seed])}, expected {list(algorithms)}"
+        )
     for ds, _ in cells:
         if ds not in caps:
             raise InvalidParams(f"no budget cap for dataset {ds!r}")
@@ -438,20 +437,19 @@ def mean_rank(
             raise InvalidParams(f"no default fraction of budget {low} reaches one unit")
 
     means = np.zeros((len(fractions), len(algorithms)))
+    values = np.empty((len(cells), len(algorithms)))
     for fi, f in enumerate(fractions):
         if not 0.0 < f <= 1.0:
             raise InvalidParams(f"fraction {f} outside (0, 1]")
-        acc = np.zeros(len(algorithms))
-        for ds, seed in cells:
-            vals = []
-            for alg in algorithms:
-                trace = results[(ds, seed, alg)]
+        for ci, (ds, seed) in enumerate(cells):
+            for ai, alg in enumerate(algorithms):
                 try:
-                    vals.append(incumbent_at(trace, f * caps[ds]))
+                    values[ci, ai] = incumbent_at(results[(ds, seed, alg)], f * caps[ds])
                 except InvalidParams:
                     raise InvalidParams(
                         f"({ds}, seed {seed}, {alg}) has no spend at fraction {f}"
                     ) from None
-            acc += _average_ranks(vals)
-        means[fi] = acc / len(cells)
+        better = (values[:, None, :] > values[:, :, None]).sum(axis=2)
+        equal = (values[:, None, :] == values[:, :, None]).sum(axis=2)
+        means[fi] = (better + (equal + 1) / 2).sum(axis=0) / len(cells)
     return RankTable(fractions=tuple(float(f) for f in fractions), algorithms=algorithms, means=means)

@@ -36,22 +36,14 @@ from .instances import (
 )
 from .solvers import PREDICTORS, SolverParams, ada_cent, e_ada_cent, e_full_cent, full_cent
 
-ALGORITHMS = (
-    "full-cent",
-    "e-full-cent",
-    "ada-cent",
-    "e-ada-cent",
-    "random",
-    "sha",
-    "hyperband",
-)
-
 _CLUSTER_SOLVERS = {
     "full-cent": full_cent,
     "e-full-cent": e_full_cent,
     "ada-cent": ada_cent,
     "e-ada-cent": e_ada_cent,
 }
+
+ALGORITHMS = (*_CLUSTER_SOLVERS, "random", "sha", "hyperband")
 
 
 # Most seeds one `bench` runs; every seed adds a run per (dataset, baseline).

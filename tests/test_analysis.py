@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -814,3 +815,36 @@ def test_mean_rank_missing_trace_point():
     }
     with pytest.raises(InvalidParams, match=r"\(d, seed 0, a\) has no spend at fraction 0.1"):
         mean_rank(results, caps={"d": 10}, fractions=(0.1, 1.0))
+
+
+class _CountedResults(Mapping):
+    """A read-only results mapping that counts how often it is iterated."""
+
+    def __init__(self, results):
+        self._results = results
+        self.iterations = 0
+
+    def __getitem__(self, key):
+        return self._results[key]
+
+    def __len__(self):
+        return len(self._results)
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self._results)
+
+
+def test_mean_rank_reads_the_cells_without_a_rescan_per_cell():
+    # 3 datasets x 20 seeds: a scan of results per cell would iterate 60 times
+    results = {
+        (ds, seed, alg): ((1, (seed * 7 + len(alg) + ord(ds)) % 5 / 4),)
+        for ds in "xyz"
+        for seed in range(20)
+        for alg in ("a", "bb", "ccc")
+    }
+    caps = {"x": 1, "y": 1, "z": 1}
+    counted = _CountedResults(results)
+    table = mean_rank(counted, caps, fractions=(1.0,))
+    assert counted.iterations <= 3
+    assert table.means.tobytes() == mean_rank(results, caps, fractions=(1.0,)).means.tobytes()

@@ -451,15 +451,19 @@ def test_incumbent_at_matches_the_scan_on_run_traces(instance, mult, seed, data)
 
 @st.composite
 def rank_results(draw):
-    """Results and caps for ``mean_rank``: tied values, several datasets, some faults."""
+    """Results and caps for ``mean_rank``: tied values, several datasets, some faults.
+
+    Incumbents include NaN, -0.0 (which ties 0.0) and inf, and a case holds
+    up to 42 (dataset, seed) cells, so the means sum many ranks.
+    """
     algorithms = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True))
-    values = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+    values = st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0, math.inf, math.nan))
     first = st.sampled_from((1, 1, 1, 1, 0, 2))  # mostly one point per unit from the first
     caps, results = {}, {}
     for d in range(draw(st.integers(1, 3))):
         name = f"ds{d}"
         caps[name] = draw(st.integers(1, 12))
-        for seed in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True)):
+        for seed in draw(st.lists(st.integers(0, 20), min_size=1, max_size=14, unique=True)):
             for alg in algorithms:
                 results[(name, seed, alg)] = draw(cumulative_traces(values, first, min_len=1))
     fault = draw(st.sampled_from((None,) * 7 + ("no results", "short cell", "no cap", "bad cap")))
