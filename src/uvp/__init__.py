@@ -7,15 +7,11 @@ selection (:mod:`uvp.clustering`), the solvers and baselines
 """
 
 from .analysis import (
-    ClusteringReport,
     EpsilonReport,
     RankTable,
-    brute_force_k_center,
-    brute_force_opt,
     epsilon_pairwise,
     epsilon_percentiles,
     incumbent_at,
-    lipschitz_check,
     mean_rank,
 )
 from .baselines import hyperband, random_search, successive_halving
@@ -28,7 +24,6 @@ from .clustering import (
 from .core import (
     BudgetExhausted,
     BudgetLedger,
-    CallableOracle,
     Configuration,
     History,
     InvalidParams,
@@ -47,7 +42,6 @@ from .instances import (
     TabularBenchmark,
     TabularOracle,
     gen_hard,
-    gen_isolated_optimum,
     gen_smooth,
     landscape,
     landscape_eval,
@@ -71,8 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExhausted",
     "BudgetLedger",
-    "CallableOracle",
-    "ClusteringReport",
     "Configuration",
     "Cover",
     "EpsilonReport",
@@ -93,8 +85,6 @@ __all__ = [
     "UvpError",
     "ValueOracle",
     "ada_cent",
-    "brute_force_k_center",
-    "brute_force_opt",
     "e_ada_cent",
     "e_full_cent",
     "e_k_center",
@@ -102,7 +92,6 @@ __all__ = [
     "epsilon_percentiles",
     "full_cent",
     "gen_hard",
-    "gen_isolated_optimum",
     "gen_smooth",
     "greedy_radius",
     "hyperband",
@@ -110,7 +99,6 @@ __all__ = [
     "k_center",
     "landscape",
     "landscape_eval",
-    "lipschitz_check",
     "load_tabular",
     "mean_rank",
     "mesh_grid",

@@ -1,9 +1,8 @@
-"""Measurement tools: smoothness estimation, exhaustive baselines, rank tables."""
+"""Measurement tools: smoothness estimation and rank tables."""
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -16,7 +15,6 @@ from .core import (
     Configuration,
     InvalidParams,
     SchemaError,
-    ValueOracle,
     config_columns,
     distance_row,
 )
@@ -24,7 +22,6 @@ from .instances import TabularBenchmark
 
 DEFAULT_ALPHAS = (90.0, 95.0, 98.0, 99.0)
 DEFAULT_FRACTIONS = tuple(i / 10 for i in range(1, 11))  # the budget fractions ranks are taken at
-BRUTE_FORCE_CAP = 15  # brute_force_k_center tries every size-k subset of at most this many
 
 
 # ---------------------------------------------------------------------------
@@ -149,40 +146,6 @@ def _rank(alpha: float, count: int) -> int:
     return max(math.ceil(alpha / 100.0 * count) - 1, 0)
 
 
-# _nearest_rank scans its values in slices of this many, so no mask or
-# index array grows with the number of pairs
-_SCAN = 1 << 14
-
-
-def _nearest_rank(vals: np.ndarray, ranks: Mapping[float, int]) -> dict[float, float]:
-    """The values at ``ranks`` of ``vals`` as a stable sort would order them.
-
-    ``vals`` is partitioned in place. Zeros of either sign compare equal, so
-    a stable sort keeps them in their given order between the negatives and
-    the positives: a rank that falls on a zero takes the sign of the zero at
-    that place in ``vals``, which is read before the partition.
-    """
-    negatives = sum(
-        int(np.count_nonzero(vals[lo : lo + _SCAN] < 0.0)) for lo in range(0, vals.size, _SCAN)
-    )
-    on_zero = {a: r - negatives for a, r in ranks.items() if r >= negatives}
-    out: dict[float, float] = {}
-    seen = 0
-    for lo in range(0, vals.size, _SCAN):
-        if len(out) == len(on_zero):
-            break
-        chunk = vals[lo : lo + _SCAN]
-        zeros = np.flatnonzero(chunk == 0.0)
-        for a, z in on_zero.items():
-            if seen <= z < seen + zeros.size:
-                out[a] = float(chunk[zeros[z - seen]])
-        seen += zeros.size
-    rest = sorted({r for a, r in ranks.items() if a not in out})
-    if rest:
-        vals.partition(rest)
-    return {a: out[a] if a in out else float(vals[r]) for a, r in ranks.items()}
-
-
 def _top(vals: np.ndarray, keep: int) -> float:
     """Move the last ``keep`` of ``vals`` in stable sorted order to its front.
 
@@ -247,13 +210,16 @@ def _scaled_percentiles(
         size += vals.size
     if not scored:
         raise InvalidParams("no scorable pairs: all embeddings coincide")
-    # the window holds the largest `size` of the `finite` numbers
+    # the window holds the largest `size` of the `finite` numbers in pair
+    # order, and _top keeps pair order among equal values, so its stable sort
+    # is the top of a stable sort of them all, zeros of either sign included
     finite = scored - nans
+    held = window[:size]
+    held.sort(kind="stable")
     ranks = {float(a): _rank(a, scored) for a in alphas}
-    picked = _nearest_rank(
-        window[:size], {a: r - (finite - size) for a, r in ranks.items() if r < finite}
-    )
-    return radius, {a: picked.get(a, math.nan) for a in ranks}
+    return radius, {
+        a: float(held[r - (finite - size)]) if r < finite else math.nan for a, r in ranks.items()
+    }
 
 
 def epsilon_percentiles(
@@ -276,92 +242,6 @@ def epsilon_percentiles(
     rows = ((levels[i, i + 1 :], levels[i + 1 :, i]) for i in range(len(report.configs) - 1))
     radius, percentiles = _scaled_percentiles(rows, report.configs, k, alphas)
     return replace(report, r=radius, percentiles=percentiles)
-
-
-def lipschitz_check(bench: TabularBenchmark, epsilon: float) -> float:
-    """Worst slack of |curve_i(b) - curve_j(b)| <= epsilon * distance.
-
-    Returns max over unordered pairs and budgets of the left side minus the
-    right side; a non-positive result means the bound holds everywhere.
-    """
-    if epsilon < 0:
-        raise InvalidParams("epsilon must be non-negative")
-    n = bench.n
-    if n < 2:
-        raise InvalidParams("need at least two configurations to compare")
-    columns = config_columns(bench.configs)
-    work = np.empty_like(columns)
-    worst = -math.inf
-    for i in range(n - 1):
-        gaps = np.abs(bench.curves[i + 1 :] - bench.curves[i]).max(axis=1)
-        dists = distance_row(columns[:, i + 1 :], columns[:, i], work[:, i + 1 :])
-        worst = max(worst, float((gaps - epsilon * dists).max()))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# exhaustive baselines
-
-
-@dataclass
-class ClusteringReport:
-    """Greedy cover radius next to the exhaustively optimal one."""
-
-    k: int
-    greedy_radius: float
-    optimal_radius: float
-    greedy_centers: tuple[int, ...]
-    optimal_centers: tuple[int, ...]
-
-
-def brute_force_k_center(X: Sequence[Configuration], k: int) -> ClusteringReport:
-    """Exact k-cover by trying every size-k subset of at most ``BRUTE_FORCE_CAP`` points.
-
-    Every subset's radius is read off one table of the n distance rows; ties
-    keep the first subset in ``combinations`` order. Also runs the greedy
-    selection on the same input so callers can compare the two radii directly.
-    """
-    n = len(X)
-    if n > BRUTE_FORCE_CAP:
-        raise InvalidParams(
-            f"{n} configurations exceed the exhaustive-search cap {BRUTE_FORCE_CAP}"
-        )
-    if not 1 <= k <= n:
-        raise InvalidParams(f"k must be in 1..{n}")
-    columns = config_columns(X)
-    work = np.empty_like(columns)
-    rows = np.stack([distance_row(columns, columns[:, i], work) for i in range(n)])
-    best: tuple[int, ...] | None = None
-    best_radius = math.inf
-    for subset in itertools.combinations(range(n), k):
-        radius = float(rows[list(subset)].min(axis=0).max())
-        if radius < best_radius:
-            best_radius, best = radius, subset
-    assert best is not None
-    cover = Cover(X)
-    greedy = k_center(k, cover)
-    return ClusteringReport(
-        k=k,
-        greedy_radius=float(cover.nearest.max()),
-        optimal_radius=float(best_radius),
-        greedy_centers=tuple(greedy),
-        optimal_centers=best,
-    )
-
-
-def brute_force_opt(
-    X: Sequence[Configuration],
-    oracle: ValueOracle,
-) -> tuple[int, float]:
-    """Best configuration id and value at full budget, scanning everything."""
-    if not X:
-        raise InvalidParams("no configurations to scan")
-    best_id, best_val = -1, -math.inf
-    for cfg in X:
-        v = oracle.query(cfg, oracle.horizon)
-        if v > best_val:
-            best_id, best_val = cfg.id, v
-    return best_id, float(best_val)
 
 
 # ---------------------------------------------------------------------------

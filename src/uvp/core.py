@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +38,8 @@ class InvalidParams(UvpError):
     and horizons (a ledger cap, ``B < T``, a target past the horizon); a
     candidate pool too small for the selection asked of it; an empty set
     of centers or an empty history; a query point outside the landscape's
-    domain; an input past a size cap (a mesh grid, an exhaustive search,
-    a hard instance); and a rank aggregation missing a cell's trace.
+    domain; an input past a size cap (a mesh grid, a hard instance, the
+    seeds of a bench); and a rank aggregation missing a cell's trace.
     """
 
 
@@ -195,18 +195,6 @@ class ValueOracle(ABC):
         """
         for config, b in zip(configs, budgets):
             yield self.query(config, b)
-
-
-class CallableOracle(ValueOracle):
-    """Wrap an arbitrary (config, b) -> value callable."""
-
-    def __init__(self, fn: Callable[[Configuration, int], float], dimension: int, horizon: int) -> None:
-        super().__init__(dimension, horizon)
-        self._fn = fn
-
-    def query(self, config: Configuration, b: int) -> float:
-        self._check_budget(b)
-        return float(self._fn(config, b))
 
 
 @dataclass

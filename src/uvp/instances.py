@@ -692,55 +692,3 @@ def gen_smooth(
         curves = v[:, None] * (ts[None, :] / horizon) ** alphas[:, None]
     return _configs(pts), TabularOracle(curves, d)
 
-
-def gen_isolated_optimum(
-    spacing: float = 1.0,
-    ring_radius: float = 0.5,
-    epsilon: float = 0.5,
-) -> tuple[list[Configuration], TabularOracle]:
-    """Three regions on a line: two valued rings and one isolated optimum.
-
-    Ring centers sit at ``spacing`` and ``2 * spacing`` on the x-axis with
-    six satellites of radius ``ring_radius`` each; every point of the first
-    ring is worth 1 - epsilon*spacing and of the second
-    (1 - epsilon*spacing)**2. A single point at the origin is worth 1 and is
-    listed last. Horizon is 1.
-
-    The geometry separates plain from value-aware selection for optimal
-    2-covers, and for a greedy pick made after probes in both rings, but
-    not for greedy selection from no observations.
-    """
-    if not (spacing > 0 and ring_radius > 0 and epsilon > 0):
-        raise InvalidParams("spacing, ring_radius and epsilon must be positive")
-    if epsilon * spacing >= 1:
-        raise InvalidParams("epsilon * spacing must stay below 1")
-    if ring_radius > spacing / 2:
-        raise InvalidParams("ring_radius must not exceed spacing / 2 so rings cannot overlap")
-    cond = math.sqrt(spacing**2 + ring_radius**2) + epsilon * spacing * spacing
-    if cond >= 2 * spacing:
-        raise InvalidParams(
-            "geometry too tight: sqrt(spacing^2 + r^2) + eps*spacing^2 must stay below 2*spacing"
-        )
-    v1 = 1.0 - epsilon * spacing
-    v2 = v1 * v1
-    # satellites sit symmetrically about the vertical axis of each ring,
-    # top and bottom included and none on the x-axis
-    angles = [
-        math.pi / 3,
-        math.pi / 2,
-        2.0 * math.pi / 3,
-        4.0 * math.pi / 3,
-        3.0 * math.pi / 2,
-        5.0 * math.pi / 3,
-    ]
-
-    pts: list[tuple[float, float]] = []
-    vals: list[float] = []
-    for center, v in ((spacing, v1), (2.0 * spacing, v2)):
-        pts.append((center, 0.0))
-        pts.extend((center + ring_radius * math.cos(a), ring_radius * math.sin(a)) for a in angles)
-        vals += [v] * (1 + len(angles))
-    pts.append((0.0, 0.0))
-    vals.append(1.0)
-    curves = np.asarray(vals, dtype=float)[:, None]
-    return _configs(np.asarray(pts)), TabularOracle(curves, 2)

@@ -1,25 +1,28 @@
-"""Shared test fixtures: tiny configuration sets and hand-controlled oracles."""
+"""Shared test fixtures: tiny configuration sets, hand-controlled oracles and
+the references that the library is checked against."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from uvp import (
-    CallableOracle,
     Configuration,
     InvalidParams,
     InvalidValue,
     ParseError,
     SchemaError,
     TabularOracle,
+    ValueOracle,
 )
 from uvp.analysis import EpsilonReport, RankTable
 from uvp.clustering import DEFAULT_ETA_CAP, Cover, greedy_radius, k_center
-from uvp.core import VALUE_TOL
+from uvp.core import VALUE_TOL, config_columns, distance_row
 from uvp.instances import TabularBenchmark
 from uvp.solvers import pred, tail_fit_pred
 
@@ -32,6 +35,18 @@ def line(xs):
 def planar(pts):
     """2-d configurations, ids in listing order."""
     return [Configuration((float(a), float(b)), i) for i, (a, b) in enumerate(pts)]
+
+
+class CallableOracle(ValueOracle):
+    """Wrap an arbitrary (config, b) -> value callable."""
+
+    def __init__(self, fn: Callable[[Configuration, int], float], dimension: int, horizon: int) -> None:
+        super().__init__(dimension, horizon)
+        self._fn = fn
+
+    def query(self, config: Configuration, b: int) -> float:
+        self._check_budget(b)
+        return float(self._fn(config, b))
 
 
 def const_oracle(value, dimension=1, horizon=3):
@@ -81,6 +96,59 @@ def multiscale_points(rng, n, d):
 
 def configs_from(points):
     return [Configuration(tuple(float(v) for v in p), i) for i, p in enumerate(points)]
+
+
+def gen_isolated_optimum(
+    spacing: float = 1.0,
+    ring_radius: float = 0.5,
+    epsilon: float = 0.5,
+) -> tuple[list[Configuration], TabularOracle]:
+    """Three regions on a line: two valued rings and one isolated optimum.
+
+    Ring centers sit at ``spacing`` and ``2 * spacing`` on the x-axis with
+    six satellites of radius ``ring_radius`` each; every point of the first
+    ring is worth 1 - epsilon*spacing and of the second
+    (1 - epsilon*spacing)**2. A single point at the origin is worth 1 and is
+    listed last. Horizon is 1.
+
+    The geometry separates plain from value-aware selection for optimal
+    2-covers, and for a greedy pick made after probes in both rings, but
+    not for greedy selection from no observations.
+    """
+    if not (spacing > 0 and ring_radius > 0 and epsilon > 0):
+        raise InvalidParams("spacing, ring_radius and epsilon must be positive")
+    if epsilon * spacing >= 1:
+        raise InvalidParams("epsilon * spacing must stay below 1")
+    if ring_radius > spacing / 2:
+        raise InvalidParams("ring_radius must not exceed spacing / 2 so rings cannot overlap")
+    cond = math.sqrt(spacing**2 + ring_radius**2) + epsilon * spacing * spacing
+    if cond >= 2 * spacing:
+        raise InvalidParams(
+            "geometry too tight: sqrt(spacing^2 + r^2) + eps*spacing^2 must stay below 2*spacing"
+        )
+    v1 = 1.0 - epsilon * spacing
+    v2 = v1 * v1
+    # satellites sit symmetrically about the vertical axis of each ring,
+    # top and bottom included and none on the x-axis
+    angles = [
+        math.pi / 3,
+        math.pi / 2,
+        2.0 * math.pi / 3,
+        4.0 * math.pi / 3,
+        3.0 * math.pi / 2,
+        5.0 * math.pi / 3,
+    ]
+
+    pts: list[tuple[float, float]] = []
+    vals: list[float] = []
+    for center, v in ((spacing, v1), (2.0 * spacing, v2)):
+        pts.append((center, 0.0))
+        pts.extend((center + ring_radius * math.cos(a), ring_radius * math.sin(a)) for a in angles)
+        vals += [v] * (1 + len(angles))
+    pts.append((0.0, 0.0))
+    vals.append(1.0)
+    curves = np.asarray(vals, dtype=float)[:, None]
+    return configs_from(pts), TabularOracle(curves, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +212,96 @@ def ref_e_k_center(k, seeds, X, t, epsilon, run):
 
 
 # ---------------------------------------------------------------------------
+# exhaustive references: the optimal k-cover radius r* and the true optimum
+# that the paper's guarantees are checked against, and the plain Lipschitz
+# slack of a benchmark
+
+BRUTE_FORCE_CAP = 15  # brute_force_k_center tries every size-k subset of at most this many
+
+
+def lipschitz_check(bench: TabularBenchmark, epsilon: float) -> float:
+    """Worst slack of |curve_i(b) - curve_j(b)| <= epsilon * distance.
+
+    Returns max over unordered pairs and budgets of the left side minus the
+    right side; a non-positive result means the bound holds everywhere.
+    """
+    if epsilon < 0:
+        raise InvalidParams("epsilon must be non-negative")
+    n = bench.n
+    if n < 2:
+        raise InvalidParams("need at least two configurations to compare")
+    columns = config_columns(bench.configs)
+    work = np.empty_like(columns)
+    worst = -math.inf
+    for i in range(n - 1):
+        gaps = np.abs(bench.curves[i + 1 :] - bench.curves[i]).max(axis=1)
+        dists = distance_row(columns[:, i + 1 :], columns[:, i], work[:, i + 1 :])
+        worst = max(worst, float((gaps - epsilon * dists).max()))
+    return worst
+
+
+@dataclass
+class ClusteringReport:
+    """Greedy cover radius next to the exhaustively optimal one."""
+
+    k: int
+    greedy_radius: float
+    optimal_radius: float
+    greedy_centers: tuple[int, ...]
+    optimal_centers: tuple[int, ...]
+
+
+def brute_force_k_center(X: Sequence[Configuration], k: int) -> ClusteringReport:
+    """Exact k-cover by trying every size-k subset of at most ``BRUTE_FORCE_CAP`` points.
+
+    Every subset's radius is read off one table of the n distance rows; ties
+    keep the first subset in ``combinations`` order. Also runs the greedy
+    selection on the same input so callers can compare the two radii directly.
+    """
+    n = len(X)
+    if n > BRUTE_FORCE_CAP:
+        raise InvalidParams(
+            f"{n} configurations exceed the exhaustive-search cap {BRUTE_FORCE_CAP}"
+        )
+    if not 1 <= k <= n:
+        raise InvalidParams(f"k must be in 1..{n}")
+    columns = config_columns(X)
+    work = np.empty_like(columns)
+    rows = np.stack([distance_row(columns, columns[:, i], work) for i in range(n)])
+    best: tuple[int, ...] | None = None
+    best_radius = math.inf
+    for subset in itertools.combinations(range(n), k):
+        radius = float(rows[list(subset)].min(axis=0).max())
+        if radius < best_radius:
+            best_radius, best = radius, subset
+    assert best is not None
+    cover = Cover(X)
+    greedy = k_center(k, cover)
+    return ClusteringReport(
+        k=k,
+        greedy_radius=float(cover.nearest.max()),
+        optimal_radius=float(best_radius),
+        greedy_centers=tuple(greedy),
+        optimal_centers=best,
+    )
+
+
+def brute_force_opt(
+    X: Sequence[Configuration],
+    oracle: ValueOracle,
+) -> tuple[int, float]:
+    """Best configuration id and value at full budget, scanning everything."""
+    if not X:
+        raise InvalidParams("no configurations to scan")
+    best_id, best_val = -1, -math.inf
+    for cfg in X:
+        v = oracle.query(cfg, oracle.horizon)
+        if v > best_val:
+            best_id, best_val = cfg.id, v
+    return best_id, float(best_val)
+
+
+# ---------------------------------------------------------------------------
 # reference smoothness estimators: the (n, n, d) broadcast and the per-pair
 # Python loop that the vectorised ones in uvp.analysis must match bit for bit
 
@@ -194,7 +352,9 @@ def ref_epsilon_percentiles(report, k, alphas):
         raise InvalidParams("no scorable pairs: all embeddings coincide")
     centers = k_center(min(k, n), Cover(report.configs))
     radius = greedy_radius(centers, report.configs)
-    scaled = sorted(v * radius for v in vals)
+    # a NaN (0 * inf) goes after every number, as in the library; the key
+    # keeps sorted() stable for zeros of either sign
+    scaled = sorted((v * radius for v in vals), key=lambda v: (math.isnan(v), v))
     percentiles = {}
     for alpha in alphas:
         if not 0.0 < alpha <= 100.0:

@@ -14,15 +14,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import configs_from, random_concave_curve
-from uvp import BudgetLedger, Run
-from uvp.analysis import (
+from helpers import (
     brute_force_k_center,
     brute_force_opt,
-    epsilon_pairwise,
+    configs_from,
+    gen_isolated_optimum,
     lipschitz_check,
-    mean_rank,
+    random_concave_curve,
 )
+from uvp import BudgetLedger, Run
+from uvp.analysis import epsilon_pairwise, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import entry
 from uvp.clustering import Cover, e_k_center, k_center
@@ -31,7 +32,6 @@ from uvp.instances import (
     LandscapeOracle,
     TabularBenchmark,
     gen_hard,
-    gen_isolated_optimum,
     gen_smooth,
     landscape,
     sample_uniform,

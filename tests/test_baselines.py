@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import curve_oracle, line
+from helpers import brute_force_opt, curve_oracle, line
 from uvp import (
     BudgetLedger,
     InvalidParams,
@@ -12,7 +12,6 @@ from uvp import (
     SolverParams,
     successive_halving,
 )
-from uvp.analysis import brute_force_opt
 from uvp.instances import gen_smooth
 
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    CallableOracle,
     SUMMATION_DIMS,
     configs_from,
     const_oracle,
     curve_oracle,
+    gen_isolated_optimum,
     line,
     multiscale_points,
     ref_e_k_center,
@@ -20,7 +22,6 @@ from helpers import (
 )
 from uvp import (
     BudgetLedger,
-    CallableOracle,
     Cover,
     History,
     InvalidParams,
@@ -30,7 +31,6 @@ from uvp import (
     k_center,
 )
 from uvp.clustering import DEFAULT_ETA_CAP, _enhanced
-from uvp.instances import gen_isolated_optimum
 
 
 def test_k_center_line_example():

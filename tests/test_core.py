@@ -9,6 +9,7 @@ import pytest
 
 import uvp
 from helpers import (
+    CallableOracle,
     REFERENCES,
     SUMMATION_DIMS,
     const_oracle,
@@ -19,7 +20,6 @@ from helpers import (
 from uvp import (
     BudgetExhausted,
     BudgetLedger,
-    CallableOracle,
     Configuration,
     History,
     InvalidParams,
@@ -550,3 +550,13 @@ def test_one_error_class_per_kind_of_fault():
     )
     for name in folded:  # folded into InvalidParams or SchemaError, with no alias left
         assert not hasattr(uvp, name) and not hasattr(uvp.core, name)
+
+
+def test_no_test_only_reference_in_the_package():
+    moved = (
+        "lipschitz_check", "ClusteringReport", "brute_force_k_center", "brute_force_opt",
+        "BRUTE_FORCE_CAP", "gen_isolated_optimum", "CallableOracle",
+    )
+    for name in moved:  # moved to tests/helpers.py, with no alias left
+        for module in (uvp, uvp.analysis, uvp.instances, uvp.core):
+            assert not hasattr(module, name), (module.__name__, name)

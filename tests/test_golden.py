@@ -17,13 +17,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import gen_isolated_optimum
 from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.core import UvpError
 from uvp.instances import (
     HardInstanceSpec,
     LandscapeOracle,
     gen_hard,
-    gen_isolated_optimum,
     gen_smooth,
     landscape,
     sample_uniform,

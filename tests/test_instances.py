@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import configs_from
+from helpers import configs_from, gen_isolated_optimum
 from uvp import (
     Configuration,
     InvalidParams,
@@ -20,7 +20,6 @@ from uvp.instances import (
     LandscapeOracle,
     TabularBenchmark,
     gen_hard,
-    gen_isolated_optimum,
     gen_smooth,
     landscape,
     landscape_eval,
@@ -248,6 +247,37 @@ def test_gen_smooth_contract():
         assert np.all(np.diff(inc, axis=1) <= 1e-12)  # concave
         report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=curves))
         assert np.nanmax(report.pairwise) <= 0.3 + 1e-12
+
+
+def test_gen_smooth_redraws_coincident_points(monkeypatch):
+    # the first draw of the points repeats point 0 as point 1, so gen_smooth
+    # must throw it away and keep the generator's second draw
+    real = np.random.default_rng
+    draws = []
+
+    class Repeating:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def uniform(self, low, high, size=None):
+            out = self._rng.uniform(low, high, size)
+            if size == (12, 2):
+                draws.append(out.copy())
+                if len(draws) == 1:
+                    out[1] = out[0]
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Repeating)
+    configs, oracle = gen_smooth(n=12, d=2, horizon=4, epsilon=0.3, seed=0)
+    monkeypatch.undo()
+    assert len(draws) == 2
+    assert [c.coords for c in configs] == [tuple(p) for p in draws[1].tolist()]
+    report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=oracle.curves))
+    assert report.skipped == ()
+    assert np.nanmax(report.pairwise) <= 0.3 + 1e-12
 
 
 def test_gen_isolated_optimum_layout():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     REFERENCES,
+    brute_force_k_center,
     configs_from,
     curve_oracle,
     line,
@@ -16,7 +17,7 @@ from helpers import (
     ref_mean_rank,
 )
 from uvp import BudgetLedger, InvalidParams, Run, UvpError, cli
-from uvp.analysis import DEFAULT_FRACTIONS, brute_force_k_center, incumbent_at, mean_rank
+from uvp.analysis import DEFAULT_FRACTIONS, incumbent_at, mean_rank
 from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.clustering import Cover, _enhanced, e_k_center, k_center

@@ -6,10 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import const_oracle, curve_oracle, line
+from helpers import CallableOracle, const_oracle, curve_oracle, gen_isolated_optimum, line
 from uvp import (
     BudgetLedger,
-    CallableOracle,
     InvalidParams,
     SolverParams,
     TabularOracle,
@@ -21,7 +20,6 @@ from uvp import (
     pred,
     tail_fit_pred,
 )
-from uvp.instances import gen_isolated_optimum
 from uvp.solvers import _keeps
 
 ALL_SOLVERS = (full_cent, e_full_cent, ada_cent, e_ada_cent)

@@ -497,6 +497,23 @@ def test_undecodable_byte_is_reported_on_its_own_line(tmp_path):
     )
 
 
+def test_undecodable_file_mended_while_read_names_no_line(tmp_path):
+    # another writer replaces the bad byte between the parse and the scan
+    # for its line, so the scan finds no undecodable line
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"id,x0,b,value\n0,\xff,1,0.5\n")
+    scan = instances._undecodable
+
+    def mended_then_scanned(p):
+        path.write_bytes(b"id,x0,b,value\n0,0.5,1,0.5\n")
+        return scan(p)
+
+    with mock.patch.object(instances, "_undecodable", mended_then_scanned):
+        with pytest.raises(ParseError) as exc:
+            load_tabular(str(path))
+    assert str(exc.value) == f"{path}: not UTF-8 text"
+
+
 def test_each_id_keeps_its_first_rows_coordinates(tmp_path):
     # id 0 lists -0.0 first and 0.0 later: equal, but the first one is kept,
     # and the column minimum (0.0) turns it into a normalised -0.0

@@ -9,9 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import const_oracle, line
-from uvp import CallableOracle, History, InvalidParams, UvpError
-from uvp.analysis import brute_force_opt
+from helpers import CallableOracle, brute_force_opt, const_oracle, line
+from uvp import History, InvalidParams, UvpError
 from uvp.cli import build_parser, run_algorithm
 from uvp.instances import (
     HardInstanceSpec,
