@@ -5,8 +5,8 @@ candidate ``Configuration``, a ``ValueOracle`` answering "what value does
 configuration x reach after b units of training", an append-only ``History``
 of observed values, and a ``BudgetLedger`` that meters every unit spent.
 A ``Run`` is the one way to spend: ``Run.extend_all`` trains a batch of
-curves to one budget as far as the ledger allows, reading every value it
-charges through one ``ValueOracle.values`` call.
+curves to one budget as far as the ledger allows, reading each unit it
+charges with one ``ValueOracle.query`` call.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class Configuration:
             raise InvalidParams("configuration needs at least one coordinate")
         if not all(math.isfinite(c) for c in self.coords):
             raise InvalidParams(f"configuration {self.id} has non-finite coordinates")
+        if type(self.id) is not int and not isinstance(self.id, np.integer):  # bool too
+            raise InvalidParams(f"configuration id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise InvalidParams("configuration id must be non-negative")
 
@@ -178,30 +180,19 @@ class ValueOracle(ABC):
         self.horizon = horizon
 
     def _check_budget(self, b: int) -> None:
-        if not isinstance(b, (int, np.integer)) or b < 1 or b > self.horizon:
+        if type(b) is not int and not isinstance(b, (int, np.integer)) or b < 1 or b > self.horizon:
             raise InvalidParams(f"budget index {b} outside 1..{self.horizon}")
 
     @abstractmethod
     def query(self, config: Configuration, b: int) -> float:
         """Value reached by ``config`` after ``b`` training units."""
 
-    def values(self, configs: Sequence[Configuration], budgets: Sequence[int]) -> Iterable[float]:
-        """``query(configs[i], budgets[i])`` for every i, in order.
-
-        The default is a generator, so :class:`Run` records unit i before
-        query i + 1 runs. An override must give the values of ``query`` pair
-        by pair, and if some pair's query raises it must raise the same
-        error only once the pairs before it are consumed.
-        """
-        for config, b in zip(configs, budgets):
-            yield self.query(config, b)
-
 
 @dataclass
 class BudgetLedger:
     """Meters evaluation spend against a hard cap. One unit = one budget step.
 
-    ``spent`` starts at 0, and only :class:`Run`'s recording loop advances it.
+    ``spent`` starts at 0, and only :class:`Run`'s charging loop advances it.
     """
 
     cap: int
@@ -271,11 +262,12 @@ class SearchOutcome:
 class Run:
     """Bookkeeping for one solver execution: histories, spend trace, incumbent.
 
-    Every unit a solver or baseline spends is charged by :meth:`_record`, the
-    only code that advances ``ledger.spent``; :meth:`extend_all` is the one
-    way to train curves and :meth:`step` charges a single unit. The trace
-    keeps one incumbent float per charged unit, in charge order; point i is
-    (i + 1, incumbent), so it doubles as the anytime curve.
+    Every unit a solver or baseline spends is charged by :meth:`_extend`,
+    the only code that advances ``ledger.spent``; it reads each unit with one
+    ``oracle.query`` call. :meth:`extend_all` is the one way to train curves
+    and :meth:`step` charges a single unit. The trace keeps one incumbent
+    float per charged unit, in charge order; point i is (i + 1, incumbent),
+    so it doubles as the anytime curve.
     """
 
     def __init__(self, oracle: ValueOracle, ledger: BudgetLedger) -> None:
@@ -283,17 +275,17 @@ class Run:
         self.ledger = ledger
         self.histories: dict[int, History] = {}
         self.trace = Trace()
-        self._incumbent = -math.inf
 
     def step(self, config: Configuration) -> None:
         """Evaluate ``config`` at its next budget index and charge one unit.
 
-        A dry ledger raises before the oracle is queried.
+        A dry ledger raises before the oracle is queried; a budget index past
+        the horizon raises the oracle's own error.
         """
         ledger = self.ledger
         if ledger.spent >= ledger.cap:
             raise BudgetExhausted(f"charge of 1 exceeds remaining {ledger.remaining}")
-        self._record([config], [len(self.histories.get(config.id, ())) + 1])
+        self._extend((config,), len(self.histories.get(config.id, ())) + 1)
 
     def extend_to(self, config: Configuration, t: int) -> bool:
         """Train ``config`` up to budget t; see :meth:`extend_all`."""
@@ -304,73 +296,51 @@ class Run:
 
         Units are charged config by config, each curve budget by budget, as
         far as the ledger allows; the first curve the ledger cannot fill is
-        filled as far as it goes and the configs after it get nothing.
-        Returns False if the ledger ran dry before every curve reached t. A
-        target that is not an integer in 1..horizon raises before any charge.
+        filled as far as it goes and the configs after it get nothing. A
+        config listed twice is charged once. Returns False if the ledger ran
+        dry before every curve reached t. A target that is not an integer in
+        1..horizon raises before any charge.
         """
         horizon = self.oracle.horizon
         if not isinstance(t, (int, np.integer)) or t < 1 or t > horizon:
             raise InvalidParams(f"target budget {t} outside 1..{horizon}")
-        units: list[Configuration] = []
-        budgets: list[int] = []
-        room = self.ledger.remaining
-        histories = self.histories
-        planned: set[int] = set()  # a config listed twice is planned once
-        complete = True
+        return self._extend(configs, t)
+
+    def _extend(self, configs: Iterable[Configuration], t: int) -> bool:
+        """Query, record and charge every missing unit of ``configs`` up to budget t.
+
+        A unit is charged only once its value is recorded, so a query or
+        value that raises charges nothing and leaves every earlier unit
+        charged. A history enters ``histories`` only with its first value.
+        A value in [0, 1] is stored as read; any other goes through
+        :meth:`History.append`.
+        """
+        ledger, histories, incumbents = self.ledger, self.histories, self.trace.incumbents
+        query = self.oracle.query
+        incumbent = incumbents[-1] if incumbents else -math.inf
         for config in configs:
             cid = config.id
             h = histories.get(cid)
-            have = 0 if h is None else len(h.values)
-            if have >= t or cid in planned:
-                continue
-            fill = t - have
-            if fill > room:
-                fill, complete = room, False
-            if fill == 1:
-                units.append(config)
-                budgets.append(have + 1)
-            else:
-                units += [config] * fill
-                budgets += range(have + 1, have + fill + 1)
-            if not complete:
-                break
-            planned.add(cid)
-            room -= fill
-        if units:
-            self._record(units, budgets)
-        return complete
-
-    def _record(self, units: Sequence[Configuration], budgets: Sequence[int]) -> None:
-        """Query ``units[i]`` at ``budgets[i]`` in order and charge each unit.
-
-        The caller has checked that the ledger covers every unit. A unit is
-        charged only once its value is recorded, so a query or value that
-        raises charges nothing and leaves every earlier unit charged. A
-        history is created only when it gets its first value.
-        """
-        ledger, histories, incumbents = self.ledger, self.histories, self.trace.incumbents
-        incumbent = self._incumbent
-        owner = None
-        try:
-            for config, v in zip(units, self.oracle.values(units, budgets)):
-                if config is not owner:  # units come grouped by config
-                    owner = config
-                    h = histories.get(config.id)
-                    if h is None:
-                        h = History(config.id)
-                    recorded = h.values
+            if h is None:
+                h = History(cid)
+            recorded = h.values
+            have = len(recorded)
+            stop = min(t, have + ledger.remaining)
+            for b in range(have + 1, stop + 1):
+                v = query(config, b)
                 if type(v) is float and 0.0 <= v <= 1.0:
                     recorded.append(v)
                 else:
                     h.append(v)  # the tolerance-and-clamp rule
                     v = recorded[-1]
-                histories[config.id] = h
+                histories[cid] = h
                 ledger.spent += 1
                 if v > incumbent:
                     incumbent = v
                 incumbents.append(incumbent)
-        finally:
-            self._incumbent = incumbent
+            if stop < t:
+                return False
+        return True
 
     def outcome(self) -> SearchOutcome:
         """Best evaluated candidate (ties to the lowest id) plus the trace."""

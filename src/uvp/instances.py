@@ -12,7 +12,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -211,27 +211,9 @@ class TabularOracle(ValueOracle):
 
     def query(self, config: Configuration, b: int) -> float:
         self._check_budget(b)
-        if not 0 <= config.id < self.curves.shape[0]:
+        if not 0 <= config.id < len(self.curves):
             raise InvalidParams(f"configuration id {config.id} outside benchmark")
-        return float(self.curves[config.id, b - 1])
-
-    def values(self, configs: Sequence[Configuration], budgets: Sequence[int]) -> Iterable[float]:
-        """One fancy index over ``curves`` when every id and budget is an int in range.
-
-        Otherwise this is the per-pair default, so a bad id or budget raises
-        the error :meth:`query` raises, at the same pair.
-        """
-        ids = [c.id for c in configs]
-        n, horizon = self.curves.shape
-        if (
-            set(map(type, ids)) == set(map(type, budgets)) == {int}
-            and min(ids) >= 0
-            and max(ids) < n
-            and min(budgets) >= 1
-            and max(budgets) <= horizon
-        ):
-            return self.curves[ids, np.subtract(budgets, 1)].tolist()
-        return super().values(configs, budgets)
+        return self.curves.item(config.id, b - 1)
 
 
 @dataclass

@@ -131,6 +131,11 @@ def test_extend_all_charges_config_by_config():
     assert run.extend_all([X[0], X[0], X[1]], 3) is True  # a repeated config is trained once
     assert [len(run.histories[c]) for c in (0, 1, 2)] == [3, 3, 2]
     assert run.ledger.spent == 8
+    # a numpy id and target reach the same history as the int ones
+    assert run.extend_all([Configuration((2.0,), np.int64(2))], np.int64(3)) is True
+    assert run.histories[2].values == [0.7, 0.8, 0.9]
+    assert list(run.histories) == [1, 2, 0]
+    assert run.ledger.spent == len(run.trace) == 9
     assert run.extend_all([], 3) is True
 
 
@@ -143,55 +148,6 @@ def test_extend_all_stops_at_the_first_curve_the_ledger_cannot_fill():
     assert run.extend_all([X[0]], 3) is True  # already full: a dry ledger is not needed
     assert run.extend_all(X, 3) is False
     assert run.ledger.spent == 5
-
-
-def test_tabular_values_equal_queries_pair_by_pair():
-    rng = np.random.default_rng(3)
-    curves = rng.uniform(0.0, 1.0, size=(6, 5))
-    curves[2, 3] = -0.0
-    oracle = curve_oracle(curves)
-    X = line(range(6))
-    for _ in range(50):
-        ids = rng.integers(0, 6, size=rng.integers(1, 12))  # repeated ids included
-        configs = [X[i] for i in ids]
-        budgets = rng.integers(1, 6, size=len(ids)).tolist()
-        got = list(oracle.values(configs, budgets))
-        want = [oracle.query(c, b) for c, b in zip(configs, budgets)]
-        assert repr(got) == repr(want)
-        assert all(type(v) is float for v in got)
-    assert repr(list(oracle.values([X[2]], [4]))) == "[-0.0]"
-    assert list(oracle.values([], [])) == []
-
-
-@pytest.mark.parametrize(
-    "config, b",
-    [
-        (Configuration((0.0,), 6), 1),  # id past the benchmark
-        (Configuration((0.0,), True), 1),  # a bool id, which query refuses
-        (Configuration((0.0,), 1.0), 1),
-        (Configuration((0.0,), 0), 0),
-        (Configuration((0.0,), 0), 4),  # budget past T
-        (Configuration((0.0,), 0), 2.0),
-    ],
-)
-def test_tabular_values_raise_where_the_query_raises(config, b):
-    oracle = curve_oracle(np.full((6, 3), 0.5))
-    X = line(range(6))
-    with pytest.raises(Exception) as expected:
-        oracle.query(config, b)
-    configs, budgets = [X[0], X[1], config, X[2]], [1, 2, b, 3]
-    values = iter(oracle.values(configs, budgets))
-    assert [next(values), next(values)] == [0.5, 0.5]  # the pairs before the fault
-    with pytest.raises(type(expected.value)) as got:
-        next(values)
-    assert str(got.value) == str(expected.value)
-
-
-def test_tabular_values_take_numpy_integers():
-    oracle = curve_oracle(np.arange(12.0).reshape(3, 4) / 12)
-    configs = [Configuration((0.0,), np.int64(2)), Configuration((0.0,), 1)]
-    budgets = [np.int64(4), 1]
-    assert list(oracle.values(configs, budgets)) == [oracle.query(c, b) for c, b in zip(configs, budgets)]
 
 
 def _stepped(oracle, configs, t, cap):
@@ -422,11 +378,12 @@ def test_ledger_validation_and_charging():
 
 
 def test_oracle_rejects_out_of_range_budget():
-    oracle = const_oracle(0.5, horizon=3)
     cfg = Configuration((0.0,), 0)
-    for b in (0, 4):
-        with pytest.raises(InvalidParams, match=f"budget index {b} outside 1..3"):
-            oracle.query(cfg, b)
+    for oracle in (const_oracle(0.5, horizon=3), curve_oracle([[0.5, 0.5, 0.5]])):
+        for b in (0, 4, 2.0, "2"):
+            with pytest.raises(InvalidParams, match=f"budget index {b} outside 1..3"):
+                oracle.query(cfg, b)
+        assert oracle.query(cfg, np.int64(3)) == 0.5
 
 
 def test_run_outcome_breaks_ties_to_lowest_id():

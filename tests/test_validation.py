@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import CallableOracle, brute_force_opt, const_oracle, line
-from uvp import History, InvalidParams, UvpError
+from uvp import Configuration, History, InvalidParams, UvpError
 from uvp.cli import build_parser, run_algorithm
 from uvp.instances import (
     HardInstanceSpec,
@@ -71,6 +71,21 @@ CASES = {
         lambda: CallableOracle(lambda config, b: 0.5, dimension=0, horizon=1),
         InvalidParams,
         "oracle dimension must be >= 1",
+    ),
+    "configuration with a bool id": (
+        lambda: Configuration((0.0,), True),
+        InvalidParams,
+        "configuration id must be an integer, got True",
+    ),
+    "configuration with a float id": (
+        lambda: Configuration((0.0,), 1.0),
+        InvalidParams,
+        "configuration id must be an integer, got 1.0",
+    ),
+    "configuration with a str id": (
+        lambda: Configuration((0.0,), "a"),
+        InvalidParams,
+        "configuration id must be an integer, got 'a'",
     ),
     "a history's repr": (
         lambda: repr(History(3, [0.5])),
