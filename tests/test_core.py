@@ -386,6 +386,34 @@ def test_oracle_rejects_out_of_range_budget():
         assert oracle.query(cfg, np.int64(3)) == 0.5
 
 
+_INDEX_TYPES = [int, np.int64, np.int32, np.uint8]
+
+
+@pytest.mark.parametrize("index", _INDEX_TYPES, ids=lambda t: t.__name__)
+def test_tabular_query_reads_the_stored_float(index):
+    # every (id, b) reads curves[id, b - 1] as a Python float, -0.0 included,
+    # whichever integer type carries the id and the budget
+    curves = np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 5))
+    curves[2, 3] = -0.0
+    oracle = curve_oracle(curves)
+    for i in range(6):
+        config = Configuration((float(i),), index(i))
+        for b in range(1, 6):
+            got = oracle.query(config, index(b))
+            assert type(got) is float
+            assert repr(got) == repr(float(curves[i, b - 1]))
+    assert repr(oracle.query(Configuration((2.0,), index(2)), index(4))) == "-0.0"
+
+
+@pytest.mark.parametrize("index", _INDEX_TYPES, ids=lambda t: t.__name__)
+def test_tabular_query_rejects_an_id_past_the_benchmark(index):
+    oracle = curve_oracle(np.full((6, 3), 0.5))
+    for i in (6, 7):
+        with pytest.raises(InvalidParams, match=f"configuration id {i} outside benchmark"):
+            oracle.query(Configuration((0.0,), index(i)), index(1))
+    assert oracle.query(Configuration((0.0,), index(5)), index(3)) == 0.5
+
+
 def test_run_outcome_breaks_ties_to_lowest_id():
     X = line([0.0, 1.0, 2.0])
     oracle = curve_oracle([[0.5], [0.9], [0.9]])
