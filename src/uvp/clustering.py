@@ -8,16 +8,16 @@ low-value center already rules out.
 Both run on one incremental engine, :class:`Cover`, built once per solve
 (Gonzalez's O(k*n) farthest-first traversal). Each pick folds the new
 center's distance row into the nearest-center distances in O(n*d). The
-value-aware selector keeps its own state for the length of one
-:func:`e_k_center` call: the center values, their best v_max and
-``delta``, every candidate's minimum enhanced distance to a center. It
-folds each probed center's enhanced row into ``delta`` in O(n*d) as long
-as v_max stays put; when v_max rises the value ratios of all centers
-change, and ``delta`` is rebuilt from the coordinates in O(|centers|*n*d)
-before the next pick. The first pick of each call rebuilds it as well,
-because seed values change between calls. Selecting k centers therefore
-costs O(k*n*d) plus one rebuild per rise of v_max, and no k-by-n matrix of
-distance rows is ever kept.
+value-aware selector reads each center's value from the run's histories
+and keeps its own state for the length of one :func:`e_k_center` call:
+the best center value v_max and ``delta``, every candidate's minimum
+enhanced distance to a center. It folds each probed center's enhanced row
+into ``delta`` in O(n*d) as long as v_max stays put; when v_max rises the
+value ratios of all centers change, and ``delta`` is rebuilt from the
+coordinates in O(|centers|*n*d) before the next pick. The first pick of
+each call rebuilds it as well, because seed values change between calls.
+Selecting k centers therefore costs O(k*n*d) plus one rebuild per rise of
+v_max, and no k-by-n matrix of distance rows is ever kept.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     Configuration,
     InvalidParams,
     Run,
+    _is_int,
     config_columns,
     distance_row,
 )
@@ -85,30 +86,27 @@ class Cover:
         self.centers: list[int] = []
         self.chosen = np.zeros(n, dtype=bool)
         self.nearest = np.full(n, np.inf)
-        for c in centers:  # every id is checked before any distance work
-            self._place(c)
-        for c in self.centers:
-            np.minimum(self.nearest, self._row(c), out=self.nearest)
+        for c in centers:
+            self.add(c)
 
     def _row(self, center: int) -> np.ndarray:
         return distance_row(self.columns, self.columns[:, center], self._work)
-
-    def _place(self, center: int) -> None:
-        n = len(self.chosen)
-        if not 0 <= center < n:
-            raise InvalidParams(f"center id {center} outside candidate set of size {n}")
-        if self.chosen[center]:
-            raise InvalidParams(f"center id {center} is already a center")
-        self.centers.append(center)
-        self.chosen[center] = True
 
     def farthest(self, score: np.ndarray) -> int:
         """Open candidate with the highest ``score``; ties go to the lowest id."""
         return int(np.argmax(np.where(self.chosen, -np.inf, score)))
 
     def add(self, center: int) -> np.ndarray:
-        """Make ``center`` a center and return its distance row to every candidate."""
-        self._place(center)
+        """Make ``center`` a center and return its distance row; a bad id changes nothing."""
+        n = len(self.chosen)
+        if not _is_int(center):
+            raise InvalidParams(f"center id must be an integer, got {center!r}")
+        if not 0 <= center < n:
+            raise InvalidParams(f"center id {center} outside candidate set of size {n}")
+        if self.chosen[center]:
+            raise InvalidParams(f"center id {center} is already a center")
+        self.centers.append(center)
+        self.chosen[center] = True
         row = self._row(center)
         np.minimum(self.nearest, row, out=self.nearest)
         return row
@@ -152,13 +150,13 @@ def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[i
     truncated and fewer than ``k`` centers returned.
     """
     _check_selection(k, cover)
+    histories = run.histories
     for s in cover.centers:
-        if len(run.histories.get(s, ())) == 0:
+        if len(histories.get(s, ())) == 0:
             raise InvalidParams(f"seed center {s} has no observations")
     if not epsilon > 0:
         raise InvalidParams("epsilon must be positive")
-    values = {s: run.histories[s].last for s in cover.centers}
-    v_max = max(values.values(), default=-np.inf)
+    v_max = max((histories[c].last for c in cover.centers), default=-np.inf)
     delta = np.empty(len(cover.chosen))  # each candidate's minimum enhanced distance to a center
     stale = True  # seed values are new on entry
     new: list[int] = []
@@ -168,15 +166,16 @@ def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[i
         if stale:
             delta.fill(np.inf)
             for c in cover.centers:
-                np.minimum(delta, _enhanced(cover._row(c), values[c], v_max, epsilon), out=delta)
+                value = histories[c].last
+                np.minimum(delta, _enhanced(cover._row(c), value, v_max, epsilon), out=delta)
             stale = False
         pick = cover.farthest(delta)
         run.extend_to(cover.configs[pick], t)
-        values[pick] = run.histories[pick].last
+        value = histories[pick].last
         row = cover.add(pick)
-        if values[pick] <= v_max:
-            np.minimum(delta, _enhanced(row, values[pick], v_max, epsilon), out=delta)
+        if value <= v_max:
+            np.minimum(delta, _enhanced(row, value, v_max, epsilon), out=delta)
         else:
-            v_max, stale = values[pick], True  # every ratio changed
+            v_max, stale = value, True  # every ratio changed
         new.append(pick)
     return new

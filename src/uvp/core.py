@@ -23,6 +23,11 @@ import numpy as np
 VALUE_TOL = 1e-12
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a ``bool`` is not."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 class UvpError(Exception):
     """Base class for every error raised by this package."""
 
@@ -71,7 +76,7 @@ class Configuration:
             raise InvalidParams("configuration needs at least one coordinate")
         if not all(math.isfinite(c) for c in self.coords):
             raise InvalidParams(f"configuration {self.id} has non-finite coordinates")
-        if type(self.id) is not int and not isinstance(self.id, np.integer):  # bool too
+        if not _is_int(self.id):
             raise InvalidParams(f"configuration id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise InvalidParams("configuration id must be non-negative")
@@ -180,7 +185,7 @@ class ValueOracle(ABC):
         self.horizon = horizon
 
     def _check_budget(self, b: int) -> None:
-        if type(b) is not int and not isinstance(b, (int, np.integer)) or b < 1 or b > self.horizon:
+        if type(b) is not int and not _is_int(b) or b < 1 or b > self.horizon:
             raise InvalidParams(f"budget index {b} outside 1..{self.horizon}")
 
     @abstractmethod
@@ -199,7 +204,7 @@ class BudgetLedger:
     spent: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cap, (int, np.integer)) or self.cap < 0:
+        if not _is_int(self.cap) or self.cap < 0:
             raise InvalidParams(f"budget cap must be a non-negative integer, got {self.cap!r}")
 
     @property
@@ -302,7 +307,7 @@ class Run:
         1..horizon raises before any charge.
         """
         horizon = self.oracle.horizon
-        if not isinstance(t, (int, np.integer)) or t < 1 or t > horizon:
+        if not _is_int(t) or t < 1 or t > horizon:
             raise InvalidParams(f"target budget {t} outside 1..{horizon}")
         return self._extend(configs, t)
 

@@ -32,6 +32,7 @@ from .core import (
     Run,
     SearchOutcome,
     ValueOracle,
+    _is_int,
 )
 
 PREDICTORS = ("two-point", "tail-fit")
@@ -65,7 +66,7 @@ class SolverParams:
     def __post_init__(self) -> None:
         for knob in ("p", "eta", "iterations", "seed"):
             value = getattr(self, knob)
-            if not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise InvalidParams(f"{knob} must be an integer, got {value!r}")
         if self.p < 1:
             raise InvalidParams("p (centers per round) must be >= 1")
@@ -228,18 +229,13 @@ def _adaptive(
 ) -> SearchOutcome:
     _check_pool(X, ledger)
     horizon = oracle.horizon
-    if enhanced:
-        t_explore = int(params.delta * horizon)
-        if t_explore < 1:
-            raise InvalidParams(
-                "e-ada-cent needs floor(delta * horizon) >= 1 for its exploration probes, "
-                f"but delta = {params.delta} and horizon = {horizon} give {t_explore}; "
-                "raise --delta or --horizon"
-            )
-        t_start = t_explore + 1
-    else:
-        t_explore = 0
-        t_start = 1
+    t_explore = int(params.delta * horizon) if enhanced else 0
+    if enhanced and t_explore < 1:
+        raise InvalidParams(
+            "e-ada-cent needs floor(delta * horizon) >= 1 for its exploration probes, "
+            f"but delta = {params.delta} and horizon = {horizon} give {t_explore}; "
+            "raise --delta or --horizon"
+        )
 
     run = Run(oracle, ledger)
     histories = run.histories
@@ -247,15 +243,13 @@ def _adaptive(
     active: list[int] = []
     while ledger.remaining > 0:
         n_new = min(params.p, len(X) - len(cover.centers))
-        if n_new > 0 and enhanced:
+        if enhanced:
             new = clustering.e_k_center(n_new, cover, t_explore, params.epsilon, run)
-        elif n_new > 0:
-            new = clustering.k_center(n_new, cover)
         else:
-            new = []
+            new = clustering.k_center(n_new, cover)
         active = sorted(set(active).union(new))
 
-        for t in range(t_start, horizon + 1):
+        for t in range(t_explore + 1, horizon + 1):
             # a curve trained this far in an earlier round is charged nothing
             if not run.extend_all([X[x] for x in active], t):
                 return run.outcome()  # ledger dry mid-level

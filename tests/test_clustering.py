@@ -39,7 +39,14 @@ def test_k_center_line_example():
 
 
 def test_k_center_zero_picks():
-    assert k_center(0, Cover(line([0.0, 1.0]))) == []
+    X = line([0.0, 1.0])
+    assert k_center(0, Cover(X)) == []
+    # a full cover, as an adaptive round meets once the pool is exhausted
+    run = Run(const_oracle(0.5, horizon=1), BudgetLedger(5))
+    run.extend_all(X, 1)
+    assert k_center(0, Cover(X, [0, 1])) == []
+    assert e_k_center(0, Cover(X, [0, 1]), 1, 0.5, run) == []
+    assert run.ledger.spent == 2
 
 
 def test_k_center_respects_seed():

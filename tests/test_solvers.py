@@ -374,6 +374,21 @@ def test_e_ada_cent_one_round_shape():
     assert len(out.histories) == p  # a second round never started
 
 
+def test_e_ada_cent_first_prune_is_one_level_past_the_probes():
+    # delta * T = 2: both candidates are probed to budget 2 during selection.
+    # At level 2 the forecast of curve 0 (0.2 + 0.1 * 2 = 0.4) is below the
+    # best last value 0.6, at level 3 it (0.9 + 0.7 = 1.6) is not; the first
+    # prune is at level 3, so curve 0 survives and wins
+    curves = [[0.1, 0.2, 0.9, 0.95], [0.5, 0.6, 0.6, 0.6]]
+    ledger = BudgetLedger(8)
+    params = SolverParams(p=2, delta=0.5, epsilon=0.5)
+    out = e_ada_cent(params, line([0.0, 1.0]), curve_oracle(curves), ledger)
+    assert (out.best, out.best_value) == (0, 0.95)
+    assert [out.histories[c].values for c in (0, 1)] == [curves[0], curves[1][:3]]
+    # the 8th unit is left: a second round selects nothing from the full cover
+    assert ledger.spent == 7
+
+
 def test_e_ada_cent_equals_ada_cent_centers_on_equal_values():
     T = 10
     X = line([0.0, 1.0, 2.0, 9.0])

@@ -9,9 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import CallableOracle, brute_force_opt, const_oracle, line
-from uvp import Configuration, History, InvalidParams, UvpError
+from helpers import CallableOracle, brute_force_opt, const_oracle, curve_oracle, line
+from uvp import BudgetLedger, Configuration, History, InvalidParams, Run, UvpError
 from uvp.cli import build_parser, run_algorithm
+from uvp.clustering import Cover, greedy_radius
 from uvp.instances import (
     HardInstanceSpec,
     TabularOracle,
@@ -87,10 +88,58 @@ CASES = {
         InvalidParams,
         "configuration id must be an integer, got 'a'",
     ),
+    "query at a bool budget": (
+        lambda: curve_oracle([[0.1, 0.2]]).query(line([0.0])[0], True),
+        InvalidParams,
+        "budget index True outside 1..2",
+    ),
+    "extend_all to a bool target": (
+        lambda: Run(curve_oracle([[0.1, 0.2], [0.3, 0.4]]), BudgetLedger(10)).extend_all(
+            line([0.0, 1.0]), True
+        ),
+        InvalidParams,
+        "target budget True outside 1..2",
+    ),
+    "ledger with a bool cap": (
+        lambda: BudgetLedger(True),
+        InvalidParams,
+        "budget cap must be a non-negative integer, got True",
+    ),
     "a history's repr": (
         lambda: repr(History(3, [0.5])),
         str,
         "History(owner=3, values=[0.5])",
+    ),
+    # clustering and solvers
+    "cover seeded with a float center id": (
+        lambda: Cover(line([0.0, 1.0, 2.0]), [1.5]),
+        InvalidParams,
+        "center id must be an integer, got 1.5",
+    ),
+    "covering radius of a float center id": (
+        lambda: greedy_radius([2.0], line([0.0, 1.0, 2.0])),
+        InvalidParams,
+        "center id must be an integer, got 2.0",
+    ),
+    "solver params with a bool p": (
+        lambda: SolverParams(p=True),
+        InvalidParams,
+        "p must be an integer, got True",
+    ),
+    "solver params with bool iterations": (
+        lambda: SolverParams(iterations=True),
+        InvalidParams,
+        "iterations must be an integer, got True",
+    ),
+    "solver params with a True seed": (
+        lambda: SolverParams(seed=True),
+        InvalidParams,
+        "seed must be an integer, got True",
+    ),
+    "solver params with a False seed": (
+        lambda: SolverParams(seed=False),
+        InvalidParams,
+        "seed must be an integer, got False",
     ),
     # instances
     "landscape point of the wrong shape": (
