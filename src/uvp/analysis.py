@@ -15,6 +15,7 @@ from .core import (
     Configuration,
     InvalidParams,
     SchemaError,
+    _check_int,
     config_columns,
     distance_row,
 )
@@ -133,7 +134,8 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
 
 
 def check_percentile_args(k: int, alphas: Sequence[float]) -> None:
-    """Raise ``InvalidParams`` unless ``k >= 1`` and every alpha lies in (0, 100]."""
+    """Raise ``InvalidParams`` unless ``k`` is an integer >= 1 and every alpha lies in (0, 100]."""
+    _check_int("cover size k", k)
     if k < 1:
         raise InvalidParams(f"cover size k must be at least 1, got {k}")
     for alpha in alphas:

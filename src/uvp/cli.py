@@ -29,6 +29,7 @@ from .instances import (
     LandscapeOracle,
     gen_hard,
     landscape,
+    landscape_eval,
     load_tabular,
     mesh_grid,
     sample_uniform,
@@ -98,8 +99,9 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _knobs_from(args: argparse.Namespace) -> SolverParams:
-    return SolverParams(**{f.name: getattr(args, f.name) for f in fields(SolverParams)})
+def _from_args(cls, args: argparse.Namespace):
+    """``cls`` built from the parsed arguments named after its dataclass fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _add_knob_args(sub: argparse.ArgumentParser) -> None:
@@ -124,17 +126,17 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, help="units per dataset (default 20 * its horizon)")
 
 
-def _datasets(args: argparse.Namespace) -> list[tuple[str, list, ValueOracle, int]]:
-    """(name, candidates, oracle, budget) per --data file and --landscape kind, sorted by name.
+def _datasets(args: argparse.Namespace) -> dict[str, tuple[list, ValueOracle, int]]:
+    """{name: (candidates, oracle, budget)} per --data file and --landscape kind, sorted by name.
 
     A file is named by its base name without extension, a landscape by its
     kind. Landscapes are read lazily through their oracle, which is built
     (and checks the horizon) before any candidate is sampled.
     """
-    sources = []
+    found = []
     for path in args.data or []:
         bench = load_tabular(path)
-        sources.append((os.path.splitext(os.path.basename(path))[0], bench.configs, bench.oracle()))
+        found.append((os.path.splitext(os.path.basename(path))[0], bench.configs, bench.oracle()))
     for kind in args.landscape or []:
         spec = landscape(kind, args.landscape_seed)
         oracle = LandscapeOracle(spec, args.horizon)
@@ -144,16 +146,16 @@ def _datasets(args: argparse.Namespace) -> list[tuple[str, list, ValueOracle, in
                 f"landscape of {args.n} points at horizon {args.horizon} exceeds cap "
                 f"{HARD_CELL_CAP} on n*horizon cells"
             )
-        sources.append((kind, sample_uniform(spec.domain, args.n, args.seed), oracle))
-    names = [name for name, _, _ in sources]
+        found.append((kind, sample_uniform(spec.domain, args.n, args.seed), oracle))
+    names = [name for name, _, _ in found]
     if len(set(names)) != len(names):
         raise InvalidParams(f"dataset names collide: {names}")
-    datasets = []
-    for name, X, oracle in sorted(sources, key=lambda s: s[0]):
+    datasets = {}
+    for name, X, oracle in sorted(found, key=lambda s: s[0]):
         budget = args.budget if args.budget is not None else 20 * oracle.horizon
         if budget < oracle.horizon:
             raise InvalidParams(f"budget {budget} is below one full evaluation of {name}")
-        datasets.append((name, X, oracle, budget))
+        datasets[name] = (X, oracle, budget)
     return datasets
 
 
@@ -182,8 +184,8 @@ def _write_trace(paths: list[str], trace: Trace) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if len(args.data or []) + len(args.landscape or []) != 1:
         raise InvalidParams("give exactly one of --data or --landscape")
-    [(_, X, oracle, budget)] = _datasets(args)
-    out = run_algorithm(args.algo, X, oracle, budget, oracle.horizon, _knobs_from(args))
+    [(X, oracle, cap)] = _datasets(args).values()
+    out = run_algorithm(args.algo, X, oracle, cap, oracle.horizon, _from_args(SolverParams, args))
     spent = len(out.trace)
     print(f"best_id={out.best} best_value={_fmt(out.best_value)} spent={spent}")
     if args.out:
@@ -217,7 +219,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not 1 <= args.seeds <= SEEDS_CAP:
         raise InvalidParams(f"need between 1 and {SEEDS_CAP} seeds, got {args.seeds}")
     datasets = _datasets(args)
-    caps = {name: cap for name, _, _, cap in datasets}
 
     raw_algos = ",".join(ALGORITHMS) if args.algos is None else args.algos
     algorithms = sorted({a for a in raw_algos.split(",") if a})
@@ -228,19 +229,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise InvalidParams(f"unknown algorithm {alg!r}")
     if args.workers < 1:
         raise InvalidParams(f"need at least one worker, got {args.workers}")
-    knobs = _knobs_from(args)
-    seeds = list(range(args.seed, args.seed + args.seeds))
+    knobs = _from_args(SolverParams, args)
 
     # each (dataset, seed, algorithm) cell's run; a cluster solver reads no
     # seed, so its cells on a dataset share one run, made with the first seed
     runs = {
-        (name, seed, alg): (name, seeds[0] if alg in _CLUSTER_SOLVERS else seed, alg)
-        for name, _, _, _ in datasets
-        for seed in seeds
+        (name, seed, alg): (name, args.seed if alg in _CLUSTER_SOLVERS else seed, alg)
+        for name in datasets
+        for seed in range(args.seed, args.seed + args.seeds)
         for alg in algorithms
     }
-    sources = {name: (X, oracle, cap) for name, X, oracle, cap in datasets}
-    tasks = {run: (*sources[run[0]], run[1], run[2], knobs) for run in runs.values()}
+    tasks = {run: (*datasets[run[0]], run[1], run[2], knobs) for run in runs.values()}
     # the pool forks all its workers on first use, so never ask for more than there are runs
     workers = min(args.workers, len(tasks))
     if workers > 1:
@@ -250,9 +249,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             outcomes = dict(zip(tasks, pool.map(_bench_cell, tasks.values())))
     else:
         outcomes = {run: _bench_cell(task) for run, task in tasks.items()}
-    cells = {key: outcomes[run] for key, run in runs.items()}
-    failures = sorted((*key, cell) for key, cell in cells.items() if isinstance(cell, str))
-    done = {key: cell for key, cell in cells.items() if not isinstance(cell, str)}
+    done = {key: outcomes[run] for key, run in runs.items() if not isinstance(outcomes[run], str)}
+    failures = sorted((*key, outcomes[run]) for key, run in runs.items() if key not in done)
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -280,7 +278,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     failed = {alg for _, _, alg, _ in failures}
     ranked = {key: trace for key, (trace, _) in done.items() if key[2] not in failed}
     if ranked:
-        table = mean_rank(ranked, caps)
+        table = mean_rank(ranked, {name: cap for name, (_, _, cap) in datasets.items()})
         if args.out:
             _write_csv(
                 os.path.join(args.out, "mean_rank.csv"),
@@ -291,7 +289,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ranking = ", ".join(f"{table.algorithms[i]}={table.means[-1][i]:.2f}" for i in order)
         print(f"mean rank at full budget: {ranking}")
     if failures:
-        print(f"{len(failures)} of {len(cells)} cells failed; see failures.csv", file=sys.stderr)
+        print(f"{len(failures)} of {len(runs)} cells failed; see failures.csv", file=sys.stderr)
         return 2
     return 0
 
@@ -339,27 +337,15 @@ def _cmd_estimate_eps(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if (args.hard is None) == (args.landscape is None):
+    if (args.variant is None) == (args.landscape is None):
         raise InvalidParams("give exactly one of --hard or --landscape")
-    if args.hard is not None:
-        spec = HardInstanceSpec(
-            variant=args.hard,
-            epsilon=args.epsilon,
-            beta=args.beta,
-            k=args.k,
-            n_per_cluster=args.n,
-            r=args.r,
-            horizon=args.horizon,
-            theta_frac=args.theta_frac,
-            seed=args.seed,
-        )
-        configs, oracle = gen_hard(spec)
+    if args.variant is not None:
+        configs, oracle = gen_hard(_from_args(HardInstanceSpec, args))
         curves = oracle.curves
     else:
         lspec = landscape(args.landscape, args.seed)
         configs = mesh_grid(lspec.domain, args.mesh)
-        oracle = LandscapeOracle(lspec)
-        curves = np.asarray([[oracle.query(c, 1)] for c in configs])
+        curves = np.asarray([[landscape_eval(lspec, c.coords)] for c in configs])
     save_tabular(args.out, configs, curves)
     print(f"wrote {args.out}: n={len(configs)} d={configs[0].dimension} T={curves.shape[1]}")
     return 0
@@ -401,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(fn=_cmd_estimate_eps)
 
     gen = subs.add_parser("gen", help="write a synthetic benchmark CSV")
-    gen.add_argument("--hard", choices=("fc", "ac"), help="clustered worst-case instance variant")
+    gen.add_argument(
+        "--hard", dest="variant", choices=("fc", "ac"), help="clustered worst-case instance variant"
+    )
     gen.add_argument(
         "--landscape", choices=LANDSCAPE_KINDS, help="tabulate an analytic surface on a mesh"
     )
@@ -409,7 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--epsilon", type=float, default=0.2)
     gen.add_argument("--beta", type=float, default=2.0)
     gen.add_argument("--k", type=int, default=2)
-    gen.add_argument("--n", type=int, default=5, help="configurations per cluster")
+    gen.add_argument(
+        "--n", dest="n_per_cluster", metavar="N", type=int, default=5,
+        help="configurations per cluster",
+    )
     gen.add_argument("--r", type=float, default=1.0, help="intra-cluster distance")
     gen.add_argument("--horizon", type=int, default=3)
     gen.add_argument("--theta-frac", type=float, default=0.5)

@@ -30,7 +30,7 @@ from .core import (
     Configuration,
     InvalidParams,
     Run,
-    _is_int,
+    _check_int,
     config_columns,
     distance_row,
 )
@@ -41,6 +41,7 @@ DEFAULT_ETA_CAP = 1e6
 
 
 def _check_selection(k: int, cover: Cover) -> None:
+    _check_int("k", k)
     if k < 0:
         raise InvalidParams(f"cannot select {k} centers")
     n, seeds = len(cover.chosen), len(cover.centers)
@@ -99,8 +100,7 @@ class Cover:
     def add(self, center: int) -> np.ndarray:
         """Make ``center`` a center and return its distance row; a bad id changes nothing."""
         n = len(self.chosen)
-        if not _is_int(center):
-            raise InvalidParams(f"center id must be an integer, got {center!r}")
+        _check_int("center id", center)
         if not 0 <= center < n:
             raise InvalidParams(f"center id {center} outside candidate set of size {n}")
         if self.chosen[center]:

@@ -28,6 +28,12 @@ def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _check_int(what: str, x) -> None:
+    """Raise ``InvalidParams`` unless ``x`` is a Python or numpy integer."""
+    if not _is_int(x):
+        raise InvalidParams(f"{what} must be an integer, got {x!r}")
+
+
 class UvpError(Exception):
     """Base class for every error raised by this package."""
 
@@ -76,8 +82,7 @@ class Configuration:
             raise InvalidParams("configuration needs at least one coordinate")
         if not all(math.isfinite(c) for c in self.coords):
             raise InvalidParams(f"configuration {self.id} has non-finite coordinates")
-        if not _is_int(self.id):
-            raise InvalidParams(f"configuration id must be an integer, got {self.id!r}")
+        _check_int("configuration id", self.id)
         if self.id < 0:
             raise InvalidParams("configuration id must be non-negative")
 
@@ -177,6 +182,8 @@ class ValueOracle(ABC):
     """Answers value queries A(x, b) for budgets 1..horizon. Stateless reads."""
 
     def __init__(self, dimension: int, horizon: int) -> None:
+        _check_int("oracle dimension", dimension)
+        _check_int("oracle horizon", horizon)
         if dimension < 1:
             raise InvalidParams("oracle dimension must be >= 1")
         if horizon < 1:

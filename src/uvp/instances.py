@@ -22,6 +22,7 @@ from .core import (
     ParseError,
     SchemaError,
     ValueOracle,
+    _check_int,
     distance_row,
 )
 
@@ -53,6 +54,7 @@ class LandscapeSpec:
 
 
 def _check_seed(seed: int) -> None:
+    _check_int("seed", seed)
     if seed < 0:
         raise InvalidParams(f"seed must be non-negative, got {seed}")
 
@@ -165,6 +167,7 @@ def _configs(points: np.ndarray) -> list[Configuration]:
 
 def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configuration]:
     """Regular m-per-dimension grid over ``bounds`` (at most MESH_CAP points), row-major ids."""
+    _check_int("mesh size m", m)
     if m < 2:
         raise InvalidParams("mesh needs at least 2 points per dimension")
     if len(bounds) < 1:
@@ -179,6 +182,7 @@ def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configurati
 
 def sample_uniform(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> list[Configuration]:
     """n points (at most MESH_CAP) uniform over the box, seeded; degenerate bounds collapse."""
+    _check_int("sample size n", n)
     if n < 1:
         raise InvalidParams("need at least one sample")
     if n > MESH_CAP:  # checked before any draw
@@ -222,6 +226,13 @@ class TabularBenchmark:
 
     configs: list[Configuration]
     curves: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.curves)
+        if len(shape) != 2 or shape[0] != len(self.configs):
+            raise InvalidParams(
+                f"curves of shape {shape} need one row per configuration ({len(self.configs)})"
+            )
 
     @property
     def n(self) -> int:
@@ -558,6 +569,8 @@ class HardInstanceSpec:
             raise InvalidParams("epsilon must be positive")
         if not self.beta > 1:
             raise InvalidParams("beta must exceed 1")
+        for name in ("k", "n_per_cluster", "horizon"):
+            _check_int(name, getattr(self, name))
         if self.k < 1 or self.n_per_cluster < 1:
             raise InvalidParams("k and n_per_cluster must be >= 1")
         if not self.r > 0:
@@ -636,6 +649,8 @@ def gen_smooth(
     satisfy the ratio bound at level ``epsilon`` with margin. All curves are
     non-decreasing and have non-increasing increments.
     """
+    for name, value in (("n", n), ("d", d), ("horizon", horizon)):
+        _check_int(name, value)
     if n < 2 or d < 1:
         raise InvalidParams("need n >= 2 configurations and d >= 1 dimensions")
     if not epsilon > 0:

@@ -32,7 +32,7 @@ from .core import (
     Run,
     SearchOutcome,
     ValueOracle,
-    _is_int,
+    _check_int,
 )
 
 PREDICTORS = ("two-point", "tail-fit")
@@ -65,9 +65,7 @@ class SolverParams:
 
     def __post_init__(self) -> None:
         for knob in ("p", "eta", "iterations", "seed"):
-            value = getattr(self, knob)
-            if not _is_int(value):
-                raise InvalidParams(f"{knob} must be an integer, got {value!r}")
+            _check_int(knob, getattr(self, knob))
         if self.p < 1:
             raise InvalidParams("p (centers per round) must be >= 1")
         if not self.epsilon > 0:

@@ -16,7 +16,16 @@ from helpers import configs_from, const_oracle, line
 from uvp import cli
 from uvp.cli import ALGORITHMS, entry, run_algorithm
 from uvp.core import BudgetLedger, InvalidParams, Trace
-from uvp.instances import HardInstanceSpec, gen_hard, gen_smooth, load_tabular, save_tabular
+from uvp.instances import (
+    HardInstanceSpec,
+    gen_hard,
+    gen_smooth,
+    landscape,
+    landscape_eval,
+    load_tabular,
+    mesh_grid,
+    save_tabular,
+)
 from uvp.solvers import SolverParams
 
 
@@ -253,7 +262,7 @@ def test_knobs_are_solver_params_without_budget_and_horizon():
 def test_knob_defaults_are_solver_params(argv):
     # --predictor is the one CLI default that differs from the library's
     args = cli.build_parser().parse_args(argv)
-    assert cli._knobs_from(args) == SolverParams(predictor="tail-fit")
+    assert cli._from_args(SolverParams, args) == SolverParams(predictor="tail-fit")
 
 
 def test_solve_requires_exactly_one_source(tmp_path, capsys):
@@ -720,6 +729,27 @@ def test_gen_landscape_mesh(tmp_path):
     assert bench.n == 9 and bench.horizon == 1
     # row-major mesh over [-8, 8]^2 puts the origin at id 4, outside the bump
     assert bench.curves[4, 0] == pytest.approx(0.2)
+
+
+def test_gen_writes_what_the_library_writes(tmp_path):
+    # every gen option reaches the spec: --theta-frac moves the ac decoys' plateau
+    hard, lib = tmp_path / "hard.csv", tmp_path / "lib.csv"
+    assert entry(["gen", "--hard", "ac", "--epsilon", "0.2", "--beta", "3", "--k", "2",
+                  "--n", "4", "--r", "0.5", "--horizon", "10", "--theta-frac", "0.3",
+                  "--seed", "5", "--out", str(hard)]) == 0
+    spec = HardInstanceSpec(variant="ac", epsilon=0.2, beta=3.0, k=2, n_per_cluster=4,
+                            r=0.5, horizon=10, theta_frac=0.3, seed=5)
+    configs, oracle = gen_hard(spec)
+    save_tabular(str(lib), configs, oracle.curves)
+    assert hard.read_bytes() == lib.read_bytes()
+
+    mesh = tmp_path / "mesh.csv"
+    assert entry(["gen", "--landscape", "multimodal-bumps", "--mesh", "7", "--seed", "2",
+                  "--out", str(mesh)]) == 0
+    spec = landscape("multimodal-bumps", 2)
+    configs = mesh_grid(spec.domain, 7)
+    save_tabular(str(lib), configs, np.asarray([[landscape_eval(spec, c.coords)] for c in configs]))
+    assert mesh.read_bytes() == lib.read_bytes()
 
 
 def test_gen_same_seed_identical_bytes(tmp_path):

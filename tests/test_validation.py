@@ -11,10 +11,13 @@ import pytest
 
 from helpers import CallableOracle, brute_force_opt, const_oracle, curve_oracle, line
 from uvp import BudgetLedger, Configuration, History, InvalidParams, Run, UvpError
+from uvp.analysis import epsilon_pairwise, epsilon_percentiles
 from uvp.cli import build_parser, run_algorithm
-from uvp.clustering import Cover, greedy_radius
+from uvp.clustering import Cover, greedy_radius, k_center
 from uvp.instances import (
     HardInstanceSpec,
+    LandscapeOracle,
+    TabularBenchmark,
     TabularOracle,
     gen_smooth,
     landscape,
@@ -105,6 +108,21 @@ CASES = {
         InvalidParams,
         "budget cap must be a non-negative integer, got True",
     ),
+    "oracle of a float horizon": (
+        lambda: LandscapeOracle(_RADIAL, 2.5),
+        InvalidParams,
+        "oracle horizon must be an integer, got 2.5",
+    ),
+    "oracle of a bool horizon": (
+        lambda: LandscapeOracle(_RADIAL, True),
+        InvalidParams,
+        "oracle horizon must be an integer, got True",
+    ),
+    "oracle of a float dimension": (
+        lambda: TabularOracle(np.ones((2, 3)), 2.0),
+        InvalidParams,
+        "oracle dimension must be an integer, got 2.0",
+    ),
     "a history's repr": (
         lambda: repr(History(3, [0.5])),
         str,
@@ -120,6 +138,33 @@ CASES = {
         lambda: greedy_radius([2.0], line([0.0, 1.0, 2.0])),
         InvalidParams,
         "center id must be an integer, got 2.0",
+    ),
+    "k_center with a float k": (
+        lambda: k_center(2.5, Cover(line([0.0, 1.0, 2.0]))),
+        InvalidParams,
+        "k must be an integer, got 2.5",
+    ),
+    "k_center with a bool k": (
+        lambda: k_center(True, Cover(line([0.0, 1.0, 2.0]))),
+        InvalidParams,
+        "k must be an integer, got True",
+    ),
+    "epsilon percentiles with a float k": (
+        lambda: epsilon_percentiles(
+            epsilon_pairwise(TabularBenchmark(line([0.0, 1.0, 2.0]), np.full((3, 2), 0.5))), 1.5
+        ),
+        InvalidParams,
+        "cover size k must be an integer, got 1.5",
+    ),
+    "epsilon levels of curves with a row too many": (
+        lambda: epsilon_pairwise(TabularBenchmark(line([0.0, 1.0, 2.0]), np.ones((4, 2)))),
+        InvalidParams,
+        "curves of shape (4, 2) need one row per configuration (3)",
+    ),
+    "tabular benchmark of one curve": (
+        lambda: TabularBenchmark(line([0.0]), np.ones(2)),
+        InvalidParams,
+        "curves of shape (2,) need one row per configuration (1)",
     ),
     "solver params with a bool p": (
         lambda: SolverParams(p=True),
@@ -152,6 +197,16 @@ CASES = {
         InvalidParams,
         "unknown landscape kind 'flat'",
     ),
+    "landscape with a float seed": (
+        lambda: landscape("multimodal-bumps", 1.5),
+        InvalidParams,
+        "seed must be an integer, got 1.5",
+    ),
+    "mesh of a float size": (
+        lambda: mesh_grid([(0.0, 1.0)], 3.0),
+        InvalidParams,
+        "mesh size m must be an integer, got 3.0",
+    ),
     "mesh without bounds": (
         lambda: mesh_grid([], 3),
         InvalidParams,
@@ -161,6 +216,16 @@ CASES = {
         lambda: sample_uniform([(0.0, 1.0)], 0, 0),
         InvalidParams,
         "need at least one sample",
+    ),
+    "sample of a float size": (
+        lambda: sample_uniform([(0.0, 1.0)], 10.0, 0),
+        InvalidParams,
+        "sample size n must be an integer, got 10.0",
+    ),
+    "sample with a float seed": (
+        lambda: sample_uniform([(0.0, 1.0)], 5, 1.5),
+        InvalidParams,
+        "seed must be an integer, got 1.5",
     ),
     "sample without bounds": (
         lambda: sample_uniform([], 5, 0),
@@ -187,6 +252,26 @@ CASES = {
         InvalidParams,
         "k and n_per_cluster must be >= 1",
     ),
+    "hard instance of a float k": (
+        lambda: _hard(k=2.0),
+        InvalidParams,
+        "k must be an integer, got 2.0",
+    ),
+    "hard instance of a fractional cluster size": (
+        lambda: _hard(n_per_cluster=2.5),
+        InvalidParams,
+        "n_per_cluster must be an integer, got 2.5",
+    ),
+    "hard instance of a fractional horizon": (
+        lambda: _hard(horizon=3.5),
+        InvalidParams,
+        "horizon must be an integer, got 3.5",
+    ),
+    "hard instance with a float seed": (
+        lambda: _hard(seed=1.5),
+        InvalidParams,
+        "seed must be an integer, got 1.5",
+    ),
     "hard instance of horizon 0": (
         lambda: _hard(horizon=0),
         InvalidParams,
@@ -201,6 +286,26 @@ CASES = {
         lambda: gen_smooth(1, 2, 3, 0.3, 0),
         InvalidParams,
         "need n >= 2 configurations and d >= 1 dimensions",
+    ),
+    "smooth instance of a fractional size": (
+        lambda: gen_smooth(5.5, 2, 3, 0.3, 0),
+        InvalidParams,
+        "n must be an integer, got 5.5",
+    ),
+    "smooth instance of a float dimension": (
+        lambda: gen_smooth(5, 2.0, 3, 0.3, 0),
+        InvalidParams,
+        "d must be an integer, got 2.0",
+    ),
+    "smooth instance of a float horizon": (
+        lambda: gen_smooth(5, 2, 4.0, 0.3, 0),
+        InvalidParams,
+        "horizon must be an integer, got 4.0",
+    ),
+    "smooth instance with a float seed": (
+        lambda: gen_smooth(5, 2, 3, 0.3, 1.5),
+        InvalidParams,
+        "seed must be an integer, got 1.5",
     ),
     "smooth instance of horizon 0": (
         lambda: gen_smooth(5, 2, 0, 0.3, 0),
