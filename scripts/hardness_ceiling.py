@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from uvp import BudgetLedger, SolverParams
-from uvp.baselines import random_search
 from uvp.instances import HardInstanceSpec, gen_hard
+from uvp.solvers import random_search
 
 
 def parse_args():

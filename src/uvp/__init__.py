@@ -1,9 +1,9 @@
 """Budget-allocation search for expensive configuration evaluation.
 
 The package splits into value plumbing (:mod:`uvp.core`), cover-based
-selection (:mod:`uvp.clustering`), the solvers and baselines
-(:mod:`uvp.solvers`, :mod:`uvp.baselines`), instance sources
-(:mod:`uvp.instances`) and measurement tools (:mod:`uvp.analysis`).
+selection (:mod:`uvp.clustering`), the four solvers and three
+baselines (:mod:`uvp.solvers`), instance sources (:mod:`uvp.instances`)
+and measurement tools (:mod:`uvp.analysis`).
 """
 
 from .analysis import (
@@ -14,7 +14,6 @@ from .analysis import (
     incumbent_at,
     mean_rank,
 )
-from .baselines import hyperband, random_search, successive_halving
 from .clustering import (
     Cover,
     e_k_center,
@@ -56,7 +55,10 @@ from .solvers import (
     e_ada_cent,
     e_full_cent,
     full_cent,
+    hyperband,
     pred,
+    random_search,
+    successive_halving,
     tail_fit_pred,
 )
 

@@ -19,7 +19,6 @@ from .analysis import DEFAULT_ALPHAS, check_percentile_args, mean_rank
 from .analysis import _level_rows, _scaled_percentiles
 # estimate-eps no longer calls these two; perfbench/tracing.py wraps them by name here
 from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
-from .baselines import hyperband, random_search, successive_halving
 from .core import BudgetLedger, InvalidParams, SearchOutcome, Trace, UvpError, ValueOracle
 from .instances import (
     HARD_CELL_CAP,
@@ -36,6 +35,7 @@ from .instances import (
     save_tabular,
 )
 from .solvers import PREDICTORS, SolverParams, ada_cent, e_ada_cent, e_full_cent, full_cent
+from .solvers import hyperband, random_search, successive_halving
 
 _CLUSTER_SOLVERS = {
     "full-cent": full_cent,

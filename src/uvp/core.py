@@ -34,6 +34,12 @@ def _check_int(what: str, x) -> None:
         raise InvalidParams(f"{what} must be an integer, got {x!r}")
 
 
+def _check_seed(seed: int) -> None:
+    _check_int("seed", seed)
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
+
+
 class UvpError(Exception):
     """Base class for every error raised by this package."""
 

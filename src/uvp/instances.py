@@ -23,17 +23,23 @@ from .core import (
     SchemaError,
     ValueOracle,
     _check_int,
+    _check_seed,
     distance_row,
 )
 
-LANDSCAPE_KINDS = (
-    "radial-decay",
-    "off-centre-peak",
-    "cosine-ring",
-    "radial-ripples",
-    "double-rings",
-    "multimodal-bumps",
-)
+# kind: (h, params or the number of seeded bumps) for a surface on [-h, h]^2
+_LANDSCAPES = {
+    "radial-decay": (8.0, {"rate": 0.18}),
+    "off-centre-peak": (
+        8.0,
+        {"base": 0.6, "base_width": 200.0, "peak_width": 50.0, "peak": (0.2, -0.1)},
+    ),
+    "cosine-ring": (8.0, {"radius": 3.0, "width": 3.0, "height": 0.06, "floor": 0.2}),
+    "radial-ripples": (10.0, 150),
+    "double-rings": (10.0, {}),
+    "multimodal-bumps": (10.0, 30),
+}
+LANDSCAPE_KINDS = tuple(_LANDSCAPES)
 
 MESH_CAP = 10**6
 # gen_hard's arrays hold m*n*(m + n + T) cells: points (m*n, m + n), curves (m*n, T)
@@ -53,12 +59,6 @@ class LandscapeSpec:
     domain: tuple[tuple[float, float], ...] = ((-8.0, 8.0), (-8.0, 8.0))
 
 
-def _check_seed(seed: int) -> None:
-    _check_int("seed", seed)
-    if seed < 0:
-        raise InvalidParams(f"seed must be non-negative, got {seed}")
-
-
 def landscape(kind: str, seed: int = 0) -> LandscapeSpec:
     """Build a landscape spec with its standard parameters.
 
@@ -68,33 +68,15 @@ def landscape(kind: str, seed: int = 0) -> LandscapeSpec:
     if kind not in LANDSCAPE_KINDS:
         raise InvalidParams(f"unknown landscape kind {kind!r}")
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    if kind == "radial-decay":
-        return LandscapeSpec(kind, {"rate": 0.18}, ((-8.0, 8.0), (-8.0, 8.0)))
-    if kind == "off-centre-peak":
-        return LandscapeSpec(
-            kind,
-            {"base": 0.6, "base_width": 200.0, "peak_width": 50.0, "peak": (0.2, -0.1)},
-            ((-8.0, 8.0), (-8.0, 8.0)),
-        )
-    if kind == "cosine-ring":
-        return LandscapeSpec(
-            kind,
-            {"radius": 3.0, "width": 3.0, "height": 0.06, "floor": 0.2},
-            ((-8.0, 8.0), (-8.0, 8.0)),
-        )
-    if kind == "double-rings":
-        return LandscapeSpec(kind, {}, ((-10.0, 10.0), (-10.0, 10.0)))
-    count = 150 if kind == "radial-ripples" else 30
-    return LandscapeSpec(
-        kind,
-        {
-            "heights": rng.uniform(0.03, 1.0, count),
-            "centres": rng.uniform(-8.0, 8.0, (count, 2)),
-            "widths": rng.uniform(0.15, 0.8, count),
-        },
-        ((-10.0, 10.0), (-10.0, 10.0)),
-    )
+    h, params = _LANDSCAPES[kind]
+    if isinstance(params, int):
+        rng = np.random.default_rng(seed)
+        params = {
+            "heights": rng.uniform(0.03, 1.0, params),
+            "centres": rng.uniform(-8.0, 8.0, (params, 2)),
+            "widths": rng.uniform(0.15, 0.8, params),
+        }
+    return LandscapeSpec(kind, dict(params), ((-h, h),) * 2)
 
 
 def _bump_sum(x: np.ndarray, p: Mapping) -> float:

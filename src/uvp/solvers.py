@@ -1,7 +1,9 @@
-"""Budget-allocation solvers built on center selection and curve extrapolation.
+"""The seven budget-allocation algorithms, their knobs and their preconditions.
 
-Four strategies share the contract of every algorithm in this package,
-(params, candidates, oracle, ledger) -> SearchOutcome:
+Every algorithm is called as ``fn(params, X, oracle, ledger) -> SearchOutcome``.
+It spends what the ledger has left at entry, trains up to ``oracle.horizon``
+and never exceeds the ledger cap. Four solvers build on center selection and
+curve extrapolation:
 
 * ``full_cent``:   pick floor(B/T) spread-out centers, train each to T.
 * ``e_full_cent``: same, but selection uses the value-aware distance and
@@ -14,12 +16,16 @@ Four strategies share the contract of every algorithm in this package,
                    whether the paper means it or the incumbent is open.
 * ``e_ada_cent``:  ada_cent with value-aware selection and short probes of
                    floor(delta*T) units during selection.
+
+Three baselines, ``random_search``, ``successive_halving`` and ``hyperband``,
+read only the ``seed``, ``eta`` and ``iterations`` knobs. They draw arms without
+replacement with a seeded generator; extending a curve charges only new units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +39,7 @@ from .core import (
     SearchOutcome,
     ValueOracle,
     _check_int,
+    _check_seed,
 )
 
 PREDICTORS = ("two-point", "tail-fit")
@@ -80,8 +87,7 @@ class SolverParams:
             raise InvalidParams("eta must be >= 2")
         if self.iterations < 1:
             raise InvalidParams("iterations must be >= 1")
-        if self.seed < 0:
-            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
 
 
 def pred(values: Sequence[float], horizon: int) -> float:
@@ -257,4 +263,103 @@ def _adaptive(
             active = [x for x in active if _keeps(histories[x].values, params, horizon, best_last)]
         if not new:
             break  # candidate pool exhausted after a last extension
+    return run.outcome()
+
+
+def random_search(
+    params: SolverParams,
+    X: Sequence[Configuration],
+    oracle: ValueOracle,
+    ledger: BudgetLedger,
+) -> SearchOutcome:
+    """Draw floor(B/T) distinct configurations uniformly and train each fully."""
+    _check_pool(X, ledger)
+    k = _num_centers(ledger, oracle)
+    if k > len(X):
+        raise InvalidParams(f"cannot draw {k} distinct arms from {len(X)}")
+    rng = np.random.default_rng(params.seed)
+    run = Run(oracle, ledger)
+    run.extend_all([X[a] for a in rng.choice(len(X), size=k, replace=False)], oracle.horizon)
+    return run.outcome()
+
+
+def _rung_budgets(s: int, eta: int, horizon: int) -> list[int]:
+    # Geometric rungs ending exactly at the horizon; early rungs floor to >= 1.
+    return [max(1, horizon // eta ** (s - i)) for i in range(s + 1)]
+
+
+def _bracket_cost(s: int, eta: int, horizon: int) -> int:
+    cost, prev = 0, 0
+    for i, r in enumerate(_rung_budgets(s, eta, horizon)):
+        cost += eta ** (s - i) * (r - prev)
+        prev = r
+    return cost
+
+
+def _depth(eta: int, n: int, budget: int, horizon: int) -> int:
+    """Deepest bracket s: eta**s arms fit a pool of ``n``, its schedule fits the budget.
+
+    Successive halving runs this bracket alone; Hyperband starts from it.
+    """
+    s = 0
+    while eta ** (s + 1) <= n and _bracket_cost(s + 1, eta, horizon) <= budget:
+        s += 1
+    return s
+
+
+def _run_bracket(run: Run, X: Sequence[Configuration], arms: Sequence[int], s: int, eta: int) -> None:
+    """One halving bracket: extend arms rung by rung, keep the top 1/eta each time."""
+    alive = list(arms)
+    for i, r in enumerate(_rung_budgets(s, eta, run.oracle.horizon)):
+        if not run.extend_all([X[a] for a in alive], r):
+            return  # ledger cap intervened mid-rung
+        if i < s:
+            keep = max(1, len(alive) // eta)
+            # rank by the value observed at this rung's budget, ties to low id
+            alive = sorted(alive, key=lambda a: (-run.histories[a].values[r - 1], a))[:keep]
+
+
+def successive_halving(
+    params: SolverParams,
+    X: Sequence[Configuration],
+    oracle: ValueOracle,
+    ledger: BudgetLedger,
+) -> SearchOutcome:
+    """Standard halving: Hyperband's top bracket alone (``iterations=1``).
+
+    Runs the bracket of :func:`_depth`, the largest eta-power cohort whose
+    schedule fits the budget, through geometric rungs keeping the top 1/eta
+    per rung, and trains the final survivor to the horizon. Leftover budget
+    is left unspent.
+    """
+    return hyperband(replace(params, iterations=1), X, oracle, ledger)
+
+
+def hyperband(
+    params: SolverParams,
+    X: Sequence[Configuration],
+    oracle: ValueOracle,
+    ledger: BudgetLedger,
+) -> SearchOutcome:
+    """Bracket loop from aggressive to conservative, truncated by the ledger cap.
+
+    The top bracket s_max is the deepest that fits (:func:`_depth`); one
+    iteration is :func:`successive_halving`, and further iterations step s
+    downward. Bracket s runs ceil((s_max+1)/(s+1) * eta**s) arms (capped at
+    the pool size) through an s-deep halving schedule. Histories are shared across brackets, so
+    re-drawing an arm only pays for budget it has not reached yet.
+    """
+    _check_pool(X, ledger)
+    _num_centers(ledger, oracle)  # raises unless one full evaluation fits the budget
+    s_max = _depth(params.eta, len(X), ledger.remaining, oracle.horizon)
+    s_stop = max(0, s_max - params.iterations + 1)
+    rng = np.random.default_rng(params.seed)
+    run = Run(oracle, ledger)
+    for s in range(s_max, s_stop - 1, -1):
+        if ledger.remaining == 0:
+            break
+        n = math.ceil((s_max + 1) / (s + 1) * params.eta**s)
+        n = min(n, len(X))
+        arms = [int(a) for a in rng.choice(len(X), size=n, replace=False)]
+        _run_bracket(run, X, arms, s, params.eta)
     return run.outcome()

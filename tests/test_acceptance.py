@@ -25,7 +25,6 @@ from helpers import (
 )
 from uvp import BudgetLedger, Run
 from uvp.analysis import epsilon_pairwise, mean_rank
-from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import entry
 from uvp.clustering import Cover, e_k_center, k_center
 from uvp.instances import (
@@ -38,7 +37,17 @@ from uvp.instances import (
     sample_uniform,
     save_tabular,
 )
-from uvp.solvers import SolverParams, ada_cent, e_ada_cent, e_full_cent, full_cent, pred
+from uvp.solvers import (
+    SolverParams,
+    ada_cent,
+    e_ada_cent,
+    e_full_cent,
+    full_cent,
+    hyperband,
+    pred,
+    random_search,
+    successive_halving,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -1,6 +1,7 @@
 """Core plumbing: histories, ledger accounting, run bookkeeping and spending."""
 
 import gc
+import importlib.util
 import pickle
 import tracemalloc
 
@@ -27,7 +28,7 @@ from uvp import (
     Run,
     UvpError,
 )
-from uvp import cli
+from uvp import cli, solvers
 from uvp.cli import run_algorithm
 from uvp.core import Trace, config_columns, distance_row
 from uvp.instances import gen_smooth
@@ -545,3 +546,14 @@ def test_no_test_only_reference_in_the_package():
     for name in moved:  # moved to tests/helpers.py, with no alias left
         for module in (uvp, uvp.analysis, uvp.instances, uvp.core):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_one_module_holds_every_algorithm():
+    assert importlib.util.find_spec("uvp.baselines") is None  # no alias module
+    baselines = {"random": "random_search", "sha": "successive_halving", "hyperband": "hyperband"}
+    for name in baselines.values():
+        assert getattr(cli, name) is getattr(solvers, name)
+    behind = {**cli._CLUSTER_SOLVERS, **{k: getattr(cli, v) for k, v in baselines.items()}}
+    assert tuple(behind) == cli.ALGORITHMS
+    for name, fn in behind.items():
+        assert fn.__module__ == "uvp.solvers", name

@@ -1,6 +1,10 @@
 """Instance sources: analytic landscapes, hardness generators, tabular IO."""
 
+import argparse
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +32,39 @@ from uvp.instances import (
     sample_uniform,
     save_tabular,
 )
+from uvp.cli import build_parser
 
 
 # ---------------------------------------------------------------------------
 # landscapes
+
+
+def test_landscape_catalogue_is_pinned(monkeypatch):
+    kinds = (
+        "radial-decay",
+        "off-centre-peak",
+        "cosine-ring",
+        "radial-ripples",
+        "double-rings",
+        "multimodal-bumps",
+    )
+    assert LANDSCAPE_KINDS == kinds
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("gen", "solve", "bench"):
+        options = commands.choices[command]._actions
+        assert [a.choices for a in options if a.dest == "landscape"] == [kinds], command
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_on_landscapes.py"
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    assert runpy.run_path(str(path))["parse_args"]().kinds == ",".join(kinds)
+
+    for kind in kinds:
+        h = 8.0 if kind in ("radial-decay", "off-centre-peak", "cosine-ring") else 10.0
+        spec = landscape(kind)
+        assert spec.domain == ((-h, h), (-h, h)), kind
+        keys = set(spec.params)
+        spec.params.clear()
+        spec.params["edited"] = 1.0
+        assert set(landscape(kind).params) == keys, kind  # the spec holds a copy
 
 
 def test_radial_decay_peaks_at_origin():

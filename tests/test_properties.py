@@ -18,7 +18,6 @@ from helpers import (
 )
 from uvp import BudgetLedger, InvalidParams, Run, UvpError, cli
 from uvp.analysis import DEFAULT_FRACTIONS, incumbent_at, mean_rank
-from uvp.baselines import hyperband, random_search, successive_halving
 from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.clustering import Cover, _enhanced, e_k_center, k_center
 from uvp.solvers import (
@@ -29,7 +28,10 @@ from uvp.solvers import (
     e_ada_cent,
     e_full_cent,
     full_cent,
+    hyperband,
     pred,
+    random_search,
+    successive_halving,
     tail_fit_pred,
 )
 
