@@ -95,7 +95,10 @@ class Cover:
 
     def farthest(self, score: np.ndarray) -> int:
         """Open candidate with the highest ``score``; ties go to the lowest id."""
-        return int(np.argmax(np.where(self.chosen, -np.inf, score)))
+        pick = int(np.argmax(np.where(self.chosen, -np.inf, score)))
+        if self.chosen[pick]:  # every open score is -inf, tied with the masked centers
+            pick = int(np.argmin(self.chosen))
+        return pick
 
     def add(self, center: int) -> np.ndarray:
         """Make ``center`` a center and return its distance row; a bad id changes nothing."""

@@ -147,6 +147,13 @@ def _configs(points: np.ndarray) -> list[Configuration]:
     return [Configuration(row, i) for i, row in enumerate(zip(*points.T.tolist()))]
 
 
+def _check_widths(bounds: Sequence[tuple[float, float]]) -> None:
+    """Refuse a bound whose width is not finite: an inf or nan end, or a span past float range."""
+    for lo, hi in bounds:
+        if not math.isfinite(hi - lo):
+            raise InvalidParams(f"bound ({lo}, {hi}) has no finite width")
+
+
 def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configuration]:
     """Regular m-per-dimension grid over ``bounds`` (at most MESH_CAP points), row-major ids."""
     _check_int("mesh size m", m)
@@ -157,6 +164,7 @@ def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configurati
     total = m ** len(bounds)
     if total > MESH_CAP:
         raise InvalidParams(f"mesh of {total} points exceeds cap {MESH_CAP}")
+    _check_widths(bounds)
     axes = [np.linspace(lo, hi, m) for lo, hi in bounds]
     grids = np.meshgrid(*axes, indexing="ij")
     return _configs(np.stack([g.reshape(-1) for g in grids], axis=1))
@@ -175,6 +183,7 @@ def sample_uniform(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> 
         if hi < lo:
             raise InvalidParams(f"bound ({lo}, {hi}) is inverted")
     _check_seed(seed)
+    _check_widths(bounds)
     rng = np.random.default_rng(seed)
     lows = np.asarray([lo for lo, _ in bounds])
     highs = np.asarray([hi for _, hi in bounds])

@@ -68,21 +68,6 @@ def random_concave_curve(rng, horizon, start_max=0.3):
     return np.concatenate([[start], start + np.cumsum(inc)])
 
 
-def random_monotone_curves(rng, n, horizon):
-    """n monotone curves drawn as sorted uniforms, shape (n, horizon)."""
-    return np.sort(rng.uniform(0.0, 1.0, size=(n, horizon)), axis=1)
-
-
-def distinct_points(rng, n, d, low=0.0, high=1.0):
-    """n random points with all pairwise distances bounded away from zero."""
-    while True:
-        pts = rng.uniform(low, high, size=(n, d))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        if n == 1 or dist[np.triu_indices(n, k=1)].min() > 1e-6:
-            return pts
-
-
 # dimensions that run every branch of numpy's pairwise summation over the d
 # squared coordinate differences: sequential below 8, eight running sums up
 # to 128, and split in halves above

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -303,11 +304,29 @@ def test_estimators_match_reference_bodies(bench, k, alphas):
         _same_percentiles(epsilon_percentiles(got, k, alphas), want)
 
 
-def test_estimators_match_reference_on_a_flat_at_zero_hard_instance():
+def _estimate_eps_csv(data, alphas):
+    """The epsilon.csv of ``estimate-eps --k 20`` on ``data``; the default alphas pass no flag."""
+    out = tempfile.mkdtemp(dir=os.path.dirname(data))
+    flags = [] if alphas == DEFAULT_ALPHAS else ["--alphas", ",".join(f"{a:g}" for a in alphas)]
+    assert entry(["estimate-eps", "--data", data, "--k", "20", "--out", out, *flags]) == 0
+    return Path(out, "epsilon.csv").read_text(encoding="utf-8")
+
+
+def _epsilon_csv(percentiles):
+    """epsilon.csv's text for ``(alpha, value)`` pairs, as the command formats it."""
+    return "alpha,value\n" + "".join(f"{a!r},{v!r}\n" for a, v in percentiles)
+
+
+def test_estimators_match_reference_on_a_flat_at_zero_hard_instance(tmp_path):
+    for horizon in (6, 20):
+        _flat_at_zero_matches_reference(tmp_path, horizon)
+
+
+def _flat_at_zero_matches_reference(tmp_path, horizon):
     # fc curves are zero until the horizon: 0/0 at almost every cell, and
     # x/0 between the hidden cluster and the rest at the last budget
     spec = HardInstanceSpec("fc", epsilon=0.05, beta=2.0, k=10, n_per_cluster=10, r=1.0, horizon=6)
-    configs, oracle = gen_hard(spec)
+    configs, oracle = gen_hard(replace(spec, horizon=horizon))
     bench = TabularBenchmark(configs=configs, curves=oracle.curves)
     assert bench.n == 200 and (bench.curves == 0.0).mean() > 0.9
     got, want = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
@@ -318,6 +337,13 @@ def test_estimators_match_reference_on_a_flat_at_zero_hard_instance():
         epsilon_percentiles(got, 20, (1.0, 50.0, *DEFAULT_ALPHAS, 100.0)),
         ref_epsilon_percentiles(want, 20, (1.0, 50.0, *DEFAULT_ALPHAS, 100.0)),
     )
+    # the command's streamed digits, against the reference on the file it reads
+    data = str(tmp_path / f"fc{horizon}.csv")
+    save_tabular(data, configs, oracle.curves)
+    pairwise = ref_epsilon_pairwise(load_tabular(data))
+    for alphas in (DEFAULT_ALPHAS, (1.0, 33.3, 50.0, 100.0)):
+        report = ref_epsilon_percentiles(pairwise, 20, alphas)
+        assert _estimate_eps_csv(data, alphas) == _epsilon_csv(report.percentiles.items())
 
 
 @settings(deadline=None, max_examples=200)
@@ -415,6 +441,28 @@ def test_streamed_estimate_holds_a_window_not_the_pair_values(tmp_path):
         )
         assert peak < bound
         assert got == {a: want[a] for a in alphas}
+
+
+def test_estimate_eps_at_tabular_size_matches_a_stable_sort_of_every_pair(tmp_path):
+    # the tabular benchmark's size, where the command keeps a window of the
+    # largest values (default alphas) or every value (an alpha of 1); its
+    # digits against a stable sort of every pair maximum of the full matrix,
+    # which shares no selection code with the command
+    configs, oracle = gen_smooth(1500, 4, 50, 0.3, 0)
+    data = str(tmp_path / "tab.csv")
+    save_tabular(data, configs, oracle.curves)
+    bench = load_tabular(data)
+    levels = epsilon_pairwise(bench).pairwise
+    upper = np.triu_indices_from(levels, 1)
+    a, b = levels[upper], levels.T[upper]
+    pairs = np.where((b > a) | np.isnan(b), b, a)
+    pairs = pairs[~np.isnan(pairs)]
+    cover = Cover(bench.configs)
+    k_center(20, cover)
+    ranked = np.sort(pairs * float(cover.nearest.max()), kind="stable")
+    for alphas in (DEFAULT_ALPHAS, (1.0, 33.3, 50.0, 90.0, 99.9, 100.0)):
+        want = [(a, float(ranked[max(math.ceil(a / 100.0 * ranked.size) - 1, 0)])) for a in alphas]
+        assert _estimate_eps_csv(data, alphas) == _epsilon_csv(want)
 
 
 def test_window_size_covers_every_count_of_scored_pairs():

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import configs_from, const_oracle, line
+from helpers import configs_from, const_oracle, line, ref_mean_rank
 from uvp import cli
 from uvp.cli import ALGORITHMS, entry, run_algorithm
 from uvp.core import BudgetLedger, InvalidParams, Trace
@@ -36,6 +36,13 @@ def _read_rows(path):
 
 def _write_toy(path, points, curves):
     save_tabular(str(path), configs_from(points), np.asarray(curves, dtype=float))
+    return str(path)
+
+
+def _gen_hard_fc(path):
+    """README's T = 3 hard instance of 20 configurations, on which every algorithm runs."""
+    assert entry(["gen", "--hard", "fc", "--epsilon", "0.5", "--beta", "2", "--k", "2",
+                  "--n", "5", "--horizon", "3", "--out", str(path)]) == 0
     return str(path)
 
 
@@ -67,6 +74,16 @@ def test_solve_landscape_trace_length(tmp_path, capsys):
     outcome = _read_rows(out / "outcome.csv")
     assert outcome[0] == ["best_id", "best_value", "spent"]
     assert outcome[1][2] == "10"
+
+    # the printed spend is the trace's length: its row count and its last
+    # spend. On this instance 36 of ada-cent's 60 tail-fit prune tests are
+    # near-ties that defer to np.polyfit, so both paths run
+    data = _gen_hard_fc(tmp_path / "h.csv")
+    argv = ["solve", "--algo", "ada-cent", "--data", data, "--predictor", "tail-fit"]
+    assert entry([*argv, "--out", str(out)]) == 0
+    spent = int(capsys.readouterr().out.rsplit(" spent=", 1)[1])
+    trace = _read_rows(out / "trace.csv")
+    assert 0 < spent == len(trace) - 1 == int(trace[-1][0])
 
 
 def test_solve_past_the_sample_cap_exits_2(capsys):
@@ -427,14 +444,21 @@ def test_bench_bad_knob_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
 
 
 def test_bench_two_workers_write_what_one_writes(tmp_path, capsys):
-    data = _bench_dataset(tmp_path)
-    argv = ["bench", "--data", data, "--algos", "random,sha", "--seeds", "2", "--budget", "20"]
-    printed = []
-    for workers in ("1", "2"):
-        assert entry([*argv, "--workers", workers, "--out", str(tmp_path / workers)]) == 0
-        printed.append(capsys.readouterr().out)
-    assert printed[0] == printed[1]
-    assert _dir_bytes(tmp_path / "1") == _dir_bytes(tmp_path / "2")
+    toy, hard = _bench_dataset(tmp_path), _gen_hard_fc(tmp_path / "h.csv")
+    capsys.readouterr()
+    for name, argv in (
+        ("toy", ["--data", toy, "--algos", "random,sha", "--seeds", "2", "--budget", "20"]),
+        # all seven algorithms at a budget off every multiple of T = 3, so fills
+        # are cut by the cap; --delta 0.5 gives e-ada-cent a 1-unit probe
+        ("hard", ["--data", hard, "--seeds", "3", "--budget", "13", "--delta", "0.5"]),
+    ):
+        printed = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"{name}{workers}")
+            assert entry(["bench", *argv, "--workers", workers, "--out", out]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert _dir_bytes(tmp_path / f"{name}1") == _dir_bytes(tmp_path / f"{name}2")
 
 
 def test_bench_failed_cells_are_listed_and_keep_their_algorithm_unranked(tmp_path, capsys):
@@ -469,9 +493,7 @@ def test_bench_failed_cells_are_listed_and_keep_their_algorithm_unranked(tmp_pat
 
 def test_bench_ranks_only_where_every_dataset_has_spent_a_unit(tmp_path, capsys):
     # at B = 9 the 0.1 fraction is 0.9 units, before any cell has spent one
-    data = str(tmp_path / "h.csv")
-    assert entry(["gen", "--hard", "fc", "--epsilon", "0.5", "--beta", "2", "--k", "2",
-                  "--n", "5", "--horizon", "3", "--out", data]) == 0
+    data = _gen_hard_fc(tmp_path / "h.csv")
     for budget, first in (("9", 2), ("10", 1)):
         out = tmp_path / budget
         assert entry(["bench", "--data", data, "--seeds", "2", "--budget", budget,
@@ -481,6 +503,26 @@ def test_bench_ranks_only_where_every_dataset_has_spent_a_unit(tmp_path, capsys)
         captured = capsys.readouterr()
         assert "mean rank at full budget: " in captured.out
         assert captured.err == ""
+
+
+def test_bench_rank_table_of_1000_seeds_matches_the_plain_loop_reference(tmp_path, capsys):
+    # 4000 traces read back from bench's files and ranked by ref_mean_rank,
+    # which shares no ranking code with the library; mean_rank.csv must
+    # match its digits byte for byte
+    out = tmp_path / "many"
+    assert entry(["bench", "--landscape", "radial-decay", "--n", "200", "--budget", "20",
+                  "--seeds", "1000", "--algos", "full-cent,random,sha,hyperband",
+                  "--out", str(out)]) == 0
+    results = {}
+    for path in out.glob("trace_*.csv"):
+        alg, seed = path.stem[len("trace_radial-decay_"):].rsplit("_", 1)
+        rows = _read_rows(path)[1:]
+        results["radial-decay", int(seed), alg] = [(int(s), float(v)) for s, v in rows]
+    assert len(results) == 4000
+    table = ref_mean_rank(results, {"radial-decay": 20})
+    rows = "".join(f"{float(f)!r},{a},{float(table.means[fi, ai])!r}\n"
+                   for fi, f in enumerate(table.fractions) for ai, a in enumerate(table.algorithms))
+    assert (out / "mean_rank.csv").read_text() == "fraction,algorithm,mean_rank\n" + rows
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

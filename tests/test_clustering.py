@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     CallableOracle,
@@ -236,6 +236,14 @@ def test_cover_accumulates_centers():
     assert cover.farthest(cover.nearest) == 0  # ties between x=0 and x=2: lowest id
 
 
+def test_cover_farthest_never_returns_a_center():
+    # an enhanced distance whose (eta - 1) / epsilon overflows scores every
+    # open candidate -inf, tied with the masked centers: the lowest open id wins
+    cover = Cover(line([0.0, 1.0, 2.0]))
+    cover.add(0)
+    assert cover.farthest(np.full(3, -np.inf)) == 1
+
+
 def test_cover_distances_match_numpy_norm():
     # the engine computes distance rows in its own buffer; they must equal
     # np.linalg.norm bit for bit, or ties and outcomes could shift
@@ -364,6 +372,14 @@ def test_e_k_center_matches_reference(case, data):
 
 
 @given(selection_cases(), st.lists(st.integers(1, 5), min_size=1, max_size=4))
+@example(
+    # center 0 at a quarter of v_max: at epsilon = 1e-308 its (eta - 1) / epsilon
+    # overflows and every open candidate's enhanced distance is -inf
+    {"X": line([0.0, 1.0, 2.0, 3.0]), "curves": np.asarray([[0.25], [1.0], [0.5], [0.5]]),
+     "horizon": 1, "seeds": [0, 1], "histories": {0: History(0, [0.25]), 1: History(1, [1.0])},
+     "k": 2, "t": 1, "epsilon": 1e-308},
+    [2],
+)
 @settings(deadline=None, max_examples=100)
 def test_shared_cover_rounds_match_reference(case, rounds):
     """Rounds on one cover pick what from-scratch runs on all earlier centers pick.

@@ -1,10 +1,17 @@
-"""Source hygiene: public names are used, imports are read, README's example runs."""
+"""Source hygiene: public names and test helpers are used, imports are read,
+README's example and CLI block run, and so do the scripts."""
 
 import ast
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import uvp
+from uvp.cli import entry
+from uvp.instances import gen_smooth, save_tabular
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "uvp"
@@ -52,3 +59,47 @@ def test_readme_library_example_runs():
     # cannot drift from the code
     block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every uvp command of the sh block under "## CLI", continuations joined,
+    # on a curves.csv where --k 20 leaves a positive cover radius
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    commands = [c for c in block.replace("\\\n", " ").splitlines() if c.startswith("uvp ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    configs, oracle = gen_smooth(200, 3, 10, 0.3, 0)
+    save_tabular("curves.csv", configs, oracle.curves)
+    for command in commands:
+        assert entry(shlex.split(command)[1:]) == 0, command
+
+
+def test_scripts_run(tmp_path):
+    # nothing else runs the experiment scripts; below 10 units mean_rank
+    # leaves out the fractions before any spend, and the table is still written
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    compare = ["compare_on_landscapes.py", "--n", "300", "--seeds", "1"]
+    for script, *args in (["hardness_ceiling.py", "--trials", "50"], [*compare, "--out", "lr"],
+                          [*compare, "--budget", "9", "--out", "lr9"]):
+        command = [sys.executable, str(ROOT / "scripts" / script), *args]
+        out = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert out.returncode == 0, (script, args, out.stderr)
+    assert (tmp_path / "lr9" / "mean_rank.csv").is_file()
+
+
+def test_every_helper_has_a_use():
+    # a public top-level name of tests/helpers.py needs a whole-word use in
+    # another test file, or in helpers.py outside the line that defines it
+    helpers = ROOT / "tests" / "helpers.py"
+    body = ast.parse(helpers.read_text()).body
+    names = [n.name for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    names += [t.id for n in body if isinstance(n, ast.Assign) for t in n.targets]
+    lines = [ln for p in sorted(helpers.parent.glob("*.py")) for ln in p.read_text().splitlines()]
+    unused = []
+    for name in (name for name in names if not name.startswith("_")):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"\s*((class|def)\s+{re.escape(name)}\b|{re.escape(name)}\s*=[^=])")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert not unused, f"no test uses these helpers: {unused}"

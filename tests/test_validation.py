@@ -5,6 +5,7 @@ Every case is a call that fails before any work starts (or, for the one
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -313,6 +314,18 @@ CASES = {
         "horizon must be >= 1",
     ),
 }
+
+
+# each once raised numpy's OverflowError, or for the mesh a RuntimeWarning first
+for select, bound, *rest in (
+    (sample_uniform, (0.0, np.inf), 3, 0),
+    (sample_uniform, (np.nan, 1.0), 3, 0),
+    (sample_uniform, (-1e308, 1e308), 3, 0),
+    (mesh_grid, (0.0, np.inf), 3),
+):
+    CASES[f"{select.__name__} over the bound {bound}"] = (
+        partial(select, [bound], *rest), InvalidParams, f"bound {bound} has no finite width"
+    )
 
 
 def _result(call):
