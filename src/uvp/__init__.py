@@ -21,7 +21,6 @@ from .clustering import (
     k_center,
 )
 from .core import (
-    BudgetExhausted,
     BudgetLedger,
     Configuration,
     History,
@@ -65,7 +64,6 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExhausted",
     "BudgetLedger",
     "Configuration",
     "Cover",

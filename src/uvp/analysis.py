@@ -134,7 +134,9 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
 
 
 def check_percentile_args(k: int, alphas: Sequence[float]) -> None:
-    """Raise ``InvalidParams`` unless ``k`` is an integer >= 1 and every alpha lies in (0, 100]."""
+    """Raise ``InvalidParams`` unless ``k`` is an integer >= 1 and alphas are given, all in (0, 100]."""
+    if len(alphas) == 0:
+        raise InvalidParams("need at least one percentile")
     _check_int("cover size k", k)
     if k < 1:
         raise InvalidParams(f"cover size k must be at least 1, got {k}")

@@ -303,8 +303,6 @@ def _cmd_estimate_eps(args: argparse.Namespace) -> int:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     except ValueError:
         raise InvalidParams(f"cannot parse --alphas {args.alphas!r}") from None
-    if not alphas:
-        raise InvalidParams("need at least one percentile")
     check_percentile_args(args.k, alphas)  # before the file is read
     bench = load_tabular(args.data)
     # one pass over the level rows, holding only the pair values that can

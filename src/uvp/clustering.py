@@ -173,7 +173,7 @@ def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[i
                 np.minimum(delta, _enhanced(cover._row(c), value, v_max, epsilon), out=delta)
             stale = False
         pick = cover.farthest(delta)
-        run.extend_to(cover.configs[pick], t)
+        run.extend_all((cover.configs[pick],), t)
         value = histories[pick].last
         row = cover.add(pick)
         if value <= v_max:

@@ -44,10 +44,6 @@ class UvpError(Exception):
     """Base class for every error raised by this package."""
 
 
-class BudgetExhausted(UvpError):
-    """Requested work does not fit in the remaining budget."""
-
-
 class InvalidParams(UvpError):
     """An argument outside its documented domain.
 
@@ -282,10 +278,10 @@ class Run:
 
     Every unit a solver or baseline spends is charged by :meth:`_extend`,
     the only code that advances ``ledger.spent``; it reads each unit with one
-    ``oracle.query`` call. :meth:`extend_all` is the one way to train curves
-    and :meth:`step` charges a single unit. The trace keeps one incumbent
-    float per charged unit, in charge order; point i is (i + 1, incumbent),
-    so it doubles as the anytime curve.
+    ``oracle.query`` call. :meth:`extend_all` is the one way to spend; on a
+    dry ledger it returns False without a query. The trace keeps one
+    incumbent float per charged unit, in charge order; point i is
+    (i + 1, incumbent), so it doubles as the anytime curve.
     """
 
     def __init__(self, oracle: ValueOracle, ledger: BudgetLedger) -> None:
@@ -294,20 +290,10 @@ class Run:
         self.histories: dict[int, History] = {}
         self.trace = Trace()
 
-    def step(self, config: Configuration) -> None:
-        """Evaluate ``config`` at its next budget index and charge one unit.
-
-        A dry ledger raises before the oracle is queried; a budget index past
-        the horizon raises the oracle's own error.
-        """
-        ledger = self.ledger
-        if ledger.spent >= ledger.cap:
-            raise BudgetExhausted(f"charge of 1 exceeds remaining {ledger.remaining}")
-        self._extend((config,), len(self.histories.get(config.id, ())) + 1)
-
-    def extend_to(self, config: Configuration, t: int) -> bool:
-        """Train ``config`` up to budget t; see :meth:`extend_all`."""
-        return self.extend_all((config,), t)
+    # kept only because perfbench/tracing.py wraps it by name
+    def step(self, config: Configuration) -> bool:
+        """``extend_all`` of ``config``'s next unit."""
+        return self.extend_all((config,), len(self.histories.get(config.id, ())) + 1)
 
     def extend_all(self, configs: Sequence[Configuration], t: int) -> bool:
         """Train each of ``configs`` up to budget t, charging only the missing units.

@@ -646,6 +646,8 @@ def gen_smooth(
         raise InvalidParams("need n >= 2 configurations and d >= 1 dimensions")
     if not epsilon > 0:
         raise InvalidParams("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise InvalidParams(f"epsilon must be finite, got {epsilon!r}")
     if horizon < 1:
         raise InvalidParams("horizon must be >= 1")
     _check_seed(seed)

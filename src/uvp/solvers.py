@@ -90,6 +90,12 @@ class SolverParams:
         _check_seed(self.seed)
 
 
+def _check_horizon(horizon: int) -> None:
+    _check_int("horizon", horizon)
+    if horizon < 1:
+        raise InvalidParams(f"horizon must be >= 1, got {horizon}")
+
+
 def pred(values: Sequence[float], horizon: int) -> float:
     """Optimistic two-point forecast of the value at the horizon.
 
@@ -97,6 +103,7 @@ def pred(values: Sequence[float], horizon: int) -> float:
     otherwise the last increment is extended linearly to the horizon. For
     curves with non-increasing increments this never undershoots the truth.
     """
+    _check_horizon(horizon)
     if len(values) == 0:
         raise InvalidParams("cannot forecast from an empty history")
     if len(values) == 1:
@@ -112,6 +119,7 @@ def tail_fit_pred(values: Sequence[float], horizon: int, theta: float = 0.3) -> 
     evaluates it at the horizon, clamped to at most 1.0. A negative fitted
     slope falls back to the last observed value.
     """
+    _check_horizon(horizon)
     if not 0 < theta <= 1:
         raise InvalidParams("theta must lie in (0, 1]")
     if len(values) == 0:

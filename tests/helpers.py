@@ -189,7 +189,7 @@ def ref_e_k_center(k, seeds, X, t, epsilon, run):
                 dist = np.linalg.norm(points - points[c], axis=1)
                 np.minimum(delta, np.minimum(dist, eta * dist - (eta - 1.0) / epsilon), out=delta)
             pick = int(open_ids[np.argmax(delta[open_ids])])
-        run.extend_to(X[pick], t)
+        run.extend_all((X[pick],), t)
         centers.append(pick)
         chosen[pick] = True
         new.append(pick)
@@ -526,20 +526,21 @@ class RefRun:
     def remaining(self):
         return self.cap - self.spent
 
-    def extend_to(self, config, t):
-        """Query ``config`` at each missing budget up to t while units remain."""
-        curve = self.histories.get(config.id, RefCurve())
-        while len(curve) < t:
-            if self.spent == self.cap:
-                return False
-            v = float(self.oracle.query(config, len(curve) + 1))
-            if not -VALUE_TOL <= v <= 1.0 + VALUE_TOL:  # NaN fails too
-                raise InvalidValue(f"observed value {v!r} outside [0, 1]")
-            curve.append(min(max(v, 0.0), 1.0))
-            self.histories[config.id] = curve
-            self.spent += 1
-            self.best = max(self.best, curve[-1])
-            self.trace.append((self.spent, self.best))
+    def extend_all(self, configs, t):
+        """Query each of ``configs`` in turn at each missing budget up to t while units remain."""
+        for config in configs:
+            curve = self.histories.get(config.id, RefCurve())
+            while len(curve) < t:
+                if self.spent == self.cap:
+                    return False
+                v = float(self.oracle.query(config, len(curve) + 1))
+                if not -VALUE_TOL <= v <= 1.0 + VALUE_TOL:  # NaN fails too
+                    raise InvalidValue(f"observed value {v!r} outside [0, 1]")
+                curve.append(min(max(v, 0.0), 1.0))
+                self.histories[config.id] = curve
+                self.spent += 1
+                self.best = max(self.best, curve[-1])
+                self.trace.append((self.spent, self.best))
         return True
 
     def outcome(self):
@@ -553,7 +554,7 @@ def ref_full_cent(params, X, oracle, cap):
     """floor(B/T) greedy k-center picks, each trained to the horizon in pick order."""
     run = RefRun(oracle, cap)
     for c in ref_k_center(cap // oracle.horizon, [], X):
-        run.extend_to(X[c], oracle.horizon)
+        run.extend_all((X[c],), oracle.horizon)
     return run.outcome()
 
 
@@ -598,7 +599,7 @@ def _ref_adaptive(params, X, oracle, cap, enhanced):
         active = sorted(set(active) | set(new))
         for t in range(t_explore + 1, horizon + 1):
             for x in active:
-                if not run.extend_to(X[x], t):
+                if not run.extend_all((X[x],), t):
                     return run.outcome()
             if active:
                 best = max(run.histories[x][-1] for x in active)
@@ -647,7 +648,7 @@ def ref_hyperband(params, X, oracle, cap):
         count = min(-(-(s_max + 1) * eta**s // (s + 1)), n)
         alive = [int(a) for a in rng.choice(n, size=count, replace=False)]
         for i, r in enumerate(rungs(s)):
-            if not all(run.extend_to(X[a], r) for a in alive):
+            if not all(run.extend_all((X[a],), r) for a in alive):
                 break
             if i < s:
                 alive.sort(key=lambda a: (-run.histories[a][r - 1], a))
@@ -660,7 +661,7 @@ def ref_random_search(params, X, oracle, cap):
     rng = np.random.default_rng(params.seed)
     run = RefRun(oracle, cap)
     for a in rng.choice(len(X), size=cap // oracle.horizon, replace=False):
-        run.extend_to(X[int(a)], oracle.horizon)
+        run.extend_all((X[int(a)],), oracle.horizon)
     return run.outcome()
 
 

@@ -216,8 +216,7 @@ def test_criterion_07_isolated_optimum_selection():
     seeds = [3, 7]
     run = Run(oracle, BudgetLedger(3))
     ledger = run.ledger
-    for s in seeds:
-        run.extend_to(configs[s], 1)
+    run.extend_all([configs[s] for s in seeds], 1)
     # seed 7 is worth half the best probed value: eta = 2 rules out every point
     # within 1 of it, which leaves the origin (0.866 from id 3) farthest
     values = {s: run.histories[s].last for s in seeds}

@@ -156,7 +156,7 @@ def test_e_k_center_single_seed_uses_plain_distance():
     # the plain farthest point
     X = line([0.0, 1.0, 9.0])
     run = Run(const_oracle(0.5, horizon=1), BudgetLedger(10))
-    run.extend_to(X[0], 1)
+    run.extend_all((X[0],), 1)
     assert e_k_center(1, Cover(X, [0]), 1, 0.5, run) == [2]
 
 
@@ -181,7 +181,7 @@ def test_e_k_center_refuses_bad_input_before_any_query(k):
     queries = []
     oracle = CallableOracle(lambda config, b: queries.append(config.id) or 0.5, 1, 1)
     run = Run(oracle, BudgetLedger(5))
-    run.extend_to(X[0], 1)
+    run.extend_all((X[0],), 1)
     cover = Cover(X, [0])
     for bad in (0.0, -0.5, math.nan):
         with pytest.raises(InvalidParams, match="epsilon must be positive"):

@@ -19,7 +19,6 @@ from helpers import (
     multiscale_points,
 )
 from uvp import (
-    BudgetExhausted,
     BudgetLedger,
     Configuration,
     History,
@@ -35,13 +34,13 @@ from uvp.instances import gen_smooth
 from uvp.solvers import PREDICTORS, SolverParams, ada_cent
 
 
-# learning a configuration's curve with Run.extend_to, one charged unit per budget step
+# learning a configuration's curve with Run.extend_all, one charged unit per budget step
 
 
 def _extend(oracle, cap, t):
-    """(run, history of config 0) after one extend_to call on a fresh run."""
+    """(run, history of config 0) after one extend_all call on a fresh run."""
     run = Run(oracle, BudgetLedger(cap))
-    run.extend_to(Configuration((0.0,), 0), t)
+    run.extend_all((Configuration((0.0,), 0),), t)
     return run, run.histories[0]
 
 
@@ -66,34 +65,33 @@ def test_learn_needs_remaining_budget():
     # a fill that does not fit in what an earlier fill left spends the rest
     run = Run(const_oracle(0.5), BudgetLedger(4))
     first, second = Configuration((0.0,), 0), Configuration((1.0,), 1)
-    assert run.extend_to(first, 3) is True
-    assert run.extend_to(second, 3) is False
+    assert run.extend_all((first,), 3) is True
+    assert run.extend_all((second,), 3) is False
     assert [len(run.histories[c]) for c in (0, 1)] == [3, 1]
-    assert run.extend_to(second, 3) is False  # the dry ledger charges nothing more
+    assert run.extend_all((second,), 3) is False  # the dry ledger charges nothing more
     assert [s for s, _ in run.trace] == [1, 2, 3, 4]
     assert run.ledger.spent == 4
 
 
 def test_learn_partial_fill_truncates():
     run = Run(const_oracle(0.5), BudgetLedger(2))
-    assert run.extend_to(Configuration((0.0,), 0), 3) is False
+    assert run.extend_all((Configuration((0.0,), 0),), 3) is False
     assert len(run.histories[0]) == 2
     assert run.ledger.spent == 2
 
 
 def test_extend_without_a_charge_leaves_no_history():
-    # a fill on a dry ledger and a step past the cap charge nothing, so
-    # neither may leave an empty history behind
+    # a fill and a single unit on a dry ledger charge nothing, so neither
+    # may leave an empty history behind
     cfg, other = Configuration((0.0,), 0), Configuration((1.0,), 1)
     run = Run(const_oracle(0.5), BudgetLedger(0))
-    assert run.extend_to(cfg, 2) is False
+    assert run.extend_all((cfg,), 2) is False
     assert run.histories == {}
-    with pytest.raises(BudgetExhausted):
-        run.step(cfg)
+    assert run.extend_all((cfg,), 1) is False
     assert run.histories == {}
     run = Run(const_oracle(0.5), BudgetLedger(1))
-    assert run.extend_to(cfg, 2) is False
-    assert run.extend_to(other, 2) is False
+    assert run.extend_all((cfg,), 2) is False
+    assert run.extend_all((other,), 2) is False
     assert list(run.histories) == [0]
     assert len(run.histories[0]) == 1
 
@@ -102,7 +100,7 @@ def test_learn_rejects_bad_target():
     oracle = const_oracle(0.5, horizon=3)
     for t in (0, 4, 2.0, 2.5, np.float64(2.0), "2", None):
         for extend in (
-            lambda run: run.extend_to(Configuration((0.0,), 0), t),
+            lambda run: run.extend_all((Configuration((0.0,), 0),), t),
             lambda run: run.extend_all(line([0.0, 1.0]), t),
         ):
             run = Run(oracle, BudgetLedger(10))
@@ -111,18 +109,18 @@ def test_learn_rejects_bad_target():
             assert run.ledger.spent == 0  # rejected before any charge
             assert run.trace == [] and run.histories == {}
     run = Run(oracle, BudgetLedger(10))
-    assert run.extend_to(Configuration((0.0,), 0), np.int64(2)) is True
+    assert run.extend_all((Configuration((0.0,), 0),), np.int64(2)) is True
     assert run.ledger.spent == 2
     run = Run(oracle, BudgetLedger(0))
     with pytest.raises(InvalidParams, match="target budget 4 outside 1..3"):
-        run.extend_to(Configuration((0.0,), 0), 4)  # even on a dry ledger
+        run.extend_all((Configuration((0.0,), 0),), 4)  # even on a dry ledger
 
 
 def test_extend_all_charges_config_by_config():
     X = line([0.0, 1.0, 2.0])
     oracle = curve_oracle([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
     run = Run(oracle, BudgetLedger(20))
-    run.extend_to(X[1], 1)
+    run.extend_all((X[1],), 1)
     assert run.extend_all([X[2], X[1], X[0]], 2) is True
     # id 2 first, then the one missing unit of id 1, then id 0
     assert run.trace == [(1, 0.4), (2, 0.7), (3, 0.8), (4, 0.8), (5, 0.8), (6, 0.8)]
@@ -152,14 +150,14 @@ def test_extend_all_stops_at_the_first_curve_the_ledger_cannot_fill():
 
 
 def _stepped(oracle, configs, t, cap):
-    """Train ``configs`` to t one ``Run.step`` at a time: the per-unit path."""
+    """Train ``configs`` to t one unit per ``Run.extend_all`` call: the per-unit path."""
     run = Run(oracle, BudgetLedger(cap))
     try:
         for cfg in configs:
-            while len(run.histories.get(cfg.id, ())) < t:
+            while (have := len(run.histories.get(cfg.id, ()))) < t:
                 if run.ledger.remaining == 0:
                     return run, None
-                run.step(cfg)
+                run.extend_all((cfg,), have + 1)
     except Exception as exc:  # noqa: BLE001 - the per-unit path's own error
         return run, exc
     return run, None
@@ -211,11 +209,11 @@ def test_a_fault_mid_batch_charges_only_the_units_before_it(case):
 def test_values_in_range_are_stored_as_read_and_others_clamped():
     curves = [[-0.0, 0.0, 1.0, 1.0 + 1e-13, -1e-13]]
     run = Run(curve_oracle(curves), BudgetLedger(10))
-    run.extend_to(Configuration((0.0,), 0), 5)
+    run.extend_all((Configuration((0.0,), 0),), 5)
     assert repr(run.histories[0].values) == "[-0.0, 0.0, 1.0, 1.0, 0.0]"
     assert repr([v for _, v in run.trace]) == "[-0.0, -0.0, 1.0, 1.0, 1.0]"
     run = Run(CallableOracle(lambda c, b: np.float64(0.25), 1, 2), BudgetLedger(10))
-    run.extend_to(Configuration((0.0,), 0), 2)
+    run.extend_all((Configuration((0.0,), 0),), 2)
     assert [type(v) for v in run.histories[0].values] == [float, float]
     assert [type(v) for _, v in run.trace] == [float, float]
 
@@ -258,28 +256,28 @@ def _assert_spend_recorded(run):
 
 def test_step_charges_only_recorded_units():
     cfg = Configuration((0.0,), 0)
-    # past the horizon: the oracle rejects the budget index
+    # past the horizon: the target is refused before any query
     run = Run(const_oracle(0.5, horizon=1), BudgetLedger(5))
-    run.step(cfg)
-    with pytest.raises(InvalidParams, match="budget index 2 outside 1..1"):
-        run.step(cfg)
+    run.extend_all((cfg,), 1)
+    with pytest.raises(InvalidParams, match="target budget 2 outside 1..1"):
+        run.extend_all((cfg,), 2)
     _assert_spend_recorded(run)
     assert run.ledger.spent == 1
     # a value outside [0, 1], on a fresh and on a started history
     values = {1: 0.5, 2: 1.5}
     run = Run(CallableOracle(lambda c, b: values[b] if c.id == 0 else 1.5, 1, 2), BudgetLedger(5))
     with pytest.raises(InvalidValue):
-        run.step(Configuration((1.0,), 1))
+        run.extend_all((Configuration((1.0,), 1),), 1)
     _assert_spend_recorded(run)
     assert run.histories == {}
-    run.step(cfg)
+    run.extend_all((cfg,), 1)
     with pytest.raises(InvalidValue):
-        run.step(cfg)
+        run.extend_all((cfg,), 2)
     _assert_spend_recorded(run)
     assert run.ledger.spent == 1
 
 
-def test_dry_ledger_raises_before_querying():
+def test_dry_ledger_returns_false_before_querying():
     calls = []
 
     def record(config, b):
@@ -288,12 +286,30 @@ def test_dry_ledger_raises_before_querying():
 
     cfg = Configuration((0.0,), 0)
     run = Run(CallableOracle(record, 1, 3), BudgetLedger(1))
-    run.step(cfg)
-    with pytest.raises(BudgetExhausted, match="charge of 1 exceeds remaining 0"):
+    assert run.extend_all((cfg,), 1) is True
+    assert run.extend_all((cfg,), 2) is False
+    assert calls == [(0, 1)]
+    assert run.extend_all((cfg,), 3) is False
+    assert calls == [(0, 1)]
+    _assert_spend_recorded(run)
+
+
+def test_step_is_extend_all_of_the_next_unit():
+    # perfbench/tracing.py wraps Run.step by name; it spends as extend_all does
+    calls = []
+
+    def record(config, b):
+        calls.append((config.id, b))
+        return 0.5
+
+    cfg, other = Configuration((0.0,), 0), Configuration((1.0,), 1)
+    run = Run(CallableOracle(record, 1, 2), BudgetLedger(3))
+    assert run.step(cfg) is True and run.step(cfg) is True
+    with pytest.raises(InvalidParams, match="target budget 3 outside 1..2"):
         run.step(cfg)
-    assert calls == [(0, 1)]
-    assert run.extend_to(cfg, 3) is False
-    assert calls == [(0, 1)]
+    assert run.step(other) is True
+    assert run.step(other) is False  # a dry ledger: no query
+    assert calls == [(0, 1), (0, 2), (1, 1)]
     _assert_spend_recorded(run)
 
 
@@ -301,11 +317,11 @@ def test_extend_resumes_existing_history():
     oracle = curve_oracle([[0.1, 0.2, 0.3]])
     run = Run(oracle, BudgetLedger(10))
     cfg = Configuration((0.0,), 0)
-    run.extend_to(cfg, 1)
-    assert run.extend_to(cfg, 3) is True
+    run.extend_all((cfg,), 1)
+    assert run.extend_all((cfg,), 3) is True
     assert run.histories[0].values == [0.1, 0.2, 0.3]
     assert run.ledger.spent == 3  # the second call charged only the two missing steps
-    assert run.extend_to(cfg, 2) is True  # already past the target: nothing to charge
+    assert run.extend_all((cfg,), 2) is True  # already past the target: nothing to charge
     assert run.ledger.spent == 3
 
 
@@ -369,12 +385,11 @@ def test_ledger_validation_and_charging():
         BudgetLedger(2, 1)  # spend is not an argument: every ledger opens at 0
     ledger = BudgetLedger(2)
     assert (ledger.cap, ledger.spent, ledger.remaining) == (2, 0, 2)
-    run = Run(const_oracle(0.5), ledger)  # Run.step is the only way to charge
-    run.step(Configuration((0.0,), 0))
-    run.step(Configuration((0.0,), 0))
+    run = Run(const_oracle(0.5), ledger)  # Run.extend_all is the only way to charge
+    run.extend_all((Configuration((0.0,), 0),), 1)
+    run.extend_all((Configuration((0.0,), 0),), 2)
     assert ledger.remaining == 0
-    with pytest.raises(BudgetExhausted):
-        run.step(Configuration((1.0,), 1))
+    assert run.extend_all((Configuration((1.0,), 1),), 1) is False
     assert ledger.spent == 2  # a failed charge leaves the ledger untouched
 
 
@@ -419,8 +434,7 @@ def test_run_outcome_breaks_ties_to_lowest_id():
     X = line([0.0, 1.0, 2.0])
     oracle = curve_oracle([[0.5], [0.9], [0.9]])
     run = Run(oracle, BudgetLedger(3))
-    for cfg in X:
-        run.step(cfg)
+    run.extend_all(X, 1)
     out = run.outcome()
     assert out.best == 1
     assert out.best_value == 0.9
@@ -436,10 +450,8 @@ def test_run_trace_shape():
     X = line([0.0, 1.0])
     oracle = curve_oracle([[0.4, 0.6], [0.5, 0.55]])
     run = Run(oracle, BudgetLedger(4))
-    run.step(X[0])
-    run.step(X[1])
-    run.step(X[0])
-    run.step(X[1])
+    run.extend_all(X, 1)
+    run.extend_all(X, 2)
     out = run.outcome()
     spends = [s for s, _ in out.trace]
     incumbents = [v for _, v in out.trace]
@@ -498,9 +510,9 @@ def test_trace_pickles():
 
 def test_outcome_trace_is_a_copy():
     run = Run(const_oracle(0.5), BudgetLedger(3))
-    run.step(Configuration((0.0,), 0))
+    run.extend_all((Configuration((0.0,), 0),), 1)
     out = run.outcome()
-    run.step(Configuration((1.0,), 1))
+    run.extend_all((Configuration((1.0,), 1),), 1)
     assert out.trace == [(1, 0.5)] and run.trace == [(1, 0.5), (2, 0.5)]
 
 
@@ -527,14 +539,14 @@ def test_one_error_class_per_kind_of_fault():
         name for name in uvp.__all__
         if isinstance(getattr(uvp, name), type) and issubclass(getattr(uvp, name), BaseException)
     }
-    kept = {"UvpError", "InvalidParams", "BudgetExhausted", "InvalidValue", "ParseError", "SchemaError"}
+    kept = {"UvpError", "InvalidParams", "InvalidValue", "ParseError", "SchemaError"}
     assert errors == kept
     assert all(issubclass(getattr(uvp, name), UvpError) for name in errors)
     folded = (
         "InvalidBudget", "InsufficientCandidates", "EmptyCenters", "EmptyHistory",
-        "OutOfDomain", "TooLarge", "MissingTrace", "DegenerateEmbedding",
+        "OutOfDomain", "TooLarge", "MissingTrace", "DegenerateEmbedding", "BudgetExhausted",
     )
-    for name in folded:  # folded into InvalidParams or SchemaError, with no alias left
+    for name in folded:  # folded into InvalidParams, SchemaError or a False return; no alias left
         assert not hasattr(uvp, name) and not hasattr(uvp.core, name)
 
 

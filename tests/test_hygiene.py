@@ -1,5 +1,6 @@
 """Source hygiene: public names and test helpers are used, imports are read,
-README's example and CLI block run, and so do the scripts."""
+README's example and CLI block run, its error list matches the package, and
+the scripts run."""
 
 import ast
 import os
@@ -59,6 +60,18 @@ def test_readme_library_example_runs():
     # cannot drift from the code
     block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_error_list_names_every_error_class():
+    # the bullets under README's "Errors." name exactly the UvpError
+    # subclasses that uvp exports, so the list cannot drift from the code
+    section = re.search(r"^Errors\..*?\n\n", (ROOT / "README.md").read_text(), re.S | re.M).group(0)
+    listed = re.findall(r"^- `(\w+)`", section, re.M)
+    exported = [
+        name for name in uvp.__all__
+        if isinstance(getattr(uvp, name), type) and issubclass(getattr(uvp, name), uvp.UvpError)
+    ]
+    assert sorted(listed) == sorted(set(exported) - {"UvpError"})
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):

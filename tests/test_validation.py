@@ -27,7 +27,7 @@ from uvp.instances import (
     sample_uniform,
     save_tabular,
 )
-from uvp.solvers import SolverParams
+from uvp.solvers import SolverParams, pred, tail_fit_pred
 
 
 def _cli(*argv):
@@ -156,6 +156,13 @@ CASES = {
         ),
         InvalidParams,
         "cover size k must be an integer, got 1.5",
+    ),
+    "epsilon percentiles with no percentile": (
+        lambda: epsilon_percentiles(
+            epsilon_pairwise(TabularBenchmark(line([0.0, 1.0, 2.0]), np.full((3, 2), 0.5))), 1, ()
+        ),
+        InvalidParams,
+        "need at least one percentile",
     ),
     "epsilon levels of curves with a row too many": (
         lambda: epsilon_pairwise(TabularBenchmark(line([0.0, 1.0, 2.0]), np.ones((4, 2)))),
@@ -308,6 +315,11 @@ CASES = {
         InvalidParams,
         "seed must be an integer, got 1.5",
     ),
+    "smooth instance of an infinite epsilon": (
+        lambda: gen_smooth(5, 2, 3, np.inf, 0),
+        InvalidParams,
+        "epsilon must be finite, got inf",
+    ),
     "smooth instance of horizon 0": (
         lambda: gen_smooth(5, 2, 0, 0.3, 0),
         InvalidParams,
@@ -326,6 +338,18 @@ for select, bound, *rest in (
     CASES[f"{select.__name__} over the bound {bound}"] = (
         partial(select, [bound], *rest), InvalidParams, f"bound {bound} has no finite width"
     )
+
+# each once forecast at the horizon it was given, or raised a TypeError
+for forecast in (pred, tail_fit_pred):
+    for horizon, message in (
+        (2.5, "horizon must be an integer, got 2.5"),
+        (True, "horizon must be an integer, got True"),
+        ("5", "horizon must be an integer, got '5'"),
+        (0, "horizon must be >= 1, got 0"),
+    ):
+        CASES[f"{forecast.__name__} at the horizon {horizon!r}"] = (
+            partial(forecast, [0.1, 0.2], horizon), InvalidParams, message
+        )
 
 
 def _result(call):
