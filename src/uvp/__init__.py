@@ -7,7 +7,6 @@ and measurement tools (:mod:`uvp.analysis`).
 """
 
 from .analysis import (
-    EpsilonReport,
     RankTable,
     epsilon_pairwise,
     epsilon_percentiles,
@@ -67,7 +66,6 @@ __all__ = [
     "BudgetLedger",
     "Configuration",
     "Cover",
-    "EpsilonReport",
     "HardInstanceSpec",
     "History",
     "InvalidParams",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -16,6 +16,7 @@ from .core import (
     InvalidParams,
     SchemaError,
     _check_int,
+    _check_real,
     config_columns,
     distance_row,
 )
@@ -27,25 +28,6 @@ DEFAULT_FRACTIONS = tuple(i / 10 for i in range(1, 11))  # the budget fractions 
 
 # ---------------------------------------------------------------------------
 # smoothness estimation
-
-
-@dataclass
-class EpsilonReport:
-    """Pairwise smoothness estimates, optionally completed with percentiles.
-
-    ``pairwise[i, j]`` is the smallest level at which the ordered pair (i, j)
-    satisfies the ratio bound: max(0, (1 - min_b curve_i(b)/curve_j(b)) / dist).
-    In the ratio, 0/0 counts as 1 and positive/0 as +inf, with -0.0 read as
-    0. The matrix is not symmetric. Coincident configurations cannot be scored
-    and appear as NaN, with the unordered pairs listed in ``skipped``.
-    ``r`` and ``percentiles`` are filled in by :func:`epsilon_percentiles`.
-    """
-
-    pairwise: np.ndarray
-    skipped: tuple[tuple[int, int], ...]
-    configs: list[Configuration]
-    r: float | None = None
-    percentiles: dict[float, float] | None = None
 
 
 def _level_rows(bench: TabularBenchmark, skipped: list[tuple[int, int]], strict: bool):
@@ -111,16 +93,22 @@ def _level_rows(bench: TabularBenchmark, skipped: list[tuple[int, int]], strict:
         raise SchemaError(f"coincident configuration pairs: {skipped}")
 
 
-def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> EpsilonReport:
-    """Estimate the per-pair smoothness level from full curves.
+def epsilon_pairwise(
+    bench: TabularBenchmark, *, strict: bool = False
+) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The per-pair smoothness levels of full curves, as ``(pairwise, skipped)``.
 
-    Row i costs O((n - i)*T) for the ratio floors of its pairs j > i, both
-    ways, and O((n - i)*d) for their distances, in buffers kept across rows;
-    each row fills P[i, j] and P[j, i]. Memory is O(n*n + n*T) and no
-    (n, n, d) array is built. With ``strict`` set, coincident embeddings
-    raise ``SchemaError`` instead of being skipped. A pair about 1e154 or
-    more apart, whose distance overflows to inf, reads NaN if its ratio
-    floor is +inf; it is not in ``skipped``, and the percentiles drop it.
+    ``pairwise[i, j]`` is the smallest level at which the ordered pair (i, j)
+    satisfies the ratio bound: max(0, (1 - min_b curve_i(b)/curve_j(b)) / dist).
+    In the ratio, 0/0 counts as 1 and positive/0 as +inf, with -0.0 read as
+    0. The matrix is not symmetric. Coincident configurations cannot be scored
+    and appear as NaN, with the unordered pairs listed in ``skipped``; with
+    ``strict`` set they raise ``SchemaError`` instead. The rows are those
+    that :func:`epsilon_percentiles` streams, row i giving P[i, j] and
+    P[j, i] for j > i, so memory is O(n*n + n*T) and no (n, n, d) array is
+    built. A pair about 1e154 or more apart, whose distance overflows to
+    inf, reads NaN if its ratio floor is +inf; it is not in ``skipped``,
+    and the percentiles drop it.
     ``load_tabular`` scales coordinates to [0, 1], so the CLI never meets one.
     """
     n = bench.n
@@ -130,7 +118,7 @@ def epsilon_pairwise(bench: TabularBenchmark, *, strict: bool = False) -> Epsilo
     for i, (upper, lower) in enumerate(_level_rows(bench, skipped, strict)):
         pairwise[i, i + 1 :] = upper
         pairwise[i + 1 :, i] = lower
-    return EpsilonReport(pairwise=pairwise, skipped=tuple(skipped), configs=list(bench.configs))
+    return pairwise, tuple(skipped)
 
 
 def check_percentile_args(k: int, alphas: Sequence[float]) -> None:
@@ -141,6 +129,7 @@ def check_percentile_args(k: int, alphas: Sequence[float]) -> None:
     if k < 1:
         raise InvalidParams(f"cover size k must be at least 1, got {k}")
     for alpha in alphas:
+        _check_real("percentile", alpha)
         if not 0.0 < alpha <= 100.0:
             raise InvalidParams(f"percentile {alpha} outside (0, 100]")
 
@@ -227,25 +216,29 @@ def _scaled_percentiles(
 
 
 def epsilon_percentiles(
-    report: EpsilonReport,
+    bench: TabularBenchmark,
     k: int,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> EpsilonReport:
-    """Complete a report with percentiles of the levels scaled by the cover radius.
+    *,
+    strict: bool = False,
+) -> tuple[float, dict[float, float], tuple[tuple[int, int], ...]]:
+    """Percentiles of the radius-scaled pair levels, as ``(radius, percentiles, skipped)``.
 
-    For every scorable unordered pair the larger of its two ordered estimates
-    enters the multiset once, multiplied by the radius of a greedy k-cover of
-    the embeddings; percentiles use the nearest-rank rule. Matrix row i is
-    folded against column i in one pass, and beyond the matrix only the
-    values that can still reach a rank are held. ``k`` and ``alphas`` are
-    checked before any pair is read.
+    For every scorable unordered pair the larger of its two ordered levels
+    (see :func:`epsilon_pairwise`) enters the multiset once, multiplied by
+    the radius of a greedy k-cover of the embeddings; percentiles use the
+    nearest-rank rule and are keyed by ``float(alpha)``. The levels are
+    streamed row by row in one pass, and only the values that can still
+    reach a rank are held: no n x n matrix and no n(n-1)/2 pair array.
+    ``skipped`` and ``strict`` are as for :func:`epsilon_pairwise`. ``k``
+    and ``alphas`` are checked before any pair is read.
     """
     alphas = tuple(alphas)
     check_percentile_args(k, alphas)
-    levels = report.pairwise
-    rows = ((levels[i, i + 1 :], levels[i + 1 :, i]) for i in range(len(report.configs) - 1))
-    radius, percentiles = _scaled_percentiles(rows, report.configs, k, alphas)
-    return replace(report, r=radius, percentiles=percentiles)
+    skipped: list[tuple[int, int]] = []
+    rows = _level_rows(bench, skipped, strict)
+    radius, percentiles = _scaled_percentiles(rows, bench.configs, k, alphas)
+    return radius, percentiles, tuple(skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +267,7 @@ def incumbent_at(trace: Sequence[tuple[int, float]], spent_cap: float) -> float:
     or before the cap is found by bisection. No point is at or before a NaN
     cap.
     """
+    _check_real("spend cap", spent_cap)
     i = bisect.bisect_right(trace, spent_cap + 1e-9, key=operator.itemgetter(0))
     if i == 0 or math.isnan(spent_cap):
         raise InvalidParams(f"no trace point at or before spend {spent_cap}")
@@ -312,6 +306,7 @@ def mean_rank(
     for ds, _ in cells:
         if ds not in caps:
             raise InvalidParams(f"no budget cap for dataset {ds!r}")
+        _check_real(f"budget cap for dataset {ds!r}", caps[ds])
         if not 0 < caps[ds] < math.inf:
             raise InvalidParams(f"budget cap {caps[ds]} for dataset {ds!r} must be finite and > 0")
     if fractions is None:
@@ -323,6 +318,7 @@ def mean_rank(
     means = np.zeros((len(fractions), len(algorithms)))
     values = np.empty((len(cells), len(algorithms)))
     for fi, f in enumerate(fractions):
+        _check_real("fraction", f)
         if not 0.0 < f <= 1.0:
             raise InvalidParams(f"fraction {f} outside (0, 1]")
         for ci, (ds, seed) in enumerate(cells):

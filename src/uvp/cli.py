@@ -15,10 +15,9 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .analysis import DEFAULT_ALPHAS, check_percentile_args, mean_rank
-from .analysis import _level_rows, _scaled_percentiles
-# estimate-eps no longer calls these two; perfbench/tracing.py wraps them by name here
-from .analysis import epsilon_pairwise, epsilon_percentiles  # noqa: F401
+from .analysis import DEFAULT_ALPHAS, check_percentile_args, epsilon_percentiles, mean_rank
+# estimate-eps does not call it; perfbench/tracing.py wraps it by name here
+from .analysis import epsilon_pairwise  # noqa: F401
 from .core import BudgetLedger, InvalidParams, SearchOutcome, Trace, UvpError, ValueOracle
 from .instances import (
     HARD_CELL_CAP,
@@ -305,11 +304,7 @@ def _cmd_estimate_eps(args: argparse.Namespace) -> int:
         raise InvalidParams(f"cannot parse --alphas {args.alphas!r}") from None
     check_percentile_args(args.k, alphas)  # before the file is read
     bench = load_tabular(args.data)
-    # one pass over the level rows, holding only the pair values that can
-    # reach a percentile: no n x n matrix and no n(n-1)/2 pair array
-    skipped: list[tuple[int, int]] = []
-    rows = _level_rows(bench, skipped, args.strict)
-    radius, percentiles = _scaled_percentiles(rows, bench.configs, args.k, alphas)
+    radius, percentiles, skipped = epsilon_percentiles(bench, args.k, alphas, strict=args.strict)
     if radius == 0:
         # every level is scaled by the radius, so each estimate would read 0
         raise InvalidParams(

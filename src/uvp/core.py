@@ -12,6 +12,7 @@ charges with one ``ValueOracle.query`` call.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -32,6 +33,12 @@ def _check_int(what: str, x) -> None:
     """Raise ``InvalidParams`` unless ``x`` is a Python or numpy integer."""
     if not _is_int(x):
         raise InvalidParams(f"{what} must be an integer, got {x!r}")
+
+
+def _check_real(what: str, x) -> None:
+    """Raise ``InvalidParams`` unless ``x`` is a real number; a ``bool`` is not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidParams(f"{what} must be a real number, got {x!r}")
 
 
 def _check_seed(seed: int) -> None:

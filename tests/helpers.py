@@ -20,7 +20,7 @@ from uvp import (
     TabularOracle,
     ValueOracle,
 )
-from uvp.analysis import EpsilonReport, RankTable
+from uvp.analysis import RankTable
 from uvp.clustering import DEFAULT_ETA_CAP, Cover, greedy_radius, k_center
 from uvp.core import VALUE_TOL, config_columns, distance_row
 from uvp.instances import TabularBenchmark
@@ -320,23 +320,29 @@ def ref_epsilon_pairwise(bench):
         for j in np.nonzero(zero)[0]:
             if i < j:
                 skipped.append((i, int(j)))
-    return EpsilonReport(pairwise=pairwise, skipped=tuple(skipped), configs=list(bench.configs))
+    return pairwise, tuple(skipped)
 
 
-def ref_epsilon_percentiles(report, k, alphas):
-    """Percentiles of the radius-scaled pair levels, gathered pair by pair."""
-    n = len(report.configs)
+def matrix_rows(P):
+    """The rows ``(P[i, i+1:], P[i+1:, i])`` of a level matrix, as the row pass yields them."""
+    for i in range(len(P) - 1):
+        yield P[i, i + 1 :], P[i + 1 :, i]
+
+
+def ref_epsilon_percentiles(pairwise, configs, k, alphas):
+    """Radius and percentiles of the radius-scaled pair levels, gathered pair by pair."""
+    n = len(configs)
     vals = []
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = report.pairwise[i, j], report.pairwise[j, i]
+            a, b = pairwise[i, j], pairwise[j, i]
             if math.isnan(a) or math.isnan(b):
                 continue
             vals.append(max(a, b))
     if not vals:
         raise InvalidParams("no scorable pairs: all embeddings coincide")
-    centers = k_center(min(k, n), Cover(report.configs))
-    radius = greedy_radius(centers, report.configs)
+    centers = k_center(min(k, n), Cover(configs))
+    radius = greedy_radius(centers, configs)
     # a NaN (0 * inf) goes after every number, as in the library; the key
     # keeps sorted() stable for zeros of either sign
     scaled = sorted((v * radius for v in vals), key=lambda v: (math.isnan(v), v))
@@ -346,7 +352,7 @@ def ref_epsilon_percentiles(report, k, alphas):
             raise InvalidParams(f"percentile {alpha} outside (0, 100]")
         idx = max(math.ceil(alpha / 100.0 * len(scaled)) - 1, 0)
         percentiles[float(alpha)] = float(scaled[idx])
-    return replace(report, r=float(radius), percentiles=percentiles)
+    return float(radius), percentiles
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def _ratio_suite():
         eps = float(rng.uniform(0.1, 0.45))
         configs, oracle = gen_smooth(n=n, d=2, horizon=horizon, epsilon=eps, seed=1000 + i)
         bench = TabularBenchmark(configs=configs, curves=oracle.curves)
-        eps_hat = max(float(np.nanmax(epsilon_pairwise(bench).pairwise)), 1e-9)
+        eps_hat = max(float(np.nanmax(epsilon_pairwise(bench)[0])), 1e-9)
         r_star = brute_force_k_center(configs, k).optimal_radius
         _, opt = brute_force_opt(configs, oracle)
         bound = (1.0 - 2.0 * eps_hat * r_star) * opt - 1e-12
@@ -309,7 +309,7 @@ def test_criterion_10_estimator_matches_reference():
         points = rng.uniform(size=(50, 3))
         curves = np.sort(rng.uniform(0.05, 1.0, size=(50, 3)), axis=1)
         bench = TabularBenchmark(configs=configs_from(points), curves=curves)
-        got = epsilon_pairwise(bench).pairwise
+        got, _ = epsilon_pairwise(bench)
         want = _reference_pairwise(points, curves)
         np.fill_diagonal(got, 0.0)
         np.fill_diagonal(want, 0.0)
@@ -337,7 +337,7 @@ def test_criterion_11_gap_consequence():
         points = rng.uniform(size=(30, 2))
         curves = np.sort(rng.uniform(0.05, 1.0, size=(30, 4)), axis=1)
         bench = TabularBenchmark(configs=configs_from(points), curves=curves)
-        eps = float(np.nanmax(epsilon_pairwise(bench).pairwise))
+        eps = float(np.nanmax(epsilon_pairwise(bench)[0]))
         worst = max(worst, lipschitz_check(bench, eps))
     ok = worst <= 1e-12
     _report(11, "pairwise gap consequence", ok, f"max violation {worst:.3e}")

@@ -26,6 +26,7 @@ from helpers import (
     curve_oracle,
     line,
     lipschitz_check,
+    matrix_rows,
     planar,
     ref_epsilon_pairwise,
     ref_epsilon_percentiles,
@@ -34,8 +35,6 @@ from uvp import InvalidParams, SchemaError, analysis
 from uvp.analysis import (
     DEFAULT_ALPHAS,
     DEFAULT_FRACTIONS,
-    EpsilonReport,
-    _level_rows,
     _rank,
     _scaled_percentiles,
     epsilon_pairwise,
@@ -71,40 +70,40 @@ def _bench(points, curves):
 
 def test_epsilon_pairwise_identical_curves():
     bench = _bench([[0.0], [1.0]], [[0.4, 0.6], [0.4, 0.6]])
-    report = epsilon_pairwise(bench)
-    assert report.pairwise[0, 1] == 0.0
-    assert report.pairwise[1, 0] == 0.0
-    assert report.skipped == ()
+    pairwise, skipped = epsilon_pairwise(bench)
+    assert pairwise[0, 1] == 0.0
+    assert pairwise[1, 0] == 0.0
+    assert skipped == ()
 
 
 def test_epsilon_pairwise_hand_value():
     # min_b A_1/A_0 = 0.5 at distance 1 -> eps = (1 - 0.5) / 1
     bench = _bench([[0.0], [1.0]], [[1.0], [0.5]])
-    report = epsilon_pairwise(bench)
-    assert report.pairwise[1, 0] == pytest.approx(0.5)
+    pairwise, _ = epsilon_pairwise(bench)
+    assert pairwise[1, 0] == pytest.approx(0.5)
     # the other orientation has ratio 2.0, clamped at 0
-    assert report.pairwise[0, 1] == 0.0
+    assert pairwise[0, 1] == 0.0
 
 
 def test_epsilon_pairwise_zero_conventions():
     # 0/0 counts as ratio 1, positive/0 as +inf; both leave eps at 0
     bench = _bench([[0.0], [1.0]], [[0.0], [0.0]])
-    assert epsilon_pairwise(bench).pairwise[0, 1] == 0.0
+    assert epsilon_pairwise(bench)[0][0, 1] == 0.0
     bench = _bench([[0.0], [1.0]], [[0.5], [0.0]])
-    report = epsilon_pairwise(bench)
-    assert report.pairwise[0, 1] == 0.0  # ratio +inf never binds
-    assert report.pairwise[1, 0] == pytest.approx(1.0)  # 0/0.5 = 0 -> (1-0)/1
+    pairwise, _ = epsilon_pairwise(bench)
+    assert pairwise[0, 1] == 0.0  # ratio +inf never binds
+    assert pairwise[1, 0] == pytest.approx(1.0)  # 0/0.5 = 0 -> (1-0)/1
     # a distance that overflows to inf: the floor min(0/0, 0.5/0) = 1 gives
     # (1 - 1) / inf = 0, where a floor of +inf would give NaN
     bench = _bench([[0.0], [1e200]], [[0.0, 0.5], [0.0, 0.0]])
     with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
-        assert epsilon_pairwise(bench).pairwise.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert epsilon_pairwise(bench)[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     # -0.0 reads as 0: 0.5/-0.0 = +inf and -0.0/-0.0 = 1. With one budget the
     # transposed curves are contiguous, and the benchmark's own -0.0 stays
     bench = _bench([[0.0], [1.0], [2.0]], [[-0.0], [0.5], [-0.0]])
-    report = epsilon_pairwise(bench)
-    assert report.pairwise[1, 0] == report.pairwise[0, 2] == 0.0
-    assert report.pairwise[0, 1] == 1.0  # -0.0/0.5 = 0 -> (1-0)/1
+    pairwise, _ = epsilon_pairwise(bench)
+    assert pairwise[1, 0] == pairwise[0, 2] == 0.0
+    assert pairwise[0, 1] == 1.0  # -0.0/0.5 = 0 -> (1-0)/1
     assert np.signbit(bench.curves[[0, 2], 0]).all()
 
 
@@ -112,7 +111,7 @@ def test_epsilon_pairwise_matches_brute_force():
     rng = np.random.default_rng(4)
     pts = rng.uniform(size=(6, 2))
     curves = np.sort(rng.uniform(0.05, 1.0, size=(6, 3)), axis=1)
-    report = epsilon_pairwise(_bench(pts, curves))
+    pairwise, _ = epsilon_pairwise(_bench(pts, curves))
     n = len(pts)
     for i in range(n):
         for j in range(n):
@@ -121,15 +120,15 @@ def test_epsilon_pairwise_matches_brute_force():
             dist = float(np.linalg.norm(pts[i] - pts[j]))
             worst = min(curves[i][b] / curves[j][b] for b in range(3))
             expected = max(0.0, (1.0 - worst) / dist)
-            assert report.pairwise[i, j] == pytest.approx(expected, abs=1e-12)
+            assert pairwise[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_epsilon_pairwise_skips_duplicate_embeddings():
     bench = _bench([[0.5], [0.5], [1.0]], [[0.2], [0.9], [0.4]])
-    report = epsilon_pairwise(bench)
-    assert np.isnan(report.pairwise[0, 1]) and np.isnan(report.pairwise[1, 0])
-    assert (0, 1) in report.skipped
-    assert np.isfinite(report.pairwise[0, 2])
+    pairwise, skipped = epsilon_pairwise(bench)
+    assert np.isnan(pairwise[0, 1]) and np.isnan(pairwise[1, 0])
+    assert (0, 1) in skipped
+    assert np.isfinite(pairwise[0, 2])
 
 
 def test_epsilon_pairwise_strict_mode():
@@ -152,79 +151,71 @@ def test_epsilon_percentiles_constant_multiset():
     # every pair at the same level: all percentiles collapse to c * r
     pts = [[0.0], [1.0], [3.0]]
     c = 0.3
-    report = EpsilonReport(
-        pairwise=np.full((3, 3), c) - c * np.eye(3),
-        skipped=(),
-        configs=configs_from(pts),
-    )
-    out = epsilon_percentiles(report, k=1)
+    levels = np.full((3, 3), c) - c * np.eye(3)
+    radius, percentiles = _scaled_percentiles(matrix_rows(levels), configs_from(pts), 1, DEFAULT_ALPHAS)
     # single greedy center is the lowest id at x = 0, covering radius 3
-    assert out.r == pytest.approx(3.0)
-    assert all(v == pytest.approx(c * 3.0) for v in out.percentiles.values())
+    assert radius == pytest.approx(3.0)
+    assert all(v == pytest.approx(c * 3.0) for v in percentiles.values())
 
 
 def test_epsilon_percentiles_from_estimated_matrix():
     pts = [[0.0], [4.0], [9.0]]
     bench = _bench(pts, [[1.0], [0.5], [0.5]])
-    report = epsilon_pairwise(bench)
-    out = epsilon_percentiles(report, k=1, alphas=(50, 100))
+    pairwise, _ = epsilon_pairwise(bench)
+    r, percentiles, skipped = epsilon_percentiles(bench, k=1, alphas=(50, 100))
     radius = greedy_radius(k_center(1, Cover(bench.configs)), bench.configs)
-    assert out.r == pytest.approx(radius)
+    assert r == pytest.approx(radius)
+    assert skipped == ()
     per_pair = []
     for i, j in itertools.combinations(range(3), 2):
-        per_pair.append(max(report.pairwise[i, j], report.pairwise[j, i]))
+        per_pair.append(max(pairwise[i, j], pairwise[j, i]))
     per_pair.sort()
     # nearest-rank: alpha = 50 over 3 scores picks index ceil(1.5) - 1 = 1
-    assert out.percentiles[50.0] == pytest.approx(per_pair[1] * radius)
-    assert out.percentiles[100.0] == pytest.approx(per_pair[2] * radius)
+    assert percentiles[50.0] == pytest.approx(per_pair[1] * radius)
+    assert percentiles[100.0] == pytest.approx(per_pair[2] * radius)
 
 
 def test_epsilon_percentiles_nearest_rank_two_values():
     # pair scores {0, 1} with radius 1: alpha = 90 lands on the larger value
-    pts = np.asarray([[0.0], [1.0], [2.0]])
-    report = EpsilonReport(
-        pairwise=np.asarray([
-            [0.0, 1.0, np.nan],
-            [0.3, 0.0, 0.0],
-            [np.nan, 0.0, 0.0],
-        ]),
-        skipped=((0, 2),),
-        configs=configs_from(pts),
+    levels = np.asarray([
+        [0.0, 1.0, np.nan],
+        [0.3, 0.0, 0.0],
+        [np.nan, 0.0, 0.0],
+    ])
+    radius, percentiles = _scaled_percentiles(
+        matrix_rows(levels), configs_from([[0.0], [1.0], [2.0]]), 2, (90,)
     )
-    out = epsilon_percentiles(report, k=2, alphas=(90,))
     # greedy picks ids 0 then 2; the middle point sits at distance 1
-    assert out.r == pytest.approx(1.0)
-    assert out.percentiles[90.0] == pytest.approx(1.0)
+    assert radius == pytest.approx(1.0)
+    assert percentiles[90.0] == pytest.approx(1.0)
 
 
 def test_epsilon_percentiles_alpha_validation():
     bench = _bench([[0.0], [1.0]], [[1.0], [0.5]])
-    report = epsilon_pairwise(bench)
     with pytest.raises(InvalidParams):
-        epsilon_percentiles(report, k=1, alphas=(0,))
+        epsilon_percentiles(bench, k=1, alphas=(0,))
     with pytest.raises(InvalidParams):
-        epsilon_percentiles(report, k=1, alphas=(101,))
+        epsilon_percentiles(bench, k=1, alphas=(101,))
 
 
 def test_epsilon_percentiles_all_pairs_skipped():
-    report = EpsilonReport(
-        pairwise=np.asarray([[0.0, np.nan], [np.nan, 0.0]]),
-        skipped=((0, 1),),
-        configs=configs_from([[0.5], [0.5]]),
-    )
-    with pytest.raises(InvalidParams):
-        epsilon_percentiles(report, k=1)
+    levels = np.asarray([[0.0, np.nan], [np.nan, 0.0]])
+    with pytest.raises(InvalidParams, match="no scorable pairs"):
+        _scaled_percentiles(matrix_rows(levels), configs_from([[0.5], [0.5]]), 1, DEFAULT_ALPHAS)
+    # the same pair from a benchmark: its embeddings coincide
+    bench = _bench([[0.5], [0.5]], [[0.2], [0.9]])
+    with pytest.raises(InvalidParams, match="no scorable pairs"):
+        epsilon_percentiles(bench, k=1)
 
 
 def test_epsilon_percentiles_checks_args_before_any_pair():
-    # a report without a matrix: the arguments must be rejected before it is read
-    report = EpsilonReport(pairwise=None, skipped=(), configs=configs_from([[0.0], [1.0]]))
+    # no benchmark at all: the arguments must be rejected before it is read
     with pytest.raises(InvalidParams, match="k must be at least 1"):
-        epsilon_percentiles(report, k=0)
+        epsilon_percentiles(None, k=0)
     with pytest.raises(InvalidParams, match="percentile 150"):
-        epsilon_percentiles(report, k=1, alphas=(90, 150))
+        epsilon_percentiles(None, k=1, alphas=(90, 150))
     with pytest.raises(InvalidParams, match="percentile nan"):
-        epsilon_percentiles(report, k=1, alphas=(float("nan"),))
+        epsilon_percentiles(None, k=1, alphas=(float("nan"),))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +256,11 @@ def _smoothness_benches(draw):
 
 
 def _same_percentiles(got, want):
-    assert repr(got.r) == repr(want.r)
-    assert list(got.percentiles) == list(want.percentiles)
-    assert [repr(v) for v in got.percentiles.values()] == [
-        repr(v) for v in want.percentiles.values()
-    ]
+    """``got`` and ``want`` start with the same radius and percentiles, bit for bit."""
+    (got_r, got_p), (want_r, want_p) = got[:2], want[:2]
+    assert repr(got_r) == repr(want_r)
+    assert list(got_p) == list(want_p)
+    assert [repr(v) for v in got_p.values()] == [repr(v) for v in want_p.values()]
 
 
 _ALPHAS = st.lists(st.sampled_from([1.0, 33.3, 50.0, 90.0, 99.0, 100.0]), min_size=1, max_size=4)
@@ -292,16 +283,18 @@ def test_estimators_match_reference_bodies(bench, k, alphas):
     # warns), and so does the cover radius, which a level 0 turns into NaN
     far = max(abs(x) for c in bench.configs for x in c.coords) > 1.0
     with np.errstate(over="ignore", invalid="ignore") if far else contextlib.nullcontext():
-        got, want = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
-        assert got.pairwise.tobytes() == want.pairwise.tobytes()  # NaNs in place
-        assert got.skipped == want.skipped
+        (got, skipped), (want, want_skipped) = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
+        assert got.tobytes() == want.tobytes()  # NaNs in place
+        assert skipped == want_skipped
         try:
-            want = ref_epsilon_percentiles(want, k, alphas)
+            want = ref_epsilon_percentiles(want, bench.configs, k, alphas)
         except InvalidParams:
             with pytest.raises(InvalidParams):
-                epsilon_percentiles(got, k, alphas)
+                epsilon_percentiles(bench, k, alphas)
             return
-        _same_percentiles(epsilon_percentiles(got, k, alphas), want)
+        got = epsilon_percentiles(bench, k, alphas)
+        _same_percentiles(got, want)
+        assert got[2] == skipped
 
 
 def _estimate_eps_csv(data, alphas):
@@ -329,21 +322,23 @@ def _flat_at_zero_matches_reference(tmp_path, horizon):
     configs, oracle = gen_hard(replace(spec, horizon=horizon))
     bench = TabularBenchmark(configs=configs, curves=oracle.curves)
     assert bench.n == 200 and (bench.curves == 0.0).mean() > 0.9
-    got, want = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
-    assert got.pairwise.tobytes() == want.pairwise.tobytes()
-    assert got.skipped == want.skipped == ()
-    assert (got.pairwise > 0.0).any()  # some pair binds
+    (got, skipped), (want, want_skipped) = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
+    assert got.tobytes() == want.tobytes()
+    assert skipped == want_skipped == ()
+    assert (got > 0.0).any()  # some pair binds
+    alphas = (1.0, 50.0, *DEFAULT_ALPHAS, 100.0)
     _same_percentiles(
-        epsilon_percentiles(got, 20, (1.0, 50.0, *DEFAULT_ALPHAS, 100.0)),
-        ref_epsilon_percentiles(want, 20, (1.0, 50.0, *DEFAULT_ALPHAS, 100.0)),
+        epsilon_percentiles(bench, 20, alphas),
+        ref_epsilon_percentiles(want, bench.configs, 20, alphas),
     )
-    # the command's streamed digits, against the reference on the file it reads
+    # the command's digits, against the reference on the file it reads
     data = str(tmp_path / f"fc{horizon}.csv")
     save_tabular(data, configs, oracle.curves)
-    pairwise = ref_epsilon_pairwise(load_tabular(data))
+    loaded = load_tabular(data)
+    pairwise, _ = ref_epsilon_pairwise(loaded)
     for alphas in (DEFAULT_ALPHAS, (1.0, 33.3, 50.0, 100.0)):
-        report = ref_epsilon_percentiles(pairwise, 20, alphas)
-        assert _estimate_eps_csv(data, alphas) == _epsilon_csv(report.percentiles.items())
+        _, percentiles = ref_epsilon_percentiles(pairwise, loaded.configs, 20, alphas)
+        assert _estimate_eps_csv(data, alphas) == _epsilon_csv(percentiles.items())
 
 
 @settings(deadline=None, max_examples=200)
@@ -352,29 +347,21 @@ def test_percentiles_match_reference_on_hand_built_reports(data, k, alphas):
     n = data.draw(st.integers(2, 7))
     levels = data.draw(st.lists(_LEVELS, min_size=n * n, max_size=n * n))
     points = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
-    report = EpsilonReport(
-        pairwise=np.asarray(levels).reshape(n, n),
-        skipped=(),
-        configs=configs_from([[x] for x in points]),
-    )
+    levels, configs = np.asarray(levels).reshape(n, n), configs_from([[x] for x in points])
     try:
-        want = ref_epsilon_percentiles(report, k, alphas)
+        want = ref_epsilon_percentiles(levels, configs, k, alphas)
     except InvalidParams:
         with pytest.raises(InvalidParams):
-            epsilon_percentiles(report, k, alphas)
+            _scaled_percentiles(matrix_rows(levels), configs, k, alphas)
         return
-    _same_percentiles(epsilon_percentiles(report, k, alphas), want)
+    _same_percentiles(_scaled_percentiles(matrix_rows(levels), configs, k, alphas), want)
 
 
 def test_percentiles_keep_the_first_of_tied_signed_zeros():
     # max(a, b) keeps a on a tie; np.maximum would keep b
-    report = EpsilonReport(
-        pairwise=np.asarray([[0.0, -0.0], [0.0, 0.0]]),
-        skipped=(),
-        configs=configs_from([[0.0], [1.0]]),
-    )
-    out = epsilon_percentiles(report, k=1, alphas=(100,))
-    assert repr(out.percentiles[100.0]) == "-0.0"
+    levels = np.asarray([[0.0, -0.0], [0.0, 0.0]])
+    _, percentiles = _scaled_percentiles(matrix_rows(levels), configs_from([[0.0], [1.0]]), 1, (100,))
+    assert repr(percentiles[100.0]) == "-0.0"
 
 
 def test_estimators_stay_within_three_pair_matrices():
@@ -405,19 +392,25 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_percentiles_need_no_more_than_a_window_beside_the_matrix():
+def test_percentiles_need_no_more_than_a_window_and_the_row_buffers():
     # the default alphas keep the largest tenth of the pairs, held in a window
     # of an eighth of them plus a row and copied once while it is compacted:
-    # about a quarter of the pair bytes on top of the given matrix (0.26 here)
-    n, d = 600, 16
+    # about a quarter of the pair bytes (0.21 here) on top of what an alpha
+    # of 100 holds, a window of one value beside row buffers and copies of
+    # the coordinates and curves (0.21 here, 2.4 floats per coordinate or
+    # curve cell)
+    n, d, horizon = 600, 16, 10
     pair_bytes = n * (n - 1) // 2 * 8
-    configs, oracle = gen_smooth(n=n, d=d, horizon=10, epsilon=0.3, seed=0)
-    report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=oracle.curves))
-    report.pairwise[0, 1] = np.nan  # an unscorable pair
+    configs, oracle = gen_smooth(n=n, d=d, horizon=horizon, epsilon=0.3, seed=0)
+    points = [c.coords for c in configs]
+    points[1] = points[0]  # an unscorable pair
+    bench = TabularBenchmark(configs=configs_from(points), curves=oracle.curves)
+    rows = _traced_peak(lambda: epsilon_percentiles(bench, k=20, alphas=(100.0,)))
     with mock.patch.object(analysis, "_top", wraps=analysis._top) as top:
-        peak = _traced_peak(lambda: epsilon_percentiles(report, k=20))
+        peak = _traced_peak(lambda: epsilon_percentiles(bench, k=20))
     assert top.called
-    assert peak < 0.35 * pair_bytes
+    assert rows < 4 * (d + horizon) * n * 8
+    assert peak - rows < 0.35 * pair_bytes
 
 
 def test_streamed_estimate_holds_a_window_not_the_pair_values(tmp_path):
@@ -431,14 +424,12 @@ def test_streamed_estimate_holds_a_window_not_the_pair_values(tmp_path):
     path = str(tmp_path / "s.csv")
     save_tabular(path, configs, oracle.curves)
     bench = load_tabular(path)
-    want = epsilon_percentiles(epsilon_pairwise(bench), 20, (50.0, *DEFAULT_ALPHAS)).percentiles
+    levels, _ = epsilon_pairwise(bench)
+    _, want = _scaled_percentiles(matrix_rows(levels), bench.configs, 20, (50.0, *DEFAULT_ALPHAS))
+    del levels
     for alphas, bound in ((DEFAULT_ALPHAS, 0.6 * pair_bytes), ((50.0,), 0.75 * n * n * 8)):
         got = {}
-        peak = _traced_peak(
-            lambda: got.update(
-                _scaled_percentiles(_level_rows(bench, [], False), bench.configs, 20, alphas)[1]
-            )
-        )
+        peak = _traced_peak(lambda: got.update(epsilon_percentiles(bench, 20, alphas)[1]))
         assert peak < bound
         assert got == {a: want[a] for a in alphas}
 
@@ -452,7 +443,7 @@ def test_estimate_eps_at_tabular_size_matches_a_stable_sort_of_every_pair(tmp_pa
     data = str(tmp_path / "tab.csv")
     save_tabular(data, configs, oracle.curves)
     bench = load_tabular(data)
-    levels = epsilon_pairwise(bench).pairwise
+    levels, _ = epsilon_pairwise(bench)
     upper = np.triu_indices_from(levels, 1)
     a, b = levels[upper], levels.T[upper]
     pairs = np.where((b > a) | np.isnan(b), b, a)
@@ -505,22 +496,20 @@ def _wide_benches(draw):
 def test_streamed_estimate_matches_the_reference_pair_list(bench, k, alphas, strict):
     # the command's own call against the pair-by-pair reference, which sorts
     # the whole list: no selection is shared between the two
-    want = ref_epsilon_pairwise(bench)
-    skipped: list[tuple[int, int]] = []
-    rows = _level_rows(bench, skipped, strict)
-    if strict and want.skipped:
+    pairwise, skipped = ref_epsilon_pairwise(bench)
+    if strict and skipped:
         with pytest.raises(SchemaError, match="coincident configuration pairs"):
-            _scaled_percentiles(rows, bench.configs, k, alphas)
+            epsilon_percentiles(bench, k, alphas, strict=strict)
         return
     try:
-        want = ref_epsilon_percentiles(want, k, alphas)
+        want = ref_epsilon_percentiles(pairwise, bench.configs, k, alphas)
     except InvalidParams as exc:
         with pytest.raises(InvalidParams, match=re.escape(str(exc))):
-            _scaled_percentiles(rows, bench.configs, k, alphas)
+            epsilon_percentiles(bench, k, alphas, strict=strict)
         return
-    radius, percentiles = _scaled_percentiles(rows, bench.configs, k, alphas)
-    assert tuple(skipped) == want.skipped
-    _same_percentiles(replace(want, r=radius, percentiles=percentiles), want)
+    got = epsilon_percentiles(bench, k, alphas, strict=strict)
+    _same_percentiles(got, want)
+    assert got[2] == skipped
 
 
 # mostly zeros of both signs: the window's smallest kept value is often a
@@ -536,18 +525,14 @@ def test_window_keeps_the_last_tied_values_of_hand_built_reports(data, k, alphas
     pool = data.draw(st.lists(_ZERO_LEVELS | _LEVELS, min_size=1, max_size=6))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     points = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
-    report = EpsilonReport(
-        pairwise=rng.choice(np.asarray(pool), size=(n, n)),
-        skipped=(),
-        configs=configs_from([[x] for x in points]),
-    )
+    levels, configs = rng.choice(np.asarray(pool), size=(n, n)), configs_from([[x] for x in points])
     try:
-        want = ref_epsilon_percentiles(report, k, alphas)
+        want = ref_epsilon_percentiles(levels, configs, k, alphas)
     except InvalidParams:
         with pytest.raises(InvalidParams):
-            epsilon_percentiles(report, k, alphas)
+            _scaled_percentiles(matrix_rows(levels), configs, k, alphas)
         return
-    _same_percentiles(epsilon_percentiles(report, k, alphas), want)
+    _same_percentiles(_scaled_percentiles(matrix_rows(levels), configs, k, alphas), want)
 
 
 def test_window_compacts_and_keeps_the_last_signed_zeros():
@@ -559,14 +544,12 @@ def test_window_compacts_and_keeps_the_last_signed_zeros():
     signs = rng.integers(0, 2, size=(n, n))
     pairwise = np.where(signs == 1, -0.0, 0.0)
     pairwise[rng.random((n, n)) < 0.05] = -1.0
-    report = EpsilonReport(
-        pairwise=pairwise, skipped=(), configs=configs_from([[float(x)] for x in range(n)])
-    )
+    configs = configs_from([[float(x)] for x in range(n)])
     for alphas in ((99.0, 100.0), (90.0,), (99.9,)):
         with mock.patch.object(analysis, "_top", wraps=analysis._top) as top:
-            got = epsilon_percentiles(report, 1, alphas)
+            got = _scaled_percentiles(matrix_rows(pairwise), configs, 1, alphas)
         assert top.call_count > 1
-        _same_percentiles(got, ref_epsilon_percentiles(report, 1, alphas))
+        _same_percentiles(got, ref_epsilon_percentiles(pairwise, configs, 1, alphas))
 
 
 def test_percentiles_take_the_sign_of_the_zero_at_the_rank():
@@ -575,22 +558,32 @@ def test_percentiles_take_the_sign_of_the_zero_at_the_rank():
     # rank falls on the -0.0; a plain partition returns a +0.0 there
     upper = np.zeros((4, 4))
     upper[np.triu_indices(4, 1)] = [0.0, -1.0, 0.5, 2.0, -0.0, 0.0]
-    report = EpsilonReport(
-        # the same level both ways (a sum would turn -0.0 into 0.0)
-        pairwise=np.where(np.tri(4, dtype=bool), upper.T, upper),
-        skipped=(),
-        configs=configs_from([[0.0], [1.0], [2.0], [3.0]]),
-    )
-    out = epsilon_percentiles(report, k=1, alphas=(50,))
-    assert out.r == 3.0
-    assert repr(out.percentiles[50.0]) == "-0.0"
-    out = epsilon_percentiles(report, k=1, alphas=(30, 60, 100))
-    assert [repr(v) for v in out.percentiles.values()] == ["0.0", "0.0", "6.0"]
+    # the same level both ways (a sum would turn -0.0 into 0.0)
+    levels = np.where(np.tri(4, dtype=bool), upper.T, upper)
+    configs = configs_from([[0.0], [1.0], [2.0], [3.0]])
+    radius, percentiles = _scaled_percentiles(matrix_rows(levels), configs, 1, (50,))
+    assert radius == 3.0
+    assert repr(percentiles[50.0]) == "-0.0"
+    _, percentiles = _scaled_percentiles(matrix_rows(levels), configs, 1, (30, 60, 100))
+    assert [repr(v) for v in percentiles.values()] == ["0.0", "0.0", "6.0"]
+
+
+def test_a_benchmark_reaches_the_signed_zero_tie_rule():
+    # 1e200 apart, (1 - 2) / inf is -0.0 and np.maximum(0.0, -0.0) keeps it, so
+    # the pairs across the gap read 0.0 one way and -0.0 the other; the first
+    # of them in pair order is the one at the median rank
+    bench = _bench([[0.0, 0.0], [0.0, 1.0], [1e200, 0.0], [1e200, 1.0]], [[0.5], [0.5], [0.25], [0.25]])
+    with np.errstate(over="ignore"):
+        pairwise, _ = epsilon_pairwise(bench)
+        radius, percentiles, _ = epsilon_percentiles(bench, 2, (50,))
+    assert [repr(float(pairwise[i, j])) for i, j in ((0, 2), (2, 0))] == ["-0.0", "0.0"]
+    assert radius == 1.0
+    assert repr(percentiles[50.0]) == "-0.0"
 
 
 @settings(deadline=None, max_examples=100)
 @given(bench=_smoothness_benches(), k=st.integers(1, 10), alphas=_ALPHAS, strict=st.booleans())
-def test_cli_estimate_matches_the_two_step_library_call(bench, k, alphas, strict):
+def test_cli_estimate_matches_the_library_call(bench, k, alphas, strict):
     with tempfile.TemporaryDirectory() as tmp:
         data, out_dir = os.path.join(tmp, "s.csv"), os.path.join(tmp, "eps")
         save_tabular(data, bench.configs, bench.curves)
@@ -607,20 +600,19 @@ def test_cli_estimate_matches_the_two_step_library_call(bench, k, alphas, strict
         # the same file through the library, formatted as the command formats it
         loaded = load_tabular(data)
         try:
-            report = epsilon_percentiles(epsilon_pairwise(loaded, strict=strict), k, alphas)
+            radius, percentiles, skipped = epsilon_percentiles(loaded, k, alphas, strict=strict)
         except (SchemaError, InvalidParams) as exc:
             assert (code, stdout, stderr) == (2, "", f"error: {exc}\n")
             assert got_csv is None
             return
-        if report.r == 0:
+        if radius == 0:
             assert code == 2 and stdout == "" and "radius 0" in stderr
             assert got_csv is None
             return
-        values = [(repr(float(a)), repr(report.percentiles[float(a)])) for a in alphas]
+        values = [(repr(float(a)), repr(percentiles[float(a)])) for a in alphas]
         assert code == 0
         assert stdout == "".join(f"alpha={a} value={v}\n" for a, v in values)
-        skipped = f"skipped {len(report.skipped)} coincident pairs\n" if report.skipped else ""
-        assert stderr == skipped
+        assert stderr == (f"skipped {len(skipped)} coincident pairs\n" if skipped else "")
         assert got_csv == "alpha,value\n" + "".join(f"{a},{v}\n" for a, v in values)
 
 

@@ -55,6 +55,33 @@ def test_every_import_in_the_package_is_used():
     assert not unused, f"unused imports: {unused}"
 
 
+def test_private_names_stay_in_their_module():
+    # no module of the package imports an underscore name from another, or
+    # reads one through a module it imports, save core's shared checks
+    shared = {f"core.{name}" for name in ("_is_int", "_check_int", "_check_seed", "_check_real")}
+    crossings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = []  # (line, owner module, name)
+        modules = set()  # package modules bound by "from . import m"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("uvp.")):
+                if node.module is None:
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                else:
+                    owner = node.module.rpartition(".")[2]
+                    reads += [(node.lineno, owner, alias.name) for alias in node.names]
+        reads += [
+            (node.lineno, node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+        crossings += [
+            f"{path.name}:{line}: {owner}.{name}" for line, owner, name in reads
+            if name.startswith("_") and f"{owner}.{name}" not in shared
+        ]
+    assert not crossings, f"private names read across modules: {crossings}"
+
+
 def test_readme_library_example_runs():
     # executes the single python block of README.md, so the documented API
     # cannot drift from the code

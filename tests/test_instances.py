@@ -195,8 +195,8 @@ def test_gen_hard_fc_satisfies_smoothness():
     spec = HardInstanceSpec(variant="fc", epsilon=0.4, beta=1.5, k=2,
                             n_per_cluster=3, r=1.0, horizon=2, seed=1)
     configs, oracle = gen_hard(spec)
-    report = epsilon_pairwise(_materialize(configs, oracle))
-    assert np.nanmax(report.pairwise) <= spec.epsilon + 1e-12
+    pairwise, _ = epsilon_pairwise(_materialize(configs, oracle))
+    assert np.nanmax(pairwise) <= spec.epsilon + 1e-12
 
 
 def test_gen_hard_ac_curves():
@@ -278,8 +278,8 @@ def test_gen_smooth_contract():
         inc = np.diff(curves, axis=1)
         assert np.all(inc >= -1e-15)  # monotone
         assert np.all(np.diff(inc, axis=1) <= 1e-12)  # concave
-        report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=curves))
-        assert np.nanmax(report.pairwise) <= 0.3 + 1e-12
+        pairwise, _ = epsilon_pairwise(TabularBenchmark(configs=configs, curves=curves))
+        assert np.nanmax(pairwise) <= 0.3 + 1e-12
 
 
 def test_gen_smooth_redraws_coincident_points(monkeypatch):
@@ -308,9 +308,9 @@ def test_gen_smooth_redraws_coincident_points(monkeypatch):
     monkeypatch.undo()
     assert len(draws) == 2
     assert [c.coords for c in configs] == [tuple(p) for p in draws[1].tolist()]
-    report = epsilon_pairwise(TabularBenchmark(configs=configs, curves=oracle.curves))
-    assert report.skipped == ()
-    assert np.nanmax(report.pairwise) <= 0.3 + 1e-12
+    pairwise, skipped = epsilon_pairwise(TabularBenchmark(configs=configs, curves=oracle.curves))
+    assert skipped == ()
+    assert np.nanmax(pairwise) <= 0.3 + 1e-12
 
 
 def test_gen_isolated_optimum_layout():

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import CallableOracle, brute_force_opt, const_oracle, curve_oracle, line
 from uvp import BudgetLedger, Configuration, History, InvalidParams, Run, UvpError
-from uvp.analysis import epsilon_pairwise, epsilon_percentiles
+from uvp.analysis import check_percentile_args, epsilon_pairwise, epsilon_percentiles, incumbent_at, mean_rank
 from uvp.cli import build_parser, run_algorithm
 from uvp.clustering import Cover, greedy_radius, k_center
 from uvp.instances import (
@@ -66,7 +66,43 @@ CASES = {
         InvalidParams,
         "unknown algorithm 'greedy'",
     ),
-    # analysis and core
+    # analysis and core; each real argument once raised a TypeError, or a
+    # bool was read as 1
+    "percentile given as a str": (
+        lambda: check_percentile_args(1, ["90"]),
+        InvalidParams,
+        "percentile must be a real number, got '90'",
+    ),
+    "percentile of None": (
+        lambda: check_percentile_args(1, [None]),
+        InvalidParams,
+        "percentile must be a real number, got None",
+    ),
+    "percentile given as a bool": (
+        lambda: check_percentile_args(1, [True]),
+        InvalidParams,
+        "percentile must be a real number, got True",
+    ),
+    "mean_rank with a str budget cap": (
+        lambda: mean_rank({("d", 0, "a"): [(1, 0.5)]}, {"d": "5"}),
+        InvalidParams,
+        "budget cap for dataset 'd' must be a real number, got '5'",
+    ),
+    "mean_rank with a bool budget cap": (
+        lambda: mean_rank({("d", 0, "a"): [(1, 0.5)]}, {"d": True}),
+        InvalidParams,
+        "budget cap for dataset 'd' must be a real number, got True",
+    ),
+    "mean_rank at a str fraction": (
+        lambda: mean_rank({("d", 0, "a"): [(1, 0.5)]}, {"d": 5}, fractions=["1"]),
+        InvalidParams,
+        "fraction must be a real number, got '1'",
+    ),
+    "incumbent at a str spend cap": (
+        lambda: incumbent_at([(1, 0.5)], "x"),
+        InvalidParams,
+        "spend cap must be a real number, got 'x'",
+    ),
     "brute_force_opt over nothing": (
         lambda: brute_force_opt([], const_oracle(0.5)),
         InvalidParams,
@@ -151,16 +187,12 @@ CASES = {
         "k must be an integer, got True",
     ),
     "epsilon percentiles with a float k": (
-        lambda: epsilon_percentiles(
-            epsilon_pairwise(TabularBenchmark(line([0.0, 1.0, 2.0]), np.full((3, 2), 0.5))), 1.5
-        ),
+        lambda: epsilon_percentiles(TabularBenchmark(line([0.0, 1.0, 2.0]), np.full((3, 2), 0.5)), 1.5),
         InvalidParams,
         "cover size k must be an integer, got 1.5",
     ),
     "epsilon percentiles with no percentile": (
-        lambda: epsilon_percentiles(
-            epsilon_pairwise(TabularBenchmark(line([0.0, 1.0, 2.0]), np.full((3, 2), 0.5))), 1, ()
-        ),
+        lambda: epsilon_percentiles(TabularBenchmark(line([0.0, 1.0, 2.0]), np.full((3, 2), 0.5)), 1, ()),
         InvalidParams,
         "need at least one percentile",
     ),
