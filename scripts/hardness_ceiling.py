@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from uvp import BudgetLedger, SolverParams
-from uvp.instances import HardInstanceSpec, gen_hard
+from uvp.instances import gen_hard
 from uvp.solvers import random_search
 
 
@@ -38,7 +38,7 @@ def main():
     args = parse_args()
     values = []
     for trial in range(args.trials):
-        spec = HardInstanceSpec(
+        configs, oracle = gen_hard(
             variant="fc",
             epsilon=args.epsilon,
             beta=args.beta,
@@ -48,7 +48,6 @@ def main():
             horizon=args.horizon,
             seed=args.seed_offset + trial,
         )
-        configs, oracle = gen_hard(spec)
         params = SolverParams(seed=trial)
         out = random_search(params, configs, oracle, BudgetLedger(args.budget))
         values.append(out.best_value)

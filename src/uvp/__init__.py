@@ -33,7 +33,6 @@ from .core import (
     ValueOracle,
 )
 from .instances import (
-    HardInstanceSpec,
     LandscapeOracle,
     LandscapeSpec,
     TabularBenchmark,
@@ -66,7 +65,6 @@ __all__ = [
     "BudgetLedger",
     "Configuration",
     "Cover",
-    "HardInstanceSpec",
     "History",
     "InvalidParams",
     "InvalidValue",

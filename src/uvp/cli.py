@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .instances import (
     HARD_CELL_CAP,
     LANDSCAPE_KINDS,
     MESH_CAP,
-    HardInstanceSpec,
     LandscapeOracle,
     gen_hard,
     landscape,
@@ -98,9 +98,9 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _from_args(cls, args: argparse.Namespace):
-    """``cls`` built from the parsed arguments named after its dataclass fields."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+def _from_args(fn, args: argparse.Namespace):
+    """``fn`` called with the parsed arguments named after its parameters."""
+    return fn(**{name: getattr(args, name) for name in inspect.signature(fn).parameters})
 
 
 def _add_knob_args(sub: argparse.ArgumentParser) -> None:
@@ -333,7 +333,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if (args.variant is None) == (args.landscape is None):
         raise InvalidParams("give exactly one of --hard or --landscape")
     if args.variant is not None:
-        configs, oracle = gen_hard(_from_args(HardInstanceSpec, args))
+        configs, oracle = _from_args(gen_hard, args)
         curves = oracle.curves
     else:
         lspec = landscape(args.landscape, args.seed)

@@ -31,6 +31,7 @@ from .core import (
     InvalidParams,
     Run,
     _check_int,
+    _check_real,
     config_columns,
     distance_row,
 )
@@ -157,6 +158,7 @@ def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[i
     for s in cover.centers:
         if len(histories.get(s, ())) == 0:
             raise InvalidParams(f"seed center {s} has no observations")
+    _check_real("epsilon", epsilon)
     if not epsilon > 0:
         raise InvalidParams("epsilon must be positive")
     v_max = max((histories[c].last for c in cover.centers), default=-np.inf)

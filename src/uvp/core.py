@@ -76,7 +76,7 @@ class SchemaError(UvpError):
 
 
 class InvalidValue(UvpError, ValueError):
-    """An observed value is not finite or lies outside [0, 1]."""
+    """An observed value is unreadable as a float, not finite or outside [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,11 @@ class Configuration:
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
             raise InvalidParams("configuration needs at least one coordinate")
-        if not all(math.isfinite(c) for c in self.coords):
+        try:
+            finite = all(math.isfinite(c) for c in self.coords)
+        except TypeError:
+            raise InvalidParams(f"configuration {self.id} has non-numeric coordinates") from None
+        if not finite:
             raise InvalidParams(f"configuration {self.id} has non-finite coordinates")
         _check_int("configuration id", self.id)
         if self.id < 0:
@@ -169,7 +173,10 @@ class History:
             self.append(v)
 
     def append(self, value: float) -> None:
-        v = float(value)
+        try:
+            v = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidValue(f"observed value {value!r} is not a number") from None
         if not math.isfinite(v) or v < -VALUE_TOL or v > 1.0 + VALUE_TOL:
             raise InvalidValue(f"observed value {value!r} outside [0, 1]")
         self.values.append(min(max(v, 0.0), 1.0))

@@ -11,7 +11,7 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .core import (
     SchemaError,
     ValueOracle,
     _check_int,
+    _check_real,
     _check_seed,
     distance_row,
 )
@@ -55,8 +56,8 @@ class LandscapeSpec:
     """A named 2-D value surface with its domain and (possibly sampled) parameters."""
 
     kind: str
-    params: dict = field(default_factory=dict)
-    domain: tuple[tuple[float, float], ...] = ((-8.0, 8.0), (-8.0, 8.0))
+    params: dict
+    domain: tuple[tuple[float, float], ...]
 
 
 def landscape(kind: str, seed: int = 0) -> LandscapeSpec:
@@ -147,6 +148,13 @@ def _configs(points: np.ndarray) -> list[Configuration]:
     return [Configuration(row, i) for i, row in enumerate(zip(*points.T.tolist()))]
 
 
+def _check_ends(bounds: Sequence[tuple[float, float]]) -> None:
+    """Refuse a bound end that is not a real number."""
+    for lo, hi in bounds:
+        _check_real("bound end", lo)
+        _check_real("bound end", hi)
+
+
 def _check_widths(bounds: Sequence[tuple[float, float]]) -> None:
     """Refuse a bound whose width is not finite: an inf or nan end, or a span past float range."""
     for lo, hi in bounds:
@@ -164,6 +172,7 @@ def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configurati
     total = m ** len(bounds)
     if total > MESH_CAP:
         raise InvalidParams(f"mesh of {total} points exceeds cap {MESH_CAP}")
+    _check_ends(bounds)
     _check_widths(bounds)
     axes = [np.linspace(lo, hi, m) for lo, hi in bounds]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -179,6 +188,7 @@ def sample_uniform(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> 
         raise InvalidParams(f"sample of {n} points exceeds cap {MESH_CAP}")
     if len(bounds) < 1:
         raise InvalidParams("need at least one dimension")
+    _check_ends(bounds)
     for lo, hi in bounds:
         if hi < lo:
             raise InvalidParams(f"bound ({lo}, {hi}) is inverted")
@@ -534,78 +544,74 @@ def save_tabular(path: str, configs: Sequence[Configuration], curves: np.ndarray
 # adversarial constructions
 
 
-@dataclass
-class HardInstanceSpec:
+def gen_hard(
+    variant: str,
+    epsilon: float,
+    beta: float,
+    k: int,
+    n_per_cluster: int,
+    r: float,
+    horizon: int,
+    theta_frac: float = 0.5,
+    seed: int = 0,
+) -> tuple[list[Configuration], TabularOracle]:
     """Clustered worst-case instance: one hidden good cluster among decoys.
 
     ``variant`` "fc" makes every curve flat at zero until the horizon (so
     nothing is learnable early); "ac" ramps the decoys linearly until they
     plateau at floor(theta_frac * T), while the hidden cluster keeps climbing.
-    """
-
-    variant: str
-    epsilon: float
-    beta: float
-    k: int
-    n_per_cluster: int
-    r: float
-    horizon: int
-    theta_frac: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("fc", "ac"):
-            raise InvalidParams("variant must be 'fc' or 'ac'")
-        if not self.epsilon > 0:
-            raise InvalidParams("epsilon must be positive")
-        if not self.beta > 1:
-            raise InvalidParams("beta must exceed 1")
-        for name in ("k", "n_per_cluster", "horizon"):
-            _check_int(name, getattr(self, name))
-        if self.k < 1 or self.n_per_cluster < 1:
-            raise InvalidParams("k and n_per_cluster must be >= 1")
-        if not self.r > 0:
-            raise InvalidParams("cluster radius r must be positive")
-        if self.epsilon * self.r > 1:
-            raise InvalidParams("epsilon * r must not exceed 1 (values would leave [0, 1])")
-        if self.horizon < 1:
-            raise InvalidParams("horizon must be >= 1")
-        if self.variant == "ac" and not 0 < self.theta_frac < 1:
-            raise InvalidParams("theta_frac must lie in (0, 1)")
-        _check_seed(self.seed)
-        if not math.isfinite(self.beta * self.k):
-            raise InvalidParams(f"beta * k = {self.beta * self.k} is not finite")
-        if not math.isfinite(1.0 / self.epsilon):
-            raise InvalidParams(f"1 / epsilon = {1.0 / self.epsilon} is not finite")
-        m, n = math.ceil(self.beta * self.k), self.n_per_cluster
-        if m * n * (m + n + self.horizon) > HARD_CELL_CAP:
-            raise InvalidParams(
-                f"hard instance exceeds cap {HARD_CELL_CAP} on m*n*(m + n + horizon) cells, "
-                "m = ceil(beta * k)"
-            )
-
-
-def gen_hard(spec: HardInstanceSpec) -> tuple[list[Configuration], TabularOracle]:
-    """Materialise the clustered hard instance as configurations plus curves.
 
     Geometry: ceil(beta*k) cluster anchors sit at mutual distance
     ceil(1/epsilon); the members of every cluster share one set of
     orthogonal offsets of norm r/sqrt(2), which makes all intra-cluster
     distances exactly r and keeps cross-cluster distances at least the
     anchor separation. One uniformly drawn cluster hides the single optimal
-    configuration; its siblings top out at 1 - epsilon*r.
+    configuration; its siblings top out at 1 - epsilon*r. Every argument is
+    checked before anything is drawn or allocated.
     """
-    m = math.ceil(spec.beta * spec.k)
-    n, T = spec.n_per_cluster, spec.horizon
-    sep = math.ceil(1.0 / spec.epsilon)
+    if variant not in ("fc", "ac"):
+        raise InvalidParams("variant must be 'fc' or 'ac'")
+    _check_real("epsilon", epsilon)
+    if not epsilon > 0:
+        raise InvalidParams("epsilon must be positive")
+    _check_real("beta", beta)
+    if not beta > 1:
+        raise InvalidParams("beta must exceed 1")
+    for name, value in (("k", k), ("n_per_cluster", n_per_cluster), ("horizon", horizon)):
+        _check_int(name, value)
+    if k < 1 or n_per_cluster < 1:
+        raise InvalidParams("k and n_per_cluster must be >= 1")
+    _check_real("r", r)
+    if not r > 0:
+        raise InvalidParams("cluster radius r must be positive")
+    if epsilon * r > 1:
+        raise InvalidParams("epsilon * r must not exceed 1 (values would leave [0, 1])")
+    if horizon < 1:
+        raise InvalidParams("horizon must be >= 1")
+    if variant == "ac":
+        _check_real("theta_frac", theta_frac)
+        if not 0 < theta_frac < 1:
+            raise InvalidParams("theta_frac must lie in (0, 1)")
+    _check_seed(seed)
+    if not math.isfinite(beta * k):
+        raise InvalidParams(f"beta * k = {beta * k} is not finite")
+    if not math.isfinite(1.0 / epsilon):
+        raise InvalidParams(f"1 / epsilon = {1.0 / epsilon} is not finite")
+    m, n, T = math.ceil(beta * k), n_per_cluster, horizon
+    if m * n * (m + n + T) > HARD_CELL_CAP:
+        raise InvalidParams(
+            f"hard instance exceeds cap {HARD_CELL_CAP} on m*n*(m + n + horizon) cells, "
+            "m = ceil(beta * k)"
+        )
+    sep = math.ceil(1.0 / epsilon)
     anchor_scale = sep / math.sqrt(2.0)
-    offset_scale = spec.r / math.sqrt(2.0)
+    offset_scale = r / math.sqrt(2.0)
     dim = m + n
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     opt_cluster = int(rng.integers(m))
     opt_member = int(rng.integers(n))
 
-    gap = 1.0 - spec.epsilon * spec.r
+    gap = 1.0 - epsilon * r
     rows = np.arange(m * n)
     cluster, member = np.divmod(rows, n)
     points = np.zeros((m * n, dim))
@@ -613,12 +619,12 @@ def gen_hard(spec: HardInstanceSpec) -> tuple[list[Configuration], TabularOracle
     points[rows, m + member] = offset_scale
     hidden = (cluster == opt_cluster)[:, None]
     top = np.where(member == opt_member, 1.0, gap)[:, None]
-    if spec.variant == "fc":
+    if variant == "fc":
         curves = np.zeros((m * n, T))
         curves[:, T - 1 :] = np.where(hidden, top, 0.0)
     else:
         ts = np.arange(1, T + 1)
-        plateau = math.floor(spec.theta_frac * T)
+        plateau = math.floor(theta_frac * T)
         curves = np.where(hidden, top * ts / T, gap * np.minimum(ts, plateau) / T)
     return _configs(points), TabularOracle(curves, dim)
 
@@ -644,6 +650,7 @@ def gen_smooth(
         _check_int(name, value)
     if n < 2 or d < 1:
         raise InvalidParams("need n >= 2 configurations and d >= 1 dimensions")
+    _check_real("epsilon", epsilon)
     if not epsilon > 0:
         raise InvalidParams("epsilon must be positive")
     if not math.isfinite(epsilon):

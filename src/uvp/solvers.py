@@ -39,6 +39,7 @@ from .core import (
     SearchOutcome,
     ValueOracle,
     _check_int,
+    _check_real,
     _check_seed,
 )
 
@@ -75,10 +76,13 @@ class SolverParams:
             _check_int(knob, getattr(self, knob))
         if self.p < 1:
             raise InvalidParams("p (centers per round) must be >= 1")
+        _check_real("epsilon", self.epsilon)
         if not self.epsilon > 0:
             raise InvalidParams("epsilon must be positive")
+        _check_real("delta", self.delta)
         if not 0 < self.delta < 1:
             raise InvalidParams("delta must lie in (0, 1)")
+        _check_real("theta", self.theta)
         if not 0 < self.theta <= 1:
             raise InvalidParams("theta must lie in (0, 1]")
         if self.predictor not in PREDICTORS:
@@ -120,6 +124,7 @@ def tail_fit_pred(values: Sequence[float], horizon: int, theta: float = 0.3) -> 
     slope falls back to the last observed value.
     """
     _check_horizon(horizon)
+    _check_real("theta", theta)
     if not 0 < theta <= 1:
         raise InvalidParams("theta must lie in (0, 1]")
     if len(values) == 0:

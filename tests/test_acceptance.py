@@ -28,7 +28,6 @@ from uvp.analysis import epsilon_pairwise, mean_rank
 from uvp.cli import entry
 from uvp.clustering import Cover, e_k_center, k_center
 from uvp.instances import (
-    HardInstanceSpec,
     LandscapeOracle,
     TabularBenchmark,
     gen_hard,
@@ -260,10 +259,9 @@ def test_criterion_09_random_search_ceiling():
     values = []
     for trial in range(2000):
         # decorrelate instance placement from the algorithm's draws
-        spec = HardInstanceSpec(variant="fc", epsilon=0.5, beta=beta, k=2,
-                                n_per_cluster=n, r=1.0, horizon=3,
-                                seed=100000 + trial)
-        configs, oracle = gen_hard(spec)
+        configs, oracle = gen_hard(variant="fc", epsilon=0.5, beta=beta, k=2,
+                                   n_per_cluster=n, r=1.0, horizon=3,
+                                   seed=100000 + trial)
         out = random_search(SolverParams(seed=trial), configs, oracle, BudgetLedger(6))
         values.append(out.best_value)
     mean = float(np.mean(values))

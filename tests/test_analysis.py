@@ -11,7 +11,6 @@ import sys
 import tempfile
 import tracemalloc
 from collections.abc import Mapping
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -44,7 +43,6 @@ from uvp.analysis import (
 )
 from uvp.clustering import Cover, greedy_radius, k_center
 from uvp.instances import (
-    HardInstanceSpec,
     TabularBenchmark,
     gen_hard,
     gen_smooth,
@@ -318,8 +316,8 @@ def test_estimators_match_reference_on_a_flat_at_zero_hard_instance(tmp_path):
 def _flat_at_zero_matches_reference(tmp_path, horizon):
     # fc curves are zero until the horizon: 0/0 at almost every cell, and
     # x/0 between the hidden cluster and the rest at the last budget
-    spec = HardInstanceSpec("fc", epsilon=0.05, beta=2.0, k=10, n_per_cluster=10, r=1.0, horizon=6)
-    configs, oracle = gen_hard(replace(spec, horizon=horizon))
+    configs, oracle = gen_hard("fc", epsilon=0.05, beta=2.0, k=10, n_per_cluster=10, r=1.0,
+                               horizon=horizon)
     bench = TabularBenchmark(configs=configs, curves=oracle.curves)
     assert bench.n == 200 and (bench.curves == 0.0).mean() > 0.9
     (got, skipped), (want, want_skipped) = epsilon_pairwise(bench), ref_epsilon_pairwise(bench)
@@ -716,9 +714,8 @@ def test_brute_force_opt_constant_ties_to_lowest_id():
 
 
 def test_brute_force_opt_finds_planted_optimum():
-    spec = HardInstanceSpec(variant="fc", epsilon=0.5, beta=2.0, k=2,
-                            n_per_cluster=5, r=0.5, horizon=3, seed=0)
-    configs, oracle = gen_hard(spec)
+    configs, oracle = gen_hard(variant="fc", epsilon=0.5, beta=2.0, k=2,
+                               n_per_cluster=5, r=0.5, horizon=3, seed=0)
     best_id, best_val = brute_force_opt(configs, oracle)
     assert best_val == 1.0
     assert oracle.curves[best_id, -1] == 1.0

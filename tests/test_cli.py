@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -17,7 +18,6 @@ from uvp import cli
 from uvp.cli import ALGORITHMS, entry, run_algorithm
 from uvp.core import BudgetLedger, InvalidParams, Trace
 from uvp.instances import (
-    HardInstanceSpec,
     gen_hard,
     gen_smooth,
     landscape,
@@ -732,7 +732,7 @@ def test_estimate_eps_k_zero_exits_2(tmp_path, capsys):
 def test_estimate_eps_zero_radius_exits_2(tmp_path, capsys):
     # 20 configurations: a cover of 20 centers has radius 0, so every scaled
     # level would read 0.0
-    configs, oracle = gen_hard(HardInstanceSpec("fc", 0.5, 2.0, 2, 5, 1.0, 3))
+    configs, oracle = gen_hard("fc", 0.5, 2.0, 2, 5, 1.0, 3)
     data = str(tmp_path / "h.csv")
     save_tabular(data, configs, oracle.curves)
     out = tmp_path / "eps"
@@ -757,9 +757,8 @@ def test_gen_hard_row_count_and_round_trip(tmp_path):
     rows = _read_rows(out)
     assert len(rows) == 61  # header + ceil(beta*k)=4 clusters x 5 configs x 3 budgets
     bench = load_tabular(str(out))
-    spec = HardInstanceSpec(variant="fc", epsilon=0.5, beta=2.0, k=2,
-                            n_per_cluster=5, r=0.5, horizon=3, seed=0)
-    _, oracle = gen_hard(spec)
+    _, oracle = gen_hard(variant="fc", epsilon=0.5, beta=2.0, k=2,
+                         n_per_cluster=5, r=0.5, horizon=3, seed=0)
     assert np.allclose(bench.curves, oracle.curves, atol=1e-12)
 
 
@@ -774,14 +773,13 @@ def test_gen_landscape_mesh(tmp_path):
 
 
 def test_gen_writes_what_the_library_writes(tmp_path):
-    # every gen option reaches the spec: --theta-frac moves the ac decoys' plateau
+    # every gen option reaches gen_hard: --theta-frac moves the ac decoys' plateau
     hard, lib = tmp_path / "hard.csv", tmp_path / "lib.csv"
     assert entry(["gen", "--hard", "ac", "--epsilon", "0.2", "--beta", "3", "--k", "2",
                   "--n", "4", "--r", "0.5", "--horizon", "10", "--theta-frac", "0.3",
                   "--seed", "5", "--out", str(hard)]) == 0
-    spec = HardInstanceSpec(variant="ac", epsilon=0.2, beta=3.0, k=2, n_per_cluster=4,
-                            r=0.5, horizon=10, theta_frac=0.3, seed=5)
-    configs, oracle = gen_hard(spec)
+    configs, oracle = gen_hard(variant="ac", epsilon=0.2, beta=3.0, k=2, n_per_cluster=4,
+                               r=0.5, horizon=10, theta_frac=0.3, seed=5)
     save_tabular(str(lib), configs, oracle.curves)
     assert hard.read_bytes() == lib.read_bytes()
 
@@ -801,6 +799,31 @@ def test_gen_same_seed_identical_bytes(tmp_path):
     assert entry(args + ["--out", str(a)]) == 0
     assert entry(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, stdout_sha, csv_sha",
+    [
+        (["--hard", "fc"],
+         "bd3df5718e06d633ad05660e26c08a21a158be8411ebc96abf91765e1d7ae21f",
+         "9d7c34dc42351f697e323932a3f515af9edd8ebb226be3ab4281d4fd40f9b504"),
+        (["--hard", "ac", "--epsilon", "0.2", "--beta", "3", "--k", "2", "--n", "4",
+          "--horizon", "10", "--theta-frac", "0.3", "--seed", "5"],
+         "a167de90a1bce5d5d87fde0e62b97e6dee0be4a3c4149423e2994b0b851ac37c",
+         "458e897a4edcd11d3e45ad22d002ded55bbe74c0072d2a1aac72cbb3f8a27761"),
+        (["--landscape", "double-rings", "--mesh", "5"],
+         "139047a74912a39d259ad6ec30d3a5b55f02a18a379f31997d938e4373339107",
+         "dd89b74c0c7a9207dcea21ce977fd78cf3513aec79c134fcb6f9e41d1f8a2c17"),
+    ],
+    ids=["fc-defaults", "ac", "landscape"],
+)
+def test_gen_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, stdout_sha, csv_sha):
+    # the other gen tests compare the CLI with the library or one run with
+    # another, so a change of arithmetic both share would pass them
+    monkeypatch.chdir(tmp_path)
+    assert entry(["gen", *argv, "--out", "g.csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() == csv_sha
 
 
 def test_gen_requires_exactly_one_source(tmp_path):

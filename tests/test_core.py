@@ -542,22 +542,6 @@ def test_one_error_class_per_kind_of_fault():
     kept = {"UvpError", "InvalidParams", "InvalidValue", "ParseError", "SchemaError"}
     assert errors == kept
     assert all(issubclass(getattr(uvp, name), UvpError) for name in errors)
-    folded = (
-        "InvalidBudget", "InsufficientCandidates", "EmptyCenters", "EmptyHistory",
-        "OutOfDomain", "TooLarge", "MissingTrace", "DegenerateEmbedding", "BudgetExhausted",
-    )
-    for name in folded:  # folded into InvalidParams, SchemaError or a False return; no alias left
-        assert not hasattr(uvp, name) and not hasattr(uvp.core, name)
-
-
-def test_no_test_only_reference_in_the_package():
-    moved = (
-        "lipschitz_check", "ClusteringReport", "brute_force_k_center", "brute_force_opt",
-        "BRUTE_FORCE_CAP", "gen_isolated_optimum", "CallableOracle",
-    )
-    for name in moved:  # moved to tests/helpers.py, with no alias left
-        for module in (uvp, uvp.analysis, uvp.instances, uvp.core):
-            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_one_module_holds_every_algorithm():

@@ -21,7 +21,6 @@ from helpers import gen_isolated_optimum
 from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.core import UvpError
 from uvp.instances import (
-    HardInstanceSpec,
     LandscapeOracle,
     gen_hard,
     gen_smooth,
@@ -53,8 +52,7 @@ def _landscape(seed):
 
 def _hard(variant):
     def build(seed):
-        spec = HardInstanceSpec(variant, 0.5, 2.0, 2, 5, 1.0, 10, seed=seed)
-        X, oracle = gen_hard(spec)
+        X, oracle = gen_hard(variant, 0.5, 2.0, 2, 5, 1.0, 10, seed=seed)
         return X, oracle, 60
 
     return build

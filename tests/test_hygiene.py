@@ -1,9 +1,11 @@
 """Source hygiene: public names and test helpers are used, imports are read,
-README's example and CLI block run, its error list matches the package, and
-the scripts run."""
+no removed name comes back, README's example and CLI block run, its error
+list matches the package, and the scripts run."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -16,6 +18,34 @@ from uvp.instances import gen_smooth, save_tabular
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "uvp"
+
+# Names the package once had, each with what took its place. None may come
+# back, not even as an alias.
+REMOVED = {
+    # error classes, one per kind of fault now
+    "InvalidBudget": "InvalidParams",
+    "InsufficientCandidates": "InvalidParams",
+    "EmptyCenters": "InvalidParams",
+    "EmptyHistory": "InvalidParams",
+    "OutOfDomain": "InvalidParams",
+    "TooLarge": "InvalidParams",
+    "MissingTrace": "InvalidParams",
+    "DegenerateEmbedding": "SchemaError",
+    "BudgetExhausted": "a False return from Run.extend_all",
+    # references only the tests used
+    "lipschitz_check": "tests/helpers.py",
+    "ClusteringReport": "tests/helpers.py",
+    "brute_force_k_center": "tests/helpers.py",
+    "brute_force_opt": "tests/helpers.py",
+    "BRUTE_FORCE_CAP": "tests/helpers.py",
+    "gen_isolated_optimum": "tests/helpers.py",
+    "CallableOracle": "tests/helpers.py",
+    # records and second ways
+    "EpsilonReport": "the tuples epsilon_pairwise and epsilon_percentiles return",
+    "HardInstanceSpec": "gen_hard's own parameters",
+    "extend_to": "Run.extend_all",
+    "baselines": "the module uvp.solvers",
+}
 
 
 def test_every_public_name_has_a_use_outside_the_tests():
@@ -80,6 +110,17 @@ def test_private_names_stay_in_their_module():
             if name.startswith("_") and f"{owner}.{name}" not in shared
         ]
     assert not crossings, f"private names read across modules: {crossings}"
+
+
+def test_no_removed_name_is_back():
+    # every module of the package is imported, so a module of a removed
+    # name becomes an attribute of uvp
+    modules = [importlib.import_module(f"uvp.{m.name}") for m in pkgutil.iter_modules(uvp.__path__)]
+    back = [
+        f"{owner.__name__}.{name}"
+        for owner in (uvp, *modules, uvp.Run) for name in REMOVED if hasattr(owner, name)
+    ]
+    assert not back, f"removed names are back: {back}"
 
 
 def test_readme_library_example_runs():

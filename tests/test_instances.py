@@ -20,8 +20,8 @@ from uvp.analysis import epsilon_pairwise
 from uvp.instances import (
     LANDSCAPE_KINDS,
     MESH_CAP,
-    HardInstanceSpec,
     LandscapeOracle,
+    LandscapeSpec,
     TabularBenchmark,
     gen_hard,
     gen_smooth,
@@ -90,6 +90,15 @@ def test_landscape_eval_rejects_out_of_domain():
         landscape_eval(spec, (0.0, -8.1))
 
 
+def test_landscape_spec_takes_every_field():
+    # no default serves every kind: the domains are +-8 or +-10 and each kind
+    # reads its own params; landscape() gives all three
+    with pytest.raises(TypeError):
+        LandscapeSpec("radial-decay")
+    with pytest.raises(TypeError):
+        LandscapeSpec("radial-decay", {"rate": 0.18})
+
+
 def test_all_landscapes_stay_in_unit_interval():
     rng = np.random.default_rng(0)
     for kind in LANDSCAPE_KINDS:
@@ -153,9 +162,8 @@ def _materialize(configs, oracle):
 
 
 def test_gen_hard_fc_values():
-    spec = HardInstanceSpec(variant="fc", epsilon=0.5, beta=2.0, k=2,
-                            n_per_cluster=5, r=0.5, horizon=3, seed=0)
-    configs, oracle = gen_hard(spec)
+    configs, oracle = gen_hard(variant="fc", epsilon=0.5, beta=2.0, k=2,
+                               n_per_cluster=5, r=0.5, horizon=3, seed=0)
     assert len(configs) == 20  # ceil(beta*k) = 4 clusters of 5
     curves = oracle.curves
     assert curves.shape == (20, 3)
@@ -168,9 +176,9 @@ def test_gen_hard_fc_values():
 
 
 def test_gen_hard_fc_geometry():
-    spec = HardInstanceSpec(variant="fc", epsilon=0.5, beta=2.0, k=2,
-                            n_per_cluster=4, r=1.0, horizon=2, seed=3)
-    configs, oracle = gen_hard(spec)
+    spec = dict(variant="fc", epsilon=0.5, beta=2.0, k=2,
+                n_per_cluster=4, r=1.0, horizon=2, seed=3)
+    configs, oracle = gen_hard(**spec)
     pts = np.asarray([c.coords for c in configs])
     finals = oracle.curves[:, -1]
     clusters = [list(range(c * 4, (c + 1) * 4)) for c in range(4)]
@@ -183,7 +191,7 @@ def test_gen_hard_fc_geometry():
         for cb in range(ca + 1, 4):
             for a in clusters[ca]:
                 for b in clusters[cb]:
-                    assert np.linalg.norm(pts[a] - pts[b]) >= 1.0 / spec.epsilon - 1e-9
+                    assert np.linalg.norm(pts[a] - pts[b]) >= 1.0 / spec["epsilon"] - 1e-9
     # the single optimum and its cluster mates carry the only mass
     opt = int(np.argmax(finals))
     mates = clusters[opt // 4]
@@ -192,18 +200,16 @@ def test_gen_hard_fc_geometry():
 
 
 def test_gen_hard_fc_satisfies_smoothness():
-    spec = HardInstanceSpec(variant="fc", epsilon=0.4, beta=1.5, k=2,
-                            n_per_cluster=3, r=1.0, horizon=2, seed=1)
-    configs, oracle = gen_hard(spec)
+    configs, oracle = gen_hard(variant="fc", epsilon=0.4, beta=1.5, k=2,
+                               n_per_cluster=3, r=1.0, horizon=2, seed=1)
     pairwise, _ = epsilon_pairwise(_materialize(configs, oracle))
-    assert np.nanmax(pairwise) <= spec.epsilon + 1e-12
+    assert np.nanmax(pairwise) <= 0.4 + 1e-12
 
 
 def test_gen_hard_ac_curves():
     T = 6
-    spec = HardInstanceSpec(variant="ac", epsilon=0.5, beta=2.0, k=1,
-                            n_per_cluster=3, r=1.0, horizon=T, theta_frac=0.5, seed=2)
-    configs, oracle = gen_hard(spec)
+    configs, oracle = gen_hard(variant="ac", epsilon=0.5, beta=2.0, k=1,
+                               n_per_cluster=3, r=1.0, horizon=T, theta_frac=0.5, seed=2)
     curves = oracle.curves
     finals = curves[:, -1]
     opt = int(np.argmax(finals))
@@ -216,7 +222,7 @@ def test_gen_hard_ac_curves():
     for m in mates:
         assert curves[m][-1] == pytest.approx(0.5)
     # non-optimal clusters plateau at floor(theta*T) = 3
-    plateau = int(spec.theta_frac * T)
+    plateau = int(0.5 * T)
     others = [i for i in range(len(configs)) if i // 3 != opt // 3]
     for i in others:
         assert curves[i][plateau - 1] == curves[i][-1]  # flat after the knee
@@ -228,18 +234,18 @@ def test_gen_hard_ac_curves():
 
 def test_gen_hard_validation():
     with pytest.raises(InvalidParams):
-        HardInstanceSpec(variant="xx", epsilon=0.5, beta=2.0, k=1,
-                         n_per_cluster=2, r=1.0, horizon=2)
+        gen_hard(variant="xx", epsilon=0.5, beta=2.0, k=1,
+                 n_per_cluster=2, r=1.0, horizon=2)
     with pytest.raises(InvalidParams):
-        HardInstanceSpec(variant="fc", epsilon=0.0, beta=2.0, k=1,
-                         n_per_cluster=2, r=1.0, horizon=2)
+        gen_hard(variant="fc", epsilon=0.0, beta=2.0, k=1,
+                 n_per_cluster=2, r=1.0, horizon=2)
     with pytest.raises(InvalidParams):
-        HardInstanceSpec(variant="fc", epsilon=0.5, beta=1.0, k=1,
-                         n_per_cluster=2, r=1.0, horizon=2)
+        gen_hard(variant="fc", epsilon=0.5, beta=1.0, k=1,
+                 n_per_cluster=2, r=1.0, horizon=2)
     with pytest.raises(InvalidParams):
         # eps*r above 1 would push values negative
-        HardInstanceSpec(variant="fc", epsilon=0.5, beta=2.0, k=1,
-                         n_per_cluster=2, r=3.0, horizon=2)
+        gen_hard(variant="fc", epsilon=0.5, beta=2.0, k=1,
+                 n_per_cluster=2, r=3.0, horizon=2)
 
 
 @pytest.mark.parametrize(
@@ -253,18 +259,18 @@ def test_gen_hard_validation():
     ],
 )
 def test_gen_hard_refuses_what_it_cannot_build(knobs, message):
-    # checked in the spec, so no draw and no allocation happens
+    # checked before any draw or allocation
     spec = {"variant": "fc", "epsilon": 0.5, "beta": 2.0, "k": 2, "n_per_cluster": 5,
             "r": 1.0, "horizon": 3, **knobs}
     with pytest.raises(InvalidParams, match=message):
-        HardInstanceSpec(**spec)
+        gen_hard(**spec)
 
 
 def test_gen_hard_deterministic():
-    spec = HardInstanceSpec(variant="fc", epsilon=0.5, beta=2.0, k=2,
-                            n_per_cluster=4, r=0.5, horizon=3, seed=9)
-    a_cfg, a_orc = gen_hard(spec)
-    b_cfg, b_orc = gen_hard(spec)
+    spec = dict(variant="fc", epsilon=0.5, beta=2.0, k=2,
+                n_per_cluster=4, r=0.5, horizon=3, seed=9)
+    a_cfg, a_orc = gen_hard(**spec)
+    b_cfg, b_orc = gen_hard(**spec)
     assert [c.coords for c in a_cfg] == [c.coords for c in b_cfg]
     assert np.array_equal(a_orc.curves, b_orc.curves)
 
@@ -342,7 +348,7 @@ def test_generators_reject_nan_knobs_and_negative_seeds():
     hard = dict(variant="fc", epsilon=0.5, beta=2.0, k=1, n_per_cluster=2, r=1.0, horizon=2)
     for bad in ({"epsilon": nan}, {"beta": nan}, {"r": nan}, {"seed": -1}):
         with pytest.raises(InvalidParams):
-            HardInstanceSpec(**{**hard, **bad})
+            gen_hard(**{**hard, **bad})
     for call in (
         lambda: gen_smooth(n=4, d=2, horizon=2, epsilon=nan, seed=0),
         lambda: gen_smooth(n=4, d=2, horizon=2, epsilon=0.3, seed=-1),

@@ -1,7 +1,8 @@
 """Validation paths that no other test reaches: each error's class and message.
 
 Every case is a call that fails before any work starts (or, for the one
-``repr``, returns at once), so the whole table runs in well under a second.
+``repr`` and the one accepted value, returns at once), so the whole table
+runs in well under a second.
 """
 
 from dataclasses import replace
@@ -11,15 +12,16 @@ import numpy as np
 import pytest
 
 from helpers import CallableOracle, brute_force_opt, const_oracle, curve_oracle, line
-from uvp import BudgetLedger, Configuration, History, InvalidParams, Run, UvpError
+from uvp import BudgetLedger, Configuration, History, InvalidParams, InvalidValue, Run, UvpError
+from uvp import ValueOracle
 from uvp.analysis import check_percentile_args, epsilon_pairwise, epsilon_percentiles, incumbent_at, mean_rank
 from uvp.cli import build_parser, run_algorithm
-from uvp.clustering import Cover, greedy_radius, k_center
+from uvp.clustering import Cover, e_k_center, greedy_radius, k_center
 from uvp.instances import (
-    HardInstanceSpec,
     LandscapeOracle,
     TabularBenchmark,
     TabularOracle,
+    gen_hard,
     gen_smooth,
     landscape,
     landscape_eval,
@@ -37,8 +39,25 @@ def _cli(*argv):
 
 
 def _hard(**changes):
-    fields = dict(variant="fc", epsilon=0.5, beta=2.0, k=2, n_per_cluster=5, r=1.0, horizon=3)
-    return HardInstanceSpec(**{**fields, **changes})
+    spec = dict(variant="fc", epsilon=0.5, beta=2.0, k=2, n_per_cluster=5, r=1.0, horizon=3)
+    return gen_hard(**{**spec, **changes})
+
+
+class _RawOracle(ValueOracle):
+    """Answers every query with ``value`` as given, not read through ``float``."""
+
+    def __init__(self, value) -> None:
+        super().__init__(1, 1)
+        self.value = value
+
+    def query(self, config, b):
+        return self.value
+
+
+def _e_k_center(epsilon):
+    """One value-aware pick over three points, at smoothness level ``epsilon``."""
+    run = Run(curve_oracle([[0.1], [0.2], [0.3]]), BudgetLedger(3))
+    return e_k_center(1, Cover(line([0.0, 1.0, 2.0])), 1, epsilon, run)
 
 
 _RADIAL = landscape("radial-decay", 0)
@@ -127,6 +146,26 @@ CASES = {
         lambda: Configuration((0.0,), "a"),
         InvalidParams,
         "configuration id must be an integer, got 'a'",
+    ),
+    "configuration with str coordinates": (
+        lambda: Configuration(("0", "1"), 0),
+        InvalidParams,
+        "configuration 0 has non-numeric coordinates",
+    ),
+    "history value of None": (
+        lambda: History(0).append(None),
+        InvalidValue,
+        "observed value None is not a number",
+    ),
+    "history value given as a str float() reads": (
+        lambda: History(0, ["0.5"]).values,
+        list,
+        [0.5],
+    ),
+    "oracle value float() cannot read": (
+        lambda: Run(_RawOracle("abc"), BudgetLedger(1)).extend_all(line([0.0]), 1),
+        InvalidValue,
+        "observed value 'abc' is not a number",
     ),
     "query at a bool budget": (
         lambda: curve_oracle([[0.1, 0.2]]).query(line([0.0])[0], True),
@@ -225,6 +264,21 @@ CASES = {
         lambda: SolverParams(seed=False),
         InvalidParams,
         "seed must be an integer, got False",
+    ),
+    "value-aware pick at a str epsilon": (
+        lambda: _e_k_center("0.2"),
+        InvalidParams,
+        "epsilon must be a real number, got '0.2'",
+    ),
+    "value-aware pick at a bool epsilon": (
+        lambda: _e_k_center(True),
+        InvalidParams,
+        "epsilon must be a real number, got True",
+    ),
+    "tail-fit forecast at a str theta": (
+        lambda: tail_fit_pred([0.1, 0.2, 0.3], 5, theta="0.5"),
+        InvalidParams,
+        "theta must be a real number, got '0.5'",
     ),
     # instances
     "landscape point of the wrong shape": (
@@ -352,6 +406,16 @@ CASES = {
         InvalidParams,
         "epsilon must be finite, got inf",
     ),
+    "smooth instance at a str epsilon": (
+        lambda: gen_smooth(5, 2, 4, "0.3", 0),
+        InvalidParams,
+        "epsilon must be a real number, got '0.3'",
+    ),
+    "smooth instance at a bool epsilon": (
+        lambda: gen_smooth(5, 2, 4, True, 0),
+        InvalidParams,
+        "epsilon must be a real number, got True",
+    ),
     "smooth instance of horizon 0": (
         lambda: gen_smooth(5, 2, 0, 0.3, 0),
         InvalidParams,
@@ -369,6 +433,28 @@ for select, bound, *rest in (
 ):
     CASES[f"{select.__name__} over the bound {bound}"] = (
         partial(select, [bound], *rest), InvalidParams, f"bound {bound} has no finite width"
+    )
+
+# each real argument once raised a TypeError, or (a bool) was read as 1
+for what, build, knob, value in (
+    ("solver params", SolverParams, "epsilon", "0.2"),
+    ("solver params", SolverParams, "delta", "0.1"),
+    ("solver params", SolverParams, "theta", "0.5"),
+    ("solver params", SolverParams, "epsilon", True),
+    ("hard instance", _hard, "epsilon", "0.5"),
+    ("hard instance", _hard, "beta", "2"),
+    ("hard instance", _hard, "r", "1"),
+    ("hard instance", _hard, "epsilon", True),
+    ("ac hard instance", partial(_hard, variant="ac"), "theta_frac", "0.5"),
+):
+    CASES[f"{what} with {knob}={value!r}"] = (
+        partial(build, **{knob: value}), InvalidParams,
+        f"{knob} must be a real number, got {value!r}",
+    )
+for select, rest in ((sample_uniform, (3, 0)), (mesh_grid, (3,))):
+    CASES[f"{select.__name__} over a bound of str ends"] = (
+        partial(select, [("0", "1")], *rest), InvalidParams,
+        "bound end must be a real number, got '0'",
     )
 
 # each once forecast at the horizon it was given, or raised a TypeError
