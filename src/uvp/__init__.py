@@ -10,7 +10,6 @@ from .analysis import (
     RankTable,
     epsilon_pairwise,
     epsilon_percentiles,
-    incumbent_at,
     mean_rank,
 )
 from .clustering import (
@@ -91,7 +90,6 @@ __all__ = [
     "gen_smooth",
     "greedy_radius",
     "hyperband",
-    "incumbent_at",
     "k_center",
     "landscape",
     "landscape_eval",

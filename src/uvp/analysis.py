@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -15,6 +13,7 @@ from .core import (
     Configuration,
     InvalidParams,
     SchemaError,
+    Trace,
     _check_int,
     _check_real,
     config_columns,
@@ -259,42 +258,30 @@ class RankTable:
                 yield f, a, float(self.means[fi, ai])
 
 
-def incumbent_at(trace: Sequence[tuple[int, float]], spent_cap: float) -> float:
-    """Best value seen by the time ``spent_cap`` units were charged.
-
-    ``trace`` is any sequence of (spent, incumbent) pairs whose spends never
-    decrease, such as a ``Run`` trace or a list of tuples; the last point at
-    or before the cap is found by bisection. No point is at or before a NaN
-    cap.
-    """
-    _check_real("spend cap", spent_cap)
-    i = bisect.bisect_right(trace, spent_cap + 1e-9, key=operator.itemgetter(0))
-    if i == 0 or math.isnan(spent_cap):
-        raise InvalidParams(f"no trace point at or before spend {spent_cap}")
-    return trace[i - 1][1]
-
-
 def mean_rank(
-    results: Mapping[tuple[str, int, str], Sequence[tuple[int, float]]],
-    caps: Mapping[str, int],
-    fractions: Sequence[float] | None = None,
+    results: Mapping[tuple[str, int, str], Trace], caps: Mapping[str, float]
 ) -> RankTable:
     """Average ranks across (dataset, seed) cells at each budget fraction.
 
-    ``results`` maps (dataset, seed, algorithm) to a trace: any sequence of
-    (spent, incumbent) pairs whose spends never decrease, such as a ``Run``
-    trace. ``caps`` gives each dataset's total budget, a finite number > 0.
-    Every cell must cover the same algorithms. By default ranks are taken at
-    each of ``DEFAULT_FRACTIONS`` where every dataset has spent at least one
-    unit. One pass over ``results`` groups the cells; each fraction then
-    ranks a (cells x algorithms) table of incumbents, best rank 1 and ties
-    averaged (0.0 ties -0.0, a NaN ranks 0.5), and averages over the cells.
-    Ranks are halves, so the means are exact in any summation order.
+    ``results`` maps (dataset, seed, algorithm) to the non-empty ``Trace`` of
+    a ``Run``, whose point i is the incumbent after i + 1 units. ``caps``
+    gives each dataset's total budget, a finite number > 0. Every cell must
+    cover the same algorithms. Ranks are taken at each of
+    ``DEFAULT_FRACTIONS`` where every dataset has spent at least one unit,
+    and at fraction f a cell reads its incumbent after
+    min(len, floor(f * cap + 1e-9)) units. One pass over ``results`` groups
+    the cells; each fraction then ranks a (cells x algorithms) table of
+    incumbents, best rank 1 and ties averaged (0.0 ties -0.0, a NaN ranks
+    0.5), and averages over the cells. Ranks are halves, so the means are
+    exact in any summation order.
     """
     if not results:
         raise InvalidParams("no results to rank")
     by_cell: dict[tuple[str, int], set[str]] = {}
-    for ds, seed, alg in results:
+    for (ds, seed, alg), trace in results.items():
+        if not (isinstance(trace, Trace) and trace):
+            got = "an empty Trace" if isinstance(trace, Trace) else type(trace).__name__
+            raise InvalidParams(f"({ds}, seed {seed}, {alg}) must be a non-empty Trace, got {got}")
         by_cell.setdefault((ds, seed), set()).add(alg)
     cells = sorted(by_cell)
     algorithms = tuple(sorted(set().union(*by_cell.values())))
@@ -309,27 +296,19 @@ def mean_rank(
         _check_real(f"budget cap for dataset {ds!r}", caps[ds])
         if not 0 < caps[ds] < math.inf:
             raise InvalidParams(f"budget cap {caps[ds]} for dataset {ds!r} must be finite and > 0")
-    if fractions is None:
-        low = min(caps[ds] for ds, _ in cells)
-        fractions = [f for f in DEFAULT_FRACTIONS if f * low >= 1]
-        if not fractions:
-            raise InvalidParams(f"no default fraction of budget {low} reaches one unit")
+    low = min(caps[ds] for ds, _ in cells)
+    fractions = tuple(f for f in DEFAULT_FRACTIONS if f * low >= 1)
+    if not fractions:
+        raise InvalidParams(f"no default fraction of budget {low} reaches one unit")
 
     means = np.zeros((len(fractions), len(algorithms)))
     values = np.empty((len(cells), len(algorithms)))
     for fi, f in enumerate(fractions):
-        _check_real("fraction", f)
-        if not 0.0 < f <= 1.0:
-            raise InvalidParams(f"fraction {f} outside (0, 1]")
         for ci, (ds, seed) in enumerate(cells):
             for ai, alg in enumerate(algorithms):
-                try:
-                    values[ci, ai] = incumbent_at(results[(ds, seed, alg)], f * caps[ds])
-                except InvalidParams:
-                    raise InvalidParams(
-                        f"({ds}, seed {seed}, {alg}) has no spend at fraction {f}"
-                    ) from None
+                trace = results[(ds, seed, alg)]  # f * cap >= 1, so the index is >= 0
+                values[ci, ai] = trace.incumbents[int(min(len(trace), f * caps[ds] + 1e-9)) - 1]
         better = (values[:, None, :] > values[:, :, None]).sum(axis=2)
         equal = (values[:, None, :] == values[:, :, None]).sum(axis=2)
         means[fi] = (better + (equal + 1) / 2).sum(axis=0) / len(cells)
-    return RankTable(fractions=tuple(float(f) for f in fractions), algorithms=algorithms, means=means)
+    return RankTable(fractions=fractions, algorithms=algorithms, means=means)

@@ -87,7 +87,11 @@ class Configuration:
     id: int
 
     def __post_init__(self) -> None:
-        if len(self.coords) < 1:
+        try:
+            size = len(self.coords)
+        except TypeError:
+            raise InvalidParams(f"configuration {self.id} coordinates must be a sequence") from None
+        if size < 1:
             raise InvalidParams("configuration needs at least one coordinate")
         try:
             finite = all(math.isfinite(c) for c in self.coords)
@@ -241,7 +245,9 @@ class Trace(Sequence):
     The spend of point i is always i + 1, so only the incumbents are kept,
     one float per charged unit. Reads give the stored float objects. A trace
     equals, and has the ``repr`` of, the list of (spent, incumbent) tuples it
-    stands for; a slice is such a list.
+    stands for; a slice is such a list. That tuple view is kept for the trace
+    checks of ``perfbench/checks.py`` and for the tests; ``mean_rank`` and
+    the trace writer read ``incumbents`` by index.
     """
 
     __slots__ = ("incumbents",)

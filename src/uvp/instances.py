@@ -87,7 +87,10 @@ def _bump_sum(x: np.ndarray, p: Mapping) -> float:
 
 def landscape_eval(spec: LandscapeSpec, x: Sequence[float]) -> float:
     """Evaluate the surface at ``x``; values are clamped into [0, 1]."""
-    pt = np.asarray(x, dtype=float)
+    try:
+        pt = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParams(f"point {x!r} is not a vector of real numbers") from None
     if pt.shape != (len(spec.domain),):
         raise InvalidParams(f"point has shape {pt.shape}, domain is {len(spec.domain)}-dimensional")
     for v, (lo, hi) in zip(pt, spec.domain):
@@ -149,8 +152,12 @@ def _configs(points: np.ndarray) -> list[Configuration]:
 
 
 def _check_ends(bounds: Sequence[tuple[float, float]]) -> None:
-    """Refuse a bound end that is not a real number."""
-    for lo, hi in bounds:
+    """Refuse a bound that is not a (lo, hi) pair, or an end that is not a real number."""
+    for bound in bounds:
+        try:
+            lo, hi = bound
+        except (TypeError, ValueError):
+            raise InvalidParams(f"bound {bound!r} is not a (lo, hi) pair") from None
         _check_real("bound end", lo)
         _check_real("bound end", hi)
 

@@ -22,7 +22,7 @@ from uvp import (
 )
 from uvp.analysis import RankTable
 from uvp.clustering import DEFAULT_ETA_CAP, Cover, greedy_radius, k_center
-from uvp.core import VALUE_TOL, config_columns, distance_row
+from uvp.core import VALUE_TOL, Trace, config_columns, distance_row
 from uvp.instances import TabularBenchmark
 from uvp.solvers import pred, tail_fit_pred
 
@@ -701,17 +701,21 @@ def ref_incumbent_at(trace, spent_cap):
     return best
 
 
-def ref_mean_rank(results, caps, fractions=None):
+def ref_mean_rank(results, caps):
     """``mean_rank`` with plain loops and lists.
 
     Raises what ``mean_rank`` raises, in the same order: empty results, a
-    cell missing an algorithm, a dataset without a cap or with a cap that
-    is not finite and > 0, no default fraction, then per fraction in turn a
-    fraction outside (0, 1] or a trace with no point by that fraction of
-    its cap.
+    value that is not a non-empty ``Trace`` (first in the order of
+    ``results``), a cell missing an algorithm, a dataset without a cap or
+    with a cap that is not finite and > 0, then no default fraction. Each
+    cell reads its incumbent at a fraction with ``ref_incumbent_at``'s scan.
     """
     if not results:
         raise InvalidParams("no results to rank")
+    for (ds, seed, alg), trace in results.items():
+        if not isinstance(trace, Trace) or len(trace) == 0:
+            got = type(trace).__name__ if not isinstance(trace, Trace) else "an empty Trace"
+            raise InvalidParams(f"({ds}, seed {seed}, {alg}) must be a non-empty Trace, got {got}")
     cells = sorted({(ds, seed) for ds, seed, _ in results})
     algorithms = tuple(sorted({alg for _, _, alg in results}))
     for ds, seed in cells:
@@ -725,29 +729,21 @@ def ref_mean_rank(results, caps, fractions=None):
             raise InvalidParams(f"no budget cap for dataset {ds!r}")
         if not (caps[ds] > 0 and caps[ds] != float("inf")):
             raise InvalidParams(f"budget cap {caps[ds]} for dataset {ds!r} must be finite and > 0")
-    if fractions is None:
-        low = min(caps[ds] for ds, _ in cells)
-        fractions = [i / 10 for i in range(1, 11) if i / 10 * low >= 1]
-        if not fractions:
-            raise InvalidParams(f"no default fraction of budget {low} reaches one unit")
+    low = min(caps[ds] for ds, _ in cells)
+    fractions = [i / 10 for i in range(1, 11) if i / 10 * low >= 1]
+    if not fractions:
+        raise InvalidParams(f"no default fraction of budget {low} reaches one unit")
     means = []
     for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise InvalidParams(f"fraction {f} outside (0, 1]")
         acc = [0.0] * len(algorithms)
         for ds, seed in cells:
-            vals = []
-            for alg in algorithms:
-                try:
-                    vals.append(float(ref_incumbent_at(results[(ds, seed, alg)], f * caps[ds])))
-                except InvalidParams:
-                    raise InvalidParams(
-                        f"({ds}, seed {seed}, {alg}) has no spend at fraction {f}"
-                    ) from None
+            vals = [
+                float(ref_incumbent_at(results[(ds, seed, alg)], f * caps[ds])) for alg in algorithms
+            ]
             for a, v in enumerate(vals):
                 better = sum(1 for w in vals if w > v)
                 equal = sum(1 for w in vals if w == v)
                 acc[a] += better + (equal + 1) / 2
         means.append([x / len(cells) for x in acc])
     means = np.array(means, dtype=float).reshape(len(fractions), len(algorithms))
-    return RankTable(tuple(float(f) for f in fractions), algorithms, means)
+    return RankTable(tuple(fractions), algorithms, means)

@@ -27,6 +27,7 @@ from uvp import BudgetLedger, Run
 from uvp.analysis import epsilon_pairwise, mean_rank
 from uvp.cli import entry
 from uvp.clustering import Cover, e_k_center, k_center
+from uvp.core import Trace
 from uvp.instances import (
     LandscapeOracle,
     TabularBenchmark,
@@ -370,10 +371,10 @@ def test_criterion_12_harness_determinism(tmp_path):
     rank_sums_ok = all(abs(s - 3.0) < 1e-12 for s in sums.values())  # m = 2
 
     results = {
-        ("d1", 0, "a"): ((1, 0.9),), ("d1", 0, "b"): ((1, 0.5),), ("d1", 0, "c"): ((1, 0.1),),
-        ("d2", 0, "a"): ((1, 0.5),), ("d2", 0, "b"): ((1, 0.9),), ("d2", 0, "c"): ((1, 0.1),),
+        ("d1", 0, "a"): Trace([0.9]), ("d1", 0, "b"): Trace([0.5]), ("d1", 0, "c"): Trace([0.1]),
+        ("d2", 0, "a"): Trace([0.5]), ("d2", 0, "b"): Trace([0.9]), ("d2", 0, "c"): Trace([0.1]),
     }
-    table = mean_rank(results, caps={"d1": 1, "d2": 1}, fractions=(1.0,))
+    table = mean_rank(results, caps={"d1": 1, "d2": 1})
     hand = dict(zip(table.algorithms, table.means[0]))
     hand_ok = hand == {"a": 1.5, "b": 1.5, "c": 3.0}
 

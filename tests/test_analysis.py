@@ -38,10 +38,10 @@ from uvp.analysis import (
     _scaled_percentiles,
     epsilon_pairwise,
     epsilon_percentiles,
-    incumbent_at,
     mean_rank,
 )
 from uvp.clustering import Cover, greedy_radius, k_center
+from uvp.core import Trace
 from uvp.instances import (
     TabularBenchmark,
     gen_hard,
@@ -732,33 +732,17 @@ def test_brute_force_opt_on_landscape_mesh():
 
 
 # ---------------------------------------------------------------------------
-# trace utilities and rank aggregation
-
-
-def test_incumbent_at_carries_forward():
-    trace = ((1, 0.2), (3, 0.5), (6, 0.9))
-    assert incumbent_at(trace, 1) == 0.2
-    assert incumbent_at(trace, 2) == 0.2
-    assert incumbent_at(trace, 5) == 0.5
-    assert incumbent_at(trace, 6) == 0.9
-    assert incumbent_at(trace, 100) == 0.9
-
-
-def test_incumbent_at_before_first_spend():
-    with pytest.raises(InvalidParams, match="no trace point at or before spend 1"):
-        incumbent_at(((2, 0.4),), 1)
-    with pytest.raises(InvalidParams, match="no trace point at or before spend 5"):
-        incumbent_at((), 5)
+# rank aggregation
 
 
 def test_mean_rank_tie_handling():
     # values (0.9, 0.8, 0.8) rank as (1, 2.5, 2.5)
     results = {
-        ("d", 0, "a"): ((1, 0.9),),
-        ("d", 0, "b"): ((1, 0.8),),
-        ("d", 0, "c"): ((1, 0.8),),
+        ("d", 0, "a"): Trace([0.9]),
+        ("d", 0, "b"): Trace([0.8]),
+        ("d", 0, "c"): Trace([0.8]),
     }
-    table = mean_rank(results, caps={"d": 1}, fractions=(1.0,))
+    table = mean_rank(results, caps={"d": 1})
     ranks = dict(zip(table.algorithms, table.means[0]))
     assert ranks == {"a": 1.0, "b": 2.5, "c": 2.5}
 
@@ -769,9 +753,9 @@ def test_mean_rank_averages_ties_across_cells():
     top = {"a": 0.9, "b": 0.9, "c": 0.9, "d": 0.5, "e": 0.5, "f": 0.1, "g": 0.0}
     results = {}
     for alg, v in top.items():
-        results[("d", 0, alg)] = ((1, v),)
-        results[("d", 1, alg)] = ((1, 0.3),)
-    table = mean_rank(results, caps={"d": 1}, fractions=(1.0,))
+        results[("d", 0, alg)] = Trace([v])
+        results[("d", 1, alg)] = Trace([0.3])
+    table = mean_rank(results, caps={"d": 1})
     ranks = dict(zip(table.algorithms, table.means[0].tolist()))
     assert ranks == {"a": 3.0, "b": 3.0, "c": 3.0, "d": 4.25, "e": 4.25, "f": 5.0, "g": 5.5}
 
@@ -790,9 +774,10 @@ def test_import_leaves_scipy_unloaded():
 def test_mean_rank_dominant_algorithm():
     results = {}
     for seed in range(3):
-        results[("d", seed, "good")] = ((1, 0.5), (2, 0.9))
-        results[("d", seed, "bad")] = ((1, 0.1), (2, 0.2))
-    table = mean_rank(results, caps={"d": 2}, fractions=(0.5, 1.0))
+        results[("d", seed, "good")] = Trace([0.5, 0.9])
+        results[("d", seed, "bad")] = Trace([0.1, 0.2])
+    table = mean_rank(results, caps={"d": 2})
+    assert table.fractions == DEFAULT_FRACTIONS[4:]  # 0.5 * 2 is exactly one unit
     good = table.algorithms.index("good")
     assert all(row[good] == 1.0 for row in table.means)
 
@@ -800,14 +785,14 @@ def test_mean_rank_dominant_algorithm():
 def test_mean_rank_two_datasets():
     # algorithm a wins on d1, b wins on d2, c always last
     results = {
-        ("d1", 0, "a"): ((1, 0.9),),
-        ("d1", 0, "b"): ((1, 0.5),),
-        ("d1", 0, "c"): ((1, 0.1),),
-        ("d2", 0, "a"): ((1, 0.5),),
-        ("d2", 0, "b"): ((1, 0.9),),
-        ("d2", 0, "c"): ((1, 0.1),),
+        ("d1", 0, "a"): Trace([0.9]),
+        ("d1", 0, "b"): Trace([0.5]),
+        ("d1", 0, "c"): Trace([0.1]),
+        ("d2", 0, "a"): Trace([0.5]),
+        ("d2", 0, "b"): Trace([0.9]),
+        ("d2", 0, "c"): Trace([0.1]),
     }
-    table = mean_rank(results, caps={"d1": 1, "d2": 1}, fractions=(1.0,))
+    table = mean_rank(results, caps={"d1": 1, "d2": 1})
     ranks = dict(zip(table.algorithms, table.means[0]))
     assert ranks == {"a": 1.5, "b": 1.5, "c": 3.0}
     # each cell's ranks sum to m(m+1)/2 per dataset, so means average to (m+1)/2
@@ -816,22 +801,18 @@ def test_mean_rank_two_datasets():
 
 def test_mean_rank_requires_uniform_coverage():
     results = {
-        ("d", 0, "a"): ((1, 0.9),),
-        ("d", 1, "a"): ((1, 0.9),),
-        ("d", 0, "b"): ((1, 0.8),),
+        ("d", 0, "a"): Trace([0.9]),
+        ("d", 1, "a"): Trace([0.9]),
+        ("d", 0, "b"): Trace([0.8]),
     }
     with pytest.raises(InvalidParams):
         mean_rank(results, caps={"d": 1})
 
 
 def test_mean_rank_validation():
-    results = {("d", 0, "a"): ((1, 0.9),), ("d", 0, "b"): ((1, 0.8),)}
+    results = {("d", 0, "a"): Trace([0.9]), ("d", 0, "b"): Trace([0.8])}
     with pytest.raises(InvalidParams):
         mean_rank(results, caps={})
-    with pytest.raises(InvalidParams):
-        mean_rank(results, caps={"d": 1}, fractions=(0.0,))
-    with pytest.raises(InvalidParams):
-        mean_rank(results, caps={"d": 1}, fractions=(1.2,))
     with pytest.raises(InvalidParams):
         mean_rank({}, caps={"d": 1})
 
@@ -840,8 +821,8 @@ def test_mean_rank_default_fractions_start_where_every_dataset_spent_a_unit():
     # at cap 9 the 0.1 point is 0.9 units, before any trace point, so it is left out
     results = {}
     for alg, v in (("a", 0.9), ("b", 0.5)):
-        results[("d", 0, alg)] = tuple((t, v) for t in range(1, 10))
-        results[("e", 0, alg)] = tuple((t, v) for t in range(1, 21))
+        results[("d", 0, alg)] = Trace([v] * 9)
+        results[("e", 0, alg)] = Trace([v] * 20)
     table = mean_rank(results, caps={"d": 9, "e": 20})
     assert table.fractions == DEFAULT_FRACTIONS[1:]
     assert table.means.tolist() == [[1.0, 2.0]] * 9
@@ -851,16 +832,6 @@ def test_mean_rank_default_fractions_start_where_every_dataset_spent_a_unit():
         mean_rank(results, caps={"d": 0.5, "e": 20})
     with pytest.raises(InvalidParams, match="budget cap 0 for dataset 'd' must be finite and > 0"):
         mean_rank(results, caps={"d": 0, "e": 20})
-
-
-def test_mean_rank_missing_trace_point():
-    # a trace that starts after the first fraction cap cannot be ranked
-    results = {
-        ("d", 0, "a"): ((10, 0.9),),
-        ("d", 0, "b"): ((1, 0.8),),
-    }
-    with pytest.raises(InvalidParams, match=r"\(d, seed 0, a\) has no spend at fraction 0.1"):
-        mean_rank(results, caps={"d": 10}, fractions=(0.1, 1.0))
 
 
 class _CountedResults(Mapping):
@@ -884,13 +855,13 @@ class _CountedResults(Mapping):
 def test_mean_rank_reads_the_cells_without_a_rescan_per_cell():
     # 3 datasets x 20 seeds: a scan of results per cell would iterate 60 times
     results = {
-        (ds, seed, alg): ((1, (seed * 7 + len(alg) + ord(ds)) % 5 / 4),)
+        (ds, seed, alg): Trace([(seed * 7 + len(alg) + ord(ds)) % 5 / 4])
         for ds in "xyz"
         for seed in range(20)
         for alg in ("a", "bb", "ccc")
     }
     caps = {"x": 1, "y": 1, "z": 1}
     counted = _CountedResults(results)
-    table = mean_rank(counted, caps, fractions=(1.0,))
+    table = mean_rank(counted, caps)
     assert counted.iterations <= 3
-    assert table.means.tobytes() == mean_rank(results, caps, fractions=(1.0,)).means.tobytes()
+    assert table.means.tobytes() == mean_rank(results, caps).means.tobytes()

@@ -517,12 +517,31 @@ def test_bench_rank_table_of_1000_seeds_matches_the_plain_loop_reference(tmp_pat
     for path in out.glob("trace_*.csv"):
         alg, seed = path.stem[len("trace_radial-decay_"):].rsplit("_", 1)
         rows = _read_rows(path)[1:]
-        results["radial-decay", int(seed), alg] = [(int(s), float(v)) for s, v in rows]
+        assert [int(s) for s, _ in rows] == list(range(1, len(rows) + 1))
+        results["radial-decay", int(seed), alg] = Trace([float(v) for _, v in rows])
     assert len(results) == 4000
     table = ref_mean_rank(results, {"radial-decay": 20})
     rows = "".join(f"{float(f)!r},{a},{float(table.means[fi, ai])!r}\n"
                    for fi, f in enumerate(table.fractions) for ai, a in enumerate(table.algorithms))
     assert (out / "mean_rank.csv").read_text() == "fraction,algorithm,mean_rank\n" + rows
+
+
+def test_bench_rank_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # the rank tests compare mean_rank with ref_mean_rank, which shares its
+    # fraction rule; at budget 29 the fraction products round (0.7 * 29 is
+    # 20.299999999999997), and all seven algorithms run
+    monkeypatch.chdir(tmp_path)
+    configs, oracle = gen_smooth(200, 3, 7, 0.3, 1)
+    save_tabular("small.csv", configs, oracle.curves)
+    assert entry(["bench", "--data", "small.csv", "--seeds", "3", "--budget", "29",
+                  "--delta", "0.3", "--out", "out"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "43c18df71f81218315d702e2e8f595ef4dc5a7c26a76ccb4a0f90d1636b930ca"
+    )
+    assert hashlib.sha256((tmp_path / "out" / "mean_rank.csv").read_bytes()).hexdigest() == (
+        "828b16f78048957dd35a7d37cee9cf3c3a3ea71620cfab24827a37c2644a637c"
+    )
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -45,6 +45,7 @@ REMOVED = {
     "HardInstanceSpec": "gen_hard's own parameters",
     "extend_to": "Run.extend_all",
     "baselines": "the module uvp.solvers",
+    "incumbent_at": "the index read inside mean_rank",
 }
 
 

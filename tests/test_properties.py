@@ -13,13 +13,14 @@ from helpers import (
     configs_from,
     curve_oracle,
     line,
-    ref_incumbent_at,
     ref_mean_rank,
 )
 from uvp import BudgetLedger, InvalidParams, Run, UvpError, cli
-from uvp.analysis import DEFAULT_FRACTIONS, incumbent_at, mean_rank
+from uvp.analysis import DEFAULT_FRACTIONS, mean_rank
 from uvp.cli import ALGORITHMS, run_algorithm
 from uvp.clustering import Cover, _enhanced, e_k_center, k_center
+from uvp.core import Trace
+from uvp.instances import gen_hard, gen_smooth
 from uvp.solvers import (
     PREDICTORS,
     SolverParams,
@@ -224,6 +225,49 @@ def _run_all(X, curves, horizon, budget, seed):
     return outs
 
 
+_CLUSTER_SOLVERS = {
+    "full-cent": full_cent,
+    "e-full-cent": e_full_cent,
+    "ada-cent": ada_cent,
+    "e-ada-cent": e_ada_cent,
+}
+
+
+@st.composite
+def prefix_instances(draw):
+    """Candidates and oracle from ``gen_smooth``, or from ``gen_hard``'s fc or ac geometry.
+
+    Every pool holds at least 8 candidates, and the hard ones bring exact
+    ties: equal intra-cluster distances, flat fc curves and ac decoys whose
+    forecasts meet the optimum's value.
+    """
+    variant = draw(st.sampled_from(("smooth", "fc", "ac")))
+    horizon, seed = draw(st.integers(2, 10)), draw(st.integers(0, 50))
+    if variant == "smooth":
+        return gen_smooth(draw(st.integers(8, 120)), draw(st.integers(1, 3)), horizon, 0.3, seed)
+    k, size = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    return gen_hard(variant, 0.5, 2.0, k, size, 1.0, horizon, 0.5, seed)
+
+
+@given(
+    prefix_instances(), st.sampled_from(sorted(_CLUSTER_SOLVERS)), st.sampled_from(PREDICTORS),
+    st.integers(1, 5), st.data(),
+)
+@settings(deadline=None, max_examples=200)
+def test_a_larger_budget_continues_the_cluster_solvers_run(instance, name, predictor, p, data):
+    # the four cluster solvers read the ledger only to stop, so the trace at
+    # budget B is a prefix of the trace at any B' > B; the baselines plan by
+    # their budget and break this by design
+    X, oracle = instance
+    horizon = oracle.horizon
+    budget = data.draw(st.integers(horizon, 6 * horizon))
+    larger = data.draw(st.integers(budget + 1, 7 * horizon))
+    params = SolverParams(p=p, delta=0.5, predictor=predictor)
+    short = _CLUSTER_SOLVERS[name](params, X, oracle, BudgetLedger(budget)).trace
+    long = _CLUSTER_SOLVERS[name](params, X, oracle, BudgetLedger(larger)).trace
+    assert repr(long[: len(short)]) == repr(short)
+
+
 @given(tabular_instances(), st.integers(1, 4), st.integers(0, 10))
 @settings(deadline=None, max_examples=40)
 def test_every_algorithm_conserves_budget(instance, mult, seed):
@@ -377,9 +421,8 @@ def test_mean_rank_rows_sum_to_rank_total(m, n_datasets, data):
         for seed in range(2):
             for alg in algorithms:
                 vals = data.draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
-                inc = np.maximum.accumulate(vals)
-                results[(name, seed, alg)] = tuple((i + 1, float(v)) for i, v in enumerate(inc))
-    table = mean_rank(results, caps, fractions=(0.25, 1.0))
+                results[(name, seed, alg)] = Trace(np.maximum.accumulate(vals).tolist())
+    table = mean_rank(results, caps)
     total = m * (m + 1) / 2
     for row in table.means:
         assert float(np.sum(row)) == pytest.approx(total)
@@ -393,63 +436,53 @@ def _outcome(fn, *args):
         return "error", str(exc)
 
 
-@st.composite
-def cumulative_traces(draw, values=st.floats(0.0, 1.0), first=st.integers(0, 3), min_len=0):
-    """(spent, incumbent) points whose spends never decrease.
-
-    Steps of 0 repeat a spend, 1 makes the trace dense and larger steps
-    sparse; the first spend may be 0 or lie past 1, and the trace may be empty.
-    """
-    spent = draw(first)
-    trace = []
-    for _ in range(draw(st.integers(min_len, 12))):
-        trace.append((spent, draw(values)))
-        spent += draw(st.sampled_from((0, 1, 1, 2, 5)))
-    return tuple(trace)
+def cumulative_traces(values):
+    """A dense ``Trace`` of 1 to 12 incumbents, in no anytime order."""
+    return st.lists(values, min_size=1, max_size=12).map(Trace)
 
 
 # offsets around an integer spend s: a cap 5e-10 below s reaches it only
 # through the 1e-9 tolerance, 2e-9 below does not, and (s - 1e-9) + 1e-9
-# can round to exactly s, where bisect_left and bisect_right part
+# can round to exactly s
 _CAP_OFFSETS = (-1.0, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9, 0.5)
 
 
-@given(cumulative_traces(), st.data())
-@settings(deadline=None, max_examples=400)
-def test_incumbent_at_matches_the_scan(trace, data):
-    spends = [s for s, _ in trace] or [0, 1]
-    top = spends[-1] + 2
-    cap = data.draw(
-        st.one_of(
-            st.builds(lambda s, o: s + o, st.sampled_from(spends), st.sampled_from(_CAP_OFFSETS)),
-            st.builds(lambda f, b: f * b, st.sampled_from(DEFAULT_FRACTIONS), st.integers(1, top)),
-            st.floats(-2.0, top),
-            st.just(math.nan),
-        )
+def _caps(top):
+    """A cap up to ``top``: an integer, a real, or one a rank fraction takes near an integer."""
+    return st.one_of(
+        st.integers(1, top),
+        st.floats(1.0, top),
+        st.builds(
+            lambda s, o, f: (s + o) / f,
+            st.integers(1, top), st.sampled_from(_CAP_OFFSETS), st.sampled_from(DEFAULT_FRACTIONS),
+        ),
     )
-    got, want = _outcome(incumbent_at, trace, cap), _outcome(ref_incumbent_at, trace, cap)
-    assert repr(got) == repr(want)
 
 
-@given(tabular_instances(), st.integers(1, 4), st.integers(0, 10), st.data())
+def _rank_columns(fn, *args):
+    table = fn(*args)
+    return table.fractions, table.algorithms, table.means.tobytes()
+
+
+_SEEDS = st.lists(st.integers(0, 10), min_size=1, max_size=3, unique=True)
+
+
+@given(tabular_instances(), st.integers(1, 4), _SEEDS, st.data())
 @settings(deadline=None, max_examples=40)
-def test_incumbent_at_matches_the_scan_on_run_traces(instance, mult, seed, data):
+def test_mean_rank_matches_the_scan_on_run_traces(instance, mult, seeds, data):
+    # the index read inside mean_rank gives ref_mean_rank's scan on the Run
+    # traces of all seven algorithms, at integer and real caps
     X, curves, horizon = instance
     budget = min(mult, len(X)) * horizon
     if mult % 2 and horizon >= 2:
         budget += 1  # sometimes a ragged cap
-    for name, (out, _) in _run_all(X, curves, horizon, budget, seed).items():
-        top = len(out.trace) + 2
-        cap = data.draw(
-            st.one_of(
-                st.builds(lambda s, o: s + o, st.integers(0, top), st.sampled_from(_CAP_OFFSETS)),
-                st.builds(lambda f, b: f * b, st.sampled_from(DEFAULT_FRACTIONS), st.integers(1, top)),
-                st.floats(-2.0, top),
-            )
-        )
-        got = _outcome(incumbent_at, out.trace, cap)
-        want = _outcome(ref_incumbent_at, list(out.trace), cap)
-        assert repr(got) == repr(want), name
+    results = {}
+    for seed in seeds:
+        for name, (out, _) in _run_all(X, curves, horizon, budget, seed).items():
+            results["d", seed, name] = results["e", seed, name] = out.trace
+    caps = {"d": data.draw(_caps(budget + 2)), "e": data.draw(_caps(budget + 2))}
+    got = _outcome(_rank_columns, mean_rank, results, caps)
+    assert got == _outcome(_rank_columns, ref_mean_rank, results, caps)
 
 
 @st.composite
@@ -457,40 +490,35 @@ def rank_results(draw):
     """Results and caps for ``mean_rank``: tied values, several datasets, some faults.
 
     Incumbents include NaN, -0.0 (which ties 0.0) and inf, and a case holds
-    up to 42 (dataset, seed) cells, so the means sum many ranks.
+    up to 42 (dataset, seed) cells, so the means sum many ranks. Caps are
+    integer or real, and a trace may be shorter or longer than its cap.
     """
     algorithms = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True))
     values = st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0, math.inf, math.nan))
-    first = st.sampled_from((1, 1, 1, 1, 0, 2))  # mostly one point per unit from the first
     caps, results = {}, {}
     for d in range(draw(st.integers(1, 3))):
         name = f"ds{d}"
-        caps[name] = draw(st.integers(1, 12))
+        caps[name] = draw(_caps(12))
         for seed in draw(st.lists(st.integers(0, 20), min_size=1, max_size=14, unique=True)):
             for alg in algorithms:
-                results[(name, seed, alg)] = draw(cumulative_traces(values, first, min_len=1))
-    fault = draw(st.sampled_from((None,) * 7 + ("no results", "short cell", "no cap", "bad cap")))
+                results[(name, seed, alg)] = draw(cumulative_traces(values))
+    faults = ("no results", "short cell", "no cap", "bad cap", "empty trace", "tuple trace")
+    fault = draw(st.sampled_from((None,) * 7 + faults))
     name = draw(st.sampled_from(sorted(caps)))
+    key = draw(st.sampled_from(sorted(results)))
     if fault == "no results":
         results = {}
     elif fault == "short cell":
-        del results[draw(st.sampled_from(sorted(results)))]
+        del results[key]
     elif fault == "no cap":
         del caps[name]
     elif fault == "bad cap":
         caps[name] = draw(st.sampled_from((0, 0.0, -1, -0.5, math.nan, math.inf, -math.inf)))
-    fractions = draw(
-        st.one_of(
-            st.none(),
-            st.lists(st.sampled_from(DEFAULT_FRACTIONS + (0.25, 0.0, 1.5)), max_size=4),
-        )
-    )
-    return results, caps, fractions
-
-
-def _rank_columns(fn, *args):
-    table = fn(*args)
-    return table.fractions, table.algorithms, table.means.tobytes()
+    elif fault == "empty trace":
+        results[key] = Trace()
+    elif fault == "tuple trace":
+        results[key] = list(results[key])
+    return results, caps
 
 
 @given(rank_results())

@@ -14,8 +14,9 @@ import pytest
 from helpers import CallableOracle, brute_force_opt, const_oracle, curve_oracle, line
 from uvp import BudgetLedger, Configuration, History, InvalidParams, InvalidValue, Run, UvpError
 from uvp import ValueOracle
-from uvp.analysis import check_percentile_args, epsilon_pairwise, epsilon_percentiles, incumbent_at, mean_rank
+from uvp.analysis import check_percentile_args, epsilon_pairwise, epsilon_percentiles, mean_rank
 from uvp.cli import build_parser, run_algorithm
+from uvp.core import Trace
 from uvp.clustering import Cover, e_k_center, greedy_radius, k_center
 from uvp.instances import (
     LandscapeOracle,
@@ -103,24 +104,26 @@ CASES = {
         "percentile must be a real number, got True",
     ),
     "mean_rank with a str budget cap": (
-        lambda: mean_rank({("d", 0, "a"): [(1, 0.5)]}, {"d": "5"}),
+        lambda: mean_rank({("d", 0, "a"): Trace([0.5])}, {"d": "5"}),
         InvalidParams,
         "budget cap for dataset 'd' must be a real number, got '5'",
     ),
     "mean_rank with a bool budget cap": (
-        lambda: mean_rank({("d", 0, "a"): [(1, 0.5)]}, {"d": True}),
+        lambda: mean_rank({("d", 0, "a"): Trace([0.5])}, {"d": True}),
         InvalidParams,
         "budget cap for dataset 'd' must be a real number, got True",
     ),
-    "mean_rank at a str fraction": (
-        lambda: mean_rank({("d", 0, "a"): [(1, 0.5)]}, {"d": 5}, fractions=["1"]),
+    # a list of (spent, incumbent) tuples once reached the rank pass; an
+    # empty trace once raised only at the first fraction
+    "mean_rank of a tuple-list result": (
+        lambda: mean_rank({("d", 0, "a"): [(1, 0.5)]}, {"d": 5}),
         InvalidParams,
-        "fraction must be a real number, got '1'",
+        "(d, seed 0, a) must be a non-empty Trace, got list",
     ),
-    "incumbent at a str spend cap": (
-        lambda: incumbent_at([(1, 0.5)], "x"),
+    "mean_rank of an empty trace": (
+        lambda: mean_rank({("d", 0, "a"): Trace([0.5]), ("d", 0, "b"): Trace()}, {"d": 5}),
         InvalidParams,
-        "spend cap must be a real number, got 'x'",
+        "(d, seed 0, b) must be a non-empty Trace, got an empty Trace",
     ),
     "brute_force_opt over nothing": (
         lambda: brute_force_opt([], const_oracle(0.5)),
@@ -151,6 +154,17 @@ CASES = {
         lambda: Configuration(("0", "1"), 0),
         InvalidParams,
         "configuration 0 has non-numeric coordinates",
+    ),
+    # these two once raised a raw TypeError from len()
+    "configuration of an int for coordinates": (
+        lambda: Configuration(5, 0),
+        InvalidParams,
+        "configuration 0 coordinates must be a sequence",
+    ),
+    "configuration of None for coordinates": (
+        lambda: Configuration(None, 0),
+        InvalidParams,
+        "configuration 0 coordinates must be a sequence",
     ),
     "history value of None": (
         lambda: History(0).append(None),
@@ -285,6 +299,17 @@ CASES = {
         lambda: landscape_eval(_RADIAL, [0.0, 0.0, 0.0]),
         InvalidParams,
         "point has shape (3,), domain is 2-dimensional",
+    ),
+    # these two once raised numpy's raw ValueError or TypeError
+    "landscape point of str coordinates": (
+        lambda: landscape_eval(_RADIAL, ("a", "b")),
+        InvalidParams,
+        "point ('a', 'b') is not a vector of real numbers",
+    ),
+    "landscape point of a complex coordinate": (
+        lambda: landscape_eval(_RADIAL, (1j, 0)),
+        InvalidParams,
+        "point (1j, 0) is not a vector of real numbers",
     ),
     "landscape of an unknown kind": (
         lambda: landscape_eval(replace(_RADIAL, kind="flat"), [0.0, 0.0]),
@@ -455,6 +480,17 @@ for select, rest in ((sample_uniform, (3, 0)), (mesh_grid, (3,))):
     CASES[f"{select.__name__} over a bound of str ends"] = (
         partial(select, [("0", "1")], *rest), InvalidParams,
         "bound end must be a real number, got '0'",
+    )
+
+# each once raised a raw ValueError or TypeError when the bound was unpacked
+for select, bound, *rest in (
+    (sample_uniform, (0.0,), 3, 0),
+    (mesh_grid, (0.0,), 3),
+    (mesh_grid, (0.0, 1.0, 2.0), 3),
+    (sample_uniform, 5, 3, 0),
+):
+    CASES[f"{select.__name__} over the bound {bound!r}"] = (
+        partial(select, [bound], *rest), InvalidParams, f"bound {bound!r} is not a (lo, hi) pair"
     )
 
 # each once forecast at the horizon it was given, or raised a TypeError
