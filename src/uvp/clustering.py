@@ -11,7 +11,8 @@ center's distance row into the nearest-center distances in O(n*d). The
 value-aware selector reads each center's value from the run's histories
 and keeps its own state for the length of one :func:`e_k_center` call:
 the best center value v_max and ``delta``, every candidate's minimum
-enhanced distance to a center. It folds each probed center's enhanced row
+enhanced distance to a center (-inf at the centers themselves, so a pick
+is one argmax). It folds each probed center's enhanced row
 into ``delta`` in O(n*d) as long as v_max stays put; when v_max rises the
 value ratios of all centers change, and ``delta`` is rebuilt from the
 coordinates in O(|centers|*n*d) before the next pick. The first pick of
@@ -95,10 +96,16 @@ class Cover:
         return distance_row(self.columns, self.columns[:, center], self._work)
 
     def farthest(self, score: np.ndarray) -> int:
-        """Open candidate with the highest ``score``; ties go to the lowest id."""
-        pick = int(np.argmax(np.where(self.chosen, -np.inf, score)))
-        if self.chosen[pick]:  # every open score is -inf, tied with the masked centers
-            pick = int(np.argmin(self.chosen))
+        """Open candidate with the highest ``score``; ties go to the lowest id.
+
+        The plain argmax is that candidate unless it is a center; only then
+        are the centers masked out.
+        """
+        pick = int(score.argmax())
+        if self.chosen[pick]:
+            pick = int(np.argmax(np.where(self.chosen, -np.inf, score)))
+            if self.chosen[pick]:  # every open score is -inf, tied with the masked centers
+                pick = int(np.argmin(self.chosen))
         return pick
 
     def add(self, center: int) -> np.ndarray:
@@ -162,7 +169,8 @@ def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[i
     if not epsilon > 0:
         raise InvalidParams("epsilon must be positive")
     v_max = max((histories[c].last for c in cover.centers), default=-np.inf)
-    delta = np.empty(len(cover.chosen))  # each candidate's minimum enhanced distance to a center
+    # each candidate's minimum enhanced distance to a center, -inf at the centers
+    delta = np.empty(len(cover.chosen))
     stale = True  # seed values are new on entry
     new: list[int] = []
     for _ in range(k):
@@ -173,6 +181,7 @@ def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[i
             for c in cover.centers:
                 value = histories[c].last
                 np.minimum(delta, _enhanced(cover._row(c), value, v_max, epsilon), out=delta)
+            delta[cover.centers] = -np.inf  # so the plain argmax of farthest rarely lands on one
             stale = False
         pick = cover.farthest(delta)
         run.extend_all((cover.configs[pick],), t)
@@ -180,6 +189,7 @@ def e_k_center(k: int, cover: Cover, t: int, epsilon: float, run: Run) -> list[i
         row = cover.add(pick)
         if value <= v_max:
             np.minimum(delta, _enhanced(row, value, v_max, epsilon), out=delta)
+            delta[pick] = -np.inf
         else:
             v_max, stale = value, True  # every ratio changed
         new.append(pick)

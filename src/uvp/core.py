@@ -11,10 +11,11 @@ charges with one ``ValueOracle.query`` call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,10 +88,14 @@ class Configuration:
     id: int
 
     def __post_init__(self) -> None:
+        coords = self.coords
         try:
-            size = len(self.coords)
+            size = len(coords)
         except TypeError:
-            raise InvalidParams(f"configuration {self.id} coordinates must be a sequence") from None
+            size = None
+        # a set or a mapping has no coordinate order
+        if size is None or (type(coords) is not tuple and isinstance(coords, (Set, Mapping))):
+            raise InvalidParams(f"configuration {self.id} coordinates must be a sequence")
         if size < 1:
             raise InvalidParams("configuration needs at least one coordinate")
         try:
@@ -111,12 +116,20 @@ class Configuration:
 def config_columns(X: Sequence[Configuration]) -> np.ndarray:
     """Coordinate-major (d, n) embeddings, the layout :func:`distance_row` takes.
 
-    Ids must equal positions.
+    Ids must equal positions, and every candidate must have the dimension of
+    the first.
     """
+    n = len(X)
+    d = X[0].dimension if n else 0
     for pos, cfg in enumerate(X):
         if cfg.id != pos:
             raise InvalidParams(f"configuration at position {pos} has id {cfg.id}")
-    return np.ascontiguousarray(np.asarray([c.coords for c in X], dtype=float).T)
+        if len(cfg.coords) != d:
+            raise InvalidParams(
+                f"configuration {pos} has dimension {len(cfg.coords)}, configuration 0 has {d}"
+            )
+    flat = np.fromiter(itertools.chain.from_iterable(c.coords for c in X), dtype=float, count=n * d)
+    return np.ascontiguousarray(flat.reshape(n, d).T)
 
 
 def distance_row(columns: np.ndarray, origin: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -335,7 +348,8 @@ class Run:
 
         A unit is charged only once its value is recorded, so a query or
         value that raises charges nothing and leaves every earlier unit
-        charged. A history enters ``histories`` only with its first value.
+        charged. A history enters ``histories`` only with its first value,
+        once the curve's units are charged or one of them raises.
         A value in [0, 1] is stored as read; any other goes through
         :meth:`History.append`.
         """
@@ -349,19 +363,23 @@ class Run:
                 h = History(cid)
             recorded = h.values
             have = len(recorded)
-            stop = min(t, have + ledger.remaining)
-            for b in range(have + 1, stop + 1):
-                v = query(config, b)
-                if type(v) is float and 0.0 <= v <= 1.0:
-                    recorded.append(v)
-                else:
-                    h.append(v)  # the tolerance-and-clamp rule
-                    v = recorded[-1]
-                histories[cid] = h
-                ledger.spent += 1
-                if v > incumbent:
-                    incumbent = v
-                incumbents.append(incumbent)
+            room = ledger.cap - ledger.spent
+            stop = t if t - have <= room else have + room
+            try:
+                for b in range(have + 1, stop + 1):
+                    v = query(config, b)
+                    if type(v) is float and 0.0 <= v <= 1.0:
+                        recorded.append(v)
+                    else:
+                        h.append(v)  # the tolerance-and-clamp rule
+                        v = recorded[-1]
+                    ledger.spent += 1
+                    if v > incumbent:
+                        incumbent = v
+                    incumbents.append(incumbent)
+            finally:
+                if not have and recorded:
+                    histories[cid] = h
             if stop < t:
                 return False
         return True

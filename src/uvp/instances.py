@@ -88,7 +88,10 @@ def _bump_sum(x: np.ndarray, p: Mapping) -> float:
 def landscape_eval(spec: LandscapeSpec, x: Sequence[float]) -> float:
     """Evaluate the surface at ``x``; values are clamped into [0, 1]."""
     try:
-        pt = np.asarray(x, dtype=float)
+        pt = np.asarray(x)
+        if pt.dtype.kind == "c":  # float() would drop the imaginary part with a warning
+            raise TypeError
+        pt = pt.astype(float, copy=False)
     except (TypeError, ValueError):
         raise InvalidParams(f"point {x!r} is not a vector of real numbers") from None
     if pt.shape != (len(spec.domain),):
@@ -151,6 +154,14 @@ def _configs(points: np.ndarray) -> list[Configuration]:
     return [Configuration(row, i) for i, row in enumerate(zip(*points.T.tolist()))]
 
 
+def _dimensions(bounds: Sequence[tuple[float, float]]) -> int:
+    """The number of bounds; refuse ``bounds`` that have no length."""
+    try:
+        return len(bounds)
+    except TypeError:
+        raise InvalidParams(f"bounds {bounds!r} are not a sequence of (lo, hi) pairs") from None
+
+
 def _check_ends(bounds: Sequence[tuple[float, float]]) -> None:
     """Refuse a bound that is not a (lo, hi) pair, or an end that is not a real number."""
     for bound in bounds:
@@ -174,7 +185,7 @@ def mesh_grid(bounds: Sequence[tuple[float, float]], m: int) -> list[Configurati
     _check_int("mesh size m", m)
     if m < 2:
         raise InvalidParams("mesh needs at least 2 points per dimension")
-    if len(bounds) < 1:
+    if _dimensions(bounds) < 1:
         raise InvalidParams("mesh needs at least one dimension")
     total = m ** len(bounds)
     if total > MESH_CAP:
@@ -193,7 +204,7 @@ def sample_uniform(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> 
         raise InvalidParams("need at least one sample")
     if n > MESH_CAP:  # checked before any draw
         raise InvalidParams(f"sample of {n} points exceeds cap {MESH_CAP}")
-    if len(bounds) < 1:
+    if _dimensions(bounds) < 1:
         raise InvalidParams("need at least one dimension")
     _check_ends(bounds)
     for lo, hi in bounds:
@@ -222,7 +233,8 @@ class TabularOracle(ValueOracle):
         self.curves = curves
 
     def query(self, config: Configuration, b: int) -> float:
-        self._check_budget(b)
+        if type(b) is not int or not 0 < b <= self.horizon:
+            self._check_budget(b)
         if not 0 <= config.id < len(self.curves):
             raise InvalidParams(f"configuration id {config.id} outside benchmark")
         return self.curves.item(config.id, b - 1)

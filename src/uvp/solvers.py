@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import compress
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -141,35 +142,63 @@ def tail_fit_pred(values: Sequence[float], horizon: int, theta: float = 0.3) -> 
     return min(float(slope * horizon + intercept), 1.0)
 
 
-def _keeps(values: Sequence[float], params: SolverParams, horizon: int, best_last: float) -> bool:
-    """Whether the forecast of ``values`` at ``horizon`` reaches ``best_last``, the pruning test.
+def _prune_test(params: SolverParams, horizon: int) -> Callable[[list[float], float], bool]:
+    """The pruning test of one solve: ``keeps(values, best_last)``.
 
-    Decides exactly as ``forecast >= best_last`` with the predictor of
-    ``params``. Tail-fit fits the centred least-squares line over the same
-    window as :func:`tail_fit_pred` in O(m), with no ``lstsq``; the 1.0
+    ``keeps`` tells whether the forecast of the non-empty ``values`` at
+    ``horizon`` reaches ``best_last``, and decides exactly as
+    ``forecast >= best_last`` with the predictor of ``params``. Two-point
+    evaluates :func:`pred`'s formula in place. Tail-fit fits the centred
+    least-squares line over the same window as :func:`tail_fit_pred` in
+    O(m), with no ``lstsq``; the window's weights, its denominator and its
+    distance to the horizon are kept for the last few history lengths. The 1.0
     clamp cannot change the answer, since observed values, and so
-    ``best_last``, never exceed 1. Near-ties
-    defer to :func:`tail_fit_pred` itself: a window whose slope is within
-    ``TIE_TOL`` of zero (on a flat window ``np.polyfit``'s slope sign is
-    rounding noise, and it picks between the last value and the line) or a
-    line within ``TIE_TOL`` of ``best_last``.
+    ``best_last``, never exceed 1. Near-ties defer to :func:`tail_fit_pred`
+    itself: a window whose slope is within ``TIE_TOL`` of zero (on a flat
+    window ``np.polyfit``'s slope sign is rounding noise, and it picks
+    between the last value and the line) or a line within ``TIE_TOL`` of
+    ``best_last``.
     """
     if params.predictor != "tail-fit":
-        return pred(values, horizon) >= best_last
-    t = len(values)
-    if t == 1:
-        return True  # tail_fit_pred forecasts +inf
-    m = max(2, math.ceil(params.theta * t))
-    tail = values[-m:]
-    c = (m - 1) / 2  # x_i - xbar = i - c for the window's i-th value
-    sxy = 0.0
-    for i, y in enumerate(tail):
-        sxy += (i - c) * y
-    slope = sxy / (m * (m * m - 1) / 12)
-    line = sum(tail) / m + slope * (horizon - (t - c))
-    if abs(slope) <= TIE_TOL or abs(line - best_last) <= TIE_TOL:
-        return tail_fit_pred(values, horizon, params.theta) >= best_last
-    return (values[-1] if slope < 0 else line) >= best_last
+
+        def keeps(values: list[float], best_last: float) -> bool:
+            t = len(values)
+            if t == 1:
+                return True  # pred forecasts +inf
+            last = values[-1]
+            return last + (last - values[-2]) * (horizon - t) >= best_last
+
+        return keeps
+
+    theta = params.theta
+    windows: dict[int, tuple] = {}  # t: (m, weights i - c, denominator, horizon - (t - c))
+
+    def keeps(values: list[float], best_last: float) -> bool:
+        t = len(values)
+        if t == 1:
+            return True  # tail_fit_pred forecasts +inf
+        window = windows.get(t)
+        if window is None:
+            # a level of _adaptive tests two lengths, its own and the horizon's;
+            # a few windows at a time keep the memory O(theta * horizon)
+            if len(windows) == 4:
+                windows.clear()
+            m = max(2, math.ceil(theta * t))
+            c = (m - 1) / 2  # x_i - xbar = i - c for the window's i-th value
+            weights = [i - c for i in range(m)]
+            window = windows[t] = (m, weights, m * (m * m - 1) / 12, horizon - (t - c))
+        m, weights, denominator, reach = window
+        total = sxy = 0.0  # summed in order, as sum() does before Python 3.12
+        for w, y in zip(weights, values[-m:]):
+            total += y
+            sxy += w * y
+        slope = sxy / denominator
+        line = total / m + slope * reach
+        if abs(slope) <= TIE_TOL or abs(line - best_last) <= TIE_TOL:
+            return tail_fit_pred(values, horizon, theta) >= best_last
+        return (values[-1] if slope < 0 else line) >= best_last
+
+    return keeps
 
 
 def _check_pool(X: Sequence[Configuration], ledger: BudgetLedger) -> None:
@@ -254,6 +283,7 @@ def _adaptive(
             "raise --delta or --horizon"
         )
 
+    keeps = _prune_test(params, horizon)
     run = Run(oracle, ledger)
     histories = run.histories
     cover = clustering.Cover(X)  # one selection engine for every round
@@ -265,15 +295,24 @@ def _adaptive(
         else:
             new = clustering.k_center(n_new, cover)
         active = sorted(set(active).union(new))
+        # the configs and value lists of ``active``, rebuilt only when a prune shrinks it
+        configs = [X[x] for x in active]
+        curves = None
 
         for t in range(t_explore + 1, horizon + 1):
             # a curve trained this far in an earlier round is charged nothing
-            if not run.extend_all([X[x] for x in active], t):
+            if not run.extend_all(configs, t):
                 return run.outcome()  # ledger dry mid-level
             if not active:
                 break
-            best_last = max(histories[x].values[-1] for x in active)
-            active = [x for x in active if _keeps(histories[x].values, params, horizon, best_last)]
+            if curves is None:  # every history exists once the first level is charged
+                curves = [histories[x].values for x in active]
+            best_last = max([values[-1] for values in curves])
+            kept = [keeps(values, best_last) for values in curves]
+            if not all(kept):
+                active = list(compress(active, kept))
+                configs = list(compress(configs, kept))
+                curves = list(compress(curves, kept))
         if not new:
             break  # candidate pool exhausted after a last extension
     return run.outcome()

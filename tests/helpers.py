@@ -24,7 +24,7 @@ from uvp.analysis import RankTable
 from uvp.clustering import DEFAULT_ETA_CAP, Cover, greedy_radius, k_center
 from uvp.core import VALUE_TOL, Trace, config_columns, distance_row
 from uvp.instances import TabularBenchmark
-from uvp.solvers import pred, tail_fit_pred
+from uvp.solvers import _prune_test, pred, tail_fit_pred
 
 
 def line(xs):
@@ -569,6 +569,11 @@ def ref_e_full_cent(params, X, oracle, cap):
     run = RefRun(oracle, cap)
     ref_e_k_center(cap // oracle.horizon, [], X, oracle.horizon, params.epsilon, run)
     return run.outcome()
+
+
+def prune_keeps(values, params, horizon, best_last):
+    """The library's prune decision for one history, through a fresh per-solve test."""
+    return _prune_test(params, horizon)(values, best_last)
 
 
 def _ref_keeps(curve, params, horizon, incumbent):

@@ -244,6 +244,26 @@ def test_cover_farthest_never_returns_a_center():
     assert cover.farthest(np.full(3, -np.inf)) == 1
 
 
+# ties, zeros and both infinities, so the plain argmax often lands on a center
+_SCORES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf])
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.lists(_SCORES, min_size=n, max_size=n),
+                        st.lists(st.booleans(), min_size=n, max_size=n))
+))
+@settings(deadline=None, max_examples=300)
+def test_cover_farthest_is_the_masked_argmax(case):
+    scores, chosen = case
+    if all(chosen):
+        return  # no open candidate to pick
+    cover = Cover(line(range(len(scores))), [c for c, taken in enumerate(chosen) if taken])
+    score = np.asarray(scores)
+    open_ids = np.flatnonzero(~np.asarray(chosen))
+    # the first open maximum; with every open score -inf, the lowest open id
+    assert cover.farthest(score) == int(open_ids[np.argmax(score[open_ids])])
+
+
 def test_cover_distances_match_numpy_norm():
     # the engine computes distance rows in its own buffer; they must equal
     # np.linalg.norm bit for bit, or ties and outcomes could shift
@@ -484,3 +504,23 @@ def test_isolated_optimum_greedy_selection_from_empty_seeds():
     plain = k_center(2, Cover(configs))
     enhanced = e_k_center(2, Cover(configs), 1, eps, Run(oracle, BudgetLedger(10)))
     assert enhanced == plain
+
+
+@pytest.mark.parametrize("epsilon", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("seeds", [[], [1], [0, 5]])
+def test_e_k_center_on_duplicate_points_and_quarter_values(epsilon, seeds):
+    # every point twice on a line, values on a 1/4 grid: a center's twin ties
+    # with it at enhanced distance -(eta - 1) / epsilon, v_max rises over the
+    # picks, and the selection must still follow the rebuild-every-pick reference
+    coords = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 5.0, 5.0]
+    curves = np.asarray(
+        [[0.25, 0.5], [0.0, 0.25], [0.5, 0.5], [0.25, 0.75], [0.75, 1.0],
+         [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [0.25, 0.25], [0.75, 0.75]]
+    )
+    histories = {s: History(s, curves[s][:1]) for s in seeds}
+    case = {"X": line(coords), "curves": curves, "seeds": seeds,
+            "k": len(coords) - len(seeds), "t": 1, "epsilon": epsilon}
+    engine, reference = _selectors(case, Cover(case["X"], seeds))
+    got = _value_aware(engine, case, 20, histories)
+    assert got == _value_aware(reference, case, 20, histories)
+    assert sorted(got[0] + seeds) == list(range(len(coords)))

@@ -46,6 +46,7 @@ REMOVED = {
     "extend_to": "Run.extend_all",
     "baselines": "the module uvp.solvers",
     "incumbent_at": "the index read inside mean_rank",
+    "_keeps": "the test solvers._prune_test builds once per solve",
 }
 
 

@@ -13,6 +13,7 @@ from helpers import (
     configs_from,
     curve_oracle,
     line,
+    prune_keeps,
     ref_mean_rank,
 )
 from uvp import BudgetLedger, InvalidParams, Run, UvpError, cli
@@ -24,7 +25,7 @@ from uvp.instances import gen_hard, gen_smooth
 from uvp.solvers import (
     PREDICTORS,
     SolverParams,
-    _keeps,
+    _prune_test,
     ada_cent,
     e_ada_cent,
     e_full_cent,
@@ -156,7 +157,7 @@ def test_tail_fit_prune_decision_equals_polyfit(case):
     values, horizon, theta, best_last = case
     params = SolverParams(theta=theta, predictor="tail-fit")
     expected = tail_fit_pred(values, horizon, theta) >= best_last
-    assert _keeps(values, params, horizon, best_last) == expected
+    assert prune_keeps(values, params, horizon, best_last) == expected
 
 
 @given(
@@ -174,7 +175,32 @@ def test_tail_fit_prune_decision_on_symmetric_windows(half, odd, ahead):
     best_last = (values[-1] + sum(values) / len(values)) / 2
     params = SolverParams(theta=1.0, predictor="tail-fit")
     expected = tail_fit_pred(values, horizon, 1.0) >= best_last
-    assert _keeps(values, params, horizon, best_last) == expected
+    assert prune_keeps(values, params, horizon, best_last) == expected
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_one_prune_test_per_solve_decides_as_the_forecasts(data):
+    # one test serves every history of a solve, so it is built once and fed
+    # histories of many lengths on the reference property's grids: values
+    # k/q, horizons up to 8 (and some far longer), thresholds on the grid
+    horizon = data.draw(st.integers(1, 8) | st.sampled_from([50, 100, 1000]))
+    theta = data.draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]) | st.floats(0.01, 1.0))
+    predictor = data.draw(st.sampled_from(PREDICTORS))
+    params = SolverParams(theta=theta, predictor=predictor)
+    keeps = _prune_test(params, horizon)
+    q = data.draw(st.sampled_from([1, 2, 4, 10]))
+    for _ in range(data.draw(st.integers(1, 8))):
+        t = data.draw(st.integers(1, min(horizon, 40)))
+        values = [k / q for k in data.draw(st.lists(st.integers(0, q), min_size=t, max_size=t))]
+        if data.draw(st.booleans()):
+            values = np.maximum.accumulate(values).tolist()
+        best_last = data.draw(st.sampled_from(values) | st.integers(0, q).map(lambda k: k / q))
+        if predictor == "tail-fit":
+            expected = tail_fit_pred(values, horizon, theta) >= best_last
+        else:
+            expected = pred(values, horizon) >= best_last
+        assert keeps(values, best_last) == expected, (values, horizon, theta, best_last)
 
 
 @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),

@@ -6,7 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import CallableOracle, const_oracle, curve_oracle, gen_isolated_optimum, line
+from helpers import (
+    CallableOracle,
+    const_oracle,
+    curve_oracle,
+    gen_isolated_optimum,
+    line,
+    prune_keeps,
+)
 from uvp import (
     BudgetLedger,
     InvalidParams,
@@ -20,7 +27,6 @@ from uvp import (
     pred,
     tail_fit_pred,
 )
-from uvp.solvers import _keeps
 
 ALL_SOLVERS = (full_cent, e_full_cent, ada_cent, e_ada_cent)
 
@@ -78,17 +84,17 @@ def _tail_fit(theta=0.3):
 
 def test_keeps_single_point_is_kept_without_a_fit(monkeypatch):
     monkeypatch.setattr("uvp.solvers.tail_fit_pred", None)  # any call would fail
-    assert _keeps([0.0], _tail_fit(), 10, 1.0)
+    assert prune_keeps([0.0], _tail_fit(), 10, 1.0)
 
 
 def test_keeps_decides_clear_cases_without_polyfit(monkeypatch):
     monkeypatch.setattr("uvp.solvers.tail_fit_pred", None)
     rising = [0.1, 0.2, 0.3, 0.4]  # line at 10 is 1.0 (clamped today)
-    assert _keeps(rising, _tail_fit(theta=0.5), 10, 0.9)
-    assert not _keeps([0.1, 0.2, 0.25, 0.26], _tail_fit(theta=0.5), 10, 0.5)
+    assert prune_keeps(rising, _tail_fit(theta=0.5), 10, 0.9)
+    assert not prune_keeps([0.1, 0.2, 0.25, 0.26], _tail_fit(theta=0.5), 10, 0.5)
     falling = [0.5, 0.48, 0.46]  # keeps iff the last value reaches
-    assert _keeps(falling, _tail_fit(theta=1.0), 10, 0.46)
-    assert not _keeps(falling, _tail_fit(theta=1.0), 10, 0.47)
+    assert prune_keeps(falling, _tail_fit(theta=1.0), 10, 0.46)
+    assert not prune_keeps(falling, _tail_fit(theta=1.0), 10, 0.47)
 
 
 def test_keeps_defers_to_polyfit_on_a_flat_fit():
@@ -97,8 +103,8 @@ def test_keeps_defers_to_polyfit_on_a_flat_fit():
     # line's 1/3
     values = [0.2, 0.6, 0.2]
     assert tail_fit_pred(values, 10, theta=1.0) == 0.2
-    assert not _keeps(values, _tail_fit(theta=1.0), 10, 0.3)
-    assert _keeps(values, _tail_fit(theta=1.0), 10, 0.2)
+    assert not prune_keeps(values, _tail_fit(theta=1.0), 10, 0.3)
+    assert prune_keeps(values, _tail_fit(theta=1.0), 10, 0.2)
 
 
 def test_keeps_defers_to_polyfit_when_the_line_ties():
@@ -107,8 +113,8 @@ def test_keeps_defers_to_polyfit_when_the_line_ties():
     values = [0.1, 0.3]
     forecast = tail_fit_pred(values, 3, theta=1.0)
     assert forecast < 0.5
-    assert not _keeps(values, _tail_fit(theta=1.0), 3, 0.5)
-    assert _keeps(values, _tail_fit(theta=1.0), 3, forecast)
+    assert not prune_keeps(values, _tail_fit(theta=1.0), 3, 0.5)
+    assert prune_keeps(values, _tail_fit(theta=1.0), 3, forecast)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,40 @@ CASES = {
         InvalidParams,
         "configuration 0 coordinates must be a sequence",
     ),
+    # these once went through: a set has no coordinate order
+    "configuration of a set for coordinates": (
+        lambda: Configuration({1.0, 2.0}, 0),
+        InvalidParams,
+        "configuration 0 coordinates must be a sequence",
+    ),
+    "configuration of a dict for coordinates": (
+        lambda: Configuration({0: 1.0}, 0),
+        InvalidParams,
+        "configuration 0 coordinates must be a sequence",
+    ),
+    # once a raw ValueError from numpy ("inhomogeneous shape")
+    "cover over candidates of mixed dimension": (
+        lambda: Cover([Configuration((0.0,), 0), Configuration((1.0, 2.0), 1)]),
+        InvalidParams,
+        "configuration 1 has dimension 2, configuration 0 has 1",
+    ),
+    # once read as 0.0 with a ComplexWarning
+    "landscape point with a complex coordinate": (
+        lambda: landscape_eval(_RADIAL, np.array([1j, 0])),
+        InvalidParams,
+        "point array([0.+1.j, 0.+0.j]) is not a vector of real numbers",
+    ),
+    # these two once raised a raw TypeError from len()
+    "sample over bounds of None": (
+        lambda: sample_uniform(None, 3, 0),
+        InvalidParams,
+        "bounds None are not a sequence of (lo, hi) pairs",
+    ),
+    "mesh over bounds of None": (
+        lambda: mesh_grid(None, 3),
+        InvalidParams,
+        "bounds None are not a sequence of (lo, hi) pairs",
+    ),
     "history value of None": (
         lambda: History(0).append(None),
         InvalidValue,
